@@ -163,20 +163,17 @@ def solve_tilde(fs, n):
     return DirichletSolution(n, tuple(parts))
 
 
-def boundary_batch(spec, seed, samples):
-    """Stacked array of distinguished-boundary draws for poisson_solve."""
-    return np.stack([p.value for p in sample_silov(spec, seed, samples)])
+def poisson_solve(spec, boundary_fields, z, samples=100_000, seed=0, batch=None):
+    """Monte-Carlo Poisson integrals over the distinguished boundary.
 
-
-def poisson_solve(spec, boundary_field, z, samples=100_000, seed=0, batch=None):
-    """Monte-Carlo Poisson integral over the distinguished boundary.
-
-    Averages P(z, w) phi(w) over Haar samples of the boundary; returns
-    (mean, standard error). phi may be a PolyField (vectorized) or any
-    callable on the boundary matrix. Pass a precomputed boundary_batch as
-    ``batch`` to amortize sampling across evaluation points.
+    Averages P(z, w) phi(w) over Haar samples of the boundary for each phi
+    in boundary_fields; returns one (mean, standard error) per field. The
+    kernel weights are computed once for all fields. A phi may be a
+    PolyField (vectorized) or any callable on the boundary matrix. Pass a
+    precomputed sample_silov array as ``batch`` to amortize sampling across
+    evaluation points.
     """
-    ws = boundary_batch(spec, seed, samples) if batch is None else batch
+    ws = sample_silov(spec, seed, samples) if batch is None else batch
     samples = len(ws)
     z = np.asarray(z, dtype=complex).reshape(spec.shape)
     k = float(kappa(spec))
@@ -185,15 +182,17 @@ def poisson_solve(spec, boundary_field, z, samples=100_000, seed=0, batch=None):
         np.eye(spec.m) - np.einsum("ia,sja->sij", z, ws.conj())
     )
     weights = np.exp(k * np.log(detv)) / np.abs(dets) ** (2.0 * k)
-    if isinstance(boundary_field, PolyField):
-        phis = boundary_field.evaluate_many(ws)
-    else:
-        phis = np.array([complex(boundary_field(w)) for w in ws])
-    vals = weights * phis
-    mean = complex(np.mean(vals))
-    var = float(np.mean(np.abs(vals - mean) ** 2))
-    stderr = float(np.sqrt(var / samples))
-    return mean, stderr
+    results = []
+    for field in boundary_fields:
+        if isinstance(field, PolyField):
+            phis = field.evaluate_many(ws)
+        else:
+            phis = np.array([complex(field(w)) for w in ws])
+        vals = weights * phis
+        mean = complex(np.mean(vals))
+        var = float(np.mean(np.abs(vals - mean) ** 2))
+        results.append((mean, float(np.sqrt(var / samples))))
+    return results
 
 
 EXACT_PLURIHARMONIC_TOL = 1e-8

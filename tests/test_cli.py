@@ -101,6 +101,26 @@ def test_failing_tolerance_gives_nonzero_exit(tmp_path, capsys):
     assert json.loads(out.read_text())["pass"] is False
 
 
+@pytest.mark.parametrize("suite", ["kernel", "dirichlet", "embeddings"])
+def test_points_below_one_exits_2_without_traceback(suite, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", suite, "--points", "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--points: must be at least 1" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("domain", ["III:3", "IV:2"])
+def test_unsupported_kernel_domain_exits_2_without_traceback(domain, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "kernel", "--domain", domain, "--points", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "no distinguished-boundary sampler" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_domain_string_raises():
     with pytest.raises(ValueError):
         main(["verify", "kernel", "--domain", "V:2", "--points", "1"])

@@ -78,24 +78,38 @@ def test_solve_tilde_checks_dimensions():
 
 def test_poisson_solve_mass_and_reproduction():
     spec = type_ii(2)
-    batch = dirichlet.boundary_batch(spec, seed=8, samples=4000)
+    batch = domains.sample_silov(spec, seed=8, count=4000)
     z = domains.sample_interior(spec, seed=9, count=1)[0].value
     one = PolyField.constant(spec.shape, 1.0)
-    mean, se = dirichlet.poisson_solve(spec, one, z, batch=batch)
+    [(mean, se)] = dirichlet.poisson_solve(spec, [one], z, batch=batch)
     assert abs(mean - 1.0) < 4.0 * se
     # a pluriharmonic boundary function is reproduced by the integral
     e0 = (0, 1, 0, 0)
     z0 = (0, 0, 0, 0)
     phi = PolyField(spec.shape, {(e0, z0): 0.5, (z0, e0): 0.5})
-    mean, se = dirichlet.poisson_solve(spec, phi, z, batch=batch)
+    [(mean, se)] = dirichlet.poisson_solve(spec, [phi], z, batch=batch)
     assert abs(mean - z.reshape(-1)[1].real) < 4.0 * se
+
+
+def test_poisson_solve_field_list_matches_single_field_calls():
+    spec = type_ii(2)
+    batch = domains.sample_silov(spec, seed=8, count=2000)
+    z = domains.sample_interior(spec, seed=9, count=1)[0].value
+    fields = [
+        PolyField.constant(spec.shape, 1.0),
+        PolyField(spec.shape, {((0, 1, 0, 0), (0, 0, 0, 0)): 1.0}),
+        lambda w: w[0, 0] * np.conj(w[1, 1]),
+    ]
+    together = dirichlet.poisson_solve(spec, fields, z, batch=batch)
+    separate = [dirichlet.poisson_solve(spec, [f], z, batch=batch)[0] for f in fields]
+    assert together == separate
 
 
 def test_poisson_solve_accepts_plain_callables():
     spec = type_ii(2)
-    batch = dirichlet.boundary_batch(spec, seed=10, samples=500)
+    batch = domains.sample_silov(spec, seed=10, count=500)
     z = np.zeros(spec.shape)
-    mean, se = dirichlet.poisson_solve(spec, lambda w: 1.0, z, batch=batch)
+    [(mean, se)] = dirichlet.poisson_solve(spec, [lambda w: 1.0], z, batch=batch)
     assert_allclose(mean, 1.0, atol=1e-12)
     assert se < 1e-12
 

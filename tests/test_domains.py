@@ -86,13 +86,50 @@ def test_haar_unitary_is_unitary():
 
 def test_silov_samples_satisfy_gram_identity():
     for spec in (type_i(2, 3), type_ii(3), type_iii(4)):
-        for p in domains.sample_silov(spec, seed=2, count=4):
-            w = p.value
+        for w in domains.sample_silov(spec, seed=2, count=4):
             assert_allclose(w @ w.conj().T, np.eye(spec.m), atol=1e-12)
             if spec.family == "II":
                 assert_allclose(w, w.T, atol=1e-12)
             if spec.family == "III":
                 assert_allclose(w, -w.T, atol=1e-12)
+
+
+def _silov_reference(spec, seed, count):
+    """One phase-corrected QR per draw, as the sampler did before stacking."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        if spec.family == "I":
+            g = rng.standard_normal((spec.n, spec.m)) + 1j * rng.standard_normal(
+                (spec.n, spec.m)
+            )
+            q, r = np.linalg.qr(g)
+            d = np.diagonal(r)
+            out.append((q * (d / np.abs(d))).T)
+        elif spec.family == "II":
+            u = domains.haar_unitary(rng, spec.n)
+            out.append(u @ u.T)
+        else:
+            u = domains.haar_unitary(rng, spec.n)
+            j = np.kron(np.eye(spec.n // 2), [[0.0, 1.0], [-1.0, 0.0]])
+            out.append(u @ j @ u.T)
+    return np.array(out)
+
+
+def test_silov_stack_equals_per_draw_reference():
+    count = domains.SILOV_CHUNK + 37
+    for spec in (type_i(2, 3), type_ii(3), type_iii(4)):
+        ws = domains.sample_silov(spec, seed=5, count=count)
+        assert ws.shape == (count,) + spec.shape
+        assert ws.dtype == np.complex128
+        assert np.array_equal(ws, _silov_reference(spec, 5, count))
+
+
+def test_silov_shorter_sample_is_a_prefix():
+    spec = type_ii(2)
+    full = domains.sample_silov(spec, seed=4, count=2 * domains.SILOV_CHUNK + 3)
+    for k in (1, domains.SILOV_CHUNK - 1, domains.SILOV_CHUNK + 1):
+        assert np.array_equal(full[:k], domains.sample_silov(spec, seed=4, count=k))
 
 
 def test_silov_unsupported_families():

@@ -3,21 +3,21 @@ import pytest
 from numpy.testing import assert_allclose
 
 from huacheck import domains, kernels
-from huacheck.domains import type_i, type_ii, type_iii, type_iv
+from huacheck.domains import MatrixPoint, type_i, type_ii, type_iii, type_iv
 from huacheck.fields import OpaqueField, wirtinger_hessian
 
 
 def pair(spec, seed=0):
     z = domains.sample_interior(spec, seed, 1)[0]
     w = domains.sample_silov(spec, seed + 1, 1)[0]
-    return z, w
+    return z, MatrixPoint(spec, w)
 
 
 def test_kernel_is_one_at_the_origin():
     for spec in (type_i(2, 3), type_ii(2), type_iii(4)):
         w = domains.sample_silov(spec, 0, 1)[0]
         z0 = np.zeros(spec.shape)
-        assert_allclose(kernels.poisson_szego(spec, z0, w.value), 1.0, atol=1e-14)
+        assert_allclose(kernels.poisson_szego(spec, z0, w), 1.0, atol=1e-14)
 
 
 def test_kernel_positive_on_interior():
@@ -110,7 +110,7 @@ def test_check_theorem22_both_routes(spec):
 
 def test_silov_gram_defect():
     spec = type_i(2, 3)
-    wpt = domains.sample_silov(spec, 11, 1)[0]
+    wpt = MatrixPoint(spec, domains.sample_silov(spec, 11, 1)[0])
     assert kernels.silov_gram_defect(wpt) < 1e-12
     zpt = domains.sample_interior(spec, 12, 1)[0]
     assert kernels.silov_gram_defect(zpt) > 0.1
