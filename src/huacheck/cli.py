@@ -26,6 +26,7 @@ from .operators import OperatorId
 from .report import VerificationReport, merge_reports, record_from_values
 
 DEFAULT_KERNEL_DOMAINS = ("I:2,2", "I:2,3", "II:2", "II:3", "III:4")
+DEFAULT_DIRICHLET_DOMAINS = ("I:2,2", "II:2", "III:4")
 
 
 def _threads():
@@ -603,6 +604,13 @@ def _positive_int(text):
     return value
 
 
+def _domain_spec(text):
+    try:
+        return parse_spec(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid domain {text!r}: {exc}") from None
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="huacheck", description="verification campaigns for huacheck"
@@ -610,7 +618,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, default_points):
-        p.add_argument("--domain", action="append", default=None)
+        p.add_argument("--domain", type=_domain_spec, action="append", default=None)
         p.add_argument("--points", type=_positive_int, default=default_points)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=float, default=None)
@@ -659,14 +667,12 @@ def _dispatch(args):
         return _emit(merged, args.out, args.format)
 
     if args.command == "verify" and args.suite == "kernel":
-        names = args.domain or list(DEFAULT_KERNEL_DOMAINS)
-        specs = [parse_spec(s) for s in names]
+        specs = args.domain or [parse_spec(s) for s in DEFAULT_KERNEL_DOMAINS]
         report = run_kernel_campaign(specs, args.points, args.seed, args.tol)
     elif args.command == "verify" and args.suite == "hypergeom":
         report = run_hypergeom_campaign(args.points, args.seed, args.tol)
     elif args.command == "verify" and args.suite == "dirichlet":
-        names = args.domain or ["I:2,2", "II:2", "III:4"]
-        specs = [parse_spec(s) for s in names]
+        specs = args.domain or [parse_spec(s) for s in DEFAULT_DIRICHLET_DOMAINS]
         report = run_dirichlet_campaign(specs, args.points, args.seed, args.tol)
     elif args.command == "verify" and args.suite == "embeddings":
         report = run_embeddings_campaign(args.points, args.seed, args.tol)

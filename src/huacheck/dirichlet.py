@@ -174,12 +174,18 @@ def poisson_solve(spec, boundary_fields, z, samples=100_000, seed=0, batch=None)
     evaluation points.
     """
     ws = sample_silov(spec, seed, samples) if batch is None else batch
-    samples = len(ws)
+    if ws.shape[1:] != spec.shape:
+        raise ValueError(
+            f"boundary batch rows have shape {ws.shape[1:]}, expected {spec.shape}"
+        )
+    samples, m, n = ws.shape
     z = np.asarray(z, dtype=complex).reshape(spec.shape)
     k = float(kappa(spec))
     detv = float(np.linalg.det(v_matrix(z)).real)
+    # |det(I - z w*)| = |det(I - w z*)|, and w z* for the whole batch is one
+    # BLAS product of the stacked rows against z*.
     dets = np.linalg.det(
-        np.eye(spec.m) - np.einsum("ia,sja->sij", z, ws.conj())
+        np.eye(m) - (ws.reshape(-1, n) @ z.conj().T).reshape(samples, m, m)
     )
     weights = np.exp(k * np.log(detv)) / np.abs(dets) ** (2.0 * k)
     results = []

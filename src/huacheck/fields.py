@@ -78,7 +78,6 @@ class PolyField:
     def evaluate_many(self, pts):
         """Evaluate at an array of points with shape (npts,) + self.shape."""
         zf = np.asarray(pts, dtype=complex).reshape(len(pts), -1)
-        zc = zf.conj()
         out = np.zeros(len(pts), dtype=complex)
         for (ze, we), c in self.terms.items():
             v = np.full(len(pts), c, dtype=complex)
@@ -87,7 +86,7 @@ class PolyField:
                     v *= zf[:, a] ** e
             for a, e in enumerate(we):
                 if e:
-                    v *= zc[:, a] ** e
+                    v *= zf[:, a].conj() ** e
             out += v
         return out
 

@@ -11,6 +11,7 @@ error is below 1e-13 on the positive axis.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -209,7 +210,7 @@ class RadialProfile:
     def c(self):
         return (self.p + self.q + self.n + 1) / 2.0
 
-    @property
+    @functools.cached_property
     def normalization(self):
         # c - a - b = (n + 1)/2 > 0, so the value at 1 is finite
         return gauss_2f1_at_1(self.a, self.b, self.c)

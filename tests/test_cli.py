@@ -81,6 +81,15 @@ def test_dirichlet_campaign_with_reduced_sampling():
     assert report.passed
 
 
+def test_dirichlet_campaign_is_deterministic():
+    specs = [domains.type_ii(2), domains.type_i(2, 3)]
+    first, second = (
+        cli.run_dirichlet_campaign(specs, points=3, seed=0, tol=None, samples=3000)
+        for _ in range(2)
+    )
+    assert first.to_json() == second.to_json()
+
+
 def test_failing_tolerance_gives_nonzero_exit(tmp_path, capsys):
     out = tmp_path / "fail.json"
     code = main(
@@ -121,6 +130,11 @@ def test_unsupported_kernel_domain_exits_2_without_traceback(domain, capsys):
     assert "Traceback" not in err
 
 
-def test_unknown_domain_string_raises():
-    with pytest.raises(ValueError):
-        main(["verify", "kernel", "--domain", "V:2", "--points", "1"])
+@pytest.mark.parametrize("domain", ["V:2", "I:2", "II:x", "I:3,2"])
+def test_unknown_domain_string_raises(domain, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "kernel", "--domain", domain, "--points", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--domain: invalid domain {domain!r}" in err
+    assert "Traceback" not in err

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from huacheck import dirichlet, domains, operators
-from huacheck.domains import MatrixPoint, type_ii
+from huacheck import dirichlet, domains, kernels, operators
+from huacheck.domains import MatrixPoint, type_i, type_ii
 from huacheck.fields import PolyField
 from huacheck.operators import OperatorId
 
@@ -112,6 +112,30 @@ def test_poisson_solve_accepts_plain_callables():
     [(mean, se)] = dirichlet.poisson_solve(spec, [lambda w: 1.0], z, batch=batch)
     assert_allclose(mean, 1.0, atol=1e-12)
     assert se < 1e-12
+
+
+@pytest.mark.parametrize("domain", ["I:2,3", "I:1,3", "II:3", "III:4"])
+def test_poisson_solve_weights_match_per_row_kernel(domain):
+    spec = domains.parse_spec(domain)
+    batch = domains.sample_silov(spec, seed=12, count=300)
+    z = domains.sample_interior(spec, seed=13, count=1)[0].value
+    one = PolyField.constant(spec.shape, 1.0)
+    [(mean, se)] = dirichlet.poisson_solve(spec, [one], z, batch=batch)
+    weights = np.array([kernels.poisson_szego(spec, z, w) for w in batch])
+    expected_mean = np.mean(weights)
+    expected_se = np.sqrt(np.mean((weights - expected_mean) ** 2) / len(weights))
+    assert_allclose(mean, expected_mean, rtol=1e-12)
+    assert_allclose(se, expected_se, rtol=1e-12)
+
+
+def test_poisson_solve_rejects_batch_of_wrong_shape():
+    spec = type_i(2, 3)
+    batch = domains.sample_silov(spec, seed=14, count=10)
+    one = PolyField.constant(spec.shape, 1.0)
+    with pytest.raises(ValueError, match="boundary batch rows"):
+        dirichlet.poisson_solve(
+            spec, [one], np.zeros(spec.shape), batch=batch.transpose(0, 2, 1)
+        )
 
 
 def test_pluriharmonicity_test():
