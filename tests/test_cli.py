@@ -130,11 +130,19 @@ def test_unsupported_kernel_domain_exits_2_without_traceback(domain, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("domain", ["V:2", "I:2", "II:x", "I:3,2"])
-def test_unknown_domain_string_raises(domain, capsys):
+def _assert_domain_rejected(domain, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "kernel", "--domain", domain, "--points", "1"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"--domain: invalid domain {domain!r}" in err
     assert "Traceback" not in err
+
+
+def test_unknown_domain_string_raises(capsys):
+    _assert_domain_rejected("V:2", capsys)
+
+
+@pytest.mark.parametrize("domain", ["I:2", "II:x", "I:3,2"])
+def test_malformed_domain_string_exits_2_without_traceback(domain, capsys):
+    _assert_domain_rejected(domain, capsys)
