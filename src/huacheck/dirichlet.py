@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import kappa, sample_silov
+from .domains import kappa, membership_margin, sample_silov
 from .fields import OpaqueField, PolyField, wirtinger_hessian
 from .hypergeom import RadialProfile
 from .kernels import v_matrix
@@ -163,41 +163,79 @@ def solve_tilde(fs, n):
     return DirichletSolution(n, tuple(parts))
 
 
-def poisson_solve(spec, boundary_fields, z, samples=100_000, seed=0, batch=None):
+def _kernel_dets(ws, z):
+    """det(I - w z*) for every row w of the boundary batch ws.
+
+    This is the conjugate of det(I - z w*), so it has the same modulus (also
+    for m < n). The (S, m, m) stack is one BLAS product of the stacked rows
+    against -z*, with 1 added on the diagonal in place. Its determinants come
+    from Gaussian elimination without pivoting, run as vector arithmetic
+    over the strided entry views A[:, i, j] of all S matrices at once.
+
+    Pivoting is not needed: for ||w|| = 1 and ||z|| < 1 the Hermitian part
+    of A = I - w z* is at least (1 - ||z||) I, because Re x*(w z*)x <=
+    ||w* x|| ||z* x|| <= ||z|| for a unit vector x. Every Schur complement of
+    such a matrix keeps that bound, so each pivot has modulus at least
+    1 - ||z|| and elimination without pivoting is backward stable (Golub &
+    Van Loan, "Unsymmetric positive definite linear systems", Linear Algebra
+    Appl. 28, 1979).
+    """
+    samples, m, n = ws.shape
+    a = (ws.reshape(-1, n) @ -z.conj().T).reshape(samples, m, m)
+    a.reshape(samples, m * m)[:, :: m + 1] += 1.0
+    dets = a[:, 0, 0].copy()
+    for k in range(m - 1):
+        for i in range(k + 1, m):
+            factor = a[:, i, k] / a[:, k, k]
+            for j in range(k + 1, m):
+                a[:, i, j] -= factor * a[:, k, j]
+        dets *= a[:, k + 1, k + 1]
+    return dets
+
+
+def _mean_and_stderr(vals):
+    mean = complex(np.mean(vals))
+    var = float(np.mean(np.abs(vals - mean) ** 2))
+    return mean, float(np.sqrt(var / len(vals)))
+
+
+def poisson_solve(spec, boundary_fields, zs, samples=100_000, seed=0, batch=None):
     """Monte-Carlo Poisson integrals over the distinguished boundary.
 
-    Averages P(z, w) phi(w) over Haar samples of the boundary for each phi
-    in boundary_fields; returns one (mean, standard error) per field. The
-    kernel weights are computed once for all fields. A phi may be a
-    PolyField (vectorized) or any callable on the boundary matrix. Pass a
-    precomputed sample_silov array as ``batch`` to amortize sampling across
-    evaluation points.
+    Averages P(z, w) phi(w) over Haar samples of the boundary for each
+    interior point z in zs and each phi in boundary_fields; returns, for
+    each point, one (mean, standard error) per field. Each phi is evaluated
+    on the boundary once for all points, and the kernel weights of a point
+    once for all fields. A phi may be a PolyField (vectorized) or any
+    callable on the boundary matrix. Pass a precomputed sample_silov array
+    as ``batch`` to share one sample across calls. A point that is not
+    interior (membership margin <= 0) raises ValueError.
     """
+    zs = [np.asarray(z, dtype=complex).reshape(spec.shape) for z in zs]
+    for i, z in enumerate(zs):
+        margin = membership_margin(spec, z)
+        if margin <= 0.0:
+            raise ValueError(
+                f"point {i} is not interior to {spec.label()} "
+                f"(membership margin {margin:.3g})"
+            )
     ws = sample_silov(spec, seed, samples) if batch is None else batch
     if ws.shape[1:] != spec.shape:
         raise ValueError(
             f"boundary batch rows have shape {ws.shape[1:]}, expected {spec.shape}"
         )
-    samples, m, n = ws.shape
-    z = np.asarray(z, dtype=complex).reshape(spec.shape)
+    phis = [
+        field.evaluate_many(ws)
+        if isinstance(field, PolyField)
+        else np.array([complex(field(w)) for w in ws])
+        for field in boundary_fields
+    ]
     k = float(kappa(spec))
-    detv = float(np.linalg.det(v_matrix(z)).real)
-    # |det(I - z w*)| = |det(I - w z*)|, and w z* for the whole batch is one
-    # BLAS product of the stacked rows against z*.
-    dets = np.linalg.det(
-        np.eye(m) - (ws.reshape(-1, n) @ z.conj().T).reshape(samples, m, m)
-    )
-    weights = np.exp(k * np.log(detv)) / np.abs(dets) ** (2.0 * k)
     results = []
-    for field in boundary_fields:
-        if isinstance(field, PolyField):
-            phis = field.evaluate_many(ws)
-        else:
-            phis = np.array([complex(field(w)) for w in ws])
-        vals = weights * phis
-        mean = complex(np.mean(vals))
-        var = float(np.mean(np.abs(vals - mean) ** 2))
-        results.append((mean, float(np.sqrt(var / samples))))
+    for z in zs:
+        detv = float(np.linalg.det(v_matrix(z)).real)
+        weights = np.exp(k * np.log(detv)) / np.abs(_kernel_dets(ws, z)) ** (2.0 * k)
+        results.append([_mean_and_stderr(weights * phi) for phi in phis])
     return results
 
 

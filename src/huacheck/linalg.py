@@ -20,9 +20,14 @@ def det(M):
 
 
 def inverse(M):
+    """Inverse of M.
+
+    Raises SingularMatrixError when the smallest singular value is at most
+    SINGULARITY_FLOOR times the largest, i.e. the condition number is 1e12
+    or more. Unlike |det|, this does not depend on the scale of M.
+    """
     M = np.asarray(M, dtype=complex)
-    n = M.shape[0]
-    scale = max(1.0, float(np.linalg.norm(M, 2)) ** n)
-    if abs(np.linalg.det(M)) < SINGULARITY_FLOOR * scale:
+    sv = np.linalg.svd(M, compute_uv=False)
+    if sv[-1] <= SINGULARITY_FLOOR * sv[0]:
         raise SingularMatrixError("matrix is singular to working precision")
     return np.linalg.inv(M)

@@ -81,13 +81,13 @@ def test_poisson_solve_mass_and_reproduction():
     batch = domains.sample_silov(spec, seed=8, count=4000)
     z = domains.sample_interior(spec, seed=9, count=1)[0].value
     one = PolyField.constant(spec.shape, 1.0)
-    [(mean, se)] = dirichlet.poisson_solve(spec, [one], z, batch=batch)
+    [[(mean, se)]] = dirichlet.poisson_solve(spec, [one], [z], batch=batch)
     assert abs(mean - 1.0) < 4.0 * se
     # a pluriharmonic boundary function is reproduced by the integral
     e0 = (0, 1, 0, 0)
     z0 = (0, 0, 0, 0)
     phi = PolyField(spec.shape, {(e0, z0): 0.5, (z0, e0): 0.5})
-    [(mean, se)] = dirichlet.poisson_solve(spec, [phi], z, batch=batch)
+    [[(mean, se)]] = dirichlet.poisson_solve(spec, [phi], [z], batch=batch)
     assert abs(mean - z.reshape(-1)[1].real) < 4.0 * se
 
 
@@ -100,8 +100,10 @@ def test_poisson_solve_field_list_matches_single_field_calls():
         PolyField(spec.shape, {((0, 1, 0, 0), (0, 0, 0, 0)): 1.0}),
         lambda w: w[0, 0] * np.conj(w[1, 1]),
     ]
-    together = dirichlet.poisson_solve(spec, fields, z, batch=batch)
-    separate = [dirichlet.poisson_solve(spec, [f], z, batch=batch)[0] for f in fields]
+    [together] = dirichlet.poisson_solve(spec, fields, [z], batch=batch)
+    separate = [
+        dirichlet.poisson_solve(spec, [f], [z], batch=batch)[0][0] for f in fields
+    ]
     assert together == separate
 
 
@@ -109,23 +111,59 @@ def test_poisson_solve_accepts_plain_callables():
     spec = type_ii(2)
     batch = domains.sample_silov(spec, seed=10, count=500)
     z = np.zeros(spec.shape)
-    [(mean, se)] = dirichlet.poisson_solve(spec, [lambda w: 1.0], z, batch=batch)
+    [[(mean, se)]] = dirichlet.poisson_solve(spec, [lambda w: 1.0], [z], batch=batch)
     assert_allclose(mean, 1.0, atol=1e-12)
     assert se < 1e-12
 
 
-@pytest.mark.parametrize("domain", ["I:2,3", "I:1,3", "II:3", "III:4"])
-def test_poisson_solve_weights_match_per_row_kernel(domain):
+POISSON_WEIGHT_DOMAINS = ["I:2,3", "I:1,3", "I:3,3", "II:3", "III:4", "III:6"]
+
+
+@pytest.mark.parametrize(
+    "domain, margin",
+    [pytest.param(d, None, id=d) for d in POISSON_WEIGHT_DOMAINS]
+    + [pytest.param(d, 1e-3, id=f"{d}-margin-1e-3") for d in POISSON_WEIGHT_DOMAINS],
+)
+def test_poisson_solve_weights_match_per_row_kernel(domain, margin):
     spec = domains.parse_spec(domain)
     batch = domains.sample_silov(spec, seed=12, count=300)
     z = domains.sample_interior(spec, seed=13, count=1)[0].value
+    rtol = 1e-12
+    if margin is not None:
+        # operator norm sqrt(1 - margin) puts z at that membership margin
+        z *= np.sqrt(1.0 - margin) / np.linalg.norm(z, 2)
+        assert domains.membership_margin(spec, z) == pytest.approx(margin)
+        rtol = 1e-10
     one = PolyField.constant(spec.shape, 1.0)
-    [(mean, se)] = dirichlet.poisson_solve(spec, [one], z, batch=batch)
+    [[(mean, se)]] = dirichlet.poisson_solve(spec, [one], [z], batch=batch)
     weights = np.array([kernels.poisson_szego(spec, z, w) for w in batch])
     expected_mean = np.mean(weights)
     expected_se = np.sqrt(np.mean((weights - expected_mean) ** 2) / len(weights))
-    assert_allclose(mean, expected_mean, rtol=1e-12)
-    assert_allclose(se, expected_se, rtol=1e-12)
+    assert_allclose(mean, expected_mean, rtol=rtol)
+    assert_allclose(se, expected_se, rtol=rtol)
+
+
+def test_poisson_solve_point_stack_equals_one_point_calls():
+    spec = type_i(2, 3)
+    batch = domains.sample_silov(spec, seed=15, count=2000)
+    zs = [p.value for p in domains.sample_interior(spec, seed=16, count=3)]
+    fields = [
+        PolyField.constant(spec.shape, 1.0),
+        PolyField(spec.shape, {((0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0)): 1.0}),
+    ]
+    stacked = dirichlet.poisson_solve(spec, fields, zs, batch=batch)
+    single = [dirichlet.poisson_solve(spec, fields, [z], batch=batch)[0] for z in zs]
+    assert stacked == single
+
+
+def test_poisson_solve_rejects_point_outside_the_domain():
+    spec = type_ii(2)
+    batch = domains.sample_silov(spec, seed=17, count=100)
+    one = PolyField.constant(spec.shape, 1.0)
+    with pytest.raises(ValueError, match="not interior"):
+        dirichlet.poisson_solve(
+            spec, [one], [np.zeros(spec.shape), 1.5 * np.eye(2)], batch=batch
+        )
 
 
 def test_poisson_solve_rejects_batch_of_wrong_shape():
@@ -134,7 +172,7 @@ def test_poisson_solve_rejects_batch_of_wrong_shape():
     one = PolyField.constant(spec.shape, 1.0)
     with pytest.raises(ValueError, match="boundary batch rows"):
         dirichlet.poisson_solve(
-            spec, [one], np.zeros(spec.shape), batch=batch.transpose(0, 2, 1)
+            spec, [one], [np.zeros(spec.shape)], batch=batch.transpose(0, 2, 1)
         )
 
 
