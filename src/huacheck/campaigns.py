@@ -1,0 +1,674 @@
+"""Verification campaigns: check functions and the reports built from them.
+
+A check function takes its inputs explicitly (a domain spec, a seed or a
+numpy Generator, a count) and returns residual values. Each
+``run_*_campaign`` draws its inputs from one seed, calls its check functions
+and assembles the records of a VerificationReport in a fixed order, so the
+report is byte-identical for identical arguments. The CLI dispatches to the
+campaigns; the acceptance battery calls the same functions with its own
+seeds, counts and bounds.
+"""
+
+from __future__ import annotations
+
+import os
+import warnings
+
+import numpy as np
+
+from . import dirichlet, domains, embeddings, hypergeom, kernels, operators
+from .domains import MatrixPoint
+from .fields import PolyField, random_poly_field, wirtinger_hessian
+from .operators import OperatorId
+from .report import VerificationReport, environment_stamp, record_from_values
+
+
+def _report(campaign, records):
+    """A report of (name, anchor, values, tolerance[, direction]) records."""
+    raw = os.environ.get("HUA_LAB_THREADS", "")
+    try:
+        threads = max(1, int(raw))
+    except ValueError:
+        threads = 1
+    report = VerificationReport(campaign, environment=environment_stamp(threads))
+    for record in records:
+        report.add(record_from_values(*record))
+    return report
+
+
+def _radial_draw(rng, n, low, high):
+    """A point of C^n: Gaussian direction, radius uniform in [low, high)."""
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    z *= rng.uniform(low, high) / np.linalg.norm(z)
+    return z
+
+
+# -- kernel ------------------------------------------------------------------
+
+
+def interior_boundary_pairs(spec, seed, count):
+    """count interior points (seed) paired with Šilov points (seed + 1)."""
+    zs = domains.sample_interior(spec, seed, count)
+    ws = domains.sample_silov(spec, seed + 1, count)
+    return [(z, MatrixPoint(spec, w)) for z, w in zip(zs, ws)]
+
+
+def theorem22_residuals(spec, pairs):
+    """FD-route and closed-route boundary identity residuals of each pair."""
+    residuals = [kernels.check_theorem22(spec, zpt, wpt) for zpt, wpt in pairs]
+    return [fd for fd, _ in residuals], [exact for _, exact in residuals]
+
+
+def log_gradient_residuals(spec, pairs):
+    """Closed log-determinant gradients against finite differences.
+
+    The gap is relative to the largest closed entry, floored at 1.
+    """
+    vals = []
+    for zpt, wpt in pairs:
+        c, cb = kernels.log_gradients_closed(spec, zpt.value, wpt.value)
+        cf, cbf = kernels.log_gradients_fd(spec, zpt.value, wpt.value)
+        scale = max(1.0, float(np.max(np.abs(c))), float(np.max(np.abs(cb))))
+        vals.append(max(np.max(np.abs(c - cf)), np.max(np.abs(cb - cbf))) / scale)
+    return vals
+
+
+def gram_complement_norms(spec, pairs):
+    """Frobenius norm of the I - w*w correction tensor F at each pair."""
+    return [
+        float(np.linalg.norm(kernels.identity_tensors(spec, zpt.value, wpt.value).F))
+        for zpt, wpt in pairs
+    ]
+
+
+def rank_deficient_pairs(seed, boundary_seeds):
+    """An interior point of III(3) paired with rank-deficient boundary points."""
+    z = domains.sample_interior(domains.type_iii(3), seed, 1)[0]
+    return [(z, domains.rank_deficient_pseudo_boundary(3, s)) for s in boundary_seeds]
+
+
+def run_kernel_campaign(specs, points, seed, tol):
+    records = []
+    for spec in specs:
+        pairs = interior_boundary_pairs(spec, seed, points)
+        fd_vals, exact_vals = theorem22_residuals(spec, pairs)
+        label = spec.label()
+        records += [
+            (
+                f"boundary-identity-fd-{label}",
+                "kernel annihilated by the component operators, FD route",
+                fd_vals,
+                tol if tol is not None else 1e-6,
+            ),
+            (
+                f"boundary-identity-exact-{label}",
+                "kernel annihilated by the component operators, closed route",
+                exact_vals,
+                1e-9,
+            ),
+            (
+                f"log-gradient-dual-route-{label}",
+                "closed log-determinant gradients against finite differences",
+                log_gradient_residuals(spec, pairs),
+                1e-6,
+            ),
+            (
+                f"boundary-gram-{label}",
+                "distinguished boundary points satisfy w*w = I",
+                [kernels.silov_gram_defect(wpt) for _, wpt in pairs],
+                1e-12,
+            ),
+        ]
+        if spec.family == "III" and spec.n % 2 == 0:
+            records.append(
+                (
+                    f"gram-complement-tensor-{label}",
+                    "the I - w*w correction tensor vanishes on the boundary",
+                    gram_complement_norms(spec, pairs),
+                    1e-10,
+                )
+            )
+    # negative control: odd antisymmetric boundary points are rank-deficient
+    control = rank_deficient_pairs(seed, [seed + 100 + i for i in range(points)])
+    records.append(
+        (
+            "gram-complement-control-III(3)",
+            "rank-deficient boundary keeps the correction tensor away from 0",
+            gram_complement_norms(domains.type_iii(3), control),
+            1e-3,
+            "min_above",
+        )
+    )
+    return _report("kernel", records)
+
+
+# -- hypergeom ---------------------------------------------------------------
+
+# (p, q, n, expected kind, expected exponent) of the singularity classifier
+SINGULARITY_CASES = (
+    (1, 1, 3, "log-type", 2.0),
+    (2, 2, 5, "log-type", 3.0),
+    (1, 1, 2, "half-power", 1.5),
+    (1, 1, 4, "half-power", 2.5),
+    (0, 2, 3, "smooth", 0.0),
+)
+
+
+def derivative_ladder_residuals(rng, count):
+    """Parameter-shift 2F1 derivative against the termwise series."""
+    vals = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for _ in range(count):
+            a = rng.uniform(0.2, 3.0)
+            b = rng.uniform(0.2, 3.0)
+            c = rng.uniform(a + b + 0.5, a + b + 4.0)
+            t = rng.uniform(0.0, 0.8)
+            lhs = hypergeom.gauss_2f1_derivative(a, b, c, t)
+            rhs = hypergeom.gauss_2f1_derivative_series(a, b, c, t)
+            vals.append(abs(lhs - rhs) / max(1.0, abs(rhs)))
+    return vals
+
+
+def euler_residuals():
+    """Euler transformation residuals of three 2F1 cases on [0, 0.99]."""
+    grid = np.linspace(0.0, 0.99, 34)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return [
+            hypergeom.euler_identity_residual(a, b, s, t)
+            for a, b, s in ((1.0, 1.0, 0.5), (1.5, 1.5, 1.0), (2.0, 1.0, 0.5))
+            for t in grid
+        ]
+
+
+def log_limit_errors():
+    """Relative error of the two-point logarithmic blow-up rate estimate."""
+    vals = []
+    for a, b in ((1.0, 1.0), (1.5, 1.5)):
+        _, twopoint = hypergeom.log_limit_estimate(a, b)
+        target = hypergeom.log_limit_value(a, b)
+        vals.append(abs(twopoint - target) / target)
+    return vals
+
+
+def radial_ode_residuals():
+    """ODE residuals of four normalized radial profiles on [0.1, 0.9]."""
+    vals = []
+    for p, q, n in ((1, 1, 2), (1, 1, 3), (2, 1, 3), (2, 2, 5)):
+        profile = hypergeom.RadialProfile(p, q, n)
+        vals.extend(abs(profile.ode_residual(t)) for t in np.linspace(0.1, 0.9, 9))
+    return vals
+
+
+def singularity_residuals():
+    """Classifier checks over SINGULARITY_CASES.
+
+    Returns the kind mismatch (0.0 or 1.0) of every case, and the fit
+    residual and relative coefficient error of each singular case.
+    """
+    mismatch, fit_vals, coeff_vals = [], [], []
+    for p, q, n, kind, exponent in SINGULARITY_CASES:
+        sc = hypergeom.classify_singularity(p, q, n)
+        mismatch.append(0.0 if (sc.kind == kind and sc.exponent == exponent) else 1.0)
+        if kind != "smooth":
+            fit_vals.append(sc.fit_residual)
+            coeff_vals.append(
+                abs(sc.coefficient - sc.coefficient_oracle) / abs(sc.coefficient_oracle)
+            )
+    return mismatch, fit_vals, coeff_vals
+
+
+def run_hypergeom_campaign(points, seed, tol):
+    rng = np.random.default_rng(seed)
+    ladder_vals = derivative_ladder_residuals(rng, max(points, 50))
+    mismatch, fit_vals, coeff_vals = singularity_residuals()
+    return _report(
+        "hypergeom",
+        [
+            (
+                "derivative-ladder",
+                "parameter-shift derivative against the termwise series",
+                ladder_vals,
+                tol if tol is not None else 1e-10,
+            ),
+            (
+                "euler-transformation",
+                "power-shifted series identity on [0, 0.99]",
+                euler_residuals(),
+                1e-10,
+            ),
+            (
+                "log-limit",
+                "two-point estimate of the logarithmic blow-up rate",
+                log_limit_errors(),
+                0.01,
+            ),
+            (
+                "radial-ode",
+                "normalized profile satisfies its hypergeometric ODE",
+                radial_ode_residuals(),
+                1e-8,
+            ),
+            (
+                "singularity-kind",
+                "parity of the boundary singularity type and exponent",
+                mismatch,
+                0.5,
+            ),
+            (
+                "singularity-fit",
+                "least-squares fit residual of the singular expansion",
+                fit_vals,
+                0.05,
+            ),
+            (
+                "singularity-coefficient",
+                "fitted singular coefficient against the limit-law value",
+                coeff_vals,
+                0.05,
+            ),
+        ],
+    )
+
+
+# -- dirichlet ---------------------------------------------------------------
+
+
+def radial_extension_residuals(u, rng, count):
+    """|modified Laplacian of u| at count ball points of radius in [0.1, 0.9)."""
+    spec = domains.ball(u.n)
+    field = u.as_field()
+    vals = []
+    for _ in range(count):
+        z = _radial_draw(rng, u.n, 0.1, 0.9)
+        pt = MatrixPoint(spec, z.reshape(1, u.n))
+        vals.append(abs(operators.apply(OperatorId("tilde"), field, pt)))
+    return vals
+
+
+def boundary_trace_residuals(u, rng, count):
+    """|u - its boundary trace| at count points of the unit sphere."""
+    vals = []
+    for _ in range(count):
+        z = rng.standard_normal(u.n) + 1j * rng.standard_normal(u.n)
+        z /= np.linalg.norm(z)
+        vals.append(abs(u(z) - u.boundary_trace(z)))
+    return vals
+
+
+def holomorphic_passthrough_residuals(f, rng, count):
+    """|extension - data| of holomorphic data f at count interior points."""
+    u = dirichlet.solve_tilde([f], f.n)
+    vals = []
+    for _ in range(count):
+        z = _radial_draw(rng, f.n, 0.1, 0.9)
+        vals.append(abs(u(z) - f.field(z)))
+    return vals
+
+
+def poisson_z_scores(spec, zs, batch):
+    """|estimate - exact| / stderr of two Monte-Carlo Poisson integrals.
+
+    At each interior point of zs: the integral of 1, whose exact value is 1,
+    and that of the pluriharmonic Re z_01, which reproduces its value at the
+    point. batch is the sample_silov draw the integrals average over.
+    """
+    one = PolyField.constant(spec.shape, 1.0)
+    size = spec.size
+    # Re of an off-diagonal entry: nonzero on every family considered
+    e0 = tuple(1 if i == 1 else 0 for i in range(size))
+    z0 = tuple([0] * size)
+    phi = PolyField(spec.shape, {(e0, z0): 0.5, (z0, e0): 0.5})
+    solved = dirichlet.poisson_solve(spec, (one, phi), zs, batch=batch)
+    mass_vals, repro_vals = [], []
+    for z, ((mass, mass_se), (repro, repro_se)) in zip(zs, solved):
+        mass_vals.append(abs(mass - 1.0) / mass_se)
+        repro_vals.append(abs(repro - z.reshape(-1)[1].real) / repro_se)
+    return mass_vals, repro_vals
+
+
+def run_dirichlet_campaign(specs, points, seed, tol, samples=100_000):
+    n = 3
+    f = dirichlet.BidegreeHarmonic(
+        1, 1, n, PolyField((1, n), {((1, 0, 0), (0, 1, 0)): 1.0})
+    )
+    u = dirichlet.solve_tilde([f], n)
+    rng = np.random.default_rng(seed)
+    records = [
+        (
+            "radial-extension-annihilated",
+            "profile-weighted extension killed by the modified Laplacian",
+            radial_extension_residuals(u, rng, points),
+            tol if tol is not None else 1e-6,
+        ),
+        (
+            "boundary-trace",
+            "extension agrees with the data on the unit sphere",
+            boundary_trace_residuals(u, rng, 1000),
+            1e-8,
+        ),
+        (
+            "holomorphic-passthrough",
+            "pure-holomorphic data extends to itself",
+            holomorphic_passthrough_residuals(
+                dirichlet.make_bidegree(2, 0, n, seed), rng, 50
+            ),
+            1e-12,
+        ),
+    ]
+    for spec in specs:
+        if spec.family == "IV" or (spec.family == "III" and spec.n % 2):
+            continue
+        interior = domains.sample_interior(spec, seed + 3, min(points, 10))
+        # the 100k-draw batch lives only for this call, one domain at a time
+        mass_vals, repro_vals = poisson_z_scores(
+            spec,
+            [zp.value for zp in interior],
+            domains.sample_silov(spec, seed + 7, samples),
+        )
+        label = spec.label()
+        records += [
+            (
+                f"poisson-mass-{label}",
+                "kernel integrates to one over the distinguished boundary",
+                mass_vals,
+                3.0,
+            ),
+            (
+                f"poisson-pluriharmonic-{label}",
+                "pluriharmonic data reproduced by the Poisson integral",
+                repro_vals,
+                3.0,
+            ),
+        ]
+    return _report("dirichlet", records)
+
+
+# -- embeddings --------------------------------------------------------------
+
+
+def _unit(rng, k):
+    v = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    return v / np.linalg.norm(v)
+
+
+def _ball_point(rng, k):
+    return _unit(rng, k) * rng.uniform(0.1, 0.7)
+
+
+def rank_one_residuals(rng, count):
+    """Gram, chain-rule and pullback residuals of rank-one B_3 -> I(2,3) maps."""
+    gram_vals, chain_vals, pull_vals = [], [], []
+    for _ in range(count):
+        e = embeddings.type_i_embedding(_unit(rng, 2), 3)
+        gram_vals.append(embeddings.gram_identity_residual(e))
+        u = random_poly_field((2, 3), rng, degree=4, n_terms=8)
+        lam = _ball_point(rng, 3)
+        chain_vals.append(embeddings.chain_rule_residual(e, u, lam))
+        pull_vals.append(abs(embeddings.pullback_residual(e, u, lam)))
+    return gram_vals, chain_vals, pull_vals
+
+
+def symmetric_pullback_residuals(rng, count):
+    """Pullback residuals of Haar-random symmetric-square B_3 -> II(3) maps."""
+    vals = []
+    for _ in range(count):
+        e = embeddings.type_ii_embedding(domains.haar_unitary(rng, 3))
+        u = random_poly_field((3, 3), rng, degree=2, n_terms=6)
+        vals.append(abs(embeddings.pullback_residual(e, u, _ball_point(rng, 3))))
+    return vals
+
+
+def corner_pullback_residuals(rng, count):
+    """Pullback residuals of the corner map B_3 -> III(4)."""
+    e = embeddings.type_iii_embedding(4)
+    vals = []
+    for _ in range(count):
+        u = random_poly_field((4, 4), rng, degree=2, n_terms=30)
+        vals.append(abs(embeddings.pullback_residual(e, u, _ball_point(rng, 3))))
+    return vals
+
+
+def polarization_errors(rng, count):
+    """Entrywise error of random 4 x 4 forms recovered by polarization."""
+    vals = []
+    for _ in range(count):
+        M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        rec = embeddings.polarization_recover(
+            lambda xi: complex(np.asarray(xi) @ M @ np.conj(np.asarray(xi))), 4
+        )
+        vals.append(float(np.max(np.abs(M - rec))))
+    return vals
+
+
+def transport_residuals(rng, count):
+    """Hessian chain rule under a linear bidisc map and an antisymmetric map.
+
+    Returns 2 * count residuals, alternating between the two maps.
+    """
+    shape2 = (1, 2)
+    c0 = PolyField.coordinate(shape2, 0)
+    c1 = PolyField.coordinate(shape2, 1)
+    bidisc_map = [c0 + c1 * 1j, c0 - c1 * 1j]
+    shape3 = (1, 3)
+    # antisymmetric 3x3 matrix built from three ball coordinates
+    ball_coords = [PolyField.coordinate(shape3, a) for a in range(3)]
+    zero3 = PolyField(shape3, {})
+    anti_map = [
+        zero3, ball_coords[0], ball_coords[1],
+        ball_coords[0] * -1.0, zero3, ball_coords[2],
+        ball_coords[1] * -1.0, ball_coords[2] * -1.0, zero3,
+    ]
+    vals = []
+    for _ in range(count):
+        u = random_poly_field(shape2, rng, degree=3, n_terms=6)
+        vals.append(
+            embeddings.hessian_transport_check(
+                bidisc_map, shape2, u, _ball_point(rng, 2) * 0.5
+            )
+        )
+        u = random_poly_field((3, 3), rng, degree=3, n_terms=6)
+        vals.append(
+            embeddings.hessian_transport_check(
+                anti_map, shape3, u, _ball_point(rng, 3) * 0.5
+            )
+        )
+    return vals
+
+
+def run_embeddings_campaign(points, seed, tol):
+    rng = np.random.default_rng(seed)
+    res_tol = tol if tol is not None else 1e-9
+    gram_vals, chain_vals, pull1 = rank_one_residuals(rng, points)
+    pull2 = symmetric_pullback_residuals(rng, points)
+    pull3 = corner_pullback_residuals(rng, points)
+    pullback = "ball-side operator equals the embedded component sum"
+    return _report(
+        "embeddings",
+        [
+            (
+                "rank-one-gram-identity",
+                "rank-one embedding reproduces the ball Gram matrix exactly",
+                gram_vals,
+                1e-12,
+            ),
+            (
+                "composed-hessian-chain-rule",
+                "mixed Hessian of a composition equals the Jacobian sandwich",
+                chain_vals,
+                1e-12,
+            ),
+            ("pullback-rank-one", pullback, pull1, res_tol),
+            ("pullback-symmetric", pullback, pull2, res_tol),
+            ("pullback-antisymmetric-corner", pullback, pull3, res_tol),
+            (
+                "polarization-roundtrip",
+                "sesquilinear form recovered from basis and midpoint values",
+                polarization_errors(rng, max(points, 100)),
+                1e-12,
+            ),
+            (
+                "hessian-transport",
+                "Hessian chain rule under two explicit holomorphic maps",
+                transport_residuals(rng, 20),
+                res_tol,
+            ),
+        ],
+    )
+
+
+# -- counterexample ----------------------------------------------------------
+
+
+def type_iv_points(rng, count):
+    """Yield count points of IV(2), radius in [0.05, 0.55), margin above 0.05.
+
+    The points are drawn from rng as they are consumed, so a caller that
+    also draws from rng consumes them first.
+    """
+    spec = domains.type_iv(2)
+    drawn = 0
+    while drawn < count:
+        z = _radial_draw(rng, 2, 0.05, 0.55)
+        if domains.membership_margin(spec, z.reshape(1, 2)) > 0.05:
+            drawn += 1
+            yield z
+
+
+def euclidean_defects(H):
+    """|tr H| and |2 Re H_01| of a 2 x 2 mixed Hessian.
+
+    They are the Euclidean Laplacian and the real cross derivative.
+    """
+    return abs(np.trace(H)), abs(2.0 * H[0, 1].real)
+
+
+def quartic_residuals(points):
+    """Checks of u = |w1|^2 - |w2|^2 on IV(2) at each point.
+
+    Returns |delta4 u|, the Frobenius norm of the mixed Hessian, and the
+    two euclidean_defects of the Hessian, one list each.
+    """
+    spec = domains.type_iv(2)
+    u = PolyField((1, 2), {((1, 0), (1, 0)): 1.0, ((0, 1), (0, 1)): -1.0})
+    op_vals, hess_norms, harm_vals, cross_vals = [], [], [], []
+    for z in points:
+        pt = MatrixPoint(spec, z.reshape(1, 2))
+        op_vals.append(abs(operators.apply(OperatorId("delta4"), u, pt)))
+        H = wirtinger_hessian(u, z)
+        hess_norms.append(float(np.linalg.norm(H)))
+        harm, cross = euclidean_defects(H)
+        harm_vals.append(harm)
+        cross_vals.append(cross)
+    return op_vals, hess_norms, harm_vals, cross_vals
+
+
+def coordinatewise_harmonic(rng):
+    """Random bidisc polynomial with vanishing diagonal second derivatives.
+
+    Every monomial avoids pairing a coordinate with its own conjugate, so
+    d^2/dz_k dzbar_k kills each term for k = 1, 2.
+    """
+    terms = {}
+    for _ in range(6):
+        a = int(rng.integers(0, 3))
+        b = int(rng.integers(0, 3))
+        c = 0 if a else int(rng.integers(0, 3))
+        d = 0 if b else int(rng.integers(0, 3))
+        coef = complex(rng.standard_normal(), rng.standard_normal())
+        key = ((a, b), (c, d))
+        terms[key] = terms.get(key, 0.0) + coef
+    return PolyField((1, 2), terms)
+
+
+def bidisc_inverse_map():
+    """The inverse bidisc coordinates z1 = (w1 + w2)/2, z2 = (w1 - w2)/(2i)."""
+    c0 = PolyField.coordinate((1, 2), 0)
+    c1 = PolyField.coordinate((1, 2), 1)
+    return [(c0 + c1) * 0.5, (c0 - c1) * (-0.5j)]
+
+
+def bidisc_transfer_residuals(rng, count):
+    """Transfer of coordinatewise-harmonic data through the bidisc coordinates.
+
+    For count random v, u = v o inverse map: returns the two diagonal
+    second-derivative identities per draw, |tr H_u| and the symmetrized
+    cross derivative |H_u01 + H_u10|.
+    """
+    inverse_map = bidisc_inverse_map()
+    id_vals, harm_vals, cross_vals = [], [], []
+    for _ in range(count):
+        v = coordinatewise_harmonic(rng)
+        u = v.compose_holomorphic(inverse_map, (1, 2))
+        z0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        z0 *= 0.3 / np.linalg.norm(z0)
+        w0 = np.array([z0[0] + 1j * z0[1], z0[0] - 1j * z0[1]])
+        Hv = wirtinger_hessian(v, z0)
+        Hu = wirtinger_hessian(u, w0)
+        s = Hu[0, 0] + Hu[0, 1] + Hu[1, 0] + Hu[1, 1]
+        d = Hu[0, 0] - Hu[0, 1] - Hu[1, 0] + Hu[1, 1]
+        id_vals.append(abs(Hv[0, 0] - s))
+        id_vals.append(abs(Hv[1, 1] - d))
+        harm_vals.append(abs(np.trace(Hu)))
+        cross_vals.append(abs(Hu[0, 1] + Hu[1, 0]))
+    return id_vals, harm_vals, cross_vals
+
+
+def run_counterexample_campaign(points, seed, tol):
+    rng = np.random.default_rng(seed)
+    op_vals, hess_norms, harm_vals, cross_vals = quartic_residuals(
+        type_iv_points(rng, max(points, 200))
+    )
+    # transfer through the bidisc coordinates: v with vanishing diagonal
+    # second derivatives pulls back to a Euclidean-harmonic u whose real
+    # cross derivative vanishes
+    id_vals, harm2, cross2 = bidisc_transfer_residuals(rng, 20)
+    return _report(
+        "counterexample",
+        [
+            (
+                "quartic-operator-annihilates",
+                "|w1|^2 - |w2|^2 is killed by the fourth-family operator",
+                op_vals,
+                tol if tol is not None else 1e-10,
+            ),
+            (
+                "not-pluriharmonic",
+                "its mixed Hessian stays bounded away from zero",
+                hess_norms,
+                0.999,
+                "min_above",
+            ),
+            (
+                "euclidean-harmonic",
+                "its Euclidean Laplacian vanishes",
+                harm_vals,
+                1e-10,
+            ),
+            (
+                "mixed-cross-term",
+                "the real cross derivative 2 Re u_{w1 wbar2} vanishes",
+                cross_vals,
+                1e-10,
+            ),
+            (
+                "bidisc-second-derivative-identities",
+                "diagonal second derivatives transform as the four-term sums",
+                id_vals,
+                1e-10,
+            ),
+            (
+                "transferred-harmonicity",
+                "pulled-back data is Euclidean harmonic",
+                harm2,
+                1e-10,
+            ),
+            (
+                "transferred-cross-term",
+                "pulled-back data has vanishing symmetrized cross derivative",
+                cross2,
+                1e-10,
+            ),
+        ],
+    )

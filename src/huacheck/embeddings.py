@@ -139,17 +139,34 @@ def gram_identity_residual(e):
     return worst
 
 
-def compose(e, u):
-    """u composed with the embedding, staying exact for polynomials."""
+def _compose_map(components, in_shape, out_shape, u):
+    """u composed with a holomorphic polynomial map given entrywise."""
     if isinstance(u, PolyField):
-        return u.compose_holomorphic(list(e.components), e.ball_shape())
+        return u.compose_holomorphic(list(components), in_shape)
 
     def fn(lam):
         lam = np.asarray(lam, dtype=complex).reshape(-1)
-        z = np.array([c(lam) for c in e.components]).reshape(e.spec.shape)
-        return u(z)
+        return u(np.array([c(lam) for c in components]).reshape(out_shape))
 
-    return OpaqueField(e.ball_shape(), fn)
+    return OpaqueField(in_shape, fn)
+
+
+def _sandwich_gap(components, in_shape, out_shape, u, lam):
+    """H_{u o phi}(lam) - J H_u(phi(lam)) J* for the map phi = components.
+
+    J is the holomorphic Jacobian of phi arranged rows-by-input.
+    """
+    lam = np.asarray(lam, dtype=complex).reshape(-1)
+    Hg = wirtinger_hessian(_compose_map(components, in_shape, out_shape, u), lam)
+    z = np.array([c(lam) for c in components])
+    Hu = wirtinger_hessian(u, z.reshape(out_shape))
+    J = np.array([[comp.dz(a)(lam) for comp in components] for a in range(lam.size)])
+    return Hg - J @ Hu @ J.conj().T
+
+
+def compose(e, u):
+    """u composed with the embedding, staying exact for polynomials."""
+    return _compose_map(e.components, e.ball_shape(), e.spec.shape, u)
 
 
 def chain_rule_residual(e, u, lam):
@@ -158,15 +175,8 @@ def chain_rule_residual(e, u, lam):
     d^2 (u o z) / dlam_i dlambar_j must equal the embedding-Jacobian
     sandwich of the mixed Hessian of u at z(lam).
     """
-    lam = np.asarray(lam, dtype=complex).reshape(-1)
-    g = compose(e, u)
-    Hg = wirtinger_hessian(g, lam)
-    z = np.array([c(lam) for c in e.components])
-    Hu = wirtinger_hessian(u, z.reshape(e.spec.shape))
-    J = np.array(
-        [[comp.dz(a)(lam) for comp in e.components] for a in range(lam.size)]
-    )
-    return float(np.max(np.abs(Hg - J @ Hu @ J.conj().T)))
+    gap = _sandwich_gap(e.components, e.ball_shape(), e.spec.shape, u, lam)
+    return float(np.max(np.abs(gap)))
 
 
 def pullback_residual(e, u, lam):
@@ -258,22 +268,4 @@ def hessian_transport_check(components, in_shape, u, z0):
     norm of H_{u o phi}(z0) - J H_u(phi(z0)) J* with J the Jacobian of phi
     arranged rows-by-input.
     """
-    z0 = np.asarray(z0, dtype=complex).reshape(-1)
-    size_out = len(components)
-    if isinstance(u, PolyField):
-        g = u.compose_holomorphic(list(components), in_shape)
-    else:
-
-        def fn(lam):
-            lam = np.asarray(lam, dtype=complex).reshape(-1)
-            w = np.array([c(lam) for c in components]).reshape(u.shape)
-            return u(w)
-
-        g = OpaqueField(in_shape, fn)
-    Hg = wirtinger_hessian(g, z0)
-    w0 = np.array([c(z0) for c in components])
-    Hu = wirtinger_hessian(u, w0.reshape(u.shape))
-    J = np.array(
-        [[comp.dz(a)(z0) for comp in components] for a in range(z0.size)]
-    )
-    return float(np.linalg.norm(Hg - J @ Hu @ J.conj().T))
+    return float(np.linalg.norm(_sandwich_gap(components, in_shape, u.shape, u, z0)))

@@ -316,13 +316,14 @@ def wirtinger_hessian(u, z, step=None, richardson=True):
     return 0.25 * (Hxx + Hyy) + 0.25j * (Hxy - Hyx)
 
 
-def wirtinger_gradient(u, z, step=None, richardson=True):
-    """Holomorphic Wirtinger gradient d u / dz_a as a flat complex array."""
+def _fd_gradient(u, z, step, richardson, sign):
+    """Central-difference Wirtinger gradient of an opaque field.
+
+    Each entry is 1/2 (d_x + sign i d_y): sign -1 gives d/dz_a, sign +1
+    gives d/dzbar_a.
+    """
     z = np.asarray(z, dtype=complex)
     size = z.size
-    if isinstance(u, PolyField):
-        return np.array([u.dz(a)(z) for a in range(size)], dtype=complex)
-
     h = step if step is not None else default_step(z)
     zf = z.reshape(-1)
 
@@ -333,36 +334,26 @@ def wirtinger_gradient(u, z, step=None, richardson=True):
             ex[a] = h_
             dfx = (u(zf + ex) - u(zf - ex)) / (2.0 * h_)
             dfy = (u(zf + 1j * ex) - u(zf - 1j * ex)) / (2.0 * h_)
-            g[a] = 0.5 * (dfx - 1j * dfy)
+            g[a] = 0.5 * (dfx + sign * (1j * dfy))
         return g
 
     g = diff(h)
     if richardson:
         g = (4.0 * diff(h / 2.0) - g) / 3.0
     return g
+
+
+def wirtinger_gradient(u, z, step=None, richardson=True):
+    """Holomorphic Wirtinger gradient d u / dz_a as a flat complex array."""
+    if isinstance(u, PolyField):
+        z = np.asarray(z, dtype=complex)
+        return np.array([u.dz(a)(z) for a in range(z.size)], dtype=complex)
+    return _fd_gradient(u, z, step, richardson, -1.0)
 
 
 def wirtinger_gradient_bar(u, z, step=None, richardson=True):
     """Antiholomorphic Wirtinger gradient d u / dzbar_a as a flat array."""
-    z = np.asarray(z, dtype=complex)
-    size = z.size
     if isinstance(u, PolyField):
-        return np.array([u.dzbar(a)(z) for a in range(size)], dtype=complex)
-
-    h = step if step is not None else default_step(z)
-    zf = z.reshape(-1)
-
-    def diff(h_):
-        g = np.empty(size, dtype=complex)
-        for a in range(size):
-            ex = np.zeros(size, dtype=complex)
-            ex[a] = h_
-            dfx = (u(zf + ex) - u(zf - ex)) / (2.0 * h_)
-            dfy = (u(zf + 1j * ex) - u(zf - 1j * ex)) / (2.0 * h_)
-            g[a] = 0.5 * (dfx + 1j * dfy)
-        return g
-
-    g = diff(h)
-    if richardson:
-        g = (4.0 * diff(h / 2.0) - g) / 3.0
-    return g
+        z = np.asarray(z, dtype=complex)
+        return np.array([u.dzbar(a)(z) for a in range(z.size)], dtype=complex)
+    return _fd_gradient(u, z, step, richardson, 1.0)

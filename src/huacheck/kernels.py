@@ -20,7 +20,8 @@ from . import linalg
 from .domains import MatrixPoint, kappa
 from .fields import OpaqueField, wirtinger_gradient, wirtinger_gradient_bar
 from .fields import wirtinger_hessian
-from .operators import OperatorId, coefficients as op_coefficients, direction_matrix
+from .operators import OperatorId, component_weights, direction_matrix
+from .operators import coefficients as op_coefficients
 
 
 def w_matrix(z, w):
@@ -37,12 +38,12 @@ def poisson_szego(spec, z, w):
     if spec.family == "IV":
         raise ValueError("no determinant kernel for TypeIV")
     k = float(kappa(spec))
-    detv = linalg.det(v_matrix(z))
-    detw = linalg.det(w_matrix(z, w))
-    if abs(detw) < 1e-300:
+    detv = np.linalg.det(v_matrix(z)).real
+    detw = abs(np.linalg.det(w_matrix(z, w)))
+    if detw < 1e-300:
         raise linalg.SingularMatrixError("det W(z, w) vanished")
     # det V is real positive on the interior; exp/log handles half-integer k
-    return float(np.exp(k * np.log(detv.real)) / abs(detw) ** (2.0 * k))
+    return float(np.exp(k * np.log(detv)) / detw ** (2.0 * k))
 
 
 def kernel_field(spec, w):
@@ -91,10 +92,10 @@ def log_gradients_fd(spec, z, w, step=1e-6):
     shape = spec.shape
 
     def logdetw_zw(zz):
-        return np.log(linalg.det(w_matrix(zz.reshape(shape), w)))
+        return np.log(np.linalg.det(w_matrix(zz.reshape(shape), w)))
 
     def logdetw_wz(zz):
-        return np.log(linalg.det(w_matrix(w, zz.reshape(shape))))
+        return np.log(np.linalg.det(w_matrix(w, zz.reshape(shape))))
 
     g_plain = wirtinger_gradient(
         OpaqueField(shape, logdetw_zw), z, step=step, richardson=True
@@ -128,19 +129,6 @@ def d2_logdetv(spec, z):
         D = direction_matrix(spec)
         H = D @ H @ D.conj().T
     return H
-
-
-def _family_weights(spec, z):
-    """Weight tensor w[j, a, k, b] of the component operators."""
-    n = spec.n
-    Vz = v_matrix(z)
-    if spec.family == "II":
-        half = 1.0 / (1.0 - 0.5 * np.eye(n))
-        return np.einsum("ab,ja,kb->jakb", Vz, half, half)
-    if spec.family == "III":
-        mask = 1.0 - np.eye(n)
-        return np.einsum("ab,ja,kb->jakb", Vz, mask, mask)
-    raise ValueError("weights are defined for the square families only")
 
 
 @dataclass(frozen=True)
@@ -198,7 +186,7 @@ def identity_tensors(spec, z, w):
     D = 4.0 * (Wi_zs_ws - eye)
     E = 4.0 * (Wi_ws_zs - eye)
 
-    weights = _family_weights(spec, z)
+    weights = component_weights(spec, z)
     b, bbar = b_gradients(spec, z)
     c, cbar = log_gradients_closed(spec, z, w)
     b = b.reshape(n, n)
@@ -234,7 +222,7 @@ def component_kernel_exact(spec, z, w):
     if spec.family == "I":
         inner = np.eye(n) - z.T @ z.conj()
         return np.einsum("ab,jakb->jk", inner, T)
-    weights = _family_weights(spec, z)
+    weights = component_weights(spec, z)
     return np.einsum("jakb,jakb->jk", weights, T)
 
 

@@ -15,10 +15,6 @@ class SingularMatrixError(np.linalg.LinAlgError):
     """
 
 
-def det(M):
-    return complex(np.linalg.det(np.asarray(M, dtype=complex)))
-
-
 def inverse(M):
     """Inverse of M.
 

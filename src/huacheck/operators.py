@@ -79,6 +79,26 @@ def direction_matrix(spec):
     return D
 
 
+def component_weights(spec, z):
+    """Weights w[j, a, k, b] of the (j,k) components of delta2 and delta3.
+
+    Component (j,k) weighs the constrained coordinate pair ((j,a),(k,b)) by
+    V(z)_ab f_ja f_kb, where f is 2 on the diagonal and 1 off it for the
+    symmetric family, and 0 on the diagonal and 1 off it for the
+    antisymmetric one.
+    """
+    n = spec.n
+    eye = np.eye(n)
+    if spec.family == "II":
+        f = 1.0 / (1.0 - 0.5 * eye)
+    elif spec.family == "III":
+        f = 1.0 - eye
+    else:
+        raise ValueError("weights are defined for the square families only")
+    Vz = eye - z @ z.conj().T
+    return Vz[None, :, None, :] * f[:, :, None, None] * f[None, None, :, :]
+
+
 def _weight_tensor(op, spec, z):
     """Coefficient over constrained-coordinate index pairs ((j,a),(k,b))."""
     m, n = spec.shape
@@ -99,43 +119,21 @@ def _weight_tensor(op, spec, z):
         zv = z.reshape(-1)
         return np.eye(n) - float(np.vdot(zv, zv).real) * np.outer(zv, zv.conj())
 
-    Vz = np.eye(m) - z @ z.conj().T
     if op.kind == "delta1":
         inner = np.eye(n) - z.T @ z.conj()
-        outer_scale = 1.0
-    elif op.kind == "delta2":
-        half = 1.0 - 0.5 * np.eye(n)
-        inner = Vz  # reused below with the (1 - d/2) weights
-        outer_scale = 0.25
-    else:  # delta3
-        inner = Vz
-        outer_scale = 0.25
-
-    size = m * n
-    W = np.zeros((size, size), dtype=complex)
-    if op.component is not None:
-        js = [op.component[0]]
-        ks = [op.component[1]]
-        use_outer = False
+        weights = np.broadcast_to(inner[None, :, None, :], (m, n, m, n))
+        scale = 1.0
     else:
-        js = range(m)
-        ks = range(m)
-        use_outer = True
-    for j in js:
-        for k in ks:
-            if op.kind == "delta1":
-                block = inner
-            elif op.kind == "delta2":
-                wj = 1.0 / half[j, :]
-                wk = 1.0 / half[k, :]
-                block = inner * np.outer(wj, wk)
-            else:
-                mask_j = 1.0 - (np.arange(n) == j)
-                mask_k = 1.0 - (np.arange(n) == k)
-                block = inner * np.outer(mask_j, mask_k)
-            coef = Vz[j, k] * outer_scale if use_outer else 1.0
-            W[j * n : (j + 1) * n, k * n : (k + 1) * n] += coef * block
-    return W
+        weights = component_weights(spec, z)
+        scale = 0.25
+    if op.component is None:
+        Vz = np.eye(m) - z @ z.conj().T
+        W = (Vz * scale)[:, None, :, None] * weights
+    else:
+        j, k = op.component
+        W = np.zeros((m, n, m, n), dtype=complex)
+        W[j, :, k, :] = weights[j, :, k, :]
+    return W.reshape(m * n, m * n)
 
 
 def coefficients(op, point):

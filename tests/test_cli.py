@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from huacheck import cli, domains
+from huacheck import campaigns, domains
 from huacheck.cli import main
 from huacheck.report import VerificationReport
 
@@ -32,6 +32,19 @@ def test_kernel_campaign_is_deterministic(tmp_path):
     _, text1 = run_to_file(tmp_path, "a.json", argv)
     _, text2 = run_to_file(tmp_path, "b.json", argv)
     assert text1 == text2
+
+
+def test_hypergeom_campaign_small_run(tmp_path):
+    code, text = run_to_file(
+        tmp_path, "hyp.json", ["verify", "hypergeom", "--points", "1"]
+    )
+    assert code == 0
+    data = json.loads(text)
+    assert data["pass"] is True
+    ladder = data["records"][0]
+    assert ladder["name"] == "derivative-ladder"
+    # the ladder draws at least 50 parameter sets whatever --points says
+    assert ladder["samples"] == 50
 
 
 def test_embeddings_campaign_small_run(tmp_path):
@@ -77,14 +90,14 @@ def test_report_merge_round_trip(tmp_path):
 
 def test_dirichlet_campaign_with_reduced_sampling():
     specs = [domains.type_ii(2)]
-    report = cli.run_dirichlet_campaign(specs, points=5, seed=0, tol=None, samples=3000)
+    report = campaigns.run_dirichlet_campaign(specs, points=5, seed=0, tol=None, samples=3000)
     assert report.passed
 
 
 def test_dirichlet_campaign_is_deterministic():
     specs = [domains.type_ii(2), domains.type_i(2, 3)]
     first, second = (
-        cli.run_dirichlet_campaign(specs, points=3, seed=0, tol=None, samples=3000)
+        campaigns.run_dirichlet_campaign(specs, points=3, seed=0, tol=None, samples=3000)
         for _ in range(2)
     )
     assert first.to_json() == second.to_json()

@@ -5,12 +5,6 @@ from numpy.testing import assert_allclose
 from huacheck import linalg
 
 
-def test_det_matches_numpy():
-    rng = np.random.default_rng(0)
-    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert_allclose(linalg.det(m), np.linalg.det(m), rtol=1e-12)
-
-
 def test_inverse_roundtrip():
     rng = np.random.default_rng(1)
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
