@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import kappa, membership_margin, sample_silov
+from .domains import SILOV_CHUNK, kappa, membership_margin, sample_silov
 from .fields import OpaqueField, PolyField, wirtinger_hessian
 from .hypergeom import RadialProfile
 from .kernels import v_matrix
@@ -167,10 +167,12 @@ def _kernel_dets(ws, z):
     """det(I - w z*) for every row w of the boundary batch ws.
 
     This is the conjugate of det(I - z w*), so it has the same modulus (also
-    for m < n). The (S, m, m) stack is one BLAS product of the stacked rows
-    against -z*, with 1 added on the diagonal in place. Its determinants come
-    from Gaussian elimination without pivoting, run as vector arithmetic
-    over the strided entry views A[:, i, j] of all S matrices at once.
+    for m < n). The batch is worked in blocks of SILOV_CHUNK rows, so the
+    (block, m, m) stack stays small next to ws. Each stack is one BLAS
+    product of the stacked rows against -z*, with 1 added on the diagonal in
+    place. Its determinants come from Gaussian elimination without pivoting,
+    run as vector arithmetic over the strided entry views A[:, i, j] of all
+    matrices of the block at once.
 
     Pivoting is not needed: for ||w|| = 1 and ||z|| < 1 the Hermitian part
     of A = I - w z* is at least (1 - ||z||) I, because Re x*(w z*)x <=
@@ -181,15 +183,21 @@ def _kernel_dets(ws, z):
     Appl. 28, 1979).
     """
     samples, m, n = ws.shape
-    a = (ws.reshape(-1, n) @ -z.conj().T).reshape(samples, m, m)
-    a.reshape(samples, m * m)[:, :: m + 1] += 1.0
-    dets = a[:, 0, 0].copy()
-    for k in range(m - 1):
-        for i in range(k + 1, m):
-            factor = a[:, i, k] / a[:, k, k]
-            for j in range(k + 1, m):
-                a[:, i, j] -= factor * a[:, k, j]
-        dets *= a[:, k + 1, k + 1]
+    minus_zh = -z.conj().T
+    dets = np.empty(samples, dtype=complex)
+    for start in range(0, samples, SILOV_CHUNK):
+        block = ws[start : start + SILOV_CHUNK]
+        size = len(block)
+        a = (block.reshape(-1, n) @ minus_zh).reshape(size, m, m)
+        a.reshape(size, m * m)[:, :: m + 1] += 1.0
+        d = dets[start : start + size]
+        d[:] = a[:, 0, 0]
+        for k in range(m - 1):
+            for i in range(k + 1, m):
+                factor = a[:, i, k] / a[:, k, k]
+                for j in range(k + 1, m):
+                    a[:, i, j] -= factor * a[:, k, j]
+            d *= a[:, k + 1, k + 1]
     return dets
 
 

@@ -180,24 +180,35 @@ def sample_interior(spec, seed, count, target_norm=0.7, margin_floor=0.05):
     return points
 
 
-# Draws per stacked QR in sample_silov: large enough to amortize the Python
-# overhead, small enough that the Gaussian and QR temporaries of one chunk
-# stay a fraction of the (count, m, n) output.
+# Draws per stacked QR in sample_silov, and rows per elimination block in
+# dirichlet._kernel_dets: large enough to amortize the Python overhead, small
+# enough that the temporaries of one block stay a fraction of the
+# (count, m, n) sample.
 SILOV_CHUNK = 4096
 
 
-def _haar_stack(rng, k, n, cols):
+def _haar_stack(rng, k, n, cols, buf=None):
     """k Haar-distributed n x cols isometries via phase-corrected QR.
 
     Draws a (k, 2, n, cols) Gaussian block, so draw i consumes the stream
     exactly as one (n, cols) real draw followed by one imaginary draw would.
-    Dividing each column of Q by the phase of the matching diagonal entry of
-    R makes the factorization unique and the result Haar (Mezzadri 2007).
+    The complex block is assembled in ``buf`` when given (any contiguous
+    array of k * n * cols complex entries, free to overwrite), so the QR
+    temporaries are the only ones. Dividing each column of Q by the phase of
+    the matching diagonal entry of R makes the factorization unique and the
+    result Haar (Mezzadri 2007).
     """
     g = rng.standard_normal((k, 2, n, cols))
-    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+    if buf is None:
+        buf = np.empty((k, n, cols), dtype=complex)
+    a = buf.reshape(k, n, cols)
+    a.real = g[:, 0]
+    a.imag = g[:, 1]
+    del g
+    q, r = np.linalg.qr(a)
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[:, None, :]
+    q *= (d / np.abs(d))[:, None, :]
+    return q
 
 
 def haar_unitary(rng, n):
@@ -216,13 +227,22 @@ def _antisym_block_j(n):
     return J
 
 
+def _times_block_j(u):
+    """u @ _antisym_block_j(n) for a stack u, as a signed swap of column pairs."""
+    uj = np.empty_like(u)
+    uj[..., 0::2] = -u[..., 1::2]
+    uj[..., 1::2] = u[..., 0::2]
+    return uj
+
+
 def sample_silov(spec, seed, count):
     """Points of the distinguished (minimal) boundary: w with ww* = I_m.
 
     Returns a (count, m, n) complex array. TypeI uses Haar-orthonormal rows,
     TypeII symmetric unitaries U U^t, and TypeIII with even n antisymmetric
     unitaries U J U^t. TypeIII with odd n and TypeIV have no such
-    parametrization here. Draws are made in chunks of SILOV_CHUNK; row i
+    parametrization here. Draws are made in blocks of SILOV_CHUNK rows, and
+    each block is checked for the family symmetry as it is drawn; row i
     depends only on the seed and i, so a shorter sample is a prefix.
     """
     if spec.family == "I":
@@ -236,21 +256,31 @@ def sample_silov(spec, seed, count):
     rng = np.random.default_rng(seed)
     out = np.empty((count,) + spec.shape, dtype=complex)
     for start in range(0, count, SILOV_CHUNK):
-        u = _haar_stack(rng, min(SILOV_CHUNK, count - start), spec.n, cols)
-        ut = u.transpose(0, 2, 1)
-        if spec.family == "I":
-            w = ut
-        elif spec.family == "II":
-            w = u @ ut
-        else:
-            w = u @ _antisym_block_j(spec.n) @ ut
-        out[start : start + len(w)] = w
-    if spec.family != "I":
-        flip = out.transpose(0, 2, 1)
-        defect = out - flip if spec.family == "II" else out + flip
-        if np.abs(defect).max(initial=0.0) > SYMMETRY_TOL:
-            raise ValueError(f"{spec.label()} boundary draw breaks the family symmetry")
+        _fill_silov_block(spec, rng, out[start : start + SILOV_CHUNK], cols)
     return out
+
+
+def _fill_silov_block(spec, rng, rows, cols):
+    """Draw len(rows) boundary points into rows and check the family symmetry.
+
+    The Gaussian draw is assembled in rows, and the product is written back
+    into them, so a block holds no more than its QR temporaries and one
+    unitary stack at a time.
+    """
+    u = _haar_stack(rng, len(rows), spec.n, cols, rows)
+    ut = u.transpose(0, 2, 1)
+    if spec.family == "I":
+        rows[...] = ut
+        return
+    if spec.family == "II":
+        np.matmul(u, ut, out=rows)
+        defect = rows - rows.transpose(0, 2, 1)
+    else:
+        np.matmul(_times_block_j(u), ut, out=rows)
+        defect = rows + rows.transpose(0, 2, 1)
+    # fail closed: a NaN defect must raise, and nan <= tol is False
+    if not np.abs(defect).max() <= SYMMETRY_TOL:
+        raise ValueError(f"{spec.label()} boundary draw breaks the family symmetry")
 
 
 def rank_deficient_pseudo_boundary(n, seed):

@@ -169,24 +169,6 @@ def log_limit_estimate(a, b, j=14):
     return plain, twopoint
 
 
-def lemma32_checks(a, b, s, t_grid):
-    """Deviation report for the three t -> 1 laws on a grid."""
-    euler_max = max(euler_identity_residual(a, b, s, t) for t in t_grid)
-    t_last = max(t_grid)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        power = (1.0 - t_last) ** s * gauss_2f1(a, b, a + b - s, t_last)
-    plain, twopoint = log_limit_estimate(a, b)
-    return {
-        "euler_max_residual": euler_max,
-        "power_limit_estimate": power,
-        "power_limit_value": power_limit_value(a, b, s),
-        "log_ratio_plain": plain,
-        "log_ratio_twopoint": twopoint,
-        "log_limit_value": log_limit_value(a, b),
-    }
-
-
 # -- radial profile ----------------------------------------------------------
 
 

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from huacheck import dirichlet, domains, kernels, operators
-from huacheck.domains import MatrixPoint, type_i, type_ii
+from huacheck.domains import MatrixPoint, type_i, type_ii, type_iii
 from huacheck.fields import PolyField
 from huacheck.operators import OperatorId
 
@@ -141,6 +143,32 @@ def test_poisson_solve_weights_match_per_row_kernel(domain, margin):
     expected_se = np.sqrt(np.mean((weights - expected_mean) ** 2) / len(weights))
     assert_allclose(mean, expected_mean, rtol=rtol)
     assert_allclose(se, expected_se, rtol=rtol)
+
+
+@pytest.mark.parametrize("margin", [0.5, 1e-3])
+@pytest.mark.parametrize("domain", ["I:2,3", "II:3", "III:4"])
+def test_kernel_dets_across_block_boundaries(domain, margin):
+    spec = domains.parse_spec(domain)
+    ws = domains.sample_silov(spec, seed=18, count=2 * domains.SILOV_CHUNK + 37)
+    z = domains.sample_interior(spec, seed=19, count=1)[0].value
+    z *= np.sqrt(1.0 - margin) / np.linalg.norm(z, 2)
+    assert domains.membership_margin(spec, z) == pytest.approx(margin)
+    expected = np.linalg.det(np.eye(spec.m) - z @ ws.conj().transpose(0, 2, 1))
+    dets = dirichlet._kernel_dets(ws, z)
+    assert_allclose(np.abs(dets), np.abs(expected), rtol=1e-12)
+
+
+def test_kernel_dets_working_set_is_one_block():
+    spec = type_iii(4)
+    ws = domains.sample_silov(spec, seed=20, count=8 * domains.SILOV_CHUNK)
+    z = domains.sample_interior(spec, seed=21, count=1)[0].value
+    tracemalloc.start()
+    try:
+        dirichlet._kernel_dets(ws, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ws.nbytes / 2
 
 
 def test_poisson_solve_point_stack_equals_one_point_calls():

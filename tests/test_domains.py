@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -130,6 +132,33 @@ def test_silov_shorter_sample_is_a_prefix():
     full = domains.sample_silov(spec, seed=4, count=2 * domains.SILOV_CHUNK + 3)
     for k in (1, domains.SILOV_CHUNK - 1, domains.SILOV_CHUNK + 1):
         assert np.array_equal(full[:k], domains.sample_silov(spec, seed=4, count=k))
+
+
+def test_silov_symmetry_check_fails_closed_on_nan_in_last_block(monkeypatch):
+    haar_stack = domains._haar_stack
+
+    def nan_in_partial_block(rng, k, *args):
+        u = haar_stack(rng, k, *args)
+        if k < domains.SILOV_CHUNK:
+            u[-1, 0, 0] = np.nan
+        return u
+
+    monkeypatch.setattr(domains, "_haar_stack", nan_in_partial_block)
+    for spec in (type_ii(3), type_iii(4)):
+        with pytest.raises(ValueError, match="breaks the family symmetry"):
+            domains.sample_silov(spec, seed=6, count=domains.SILOV_CHUNK + 37)
+
+
+def test_silov_working_set_is_one_block():
+    # tracemalloc sees numpy's buffers; 8 blocks make one block's temporaries
+    # a small share of the output
+    tracemalloc.start()
+    try:
+        out = domains.sample_silov(type_iii(4), seed=7, count=8 * domains.SILOV_CHUNK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < out.nbytes / 2
 
 
 def test_silov_unsupported_families():
