@@ -246,33 +246,47 @@ def default_step(z):
     return 1e-4 * max(1.0, float(np.linalg.norm(np.asarray(z).reshape(-1))))
 
 
-def _real_hessian(fn, x0, h):
-    """Full real Hessian of a complex-valued fn of a real vector, central
-    differences."""
-    d = len(x0)
-    f0 = fn(x0)
+def _shift_rows(Z, zf, cols, deltas):
+    """Set each row r of Z to zf, then add deltas[t][r] at column cols[t][r]
+    of its interleaved (re, im) float view, for each t."""
+    Z[:] = zf
+    X = Z.view(np.float64)
+    rows = np.arange(len(Z))
+    for c, s in zip(cols, deltas):
+        X[rows, c] += s
+    return Z
+
+
+def _real_hessian(fn, zf, h):
+    """Full real Hessian of a complex-valued fn of a complex vector, central
+    differences in the real coordinates (Re zf, Im zf).
+
+    The stencil is built as complex rows in blocks of one buffer: first the
+    2d axis points, then per row index i the 4 (d - 1 - i) pair points
+    (i, j > i). fn sees one row per call and must not keep it.
+    """
+    size = zf.size
+    d = 2 * size
+    # real coordinate i is column col[i] of the interleaved float view
+    col = np.concatenate([np.arange(0, d, 2), np.arange(1, d, 2)])
+    f0 = fn(zf)
     H = np.zeros((d, d), dtype=complex)
-    shifts = {}
+    # d >= 2, so the 4 (d - 1) rows of the largest pair block hold 2d rows
+    buf = np.empty((4 * (d - 1), size), dtype=complex)
+    axis = _shift_rows(buf[: 2 * d], zf, [np.repeat(col, 2)], [np.tile([h, -h], d)])
+    fa = [fn(x) for x in axis]
     for i in range(d):
-        for s in (h, -h):
-            x = x0.copy()
-            x[i] += s
-            shifts[(i, s)] = fn(x)
-    for i in range(d):
-        H[i, i] = (shifts[(i, h)] - 2.0 * f0 + shifts[(i, -h)]) / h**2
-    for i in range(d):
-        for j in range(i + 1, d):
-            xpp = x0.copy()
-            xpp[[i, j]] += h
-            xmm = x0.copy()
-            xmm[[i, j]] -= h
-            xpm = x0.copy()
-            xpm[i] += h
-            xpm[j] -= h
-            xmp = x0.copy()
-            xmp[i] -= h
-            xmp[j] += h
-            val = (fn(xpp) - fn(xpm) - fn(xmp) + fn(xmm)) / (4.0 * h**2)
+        H[i, i] = (fa[2 * i] - 2.0 * f0 + fa[2 * i + 1]) / h**2
+    for i in range(d - 1):
+        n = d - 1 - i
+        cols = (col[i], np.repeat(col[i + 1 :], 4))
+        signs = (np.tile([h, h, -h, -h], n), np.tile([h, -h, h, -h], n))
+        f = [fn(x) for x in _shift_rows(buf[: 4 * n], zf, cols, signs)]
+        for k, j in enumerate(range(i + 1, d)):
+            # the four rows of (i, j) are ++, +-, -+, --
+            val = (f[4 * k] - f[4 * k + 1] - f[4 * k + 2] + f[4 * k + 3]) / (
+                4.0 * h**2
+            )
             H[i, j] = val
             H[j, i] = val
     return H
@@ -284,7 +298,9 @@ def wirtinger_hessian(u, z, step=None, richardson=True):
 
     Exact for PolyField; central finite differences (optionally one level of
     Richardson extrapolation) for opaque fields, via
-    d^2/dz dzbar = 1/4 (d_xx + d_yy) + i/4 (d_xy - d_yx).
+    d^2/dz dzbar = 1/4 (d_xx + d_yy) + i/4 (d_xy - d_yx). An opaque u is
+    called once per stencil point, on a flat row of a reused buffer that it
+    must not keep.
     """
     z = np.asarray(z, dtype=complex)
     size = z.size
@@ -300,14 +316,13 @@ def wirtinger_hessian(u, z, step=None, richardson=True):
     if h < 1e-7:
         warnings.warn("finite-difference step below 1e-7; expect cancellation")
     zf = z.reshape(-1)
-    x0 = np.concatenate([zf.real, zf.imag])
 
     def fn(x):
-        return complex(u(x[:size] + 1j * x[size:]))
+        return complex(u(x))
 
-    R = _real_hessian(fn, x0, h)
+    R = _real_hessian(fn, zf, h)
     if richardson:
-        R2 = _real_hessian(fn, x0, h / 2.0)
+        R2 = _real_hessian(fn, zf, h / 2.0)
         R = (4.0 * R2 - R) / 3.0
     Hxx = R[:size, :size]
     Hyy = R[size:, size:]

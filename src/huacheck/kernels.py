@@ -12,6 +12,7 @@ from the log-gradient formulas, and direct numerical differentiation of P.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,13 +34,21 @@ def v_matrix(z):
     return w_matrix(z, z)
 
 
+@functools.lru_cache(maxsize=None)
+def _kernel_constants(spec):
+    """kappa as a float and the identity of the row size, once per spec."""
+    return float(kappa(spec)), np.eye(spec.m)
+
+
 def poisson_szego(spec, z, w):
     """Kernel value; z interior, w on the distinguished boundary."""
     if spec.family == "IV":
         raise ValueError("no determinant kernel for TypeIV")
-    k = float(kappa(spec))
-    detv = np.linalg.det(v_matrix(z)).real
-    detw = abs(np.linalg.det(w_matrix(z, w)))
+    k, eye = _kernel_constants(spec)
+    # V = W(z, z) and W(z, w) from one stacked product and one stacked det
+    dets = np.linalg.det(eye - z @ np.array((z, w)).conj().transpose(0, 2, 1))
+    detv = dets[0].real
+    detw = abs(dets[1])
     if detw < 1e-300:
         raise linalg.SingularMatrixError("det W(z, w) vanished")
     # det V is real positive on the interior; exp/log handles half-integer k
@@ -232,9 +241,17 @@ def check_theorem22(spec, zpt, wpt, fd_step=1e-3):
     Returns (r_fd, r_exact): the largest component-operator value of the
     kernel computed by finite differences, and the largest exact-path
     residual (closed tensor sum for II/III, exact assembly for TypeI).
+    Raises ValueError when the FD stencil around z can leave the domain.
     """
     z = zpt.value
     w = wpt.value
+    # a stencil point moves at most two real coordinates by fd_step, so its
+    # operator norm is at most ||z||_2 + sqrt(2) fd_step
+    if np.linalg.norm(z, 2) + np.sqrt(2.0) * fd_step >= 1.0:
+        raise ValueError(
+            "the FD stencil around z can leave the domain: "
+            "||z||_2 + sqrt(2) * fd_step >= 1"
+        )
     kind = {"I": "delta1", "II": "delta2", "III": "delta3"}[spec.family]
     P_field = kernel_field(spec, w)
     # one Hessian evaluation serves every component; the step balances

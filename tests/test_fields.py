@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from huacheck import domains, kernels
+from huacheck.domains import type_i, type_ii, type_iii
 from huacheck.fields import (
     OpaqueField,
     PolyField,
@@ -127,3 +129,104 @@ def test_small_step_warns():
     z = np.zeros(SHAPE, dtype=complex)
     with pytest.warns(UserWarning):
         wirtinger_hessian(u, z, step=1e-9)
+
+
+def _reference_real_hessian(fn, x0, h):
+    """The per-pair stencil loop over a real vector that the blocked
+    complex stencil replaced; kept as the bit-for-bit reference."""
+    d = len(x0)
+    f0 = fn(x0)
+    H = np.zeros((d, d), dtype=complex)
+    shifts = {}
+    for i in range(d):
+        for s in (h, -h):
+            x = x0.copy()
+            x[i] += s
+            shifts[(i, s)] = fn(x)
+    for i in range(d):
+        H[i, i] = (shifts[(i, h)] - 2.0 * f0 + shifts[(i, -h)]) / h**2
+    for i in range(d):
+        for j in range(i + 1, d):
+            xpp = x0.copy()
+            xpp[[i, j]] += h
+            xmm = x0.copy()
+            xmm[[i, j]] -= h
+            xpm = x0.copy()
+            xpm[i] += h
+            xpm[j] -= h
+            xmp = x0.copy()
+            xmp[i] -= h
+            xmp[j] += h
+            val = (fn(xpp) - fn(xpm) - fn(xmp) + fn(xmm)) / (4.0 * h**2)
+            H[i, j] = val
+            H[j, i] = val
+    return H
+
+
+def _reference_wirtinger_hessian(u, z, step, richardson):
+    zf = np.asarray(z, dtype=complex).reshape(-1)
+    size = zf.size
+    x0 = np.concatenate([zf.real, zf.imag])
+
+    def fn(x):
+        return complex(u(x[:size] + 1j * x[size:]))
+
+    R = _reference_real_hessian(fn, x0, step)
+    if richardson:
+        R2 = _reference_real_hessian(fn, x0, step / 2.0)
+        R = (4.0 * R2 - R) / 3.0
+    Hxx = R[:size, :size]
+    Hyy = R[size:, size:]
+    Hxy = R[:size, size:]
+    Hyx = R[size:, :size]
+    return 0.25 * (Hxx + Hyy) + 0.25j * (Hxy - Hyx)
+
+
+def _kernel_case(spec):
+    z = domains.sample_interior(spec, 0, 1)[0].value
+    w = domains.sample_silov(spec, 1, 1)[0]
+    return kernels.kernel_field(spec, w), z, 1e-3
+
+
+def _poly_case():
+    rng = np.random.default_rng(6)
+    f = random_poly_field(SHAPE, rng, degree=4)
+    assert any(any(we) for (_, we) in f.terms)  # not holomorphic
+    z = 0.3 * (rng.standard_normal(SHAPE) + 1j * rng.standard_normal(SHAPE))
+    return OpaqueField(SHAPE, f), z, 1e-4
+
+
+@pytest.mark.parametrize("richardson", [True, False])
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: _kernel_case(type_i(2, 3)),
+        lambda: _kernel_case(type_ii(3)),
+        lambda: _kernel_case(type_iii(4)),
+        _poly_case,
+    ],
+    ids=["kernel-I(2,3)", "kernel-II(3)", "kernel-III(4)", "poly"],
+)
+def test_blocked_stencil_equals_per_pair_reference(case, richardson):
+    u, z, step = case()
+    H = wirtinger_hessian(u, z, step=step, richardson=richardson)
+    H_ref = _reference_wirtinger_hessian(u, z, step, richardson)
+    assert np.array_equal(H, H_ref)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (2, 3)])
+def test_fd_hessian_evaluates_once_per_stencil_point(shape):
+    calls = []
+
+    def fn(z):
+        calls.append(z.shape)
+        return complex(np.sum(z * z.conj()))
+
+    z = np.full(shape, 0.1 + 0.2j)
+    d = 2 * z.size
+    wirtinger_hessian(OpaqueField(shape, fn), z)
+    assert len(calls) == 2 + 4 * d * d
+    assert set(calls) == {shape}
+    calls.clear()
+    wirtinger_hessian(OpaqueField(shape, fn), z, richardson=False)
+    assert len(calls) == 1 + 2 * d * d

@@ -26,6 +26,35 @@ def test_kernel_positive_on_interior():
     assert kernels.poisson_szego(spec, zpt.value, wpt.value) > 0.0
 
 
+def _two_det_kernel(spec, z, w):
+    """The kernel from two separate determinants, as before the stacked det."""
+    k = float(domains.kappa(spec))
+    detv = np.linalg.det(kernels.v_matrix(z)).real
+    detw = abs(np.linalg.det(kernels.w_matrix(z, w)))
+    return float(np.exp(k * np.log(detv)) / detw ** (2.0 * k))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        type_i(2, 2),
+        type_i(2, 3),
+        type_i(1, 3),
+        type_ii(2),
+        type_ii(3),
+        type_iii(4),
+        type_iii(6),
+    ],
+)
+def test_stacked_kernel_equals_two_det_formula(spec):
+    ws = domains.sample_silov(spec, 13, 5)
+    for margin in (0.5, 1e-3):
+        for seed, w in enumerate(ws):
+            z = domains.sample_interior(spec, seed, 1)[0].value
+            z = z * ((1.0 - margin) / np.linalg.norm(z, 2))
+            assert kernels.poisson_szego(spec, z, w) == _two_det_kernel(spec, z, w)
+
+
 def test_kernel_rejects_type_iv():
     with pytest.raises(ValueError):
         kernels.poisson_szego(type_iv(2), np.zeros((1, 2)), np.zeros((1, 2)))
@@ -106,6 +135,21 @@ def test_check_theorem22_both_routes(spec):
     r_fd, r_exact = kernels.check_theorem22(spec, zpt, wpt)
     assert r_fd < 1e-6
     assert r_exact < 1e-9
+
+
+def test_check_theorem22_rejects_a_stencil_leaving_the_domain():
+    spec = type_ii(2)
+    wpt = MatrixPoint(spec, domains.sample_silov(spec, 14, 1)[0])
+    step = 1e-3
+    z = domains.sample_interior(spec, 15, 1)[0].value
+    z = z / np.linalg.norm(z, 2)
+    for value in (1.5 * np.eye(2), (1.0 - step) * z):
+        with pytest.raises(ValueError, match="stencil"):
+            kernels.check_theorem22(spec, MatrixPoint(spec, value), wpt, fd_step=step)
+    r_fd, r_exact = kernels.check_theorem22(
+        spec, MatrixPoint(spec, (1.0 - 2.0 * step) * z), wpt, fd_step=step
+    )
+    assert np.isfinite(r_fd) and np.isfinite(r_exact)
 
 
 def test_silov_gram_defect():
