@@ -5,6 +5,9 @@ parameter-shift derivative ladder, the classical limit laws near t = 1, the
 normalized radial profile h(t) with its defining ODE, and a numerical
 classifier for the type of boundary singularity of the profile.
 
+The series is summed as a short scalar prefix followed by sequential NumPy
+blocks, with results identical to the plain scalar loop (see `gauss_2f1`).
+
 A standalone Lanczos log-Gamma keeps the module dependency-free; its relative
 error is below 1e-13 on the positive axis.
 """
@@ -20,6 +23,10 @@ import numpy as np
 
 SERIES_RTOL = 1e-15
 SERIES_TERM_CAP = 1_000_000
+# gauss_2f1 sums this many terms in a scalar loop before switching to blocks,
+# so the many short series pay no NumPy call overhead
+_SCALAR_PREFIX = 64
+_BLOCK_MAX = 4096
 
 # Lanczos approximation, g = 7, nine coefficients.
 _LANCZOS_G = 7.0
@@ -60,19 +67,25 @@ def gamma(x):
     return math.pi / (math.sin(math.pi * x) * math.exp(lgamma(1.0 - x)))
 
 
-def pochhammer(a, m):
-    out = 1.0
-    for i in range(m):
-        out *= a + i
-    return out
-
-
 class SeriesConvergenceError(RuntimeError):
     pass
 
 
 def gauss_2f1(a, b, c, t):
-    """The 2F1 series sum_k (a)_k (b)_k / ((c)_k k!) t^k for 0 <= t < 1."""
+    """The 2F1 series sum_k (a)_k (b)_k / ((c)_k k!) t^k for 0 <= t < 1.
+
+    The series stops at the first term with |term| < SERIES_RTOL |total|.
+    The first _SCALAR_PREFIX terms are summed in a scalar loop. A series that
+    has not converged by then continues in NumPy blocks, which start at the
+    prefix length and double up to _BLOCK_MAX terms. Each block forms the
+    term ratios, takes the running terms with `np.multiply.accumulate` seeded
+    with the carried term, and the running totals with `np.add.accumulate`
+    seeded with the carried total. A ufunc `accumulate` is a sequential
+    left-to-right loop, without the pairwise summation of `np.sum`, so every
+    partial product and partial sum is the same IEEE operation, in the same
+    order, as in the scalar loop: the result is bit-identical to summing the
+    whole series term by term. SERIES_TERM_CAP counts terms of both phases.
+    """
     if not (0.0 <= t < 1.0):
         raise ValueError("series evaluation needs t in [0, 1)")
     if c <= 0.0 and c == int(c):
@@ -84,13 +97,28 @@ def gauss_2f1(a, b, c, t):
             "2F1 series converges slowly for t > 0.5 with c - a - b <= 0",
             stacklevel=2,
         )
+    cap = SERIES_TERM_CAP
     total = 1.0
     term = 1.0
-    for k in range(SERIES_TERM_CAP):
+    for k in range(min(_SCALAR_PREFIX, cap)):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * t
         total += term
         if abs(term) < SERIES_RTOL * abs(total):
             return total
+    start = size = _SCALAR_PREFIX
+    # Python floats overflow to inf silently; keep the blocks as quiet
+    with np.errstate(all="ignore"):
+        while start < cap:
+            k = np.arange(start, min(start + size, cap), dtype=float)
+            ratios = (a + k) * (b + k) / ((c + k) * (k + 1.0)) * t
+            terms = np.multiply.accumulate(np.append(term, ratios))[1:]
+            totals = np.add.accumulate(np.append(total, terms))[1:]
+            done = np.abs(terms) < SERIES_RTOL * np.abs(totals)
+            if done.any():
+                return float(totals[done.argmax()])
+            term, total = terms[-1], totals[-1]
+            start += len(k)
+            size = min(2 * size, _BLOCK_MAX)
     raise SeriesConvergenceError(
         f"2F1 series did not converge within {SERIES_TERM_CAP} terms"
     )

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from huacheck import hypergeom
+from huacheck import campaigns, hypergeom
 
 
 def test_lgamma_matches_math_library():
@@ -20,11 +20,6 @@ def test_gamma_reflection_for_negative_arguments():
     assert_allclose(hypergeom.gamma(-1.5), 4.0 * math.sqrt(math.pi) / 3.0, rtol=1e-12)
     with pytest.raises(ValueError):
         hypergeom.gamma(-2.0)
-
-
-def test_pochhammer():
-    assert hypergeom.pochhammer(3.0, 0) == 1.0
-    assert hypergeom.pochhammer(3.0, 4) == 3.0 * 4.0 * 5.0 * 6.0
 
 
 def test_gauss_2f1_closed_forms():
@@ -46,6 +41,107 @@ def test_gauss_2f1_input_validation():
         hypergeom.gauss_2f1(1.0, 1.0, 3.0, 1.0)
     with pytest.raises(ValueError):
         hypergeom.gauss_2f1(1.0, 1.0, -2.0, 0.5)
+
+
+def _reference_gauss_2f1(a, b, c, t):
+    """The scalar term-by-term 2F1 loop; returns (sum, number of terms)."""
+    if a == 0.0 or b == 0.0:
+        return 1.0, 0
+    total = 1.0
+    term = 1.0
+    for k in range(hypergeom.SERIES_TERM_CAP):
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * t
+        total += term
+        if abs(term) < hypergeom.SERIES_RTOL * abs(total):
+            return total, k + 1
+    raise hypergeom.SeriesConvergenceError("reference series did not converge")
+
+
+def _terminating(terms):
+    """(a, b, c, t) of a series that stops at its zero term, after `terms` terms.
+
+    With a = 1 - terms, b = 1 and c = a + 1/2 every term is positive and
+    decays like 0.99^k, so no earlier term passes the relative stop.
+    """
+    return 1.0 - terms, 1.0, 1.5 - terms, 0.99
+
+
+def test_block_series_equals_scalar_reference():
+    prefix = hypergeom._SCALAR_PREFIX
+    cases = []
+    # the classifier and log-limit parameters approaching t = 1
+    params = [
+        (p / 2.0, q / 2.0, (p + q + n + 1) / 2.0)
+        for p, q, n, _, _ in campaigns.SINGULARITY_CASES
+    ]
+    params += [(a, b, a + b) for a, b in ((1.0, 1.0), (1.5, 1.5))]
+    cases += [(a, b, c, 1.0 - 2.0**-j) for a, b, c in params for j in range(1, 16)]
+    # terminating series ending around the prefix and the first two blocks
+    terminating = [
+        terms
+        for edge in (prefix, 2 * prefix, 4 * prefix)
+        for terms in range(edge - 2, edge + 3)
+    ]
+    cases += [_terminating(terms) for terms in terminating]
+    rng = np.random.default_rng(20261018)
+    for _ in range(600):
+        a, b = rng.uniform(-6.0, 6.0, size=2)
+        c = rng.uniform(-4.5, 8.0)
+        if rng.random() < 0.9:
+            t = rng.uniform(0.0, 0.99)
+        else:
+            t = 1.0 - 10.0 ** -rng.uniform(2.0, 4.0)
+        cases.append((a, b, c, t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for terms in terminating:
+            assert _reference_gauss_2f1(*_terminating(terms))[1] == terms
+        lengths = []
+        for a, b, c, t in cases:
+            expected, count = _reference_gauss_2f1(a, b, c, t)
+            lengths.append(count)
+            assert hypergeom.gauss_2f1(a, b, c, t) == expected, (a, b, c, t)
+    # the cases reach past the prefix and into the capped 4096-term blocks
+    assert min(lengths) < prefix and max(lengths) > 16 * hypergeom._BLOCK_MAX
+
+
+@pytest.mark.parametrize("cap", [10, 64, 100, 1000])
+def test_term_cap_counts_both_phases(monkeypatch, cap):
+    monkeypatch.setattr(hypergeom, "SERIES_TERM_CAP", cap)
+    t = 1.0 - 2.0**-10
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for fn in (hypergeom.gauss_2f1, _reference_gauss_2f1):
+            with pytest.raises(hypergeom.SeriesConvergenceError):
+                fn(1.0, 1.0, 2.0, t)
+        # a series of exactly `cap` terms converges, one of cap + 1 does not
+        expected, count = _reference_gauss_2f1(*_terminating(cap))
+        assert count == cap
+        assert hypergeom.gauss_2f1(*_terminating(cap)) == expected
+        with pytest.raises(hypergeom.SeriesConvergenceError):
+            hypergeom.gauss_2f1(*_terminating(cap + 1))
+
+
+def test_overflowing_series_fails_without_runtime_warning(monkeypatch):
+    # the terms pass 1e308 after the scalar prefix; Python floats and the
+    # blocks both overflow to inf quietly and run into the cap
+    monkeypatch.setattr(hypergeom, "SERIES_TERM_CAP", 1000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        warnings.simplefilter("error", RuntimeWarning)
+        for fn in (hypergeom.gauss_2f1, _reference_gauss_2f1):
+            with pytest.raises(hypergeom.SeriesConvergenceError):
+                fn(400.0, 400.0, 1.0, 0.999)
+
+
+def test_slow_convergence_warning_names_the_caller():
+    with pytest.warns(UserWarning, match="converges slowly") as record:
+        hypergeom.gauss_2f1(1.0, 1.0, 2.0, 0.6)
+    assert [w.filename for w in record] == [__file__]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hypergeom.gauss_2f1(1.0, 1.0, 2.0, 0.5)
+        hypergeom.gauss_2f1(1.0, 1.0, 2.5, 0.6)
 
 
 def test_gauss_summation_at_one():
