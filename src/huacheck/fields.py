@@ -6,12 +6,16 @@ matrix.  Two representations are supported:
 
 * ``PolyField`` -- a finite sum of monomials  c * prod z_a^e_a * prod zbar_a^f_a
   over the flattened (row-major) entries.  Differentiation is exact and closed.
+  The exact Hessian is read straight from the terms, and a composition sums
+  its terms into one dict; both are bitwise what the derivative fields and
+  the repeated ``+`` give.
 * ``OpaqueField`` -- an arbitrary evaluator, differentiated by central finite
   differences in the underlying real coordinates.
 """
 
 from __future__ import annotations
 
+import operator
 import warnings
 
 import numpy as np
@@ -40,6 +44,25 @@ class PolyField:
         self.terms = {k: c for k, c in merged.items() if abs(c) > COEFF_DROP}
         self._dz_cache: dict[int, PolyField] = {}
         self._dzbar_cache: dict[int, PolyField] = {}
+
+    @classmethod
+    def _canonical(cls, shape, terms):
+        """A field from distinct keys of the right length, without the
+        merge and the length check of __init__.
+
+        Each coefficient is stored as 0.0 + c and dropped unless above
+        COEFF_DROP, bitwise what __init__ stores for a key seen once.
+        """
+        field = cls.__new__(cls)
+        field.shape = shape
+        field.terms = {}
+        for k, c in terms.items():
+            c = 0.0 + c
+            if abs(c) > COEFF_DROP:
+                field.terms[k] = c
+        field._dz_cache = {}
+        field._dzbar_cache = {}
+        return field
 
     # -- constructors -------------------------------------------------------
 
@@ -100,7 +123,7 @@ class PolyField:
         terms = dict(self.terms)
         for k, c in other.terms.items():
             terms[k] = terms.get(k, 0.0) + c
-        return PolyField(self.shape, terms)
+        return PolyField._canonical(self.shape, terms)
 
     __radd__ = __add__
 
@@ -112,22 +135,21 @@ class PolyField:
             if other.shape != self.shape:
                 raise ValueError("shape mismatch")
             terms: dict[Key, complex] = {}
+            add = operator.add
             for (ze1, we1), c1 in self.terms.items():
                 for (ze2, we2), c2 in other.terms.items():
-                    k = (
-                        tuple(a + b for a, b in zip(ze1, ze2)),
-                        tuple(a + b for a, b in zip(we1, we2)),
-                    )
+                    k = (tuple(map(add, ze1, ze2)), tuple(map(add, we1, we2)))
                     terms[k] = terms.get(k, 0.0) + c1 * c2
-            return PolyField(self.shape, terms)
-        terms = {k: c * complex(other) for k, c in self.terms.items()}
-        return PolyField(self.shape, terms)
+            return PolyField._canonical(self.shape, terms)
+        other = complex(other)
+        terms = {k: c * other for k, c in self.terms.items()}
+        return PolyField._canonical(self.shape, terms)
 
     __rmul__ = __mul__
 
     def conjugate(self):
-        return PolyField(
-            self.shape, {(we, ze): np.conj(c) for (ze, we), c in self.terms.items()}
+        return PolyField._canonical(
+            self.shape, {(we, ze): c.conjugate() for (ze, we), c in self.terms.items()}
         )
 
     def real_part(self):
@@ -138,30 +160,31 @@ class PolyField:
 
     # -- differentiation ----------------------------------------------------
 
+    # Lowering one exponent maps distinct keys to distinct keys, so the
+    # derivative terms need no merge.
+
     def dz(self, a):
         if a not in self._dz_cache:
-            terms: dict[Key, complex] = {}
-            for (ze, we), c in self.terms.items():
-                if ze[a]:
-                    k = (
-                        tuple(e - 1 if i == a else e for i, e in enumerate(ze)),
-                        we,
-                    )
-                    terms[k] = terms.get(k, 0.0) + c * ze[a]
-            self._dz_cache[a] = PolyField(self.shape, terms)
+            self._dz_cache[a] = PolyField._canonical(
+                self.shape,
+                {
+                    (_lowered(ze, a), we): c * ze[a]
+                    for (ze, we), c in self.terms.items()
+                    if ze[a]
+                },
+            )
         return self._dz_cache[a]
 
     def dzbar(self, a):
         if a not in self._dzbar_cache:
-            terms: dict[Key, complex] = {}
-            for (ze, we), c in self.terms.items():
-                if we[a]:
-                    k = (
-                        ze,
-                        tuple(e - 1 if i == a else e for i, e in enumerate(we)),
-                    )
-                    terms[k] = terms.get(k, 0.0) + c * we[a]
-            self._dzbar_cache[a] = PolyField(self.shape, terms)
+            self._dzbar_cache[a] = PolyField._canonical(
+                self.shape,
+                {
+                    (ze, _lowered(we, a)): c * we[a]
+                    for (ze, we), c in self.terms.items()
+                    if we[a]
+                },
+            )
         return self._dzbar_cache[a]
 
     # -- composition --------------------------------------------------------
@@ -193,7 +216,10 @@ class PolyField:
                 pow_cache[key] = acc
             return pow_cache[key]
 
-        result = PolyField(out_shape, {})
+        # Summing into one dict gives bitwise what repeated ``result + term``
+        # gives: the same per-key update, and a key that cancels below
+        # COEFF_DROP leaves and re-enters at the end.
+        acc: dict[Key, complex] = {}
         for (ze, we), c in self.terms.items():
             term = one * c
             for a, e in enumerate(ze):
@@ -202,8 +228,18 @@ class PolyField:
             for a, e in enumerate(we):
                 if e:
                     term = term * power(a, e, True)
-            result = result + term
-        return result
+            for k, v in term.terms.items():
+                v = 0.0 + (acc.get(k, 0.0) + v)
+                if abs(v) > COEFF_DROP:
+                    acc[k] = v
+                else:
+                    acc.pop(k, None)
+        return PolyField._canonical(tuple(out_shape), acc)
+
+
+def _lowered(exps, a):
+    """exps with entry a lowered by one."""
+    return exps[:a] + (exps[a] - 1,) + exps[a + 1 :]
 
 
 class OpaqueField:
@@ -292,6 +328,56 @@ def _real_hessian(fn, zf, h):
     return H
 
 
+def _poly_hessian(u, zf):
+    """Exact mixed Hessian of a PolyField at the flat point zf, read
+    straight from its terms.
+
+    Bitwise u.dz(a).dzbar(b)(zf) for every (a, b): each coefficient is
+    formed and dropped as dz and dzbar form and drop it, each monomial is
+    multiplied up in __call__'s order from the same numpy scalar powers, and
+    H[a, b] sums from 0j in u.terms order.
+    """
+    size = zf.size
+    if size != u.shape[0] * u.shape[1]:
+        raise ValueError("point size does not match field shape")
+    zc = zf.conj()
+    powers: dict[tuple[bool, int, int], complex] = {}
+
+    def factors(exps, conjugated):
+        out = []
+        for i, e in enumerate(exps):
+            if e:
+                key = (conjugated, i, e)
+                if key not in powers:
+                    powers[key] = (zc if conjugated else zf)[i] ** e
+                out.append(powers[key])
+        return out
+
+    H = [0j] * (size * size)
+    for (ze, we), c in u.terms.items():
+        rows = []
+        for a, e in enumerate(ze):
+            if e:
+                ca = 0.0 + c * e
+                if abs(ca) > COEFF_DROP:
+                    rows.append((a * size, ca, factors(_lowered(ze, a), False)))
+        if not rows:
+            continue
+        cols = [
+            (b, e, factors(_lowered(we, b), True)) for b, e in enumerate(we) if e
+        ]
+        for row, ca, fa in rows:
+            for b, e, fb in cols:
+                v = 0.0 + ca * e
+                if abs(v) > COEFF_DROP:
+                    for f in fa:
+                        v *= f
+                    for f in fb:
+                        v *= f
+                    H[row + b] += v
+    return np.array(H, dtype=complex).reshape(size, size)
+
+
 def wirtinger_hessian(u, z, step=None, richardson=True):
     """Mixed Wirtinger Hessian H[a, b] = d^2 u / dz_a dzbar_b, flattened
     row-major, as an (m*n) x (m*n) complex array.
@@ -305,12 +391,7 @@ def wirtinger_hessian(u, z, step=None, richardson=True):
     z = np.asarray(z, dtype=complex)
     size = z.size
     if isinstance(u, PolyField):
-        H = np.empty((size, size), dtype=complex)
-        for a in range(size):
-            dua = u.dz(a)
-            for b in range(size):
-                H[a, b] = dua.dzbar(b)(z)
-        return H
+        return _poly_hessian(u, z.reshape(-1))
 
     h = step if step is not None else default_step(z)
     if h < 1e-7:

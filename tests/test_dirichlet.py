@@ -202,16 +202,3 @@ def test_poisson_solve_rejects_batch_of_wrong_shape():
         dirichlet.poisson_solve(
             spec, [one], [np.zeros(spec.shape)], batch=batch.transpose(0, 2, 1)
         )
-
-
-def test_pluriharmonicity_test():
-    shape = (1, 3)
-    c0 = PolyField.coordinate(shape, 0)
-    c1 = PolyField.coordinate(shape, 1)
-    good = (c0 * c1).real_part()
-    bad = c0 * c0.conjugate()
-    pts = domains.sample_interior(domains.ball(3), seed=11, count=5)
-    ok, worst = dirichlet.pluriharmonicity_test(good, pts)
-    assert ok and worst < 1e-12
-    ok, worst = dirichlet.pluriharmonicity_test(bad, pts)
-    assert not ok and worst > 0.5

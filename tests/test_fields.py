@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from huacheck import domains, kernels
+from huacheck import domains, embeddings, kernels
 from huacheck.domains import type_i, type_ii, type_iii
 from huacheck.fields import (
     OpaqueField,
@@ -230,3 +230,151 @@ def test_fd_hessian_evaluates_once_per_stencil_point(shape):
     calls.clear()
     wirtinger_hessian(OpaqueField(shape, fn), z, richardson=False)
     assert len(calls) == 1 + 2 * d * d
+
+
+def test_constructor_rejects_exponents_of_wrong_length():
+    with pytest.raises(ValueError, match="exponent length"):
+        PolyField(SHAPE, {((1, 0, 0), (0, 0, 0, 0)): 1.0})
+    with pytest.raises(ValueError, match="exponent length"):
+        PolyField(SHAPE, {((1, 0, 0, 0), (0, 0, 0, 0, 0)): 1.0})
+
+
+def test_exact_hessian_rejects_point_of_wrong_size():
+    with pytest.raises(ValueError, match="point size"):
+        wirtinger_hessian(coord(0), np.zeros((1, 5)))
+
+
+def _bits(a):
+    """The IEEE bit patterns of a complex array, sign bits included."""
+    return np.ascontiguousarray(a, dtype=complex).view(np.uint64)
+
+
+def _reference_poly_hessian(u, z):
+    """The derivative-field loop the direct exact Hessian replaced; kept as
+    the bit-for-bit reference."""
+    z = np.asarray(z, dtype=complex)
+    size = z.size
+    H = np.empty((size, size), dtype=complex)
+    for a in range(size):
+        dua = u.dz(a)
+        for b in range(size):
+            H[a, b] = dua.dzbar(b)(z)
+    return H
+
+
+def _near_drop_field():
+    """z_0^2 zbar_0^2 zbar_1 and z_1^2 zbar_1^2 with coefficients 6e-16 and
+    4e-16, next to an O(1) term: the first derivative keeps 1.2e-15 and
+    drops 8e-16. The constructor would drop both small terms, so the terms
+    are set directly."""
+    u = PolyField((1, 2))
+    u.terms = {
+        ((2, 0), (2, 1)): 6e-16 + 0j,
+        ((0, 2), (0, 2)): 4e-16 + 0j,
+        ((1, 1), (1, 0)): -0.5 + 0.25j,
+    }
+    return u
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (1, 3), (2, 3), (3, 3), (4, 4)])
+def test_exact_hessian_equals_derivative_field_loop(shape):
+    rng = np.random.default_rng(sum(shape))
+    for real_valued in (False, True):
+        for _ in range(4):
+            u = random_poly_field(
+                shape, rng, degree=5, n_terms=12, real_valued=real_valued
+            )
+            z = 0.5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            H = wirtinger_hessian(u, z)
+            assert np.array_equal(_bits(H), _bits(_reference_poly_hessian(u, z)))
+    # zero entries keep their sign bits: 0j sums and -0.0 parts of z
+    u = random_poly_field(shape, rng, degree=3, n_terms=6)
+    z = np.full(shape, -0.0 - 0.0j)
+    z.reshape(-1)[0] = 0.3 - 0.0j
+    H = wirtinger_hessian(u, z)
+    assert np.array_equal(_bits(H), _bits(_reference_poly_hessian(u, z)))
+
+
+def test_exact_hessian_drops_what_the_derivative_fields_drop():
+    z = np.array([[0.7 - 0.2j, -0.4 + 0.9j]])
+    u = _near_drop_field()
+    H = wirtinger_hessian(u, z)
+    assert np.array_equal(_bits(H), _bits(_reference_poly_hessian(u, z)))
+    assert H[0, 0] != 0 and H[1, 1] == 0
+    # (1 + inf i) z_0 zbar_0: d/dz_0 keeps (nan + inf i), whose magnitude is
+    # inf, and d/dzbar_0 of that drops (nan + nan i)
+    u = PolyField(
+        (1, 2), {((1, 0), (1, 0)): complex(1.0, np.inf), ((0, 1), (0, 1)): 2.0}
+    )
+    H = wirtinger_hessian(u, z)
+    assert np.array_equal(_bits(H), _bits(_reference_poly_hessian(u, z)))
+    assert H[0, 0] == 0 and H[1, 1] == 2.0
+
+
+def _reference_compose(f, components, out_shape):
+    """The repeated result + term composition the one-dict sum replaced;
+    kept as the bit-for-bit reference."""
+    one = PolyField.constant(out_shape, 1.0)
+
+    def power(base, e):
+        acc = one
+        for _ in range(e):
+            acc = acc * base
+        return acc
+
+    result = PolyField(out_shape, {})
+    for (ze, we), c in f.terms.items():
+        term = one * c
+        for a, e in enumerate(ze):
+            if e:
+                term = term * power(components[a], e)
+        for a, e in enumerate(we):
+            if e:
+                term = term * power(components[a].conjugate(), e)
+        result = result + term
+    return result
+
+
+def _term_bits(f):
+    """Keys in order with the bit patterns of their coefficients."""
+    return [(k, c.real.hex(), c.imag.hex()) for k, c in f.terms.items()]
+
+
+def _embedding_cases():
+    rng = np.random.default_rng(8)
+    xi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    e1 = embeddings.type_i_embedding(xi / np.linalg.norm(xi), 3)
+    e2 = embeddings.type_ii_embedding(domains.haar_unitary(rng, 3))
+    e3 = embeddings.type_iii_embedding(4)
+    return [
+        (e1, random_poly_field((2, 3), rng, degree=4, n_terms=8)),
+        (e2, random_poly_field((3, 3), rng, degree=2, n_terms=6)),
+        (e3, random_poly_field((4, 4), rng, degree=2, n_terms=30)),
+    ]
+
+
+def test_compose_equals_repeated_addition_on_the_embeddings():
+    for e, u in _embedding_cases():
+        components = list(e.components)
+        g = u.compose_holomorphic(components, e.ball_shape())
+        ref = _reference_compose(u, components, e.ball_shape())
+        assert len(g.terms) > 1
+        assert _term_bits(g) == _term_bits(ref)
+
+
+def test_compose_cancelled_key_reenters_at_the_end():
+    # z_0 and -z_1 both map to lam_0 and cancel; z_2 adds lam_1; z_3 brings
+    # lam_0 back, after lam_1
+    f = PolyField((1, 4), {
+        ((1, 0, 0, 0), (0,) * 4): 1.0,
+        ((0, 1, 0, 0), (0,) * 4): -1.0,
+        ((0, 0, 1, 0), (0,) * 4): 2.0,
+        ((0, 0, 0, 1), (0,) * 4): 0.5 + 1e-16j,
+    })
+    out_shape = (1, 2)
+    lam0 = PolyField.coordinate(out_shape, 0)
+    lam1 = PolyField.coordinate(out_shape, 1)
+    components = [lam0, lam0, lam1, lam0]
+    g = f.compose_holomorphic(components, out_shape)
+    assert _term_bits(g) == _term_bits(_reference_compose(f, components, out_shape))
+    assert list(g.terms) == [((0, 1), (0, 0)), ((1, 0), (0, 0))]
