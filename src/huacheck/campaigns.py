@@ -11,7 +11,6 @@ seeds, counts and bounds.
 
 from __future__ import annotations
 
-import os
 import warnings
 
 import numpy as np
@@ -20,20 +19,12 @@ from . import dirichlet, domains, embeddings, hypergeom, kernels, operators
 from .domains import MatrixPoint
 from .fields import PolyField, random_poly_field, wirtinger_hessian
 from .operators import OperatorId
-from .report import VerificationReport, environment_stamp, record_from_values
+from .report import VerificationReport, record_from_values
 
 
 def _report(campaign, records):
     """A report of (name, anchor, values, tolerance[, direction]) records."""
-    raw = os.environ.get("HUA_LAB_THREADS", "")
-    try:
-        threads = max(1, int(raw))
-    except ValueError:
-        threads = 1
-    report = VerificationReport(campaign, environment=environment_stamp(threads))
-    for record in records:
-        report.add(record_from_values(*record))
-    return report
+    return VerificationReport(campaign, [record_from_values(*r) for r in records])
 
 
 def _radial_draw(rng, n, low, high):
@@ -583,7 +574,12 @@ def coordinatewise_harmonic(rng):
 
 
 def bidisc_inverse_map():
-    """The inverse bidisc coordinates z1 = (w1 + w2)/2, z2 = (w1 - w2)/(2i)."""
+    """The bidisc onto IV(2): (w1, w2) -> ((w1 + w2)/2, (w1 - w2)/(2i)).
+
+    PolyFields for compose_holomorphic; domains.biholo_iv2_inverse inverts it.
+    The image z lies in IV(2) because 1 + |z z^t|^2 - 2|z|^2 =
+    (1 - |w1|^2)(1 - |w2|^2) > 0 and |z z^t| = |w1 w2| < 1.
+    """
     c0 = PolyField.coordinate((1, 2), 0)
     c1 = PolyField.coordinate((1, 2), 1)
     return [(c0 + c1) * 0.5, (c0 - c1) * (-0.5j)]

@@ -14,6 +14,8 @@ seed.
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import sys
 
 from . import campaigns, domains
@@ -39,11 +41,23 @@ def _emit(report, out, fmt):
     return 0 if report.passed else 1
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _checked(convert, valid, rule):
+    """An argparse type: convert the text, then reject values that fail valid."""
+
+    def parse(text):
+        value = convert(text)
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    # argparse names the type in its message for text that does not convert
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_POINTS = _checked(int, lambda v: v >= 1, "at least 1")
+_SEED = _checked(int, lambda v: v >= 0, "at least 0")
+_TOL = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and above 0")
 
 
 def _domain_spec(text):
@@ -61,9 +75,9 @@ def build_parser():
 
     def common(p, default_points):
         p.add_argument("--domain", type=_domain_spec, action="append", default=None)
-        p.add_argument("--points", type=_positive_int, default=default_points)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--points", type=_POINTS, default=default_points)
+        p.add_argument("--seed", type=_SEED, default=0)
+        p.add_argument("--tol", type=_TOL, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("json", "text"), default="text")
 
@@ -91,6 +105,17 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "report":
+        reports = []
+        for path in args.inputs:
+            try:
+                with open(path) as fh:
+                    reports.append(VerificationReport.from_dict(json.load(fh)))
+            except OSError as exc:
+                parser.error(f"cannot read {path}: {exc.strerror}")
+            except (KeyError, TypeError, ValueError) as exc:
+                parser.error(f"{path} is not a report: {type(exc).__name__}: {exc}")
+        return _emit(merge_reports(reports), args.out, args.format)
     try:
         return _dispatch(args)
     except domains.UnsupportedDomainError as exc:
@@ -98,16 +123,6 @@ def main(argv=None):
 
 
 def _dispatch(args):
-    if args.command == "report":
-        import json as _json
-
-        reports = []
-        for path in args.inputs:
-            with open(path) as fh:
-                reports.append(VerificationReport.from_dict(_json.load(fh)))
-        merged = merge_reports(reports)
-        return _emit(merged, args.out, args.format)
-
     if args.command == "verify" and args.suite == "kernel":
         specs = args.domain or [parse_spec(s) for s in DEFAULT_KERNEL_DOMAINS]
         report = campaigns.run_kernel_campaign(specs, args.points, args.seed, args.tol)

@@ -14,14 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import SILOV_CHUNK, kappa, membership_margin, sample_silov
+from .domains import SILOV_CHUNK, kappa, membership_margin, sample_silov, v_matrix
 from .fields import OpaqueField, PolyField
 
 # The benchmark's tracer test checks that tracing patches this module's
 # binding of wirtinger_hessian, so it stays bound here.
 from .fields import wirtinger_hessian  # noqa: F401
 from .hypergeom import RadialProfile
-from .kernels import v_matrix
 
 
 def _mixed_laplacian(f):
@@ -71,19 +70,6 @@ class BidegreeHarmonic:
     def __post_init__(self):
         if not _mixed_laplacian(self.field).is_zero():
             raise ValueError("field is not harmonic")
-
-    def bihomogeneity_residual(self, rng, trials=5):
-        """max |f(lam z) - lam^p lambar^q f(z)| over random scalings."""
-        worst = 0.0
-        for _ in range(trials):
-            z = rng.standard_normal(self.field.shape) + 1j * rng.standard_normal(
-                self.field.shape
-            )
-            lam = complex(rng.standard_normal(), rng.standard_normal())
-            lhs = self.field(lam * z)
-            rhs = lam**self.p * np.conj(lam) ** self.q * self.field(z)
-            worst = max(worst, abs(lhs - rhs))
-        return worst
 
 
 def harmonic_projection(f, p, q, n):

@@ -1,6 +1,7 @@
-"""The four classical bounded symmetric domains: specs, membership,
-sampling of interior and distinguished-boundary points, and the two explicit
-biholomorphisms used by the counterexample demo.
+"""The four classical bounded symmetric domains: specs, the matrices
+W(z, w) = I - z w* and V(z) = W(z, z), membership, sampling of interior and
+distinguished-boundary points, and the inverse bidisc map of IV(2) used by
+the counterexample demo.
 
 Families:
   I(m,n)  : m x n complex matrices z with I - zz* > 0, m <= n
@@ -112,7 +113,8 @@ def kappa(spec):
             return Fraction(spec.n - 1, 2)
         return Fraction(spec.n, 2)
     raise UnsupportedDomainError(
-        "TypeIV has no determinant-kernel exponent; handle IV(2) via biholo_iv2"
+        "TypeIV has no determinant-kernel exponent; handle IV(2) through the "
+        "bidisc coordinates"
     )
 
 
@@ -132,6 +134,17 @@ class MatrixPoint:
                 raise ValueError("TypeIII point must be antisymmetric")
 
 
+def w_matrix(z, w):
+    """W(z, w) = I - z w*."""
+    m = z.shape[0]
+    return np.eye(m) - z @ w.conj().T
+
+
+def v_matrix(z):
+    """V(z) = I - z z*, positive definite on the interior."""
+    return w_matrix(z, z)
+
+
 def membership_margin(spec, value):
     """Distance to the binding domain constraint; positive iff interior."""
     v = np.asarray(value, dtype=complex).reshape(spec.shape)
@@ -141,13 +154,7 @@ def membership_margin(spec, value):
         g1 = 1.0 - 2.0 * float(np.vdot(z, z).real) + s2
         g2 = 1.0 - s2
         return min(g1, g2)
-    gram = np.eye(spec.m) - v @ v.conj().T
-    return float(np.min(np.linalg.eigvalsh(gram)))
-
-
-def contains(spec, value):
-    margin = membership_margin(spec, value)
-    return margin > 0.0, margin
+    return float(np.min(np.linalg.eigvalsh(v_matrix(v))))
 
 
 def _shape_draw(spec, rng):
@@ -299,39 +306,14 @@ def rank_deficient_pseudo_boundary(n, seed):
     return MatrixPoint(type_iii(n), w)
 
 
-# -- explicit biholomorphisms ------------------------------------------------
-
-
-def biholo_iii3(z):
-    """Embed a point of B_3 as the antisymmetric 3x3 matrix of III(3)."""
-    z = np.asarray(z, dtype=complex).reshape(3)
-    if np.linalg.norm(z) >= 1.0:
-        raise ValueError("input must lie in the open unit ball B_3")
-    w = np.array(
-        [
-            [0.0, z[0], z[1]],
-            [-z[0], 0.0, z[2]],
-            [-z[1], -z[2], 0.0],
-        ],
-        dtype=complex,
-    )
-    return MatrixPoint(type_iii(3), w)
-
-
-def biholo_iv2(z1, z2):
-    """Map the bidisc onto IV(2): (z1, z2) -> ((z1+z2)/2, (z1-z2)/(2i)).
-
-    Membership follows from the identity
-    1 + |w w^t|^2 - 2|w|^2 = (1 - |z1|^2)(1 - |z2|^2) > 0 with
-    |w w^t| = |z1 z2| < 1.
-    """
-    if abs(z1) >= 1.0 or abs(z2) >= 1.0:
-        raise ValueError("input must lie in the open unit bidisc")
-    return ((z1 + z2) / 2.0, (z1 - z2) / 2j)
+# -- the bidisc coordinates of IV(2) ----------------------------------------
 
 
 def biholo_iv2_inverse(w1, w2):
-    """Inverse of biholo_iv2: z1 = w1 + i w2, z2 = w1 - i w2."""
+    """Bidisc coordinates of a point of IV(2): z1 = w1 + i w2, z2 = w1 - i w2.
+
+    It inverts campaigns.bidisc_inverse_map, which maps the bidisc onto IV(2).
+    """
     return (w1 + 1j * w2, w1 - 1j * w2)
 
 
@@ -345,11 +327,3 @@ def matrix_to_json(value):
 
 def matrix_from_json(data):
     return np.array([[complex(re, im) for re, im in row] for row in data])
-
-
-def points_to_json(points):
-    return [matrix_to_json(p.value) for p in points]
-
-
-def points_from_json(spec, data):
-    return [MatrixPoint(spec, matrix_from_json(d)) for d in data]

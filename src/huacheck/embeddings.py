@@ -16,16 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import DomainSpec, MatrixPoint, membership_margin, type_i, type_ii, type_iii
-from .fields import OpaqueField, PolyField, wirtinger_hessian
+from .fields import PolyField, wirtinger_hessian
 from .operators import OperatorId, coefficients as op_coefficients
-
-
-def _coordinate(shape, a):
-    return PolyField.coordinate(shape, a)
-
-
-def _zero(shape):
-    return PolyField(shape, {})
 
 
 @dataclass(frozen=True)
@@ -58,7 +50,7 @@ def type_i_embedding(xi, n):
     comps = []
     for j in range(m):
         for a in range(n):
-            comps.append(_coordinate(lshape, a) * xi[j])
+            comps.append(PolyField.coordinate(lshape, a) * xi[j])
     return BallEmbedding("I", type_i(m, n), n, tuple(comps), xi)
 
 
@@ -71,8 +63,8 @@ def type_ii_embedding(u_mat):
     lshape = (1, n)
     mu = [
         sum(
-            (_coordinate(lshape, p) * u_mat[p, i] for p in range(n)),
-            _zero(lshape),
+            (PolyField.coordinate(lshape, p) * u_mat[p, i] for p in range(n)),
+            PolyField(lshape, {}),
         )
         for i in range(n)
     ]
@@ -92,11 +84,11 @@ def type_iii_embedding(n):
     for j in range(n):
         for a in range(n):
             if j == 0 and a >= 1:
-                comps.append(_coordinate(lshape, a - 1))
+                comps.append(PolyField.coordinate(lshape, a - 1))
             elif a == 0 and j >= 1:
-                comps.append(_coordinate(lshape, j - 1) * -1.0)
+                comps.append(PolyField.coordinate(lshape, j - 1) * -1.0)
             else:
-                comps.append(_zero(lshape))
+                comps.append(PolyField(lshape, {}))
     return BallEmbedding("III", type_iii(n), n - 1, tuple(comps), None)
 
 
@@ -127,46 +119,35 @@ def gram_identity_residual(e):
     worst = 0.0
     for i in range(n):
         for j in range(n):
-            lhs = _zero(lshape)
+            lhs = PolyField(lshape, {})
             for p in range(m):
                 lhs = lhs + e.components[p * n + i] * e.components[
                     p * n + j
                 ].conjugate()
-            rhs = _coordinate(lshape, i) * _coordinate(lshape, j).conjugate()
+            lam_i = PolyField.coordinate(lshape, i)
+            rhs = lam_i * PolyField.coordinate(lshape, j).conjugate()
             diff = lhs - rhs
             if diff.terms:
                 worst = max(worst, max(abs(c) for c in diff.terms.values()))
     return worst
 
 
-def _compose_map(components, in_shape, out_shape, u):
-    """u composed with a holomorphic polynomial map given entrywise."""
-    if isinstance(u, PolyField):
-        return u.compose_holomorphic(list(components), in_shape)
-
-    def fn(lam):
-        lam = np.asarray(lam, dtype=complex).reshape(-1)
-        return u(np.array([c(lam) for c in components]).reshape(out_shape))
-
-    return OpaqueField(in_shape, fn)
-
-
-def _sandwich_gap(components, in_shape, out_shape, u, lam):
+def _sandwich_gap(components, in_shape, u, lam):
     """H_{u o phi}(lam) - J H_u(phi(lam)) J* for the map phi = components.
 
     J is the holomorphic Jacobian of phi arranged rows-by-input.
     """
     lam = np.asarray(lam, dtype=complex).reshape(-1)
-    Hg = wirtinger_hessian(_compose_map(components, in_shape, out_shape, u), lam)
+    Hg = wirtinger_hessian(u.compose_holomorphic(list(components), in_shape), lam)
     z = np.array([c(lam) for c in components])
-    Hu = wirtinger_hessian(u, z.reshape(out_shape))
+    Hu = wirtinger_hessian(u, z.reshape(u.shape))
     J = np.array([[comp.dz(a)(lam) for comp in components] for a in range(lam.size)])
     return Hg - J @ Hu @ J.conj().T
 
 
 def compose(e, u):
-    """u composed with the embedding, staying exact for polynomials."""
-    return _compose_map(e.components, e.ball_shape(), e.spec.shape, u)
+    """u composed with the embedding, as an exact polynomial field."""
+    return u.compose_holomorphic(list(e.components), e.ball_shape())
 
 
 def chain_rule_residual(e, u, lam):
@@ -175,7 +156,7 @@ def chain_rule_residual(e, u, lam):
     d^2 (u o z) / dlam_i dlambar_j must equal the embedding-Jacobian
     sandwich of the mixed Hessian of u at z(lam).
     """
-    gap = _sandwich_gap(e.components, e.ball_shape(), e.spec.shape, u, lam)
+    gap = _sandwich_gap(e.components, e.ball_shape(), u, lam)
     return float(np.max(np.abs(gap)))
 
 
@@ -199,10 +180,11 @@ def pullback_residual(e, u, lam):
         C = op_coefficients(OperatorId(kind, jk), zpt)
         return complex(np.sum(C * Hu))
 
+    # ball-side weight I - s lam lam*, with s = |lam|^2 for kind II, else 1
+    s = float(np.vdot(lam, lam).real) if e.kind == "II" else 1.0
+    weight = np.eye(d) - s * np.outer(lam, lam.conj())
+    lhs = complex(np.einsum("ab,ab->", weight, Hg))
     if e.kind == "I":
-        lhs = complex(
-            np.einsum("ab,ab->", np.eye(d) - np.outer(lam, lam.conj()), Hg)
-        )
         xi = e.parameter
         m = xi.size
         rhs = sum(
@@ -211,10 +193,6 @@ def pullback_residual(e, u, lam):
             for l in range(m)
         )
     elif e.kind == "II":
-        nsq = float(np.vdot(lam, lam).real)
-        lhs = complex(
-            np.einsum("ab,ab->", np.eye(d) - nsq * np.outer(lam, lam.conj()), Hg)
-        )
         U = e.parameter
         n = U.shape[0]
         comps = np.array(
@@ -224,9 +202,6 @@ def pullback_residual(e, u, lam):
             np.einsum("p,q,pi,qk,ik->", lam, lam.conj(), U, U.conj(), comps)
         )
     else:
-        lhs = complex(
-            np.einsum("ab,ab->", np.eye(d) - np.outer(lam, lam.conj()), Hg)
-        )
         rhs = component("delta3", (0, 0))
     return lhs - rhs
 
@@ -264,8 +239,8 @@ def hessian_transport_check(components, in_shape, u, z0):
     """Residual norm of the Hessian chain rule for a holomorphic map.
 
     components give the map entrywise as holomorphic PolyFields over
-    in_shape; u is a field over the image coordinates. Returns the Frobenius
-    norm of H_{u o phi}(z0) - J H_u(phi(z0)) J* with J the Jacobian of phi
-    arranged rows-by-input.
+    in_shape; u is a PolyField over the image coordinates. Returns the
+    Frobenius norm of H_{u o phi}(z0) - J H_u(phi(z0)) J* with J the
+    Jacobian of phi arranged rows-by-input.
     """
-    return float(np.linalg.norm(_sandwich_gap(components, in_shape, u.shape, u, z0)))
+    return float(np.linalg.norm(_sandwich_gap(components, in_shape, u, z0)))

@@ -4,10 +4,12 @@ satisfy on the distinguished boundary.
 The central object is the determinant-power kernel
 
     P(z, w) = det(V(z))^kappa / |det W(z, w)|^(2 kappa),
-    W(z, w) = I - z w*,   V(z) = W(z, z).
+    W(z, w) = I - z w*,   V(z) = W(z, z)
 
-Everything here is checked along two routes: closed-form tensors assembled
-from the log-gradient formulas, and direct numerical differentiation of P.
+(W and V live in huacheck.domains). The boundary identity is checked along
+two routes: direct numerical differentiation of P, and closed forms built
+from the log-gradient formulas (the boundary tensors for II/III, the exact
+component assembly for TypeI).
 """
 
 from __future__ import annotations
@@ -18,20 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .domains import MatrixPoint, kappa
+from .domains import kappa, v_matrix, w_matrix
 from .fields import OpaqueField, wirtinger_gradient, wirtinger_gradient_bar
 from .fields import wirtinger_hessian
 from .operators import OperatorId, component_weights, direction_matrix
 from .operators import coefficients as op_coefficients
-
-
-def w_matrix(z, w):
-    m = z.shape[0]
-    return np.eye(m) - z @ w.conj().T
-
-
-def v_matrix(z):
-    return w_matrix(z, z)
 
 
 @functools.lru_cache(maxsize=None)
@@ -148,31 +141,14 @@ class IdentityTensors:
     D: np.ndarray
     E: np.ndarray
     F: np.ndarray
-    A_direct: np.ndarray
-    B_direct: np.ndarray
-    C_direct: np.ndarray
-    D_direct: np.ndarray
-    E_direct: np.ndarray
 
     def residual(self):
         """Entrywise boundary identity A + B + C - D - E (zero on-shell)."""
         return self.A + self.B + self.C - self.D - self.E
 
-    def max_dual_path_gap(self):
-        return max(
-            float(np.max(np.abs(x - y)))
-            for x, y in (
-                (self.A, self.A_direct),
-                (self.B, self.B_direct),
-                (self.C, self.C_direct),
-                (self.D, self.D_direct),
-                (self.E, self.E_direct),
-            )
-        )
-
 
 def identity_tensors(spec, z, w):
-    """Closed-form and direct-summation boundary tensors for II/III."""
+    """Closed-form boundary tensors for II/III."""
     if spec.family not in ("II", "III"):
         raise ValueError("identity tensors exist for the square families only")
     n = spec.n
@@ -194,23 +170,7 @@ def identity_tensors(spec, z, w):
     B = 4.0 * (Vsi - eye)
     D = 4.0 * (Wi_zs_ws - eye)
     E = 4.0 * (Wi_ws_zs - eye)
-
-    weights = component_weights(spec, z)
-    b, bbar = b_gradients(spec, z)
-    c, cbar = log_gradients_closed(spec, z, w)
-    b = b.reshape(n, n)
-    bbar = bbar.reshape(n, n)
-    c = c.reshape(n, n)
-    cbar = cbar.reshape(n, n)
-    H = d2_logdetv(spec, z).reshape(n, n, n, n)
-    A_direct = (1.0 / k) * np.einsum("jakb,jakb->jk", weights, H)
-    B_direct = np.einsum("jakb,ja,kb->jk", weights, b, bbar)
-    C_direct = np.einsum("jakb,ja,kb->jk", weights, c, cbar)
-    D_direct = np.einsum("jakb,ja,kb->jk", weights, b, cbar)
-    E_direct = np.einsum("jakb,ja,kb->jk", weights, c, bbar)
-    return IdentityTensors(
-        A, B, C, D, E, F, A_direct, B_direct, C_direct, D_direct, E_direct
-    )
+    return IdentityTensors(A, B, C, D, E, F)
 
 
 def component_kernel_exact(spec, z, w):
@@ -274,5 +234,4 @@ def silov_gram_defect(wpt):
 
     For the square families this agrees with the defect of I - w*w.
     """
-    w = wpt.value
-    return float(np.linalg.norm(np.eye(w.shape[0]) - w @ w.conj().T))
+    return float(np.linalg.norm(v_matrix(wpt.value)))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import DomainSpec, MatrixPoint
+from .domains import v_matrix
 from .fields import wirtinger_hessian
 
 _KINDS = ("delta1", "delta2", "delta3", "delta4", "ball", "tilde")
@@ -95,8 +95,7 @@ def component_weights(spec, z):
         f = 1.0 - eye
     else:
         raise ValueError("weights are defined for the square families only")
-    Vz = eye - z @ z.conj().T
-    return Vz[None, :, None, :] * f[:, :, None, None] * f[None, None, :, :]
+    return v_matrix(z)[None, :, None, :] * f[:, :, None, None] * f[None, None, :, :]
 
 
 def _weight_tensor(op, spec, z):
@@ -127,8 +126,7 @@ def _weight_tensor(op, spec, z):
         weights = component_weights(spec, z)
         scale = 0.25
     if op.component is None:
-        Vz = np.eye(m) - z @ z.conj().T
-        W = (Vz * scale)[:, None, :, None] * weights
+        W = (v_matrix(z) * scale)[:, None, :, None] * weights
     else:
         j, k = op.component
         W = np.zeros((m, n, m, n), dtype=complex)
@@ -154,28 +152,3 @@ def apply(op, u, point, step=None, richardson=True):
     C = coefficients(op, point)
     H = wirtinger_hessian(u, point.value, step=step, richardson=richardson)
     return complex(np.sum(C * H))
-
-
-def component_sum_check(op, u, point, step=None):
-    """Residual between the full operator and its component decomposition.
-
-    The full operator is assembled as one tensor; the right side sums the
-    component operators against V_jk (with the 1/4 prefactor for the
-    symmetric and antisymmetric families).
-    """
-    if op.kind not in ("delta1", "delta2", "delta3") or op.component is not None:
-        raise ValueError("component decomposition applies to full delta1/2/3")
-    spec = point.spec
-    z = point.value
-    m = spec.m
-    Vz = np.eye(m) - z @ z.conj().T
-    full = apply(op, u, point, step=step)
-    prefactor = 1.0 if op.kind == "delta1" else 0.25
-    total = 0.0 + 0.0j
-    H = wirtinger_hessian(u, z, step=step)
-    for j in range(m):
-        for k in range(m):
-            comp = OperatorId(op.kind, (j, k))
-            C = coefficients(comp, point)
-            total += prefactor * Vz[j, k] * complex(np.sum(C * H))
-    return abs(full - total)

@@ -2,7 +2,6 @@
 
 Reports are deterministic: given the same configuration and seeds the JSON
 output is byte-identical (all reductions are sequential, no timestamps).
-Complex values are serialized as [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -14,11 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 SCHEMA_VERSION = 1
-
-
-def complex_to_json(value):
-    value = complex(value)
-    return [value.real, value.imag]
 
 
 @dataclass(frozen=True)
@@ -58,12 +52,12 @@ class CheckRecord:
     @classmethod
     def from_dict(cls, d):
         return cls(
-            name=d["name"],
-            anchor=d["anchor"],
-            residual_max=d["residual_max"],
-            residual_mean=d["residual_mean"],
-            samples=d["samples"],
-            tolerance=d["tolerance"],
+            name=str(d["name"]),
+            anchor=str(d["anchor"]),
+            residual_max=float(d["residual_max"]),
+            residual_mean=float(d["residual_mean"]),
+            samples=int(d["samples"]),
+            tolerance=float(d["tolerance"]),
             direction=d.get("direction", "max_below"),
         )
 
@@ -82,12 +76,13 @@ def record_from_values(name, anchor, values, tolerance, direction="max_below"):
     )
 
 
-def environment_stamp(threads=None):
+def environment_stamp():
+    # "threads" is a constant of schema 1; the campaigns run on one thread
     return {
         "float_eps": float(np.finfo(float).eps),
         "numpy": np.__version__,
         "python": "%d.%d.%d" % sys.version_info[:3],
-        "threads": int(threads) if threads else 1,
+        "threads": 1,
     }
 
 
@@ -130,6 +125,8 @@ class VerificationReport:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ValueError("a report must be a JSON object")
         if d.get("schema") != SCHEMA_VERSION:
             raise ValueError("unsupported report schema")
         rep = cls(campaign=d["campaign"], environment=d.get("environment", {}))

@@ -159,3 +159,58 @@ def test_unknown_domain_string_raises(capsys):
 @pytest.mark.parametrize("domain", ["I:2", "II:x", "I:3,2"])
 def test_malformed_domain_string_exits_2_without_traceback(domain, capsys):
     _assert_domain_rejected(domain, capsys)
+
+
+def _assert_exits_2(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_negative_seed_exits_2_without_traceback(capsys):
+    argv = ["verify", "kernel", "--domain", "II:2", "--points", "1", "--seed", "-1"]
+    _assert_exits_2(argv, "--seed: must be at least 0, got -1", capsys)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_non_finite_or_non_positive_tol_exits_2_without_traceback(tol, capsys):
+    argv = ["verify", "embeddings", "--points", "1", "--tol", tol]
+    _assert_exits_2(argv, f"--tol: must be finite and above 0, got {tol}", capsys)
+
+
+def test_merge_of_a_missing_file_exits_2_without_traceback(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    _assert_exits_2(["report", "merge", str(path)], f"cannot read {path}", capsys)
+
+
+_BAD_RECORD = json.dumps(
+    {
+        "name": "a",
+        "anchor": "b",
+        "residual_max": "big",
+        "residual_mean": 0.0,
+        "samples": 1,
+        "tolerance": 1.0,
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        ("not json", "JSONDecodeError: Expecting value"),
+        ('{"schema": 1}', "KeyError: 'campaign'"),
+        ('{"schema": 2}', "ValueError: unsupported report schema"),
+        ("[1]", "ValueError: a report must be a JSON object"),
+        ('{"schema": 1, "campaign": "x", "records": 5}', "TypeError"),
+        ('{"schema": 1, "campaign": "x", "records": [%s]}' % _BAD_RECORD, "ValueError"),
+    ],
+    ids=["not-json", "no-campaign", "schema-2", "json-list", "records-int", "text-residual"],
+)
+def test_merge_of_a_non_report_exits_2_without_traceback(tmp_path, capsys, content, reason):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    _assert_exits_2(["report", "merge", str(path)], f"{path} is not a report: {reason}", capsys)

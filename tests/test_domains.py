@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from huacheck import domains
+from huacheck import campaigns, domains
 from huacheck.domains import (
     MatrixPoint,
     UnsupportedDomainError,
@@ -56,10 +56,8 @@ def test_membership_margin_signs():
 
 def test_type_iv_membership():
     spec = type_iv(2)
-    ok, margin = domains.contains(spec, np.array([[0.3, 0.1j]]))
-    assert ok and margin > 0.0
-    ok, _ = domains.contains(spec, np.array([[0.9, 0.9]]))
-    assert not ok
+    assert domains.membership_margin(spec, np.array([[0.3, 0.1j]])) > 0.0
+    assert domains.membership_margin(spec, np.array([[0.9, 0.9]])) <= 0.0
 
 
 def test_sample_interior_respects_family_and_margin():
@@ -176,32 +174,26 @@ def test_pseudo_boundary_is_rank_deficient():
     assert np.linalg.norm(gram) > 0.5
 
 
-def test_biholo_iii3_lands_in_domain():
-    z = np.array([0.3, -0.2j, 0.1 + 0.1j])
-    p = domains.biholo_iii3(z)
-    assert domains.membership_margin(p.spec, p.value) > 0.0
-    with pytest.raises(ValueError):
-        domains.biholo_iii3(np.array([1.0, 0.0, 0.0]))
-
-
 def test_biholo_iv2_round_trip_and_membership():
     rng = np.random.default_rng(6)
     spec = type_iv(2)
+    bidisc_map = campaigns.bidisc_inverse_map()
     for _ in range(1000):
         z1 = rng.uniform(0.0, 0.95) * np.exp(2j * np.pi * rng.uniform())
         z2 = rng.uniform(0.0, 0.95) * np.exp(2j * np.pi * rng.uniform())
-        w1, w2 = domains.biholo_iv2(z1, z2)
-        ok, _ = domains.contains(spec, np.array([[w1, w2]]))
-        assert ok
-        b1, b2 = domains.biholo_iv2_inverse(w1, w2)
+        w = np.array([c(np.array([z1, z2])) for c in bidisc_map])
+        assert domains.membership_margin(spec, w.reshape(1, 2)) > 0.0
+        # the membership identity of the map's docstring
+        lhs = 1.0 + abs(w @ w) ** 2 - 2.0 * float(np.vdot(w, w).real)
+        assert abs(lhs - (1.0 - abs(z1) ** 2) * (1.0 - abs(z2) ** 2)) < 1e-12
+        b1, b2 = domains.biholo_iv2_inverse(w[0], w[1])
         assert abs(b1 - z1) < 1e-12 and abs(b2 - z2) < 1e-12
-    with pytest.raises(ValueError):
-        domains.biholo_iv2(1.2, 0.0)
+    # a point off the closed bidisc maps outside IV(2)
+    w = np.array([c(np.array([1.2, 0.0])) for c in bidisc_map])
+    assert domains.membership_margin(spec, w.reshape(1, 2)) < 0.0
 
 
 def test_json_round_trip():
-    pts = domains.sample_interior(type_ii(2), seed=9, count=2)
-    data = domains.points_to_json(pts)
-    back = domains.points_from_json(type_ii(2), data)
-    for p, q in zip(pts, back):
-        assert_allclose(p.value, q.value, atol=1e-15)
+    for p in domains.sample_interior(type_ii(2), seed=9, count=2):
+        back = domains.matrix_from_json(domains.matrix_to_json(p.value))
+        assert_allclose(back, p.value, atol=1e-15)

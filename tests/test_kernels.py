@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from huacheck import domains, kernels
+from huacheck import domains, kernels, operators
 from huacheck.domains import MatrixPoint, type_i, type_ii, type_iii, type_iv
 from huacheck.fields import OpaqueField, wirtinger_hessian
 
@@ -90,13 +90,33 @@ def test_d2_logdetv_against_numerical_hessian():
     assert_allclose(H, H_fd, atol=1e-8)
 
 
+def _direct_tensors(spec, z, w):
+    """A to E by direct summation: the component weights contracted with
+    d^2 log det V / kappa and with the pairs of log-gradients b, c."""
+    n = spec.n
+    k = float(domains.kappa(spec))
+    weights = operators.component_weights(spec, z)
+    b, bbar = (x.reshape(n, n) for x in kernels.b_gradients(spec, z))
+    c, cbar = (x.reshape(n, n) for x in kernels.log_gradients_closed(spec, z, w))
+    H = kernels.d2_logdetv(spec, z).reshape(n, n, n, n)
+
+    def contract(x, y):
+        return np.einsum("jakb,ja,kb->jk", weights, x, y)
+
+    A = (1.0 / k) * np.einsum("jakb,jakb->jk", weights, H)
+    return A, contract(b, bbar), contract(c, cbar), contract(b, cbar), contract(c, bbar)
+
+
 @pytest.mark.parametrize("spec", [type_ii(2), type_ii(3), type_iii(4)])
 def test_identity_tensors_residual_and_dual_paths(spec):
     zpt, wpt = pair(spec, seed=5)
     tensors = kernels.identity_tensors(spec, zpt.value, wpt.value)
     assert float(np.max(np.abs(tensors.residual()))) < 1e-10
     scale = max(float(np.max(np.abs(t))) for t in (tensors.A, tensors.B, tensors.C))
-    assert tensors.max_dual_path_gap() < 1e-10 * max(1.0, scale)
+    closed = (tensors.A, tensors.B, tensors.C, tensors.D, tensors.E)
+    direct = _direct_tensors(spec, zpt.value, wpt.value)
+    for x, y in zip(closed, direct):
+        assert float(np.max(np.abs(x - y))) < 1e-10 * max(1.0, scale)
 
 
 def test_identity_tensors_reject_type_i():
@@ -122,11 +142,16 @@ def test_gram_complement_tensor_vanishes_only_on_true_boundary():
     )
 
 
-def test_component_kernel_exact_vanishes_for_type_i():
-    spec = type_i(2, 3)
-    zpt, wpt = pair(spec, seed=9)
-    vals = kernels.component_kernel_exact(spec, zpt.value, wpt.value)
-    assert float(np.max(np.abs(vals))) < 1e-10
+@pytest.mark.parametrize(
+    "spec",
+    [type_i(2, 3), type_ii(2), type_ii(3), type_iii(4)],
+    ids=lambda spec: spec.label(),
+)
+def test_component_kernel_exact_vanishes(spec):
+    for seed in (9, 10, 11):
+        zpt, wpt = pair(spec, seed=seed)
+        vals = kernels.component_kernel_exact(spec, zpt.value, wpt.value)
+        assert float(np.max(np.abs(vals))) < 1e-10
 
 
 @pytest.mark.parametrize("spec", [type_i(2, 2), type_ii(2), type_iii(4)])

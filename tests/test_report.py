@@ -5,7 +5,6 @@ import pytest
 from huacheck.report import (
     CheckRecord,
     VerificationReport,
-    complex_to_json,
     merge_reports,
     record_from_values,
 )
@@ -21,10 +20,6 @@ def make_record(name="check", residual=1e-12, tol=1e-9, direction="max_below"):
         tolerance=tol,
         direction=direction,
     )
-
-
-def test_complex_serialization():
-    assert complex_to_json(1.5 - 2.0j) == [1.5, -2.0]
 
 
 def test_record_pass_semantics_both_directions():
