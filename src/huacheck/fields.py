@@ -6,9 +6,15 @@ matrix.  Two representations are supported:
 
 * ``PolyField`` -- a finite sum of monomials  c * prod z_a^e_a * prod zbar_a^f_a
   over the flattened (row-major) entries.  Differentiation is exact and closed.
-  The exact Hessian is read straight from the terms, and a composition sums
-  its terms into one dict; both are bitwise what the derivative fields and
-  the repeated ``+`` give.
+  Each monomial is keyed by one integer with EXP_BITS = 16 bits per
+  exponent, the z entries first and then their conjugates, so an exponent
+  must stay below 2^16: a product of monomials is an integer sum,
+  ``conjugate`` swaps the two halves, and ``dz``/``dzbar`` subtract one unit.
+  Each field decodes its sparse exponent lists once; evaluation, the exact
+  Hessian and composition read them.  ``terms`` is a settable view keyed by
+  (z exponents, zbar exponents) tuples.  The exact Hessian is read straight
+  from the terms, and a composition sums its terms into one dict; both are
+  bitwise what the derivative fields and the repeated ``+`` give.
 * ``OpaqueField`` -- an arbitrary evaluator, differentiated by central finite
   differences in the underlying real coordinates.
 """
@@ -24,62 +30,144 @@ import numpy as np
 # canonicalization so derivative chains stay bounded.
 COEFF_DROP = 1e-15
 
+# Bits per exponent in a packed monomial key.
+EXP_BITS = 16
+EXP_LIMIT = 1 << EXP_BITS
+_EXP_MASK = EXP_LIMIT - 1
+
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-class PolyField:
-    """Polynomial in the entries z_a and conjugates zbar_a of a fixed shape."""
+def _pack(key, size):
+    """The packed integer of a (z exponents, zbar exponents) key, and its
+    largest exponent."""
+    ze, we = key
+    if len(ze) != size or len(we) != size:
+        raise ValueError("exponent length does not match field shape")
+    exps = [operator.index(e) for e in (*ze, *we)]
+    packed = 0
+    for e in reversed(exps):
+        if not 0 <= e < EXP_LIMIT:
+            raise ValueError(f"exponent {e} is outside [0, 2^{EXP_BITS})")
+        packed = packed << EXP_BITS | e
+    return packed, max(exps, default=0)
 
-    __slots__ = ("shape", "terms", "_dz_cache", "_dzbar_cache")
+
+def _exponents(packed, size):
+    """The 2 * size exponents of a packed key, z entries first."""
+    return [packed >> (EXP_BITS * i) & _EXP_MASK for i in range(2 * size)]
+
+
+def _sparse(packed):
+    """((a, e), ...) for the nonzero exponents of a packed key, in entry
+    order."""
+    out = []
+    a = 0
+    while packed:
+        e = packed & _EXP_MASK
+        if e:
+            out.append((a, e))
+        packed >>= EXP_BITS
+        a += 1
+    return tuple(out)
+
+
+def _lowered(exps, j):
+    """Sparse exponents with the j-th listed one lowered by one."""
+    a, e = exps[j]
+    return exps[:j] + (((a, e - 1),) if e > 1 else ()) + exps[j + 1 :]
+
+
+class PolyField:
+    """Polynomial in the entries z_a and conjugates zbar_a of a fixed shape.
+
+    _terms maps packed keys to coefficients. _top bounds every exponent from
+    above, so a product checks for overflow only when the bounds add up to
+    EXP_LIMIT.
+    """
+
+    __slots__ = ("shape", "_terms", "_top", "_monomials", "_lowered_by")
 
     def __init__(self, shape, terms=None):
-        self.shape = tuple(shape)
-        size = self.shape[0] * self.shape[1]
-        merged: dict[Key, complex] = {}
-        for (ze, we), c in (terms or {}).items():
-            if len(ze) != size or len(we) != size:
-                raise ValueError("exponent length does not match field shape")
-            key = (tuple(ze), tuple(we))
-            merged[key] = merged.get(key, 0.0) + complex(c)
-        self.terms = {k: c for k, c in merged.items() if abs(c) > COEFF_DROP}
-        self._dz_cache: dict[int, PolyField] = {}
-        self._dzbar_cache: dict[int, PolyField] = {}
+        size = shape[0] * shape[1]
+        merged: dict[int, complex] = {}
+        top = 0
+        for key, c in (terms or {}).items():
+            k, e = _pack(key, size)
+            top = max(top, e)
+            merged[k] = merged.get(k, 0.0) + complex(c)
+        kept = {k: c for k, c in merged.items() if abs(c) > COEFF_DROP}
+        self._store(tuple(shape), kept, top)
+
+    def _store(self, shape, terms, top):
+        self.shape = shape
+        self._terms = terms
+        self._top = top
+        self._monomials = None
+        self._lowered_by: dict[int, PolyField] | None = None
 
     @classmethod
-    def _canonical(cls, shape, terms):
-        """A field from distinct keys of the right length, without the
-        merge and the length check of __init__.
+    def _canonical(cls, shape, terms, top):
+        """A field from distinct packed keys, without the merge and the
+        checks of __init__; top bounds the exponents.
 
         Each coefficient is stored as 0.0 + c and dropped unless above
         COEFF_DROP, bitwise what __init__ stores for a key seen once.
         """
         field = cls.__new__(cls)
-        field.shape = shape
-        field.terms = {}
-        for k, c in terms.items():
-            c = 0.0 + c
-            if abs(c) > COEFF_DROP:
-                field.terms[k] = c
-        field._dz_cache = {}
-        field._dzbar_cache = {}
+        kept = {k: c for k, v in terms.items() if abs(c := 0.0 + v) > COEFF_DROP}
+        field._store(shape, kept, top)
         return field
+
+    @property
+    def size(self):
+        return self.shape[0] * self.shape[1]
+
+    @property
+    def terms(self):
+        """The terms keyed by (z exponents, zbar exponents), in order."""
+        size = self.size
+        out: dict[Key, complex] = {}
+        for k, c in self._terms.items():
+            exps = _exponents(k, size)
+            out[tuple(exps[:size]), tuple(exps[size:])] = c
+        return out
+
+    @terms.setter
+    def terms(self, terms):
+        # stored as given: no merge and no drop
+        packed: dict[int, complex] = {}
+        top = 0
+        for key, c in terms.items():
+            k, e = _pack(key, self.size)
+            packed[k] = c
+            top = max(top, e)
+        self._store(self.shape, packed, top)
+
+    def monomials(self):
+        """(c, z exponents, zbar exponents) per term, each exponent list
+        sparse ((a, e), ...) in entry order; decoded once per field."""
+        if self._monomials is None:
+            half = EXP_BITS * self.size
+            low = (1 << half) - 1
+            self._monomials = [
+                (c, _sparse(k & low), _sparse(k >> half)) for k, c in self._terms.items()
+            ]
+        return self._monomials
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def constant(cls, shape, c):
-        size = shape[0] * shape[1]
-        zero = (0,) * size
-        return cls(shape, {(zero, zero): complex(c)})
+        return cls._canonical(tuple(shape), {0: complex(c)}, 0)
 
     @classmethod
     def coordinate(cls, shape, a, conjugated=False):
         """The field z_a (or zbar_a) for flattened entry index a."""
         size = shape[0] * shape[1]
-        zero = (0,) * size
-        e = tuple(1 if i == a else 0 for i in range(size))
-        key = (zero, e) if conjugated else (e, zero)
-        return cls(shape, {key: 1.0})
+        a = _entry(a, size)
+        key = 1 << EXP_BITS * (a + size if conjugated else a)
+        return cls._canonical(tuple(shape), {key: 1.0 + 0j}, 1)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -87,14 +175,12 @@ class PolyField:
         zf = np.asarray(z, dtype=complex).reshape(-1)
         zc = zf.conj()
         total = 0.0 + 0.0j
-        for (ze, we), c in self.terms.items():
+        for c, ze, we in self.monomials():
             v = c
-            for a, e in enumerate(ze):
-                if e:
-                    v *= zf[a] ** e
-            for a, e in enumerate(we):
-                if e:
-                    v *= zc[a] ** e
+            for a, e in ze:
+                v *= zf[a] ** e
+            for a, e in we:
+                v *= zc[a] ** e
             total += v
         return total
 
@@ -102,14 +188,12 @@ class PolyField:
         """Evaluate at an array of points with shape (npts,) + self.shape."""
         zf = np.asarray(pts, dtype=complex).reshape(len(pts), -1)
         out = np.zeros(len(pts), dtype=complex)
-        for (ze, we), c in self.terms.items():
+        for c, ze, we in self.monomials():
             v = np.full(len(pts), c, dtype=complex)
-            for a, e in enumerate(ze):
-                if e:
-                    v *= zf[:, a] ** e
-            for a, e in enumerate(we):
-                if e:
-                    v *= zf[:, a].conj() ** e
+            for a, e in ze:
+                v *= zf[:, a] ** e
+            for a, e in we:
+                v *= zf[:, a].conj() ** e
             out += v
         return out
 
@@ -120,10 +204,10 @@ class PolyField:
             other = PolyField.constant(self.shape, other)
         if other.shape != self.shape:
             raise ValueError("shape mismatch")
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
+        terms = dict(self._terms)
+        for k, c in other._terms.items():
             terms[k] = terms.get(k, 0.0) + c
-        return PolyField._canonical(self.shape, terms)
+        return PolyField._canonical(self.shape, terms, max(self._top, other._top))
 
     __radd__ = __add__
 
@@ -134,58 +218,66 @@ class PolyField:
         if isinstance(other, PolyField):
             if other.shape != self.shape:
                 raise ValueError("shape mismatch")
-            terms: dict[Key, complex] = {}
-            add = operator.add
-            for (ze1, we1), c1 in self.terms.items():
-                for (ze2, we2), c2 in other.terms.items():
-                    k = (tuple(map(add, ze1, ze2)), tuple(map(add, we1, we2)))
-                    terms[k] = terms.get(k, 0.0) + c1 * c2
-            return PolyField._canonical(self.shape, terms)
+            top = self._top + other._top
+            if top >= EXP_LIMIT:
+                # the largest exponent of an entry in the product is the sum
+                # of its largest in each factor
+                top = max(map(operator.add, _entry_tops(self), _entry_tops(other)))
+                if top >= EXP_LIMIT:
+                    raise ValueError(f"a product exponent reaches 2^{EXP_BITS}")
+            terms: dict[int, complex] = {}
+            get = terms.get
+            for k1, c1 in self._terms.items():
+                for k2, c2 in other._terms.items():
+                    k = k1 + k2
+                    terms[k] = get(k, 0.0) + c1 * c2
+            return PolyField._canonical(self.shape, terms, top)
         other = complex(other)
-        terms = {k: c * other for k, c in self.terms.items()}
-        return PolyField._canonical(self.shape, terms)
+        terms = {k: c * other for k, c in self._terms.items()}
+        return PolyField._canonical(self.shape, terms, self._top)
 
     __rmul__ = __mul__
 
     def conjugate(self):
+        half = EXP_BITS * self.size
+        low = (1 << half) - 1
         return PolyField._canonical(
-            self.shape, {(we, ze): c.conjugate() for (ze, we), c in self.terms.items()}
+            self.shape,
+            {k >> half | (k & low) << half: c.conjugate() for k, c in self._terms.items()},
+            self._top,
         )
 
     def real_part(self):
         return (self + self.conjugate()) * 0.5
 
     def is_zero(self):
-        return not self.terms
+        return not self._terms
 
     # -- differentiation ----------------------------------------------------
 
     # Lowering one exponent maps distinct keys to distinct keys, so the
     # derivative terms need no merge.
 
+    def _lower(self, slot):
+        """The derivative in the z (slot < size) or zbar exponent of slot."""
+        if self._lowered_by is None:
+            self._lowered_by = {}
+        if slot not in self._lowered_by:
+            shift = EXP_BITS * slot
+            unit = 1 << shift
+            terms = {}
+            for k, c in self._terms.items():
+                e = k >> shift & _EXP_MASK
+                if e:
+                    terms[k - unit] = c * e
+            self._lowered_by[slot] = PolyField._canonical(self.shape, terms, self._top)
+        return self._lowered_by[slot]
+
     def dz(self, a):
-        if a not in self._dz_cache:
-            self._dz_cache[a] = PolyField._canonical(
-                self.shape,
-                {
-                    (_lowered(ze, a), we): c * ze[a]
-                    for (ze, we), c in self.terms.items()
-                    if ze[a]
-                },
-            )
-        return self._dz_cache[a]
+        return self._lower(_entry(a, self.size))
 
     def dzbar(self, a):
-        if a not in self._dzbar_cache:
-            self._dzbar_cache[a] = PolyField._canonical(
-                self.shape,
-                {
-                    (ze, _lowered(we, a)): c * we[a]
-                    for (ze, we), c in self.terms.items()
-                    if we[a]
-                },
-            )
-        return self._dzbar_cache[a]
+        return self._lower(self.size + _entry(a, self.size))
 
     # -- composition --------------------------------------------------------
 
@@ -196,12 +288,12 @@ class PolyField:
         exponents) over ``out_shape``; conjugated entries of self become
         conjugates of the components.
         """
-        size = self.shape[0] * self.shape[1]
-        if len(components) != size:
+        if len(components) != self.size:
             raise ValueError("need one map component per matrix entry")
         for comp in components:
-            if any(any(we) for (_, we) in comp.terms):
+            if any(k >> EXP_BITS * comp.size for k in comp._terms):
                 raise ValueError("map components must be holomorphic")
+        out_shape = tuple(out_shape)
         conj_components = [comp.conjugate() for comp in components]
         one = PolyField.constant(out_shape, 1.0)
         pow_cache: dict[tuple[int, int, bool], PolyField] = {}
@@ -219,27 +311,38 @@ class PolyField:
         # Summing into one dict gives bitwise what repeated ``result + term``
         # gives: the same per-key update, and a key that cancels below
         # COEFF_DROP leaves and re-enters at the end.
-        acc: dict[Key, complex] = {}
-        for (ze, we), c in self.terms.items():
+        acc: dict[int, complex] = {}
+        top = 0
+        for c, ze, we in self.monomials():
             term = one * c
-            for a, e in enumerate(ze):
-                if e:
-                    term = term * power(a, e, False)
-            for a, e in enumerate(we):
-                if e:
-                    term = term * power(a, e, True)
-            for k, v in term.terms.items():
+            for a, e in ze:
+                term = term * power(a, e, False)
+            for a, e in we:
+                term = term * power(a, e, True)
+            top = max(top, term._top)
+            for k, v in term._terms.items():
                 v = 0.0 + (acc.get(k, 0.0) + v)
                 if abs(v) > COEFF_DROP:
                     acc[k] = v
                 else:
                     acc.pop(k, None)
-        return PolyField._canonical(tuple(out_shape), acc)
+        return PolyField._canonical(out_shape, acc, top)
 
 
-def _lowered(exps, a):
-    """exps with entry a lowered by one."""
-    return exps[:a] + (exps[a] - 1,) + exps[a + 1 :]
+def _entry(a, size):
+    """a as an int flat entry index below size."""
+    a = operator.index(a)
+    if not 0 <= a < size:
+        raise ValueError("entry index out of range")
+    return a
+
+
+def _entry_tops(field):
+    """The largest exponent of each z and zbar entry over the terms."""
+    tops = [0] * (2 * field.size)
+    for k in field._terms:
+        tops = list(map(max, tops, _exponents(k, field.size)))
+    return tops
 
 
 class OpaqueField:
@@ -257,22 +360,19 @@ class OpaqueField:
 
 def random_poly_field(shape, rng, degree=4, n_terms=8, real_valued=False):
     """A random polynomial field of total degree <= degree."""
+    if degree >= EXP_LIMIT:
+        raise ValueError(f"degree must stay below 2^{EXP_BITS}")
     size = shape[0] * shape[1]
-    terms: dict[Key, complex] = {}
+    terms: dict[int, complex] = {}
     for _ in range(n_terms):
         d = int(rng.integers(0, degree + 1))
-        ze = [0] * size
-        we = [0] * size
+        key = 0
         for _ in range(d):
             a = int(rng.integers(0, size))
-            if rng.random() < 0.5:
-                ze[a] += 1
-            else:
-                we[a] += 1
+            key += 1 << EXP_BITS * (a if rng.random() < 0.5 else size + a)
         c = complex(rng.standard_normal(), rng.standard_normal())
-        key = (tuple(ze), tuple(we))
         terms[key] = terms.get(key, 0.0) + c
-    field = PolyField(shape, terms)
+    field = PolyField._canonical(tuple(shape), terms, degree)
     if real_valued:
         field = field.real_part()
     return field
@@ -335,37 +435,34 @@ def _poly_hessian(u, zf):
     Bitwise u.dz(a).dzbar(b)(zf) for every (a, b): each coefficient is
     formed and dropped as dz and dzbar form and drop it, each monomial is
     multiplied up in __call__'s order from the same numpy scalar powers, and
-    H[a, b] sums from 0j in u.terms order.
+    H[a, b] sums from 0j in term order.
     """
     size = zf.size
-    if size != u.shape[0] * u.shape[1]:
+    if size != u.size:
         raise ValueError("point size does not match field shape")
     zc = zf.conj()
     powers: dict[tuple[bool, int, int], complex] = {}
 
     def factors(exps, conjugated):
+        base = zc if conjugated else zf
         out = []
-        for i, e in enumerate(exps):
-            if e:
-                key = (conjugated, i, e)
-                if key not in powers:
-                    powers[key] = (zc if conjugated else zf)[i] ** e
-                out.append(powers[key])
+        for i, e in exps:
+            key = (conjugated, i, e)
+            if key not in powers:
+                powers[key] = base[i] ** e
+            out.append(powers[key])
         return out
 
     H = [0j] * (size * size)
-    for (ze, we), c in u.terms.items():
+    for c, ze, we in u.monomials():
         rows = []
-        for a, e in enumerate(ze):
-            if e:
-                ca = 0.0 + c * e
-                if abs(ca) > COEFF_DROP:
-                    rows.append((a * size, ca, factors(_lowered(ze, a), False)))
+        for j, (a, e) in enumerate(ze):
+            ca = 0.0 + c * e
+            if abs(ca) > COEFF_DROP:
+                rows.append((a * size, ca, factors(_lowered(ze, j), False)))
         if not rows:
             continue
-        cols = [
-            (b, e, factors(_lowered(we, b), True)) for b, e in enumerate(we) if e
-        ]
+        cols = [(b, e, factors(_lowered(we, j), True)) for j, (b, e) in enumerate(we)]
         for row, ca, fa in rows:
             for b, e, fb in cols:
                 v = 0.0 + ca * e

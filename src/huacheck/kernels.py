@@ -122,7 +122,7 @@ def d2_logdetv(spec, z):
     """
     m, n = spec.shape
     Vi = linalg.inverse(v_matrix(z))
-    Vsi = linalg.inverse(np.eye(n) - z.conj().T @ z)
+    Vsi = linalg.inverse(v_matrix(z.conj().T))
     H = np.zeros((m * n, m * n), dtype=complex)
     for j in range(m):
         for k in range(m):
@@ -153,10 +153,11 @@ def identity_tensors(spec, z, w):
         raise ValueError("identity tensors exist for the square families only")
     n = spec.n
     k = float(kappa(spec))
+    zs, ws = z.conj().T, w.conj().T
     Vi = linalg.inverse(v_matrix(z))
-    Vsi = linalg.inverse(np.eye(n) - z.conj().T @ z)
-    Wi_zs_ws = linalg.inverse(np.eye(n) - z.conj().T @ w)
-    Wi_ws_zs = linalg.inverse(np.eye(n) - w.conj().T @ z)
+    Vsi = linalg.inverse(v_matrix(zs))
+    Wi_zs_ws = linalg.inverse(w_matrix(zs, ws))
+    Wi_ws_zs = linalg.inverse(w_matrix(ws, zs))
     eye = np.eye(n)
 
     if spec.family == "II":
@@ -165,7 +166,7 @@ def identity_tensors(spec, z, w):
         C = 4.0 * (Wi_zs_ws + Wi_ws_zs - eye)
     else:
         A = -(2.0 / k) * (n - 1.0) * Vi.T
-        F = Wi_ws_zs @ (eye - w.conj().T @ w) @ Wi_zs_ws
+        F = Wi_ws_zs @ v_matrix(ws) @ Wi_zs_ws
         C = 4.0 * (Wi_zs_ws + Wi_ws_zs - eye - F)
     B = 4.0 * (Vsi - eye)
     D = 4.0 * (Wi_zs_ws - eye)
@@ -189,7 +190,7 @@ def component_kernel_exact(spec, z, w):
     T = H / k + np.outer(b - c, bbar - cbar)
     T = (k * k * P) * T.reshape(m, n, m, n)
     if spec.family == "I":
-        inner = np.eye(n) - z.T @ z.conj()
+        inner = v_matrix(z.T)
         return np.einsum("ab,jakb->jk", inner, T)
     weights = component_weights(spec, z)
     return np.einsum("jakb,jakb->jk", weights, T)

@@ -98,17 +98,40 @@ def component_weights(spec, z):
     return v_matrix(z)[None, :, None, :] * f[:, :, None, None] * f[None, None, :, :]
 
 
+def _delta4_weights(zs):
+    """The delta4 coefficient tensors of a stack zs of IV(n) points, (N, n).
+
+    Each tensor is r (I - 2 z z*) + 2 (zbar - sbar z)(z - s zbar)^t with
+    s = z^t z and r = 1 - 2|z|^2 + |s|^2. Its bits do not depend on the
+    stack: dot products are stacked matmuls, which take one BLAS dot per
+    point, |s| is hypot, |s|^2 is libm pow (squaring differs in the last
+    bit), and the outer products multiply length-n rows.
+    """
+    n = zs.shape[1]
+    zc = zs.conj()
+    s = np.matmul(zs[:, None, :], zs[:, :, None])[:, 0]
+    norm2 = np.matmul(zc[:, None, :], zs[:, :, None])[:, 0, 0].real
+    r = 1.0 - 2.0 * norm2 + np.float_power(np.hypot(s.real, s.imag)[:, 0], 2.0)
+    left = zc - s.conj() * zs
+    right = zs - s * zc
+    return r[:, None, None] * (np.eye(n) - 2.0 * (zs[:, :, None] * zc[:, None, :])) + 2.0 * (
+        left[:, :, None] * right[:, None, :]
+    )
+
+
+def delta4_coefficients(spec, values):
+    """coefficients(OperatorId("delta4"), point) at each point of a stack of
+    IV(n) values, shape (N, n, n), bit for bit."""
+    _check_compat(OperatorId("delta4"), spec)
+    values = np.asarray(values, dtype=complex)
+    return _delta4_weights(values.reshape(len(values), spec.n))
+
+
 def _weight_tensor(op, spec, z):
     """Coefficient over constrained-coordinate index pairs ((j,a),(k,b))."""
     m, n = spec.shape
     if op.kind == "delta4":
-        zv = z.reshape(-1)
-        s = zv @ zv
-        r = 1.0 - 2.0 * float(np.vdot(zv, zv).real) + abs(s) ** 2
-        zc = zv.conj()
-        left = zc - np.conj(s) * zv
-        right = zv - s * zc
-        return r * (np.eye(n) - 2.0 * np.outer(zv, zc)) + 2.0 * np.outer(left, right)
+        return _delta4_weights(z.reshape(1, n))[0]
     if op.kind == "ball":
         zv = z.reshape(-1)
         return (1.0 - float(np.vdot(zv, zv).real)) * (
@@ -119,7 +142,7 @@ def _weight_tensor(op, spec, z):
         return np.eye(n) - float(np.vdot(zv, zv).real) * np.outer(zv, zv.conj())
 
     if op.kind == "delta1":
-        inner = np.eye(n) - z.T @ z.conj()
+        inner = v_matrix(z.T)
         weights = np.broadcast_to(inner[None, :, None, :], (m, n, m, n))
         scale = 1.0
     else:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 SCHEMA_VERSION = 1
+DIRECTIONS = ("max_below", "min_above")
 
 
 @dataclass(frozen=True)
@@ -30,6 +31,12 @@ class CheckRecord:
     samples: int
     tolerance: float
     direction: str = "max_below"
+
+    def __post_init__(self):
+        if self.direction not in DIRECTIONS:
+            raise ValueError(
+                f"unknown direction {self.direction!r}, expected one of {DIRECTIONS}"
+            )
 
     @property
     def passed(self):

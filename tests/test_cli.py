@@ -214,3 +214,19 @@ def test_merge_of_a_non_report_exits_2_without_traceback(tmp_path, capsys, conte
     path = tmp_path / "bad.json"
     path.write_text(content)
     _assert_exits_2(["report", "merge", str(path)], f"{path} is not a report: {reason}", capsys)
+
+
+def test_merge_of_a_misspelled_direction_exits_2_without_traceback(tmp_path, capsys):
+    run_to_file(tmp_path, "one.json", ["verify", "embeddings", "--points", "1"])
+    merged = tmp_path / "merged.json"
+    assert main(["report", "merge", str(tmp_path / "one.json"), "--out", str(merged)]) == 0
+    report = json.loads(merged.read_text())
+    report["records"][0]["direction"] = "min_abov"
+    bad = tmp_path / "misspelled.json"
+    bad.write_text(json.dumps(report))
+    capsys.readouterr()
+    _assert_exits_2(
+        ["report", "merge", str(bad)],
+        f"{bad} is not a report: ValueError: unknown direction 'min_abov'",
+        capsys,
+    )

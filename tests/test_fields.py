@@ -5,6 +5,8 @@ from numpy.testing import assert_allclose
 from huacheck import domains, embeddings, kernels
 from huacheck.domains import type_i, type_ii, type_iii
 from huacheck.fields import (
+    COEFF_DROP,
+    EXP_LIMIT,
     OpaqueField,
     PolyField,
     random_poly_field,
@@ -378,3 +380,83 @@ def test_compose_cancelled_key_reenters_at_the_end():
     g = f.compose_holomorphic(components, out_shape)
     assert _term_bits(g) == _term_bits(_reference_compose(f, components, out_shape))
     assert list(g.terms) == [((0, 1), (0, 0)), ((1, 0), (0, 0))]
+
+
+def _canonical_bits(terms):
+    """_term_bits of tuple-key terms stored as 0.0 + c and kept above
+    COEFF_DROP."""
+    out = []
+    for k, c in terms.items():
+        c = 0.0 + c
+        if abs(c) > COEFF_DROP:
+            out.append((k, c.real.hex(), c.imag.hex()))
+    return out
+
+
+def _tuple_lowered(exps, a):
+    return exps[:a] + (exps[a] - 1,) + exps[a + 1 :]
+
+
+@pytest.mark.parametrize("exponent", [EXP_LIMIT, EXP_LIMIT + 5, -1])
+def test_exponent_outside_the_packed_range_raises(exponent):
+    key = ((exponent, 0), (0, 0))
+    with pytest.raises(ValueError, match="exponent"):
+        PolyField((1, 2), {key: 1.0})
+    u = PolyField((1, 2))
+    with pytest.raises(ValueError, match="exponent"):
+        u.terms = {key: 1.0}
+
+
+def test_product_whose_exponent_would_overflow_raises():
+    half = EXP_LIMIT // 2
+    f = PolyField((1, 2), {((half, 0), (0, 1)): 1.0})
+    with pytest.raises(ValueError, match="product exponent"):
+        f * f
+    with pytest.raises(ValueError, match="product exponent"):
+        f.conjugate() * PolyField((1, 2), {((0, 0), (half, 0)): 1.0})
+    # the largest exponent that fits stays exact
+    g = f * PolyField((1, 2), {((half - 1, 0), (0, 0)): 1.0})
+    assert list(g.terms) == [((EXP_LIMIT - 1, 0), (0, 1))]
+    # large exponents in different entries do not add up
+    h = f * PolyField((1, 2), {((0, half), (0, 0)): 1.0})
+    assert list(h.terms) == [((half, half), (0, 1))]
+    assert list((h * h.conjugate()).terms) == [((half, half + 1), (half, half + 1))]
+
+
+def test_terms_read_back_as_set():
+    rng = np.random.default_rng(14)
+    terms = {}
+    for _ in range(20):
+        key = tuple(tuple(int(e) for e in rng.integers(0, 4, 6)) for _ in range(2))
+        terms[key] = complex(rng.standard_normal(), rng.standard_normal())
+    terms[((0,) * 6, (0,) * 6)] = complex(-0.0, 5e-17)  # kept as set, not dropped
+    u = PolyField((2, 3))
+    u.terms = terms
+    back = u.terms
+    assert list(back) == list(terms)
+    assert [(c.real.hex(), c.imag.hex()) for c in back.values()] == [
+        (c.real.hex(), c.imag.hex()) for c in terms.values()
+    ]
+
+
+def test_conjugate_and_derivatives_match_tuple_key_reference():
+    rng = np.random.default_rng(15)
+    shape = (2, 3)
+    for real_valued in (False, True):
+        u = random_poly_field(shape, rng, degree=5, n_terms=15, real_valued=real_valued)
+        terms = u.terms
+        conj = {(we, ze): c.conjugate() for (ze, we), c in terms.items()}
+        assert _term_bits(u.conjugate()) == _canonical_bits(conj)
+        for a in range(6):
+            dz = {
+                (_tuple_lowered(ze, a), we): c * ze[a]
+                for (ze, we), c in terms.items()
+                if ze[a]
+            }
+            dzbar = {
+                (ze, _tuple_lowered(we, a)): c * we[a]
+                for (ze, we), c in terms.items()
+                if we[a]
+            }
+            assert _term_bits(u.dz(a)) == _canonical_bits(dz)
+            assert _term_bits(u.dzbar(a)) == _canonical_bits(dzbar)

@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from huacheck import domains
+from huacheck import campaigns, domains
 from huacheck.domains import MatrixPoint, type_i, type_ii, type_iii, type_iv
 from huacheck.fields import OpaqueField, PolyField, random_poly_field, wirtinger_hessian
-from huacheck.operators import OperatorId, apply, coefficients, direction_matrix
+from huacheck.operators import (
+    OperatorId,
+    apply,
+    coefficients,
+    delta4_coefficients,
+    direction_matrix,
+)
 
 
 def test_operator_id_validation():
@@ -162,3 +168,95 @@ def test_coefficients_shape_and_hermitian_symmetry():
     assert C.shape == (9, 9)
     # operator is real on real-valued fields: coefficient tensor is Hermitian
     assert_allclose(C, C.conj().T, atol=1e-12)
+
+
+def _bits(a):
+    """The IEEE bit patterns of a complex or float array, sign bits included."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.uint64)
+
+
+# IV(2) points with signed zeros in their parts, next to the drawn ones
+_SIGNED_ZERO_POINTS = np.array(
+    [
+        [complex(-0.0, 0.3), complex(0.2, -0.0)],
+        [complex(-0.0, -0.0), complex(0.1, 0.0)],
+        [complex(0.25, -0.0), complex(-0.0, 0.0)],
+        [complex(0.0, -0.0), complex(-0.0, -0.0)],
+        [complex(-0.0, -0.4), complex(-0.0, 0.1)],
+        [complex(-0.3, 0.0), complex(0.0, -0.2)],
+    ]
+)
+
+
+def _iv2_points():
+    rng = np.random.default_rng(12)
+    drawn = np.array(list(campaigns.type_iv_points(rng, 600)))
+    return np.concatenate([drawn, _SIGNED_ZERO_POINTS])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_stacked_delta4_coefficients_equal_the_per_point_ones(n):
+    spec = type_iv(n)
+    if n == 2:
+        zs = _iv2_points()
+    else:
+        zs = np.array([pt.value.reshape(-1) for pt in domains.sample_interior(spec, 13, 50)])
+    C = delta4_coefficients(spec, zs)
+    assert C.shape == (len(zs), n, n)
+    per_point = np.array(
+        [coefficients(OperatorId("delta4"), MatrixPoint(spec, z.reshape(1, n))) for z in zs]
+    )
+    assert np.array_equal(_bits(C), _bits(per_point))
+
+
+def _scalar_delta4(zv):
+    """The per-point delta4 formula the stacked one replaced; kept as the
+    bit-for-bit reference."""
+    n = zv.size
+    s = zv @ zv
+    r = 1.0 - 2.0 * float(np.vdot(zv, zv).real) + abs(s) ** 2
+    zc = zv.conj()
+    left = zc - np.conj(s) * zv
+    right = zv - s * zc
+    return r * (np.eye(n) - 2.0 * np.outer(zv, zc)) + 2.0 * np.outer(left, right)
+
+
+# points where |s|^2 by libm pow and by squaring differ in the last bit
+_POW_POINTS = np.array(
+    [
+        [-0.37462466710032466 + 0.22725721689752107j, -0.09416984159005433 + 0.2818249536017289j],
+        [0.10084960963913384 - 0.09356395732999921j, 0.5716659577167262 - 0.018062657385195805j],
+        [0.5063430555431866 + 0.2763740603820665j, -0.10209507249902962 + 0.24839545556996984j],
+        [-0.30657432935785467 - 0.025204306601117825j, 0.1307575496673057 + 0.15928489541219243j],
+    ]
+)
+
+
+def test_stacked_delta4_coefficients_keep_the_scalar_formula_bits():
+    zs = np.concatenate([_iv2_points(), _POW_POINTS])
+    C = delta4_coefficients(type_iv(2), zs)
+    assert np.array_equal(_bits(C), _bits(np.array([_scalar_delta4(z) for z in zs])))
+
+
+def test_stacked_delta4_coefficients_reject_other_families():
+    with pytest.raises(ValueError):
+        delta4_coefficients(type_ii(2), np.zeros((3, 2, 2)))
+
+
+def test_quartic_residuals_equal_the_per_point_loop():
+    zs = _iv2_points()
+    spec = type_iv(2)
+    u = PolyField((1, 2), {((1, 0), (1, 0)): 1.0, ((0, 1), (0, 1)): -1.0})
+    ref = [[], [], [], []]
+    for z in zs:
+        # the per-point loop the stacked residuals replaced
+        pt = MatrixPoint(spec, z.reshape(1, 2))
+        H = wirtinger_hessian(u, z)
+        ref[0].append(abs(apply(OperatorId("delta4"), u, pt)))
+        ref[1].append(float(np.linalg.norm(H)))
+        ref[2].append(abs(np.trace(H)))
+        ref[3].append(abs(2.0 * H[0, 1].real))
+    got = campaigns.quartic_residuals(zs)
+    for values, expected in zip(got, ref):
+        assert np.array_equal(_bits(values), _bits(np.array(expected, dtype=float)))

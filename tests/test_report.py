@@ -29,6 +29,22 @@ def test_record_pass_semantics_both_directions():
     assert not make_record(residual=0.05, tol=0.1, direction="min_above").passed
 
 
+@pytest.mark.parametrize("direction", ["min_abov", "MAX_BELOW", "", None])
+def test_from_dict_rejects_an_unknown_direction(direction):
+    d = make_record(residual=5.0, tol=1.0, direction="min_above").to_dict()
+    d["direction"] = direction
+    with pytest.raises(ValueError, match="unknown direction"):
+        CheckRecord.from_dict(d)
+    with pytest.raises(ValueError, match="unknown direction"):
+        make_record(direction=direction)
+
+
+def test_from_dict_defaults_a_missing_direction_to_max_below():
+    d = make_record().to_dict()
+    del d["direction"]
+    assert CheckRecord.from_dict(d) == make_record()
+
+
 def test_record_from_values_statistics():
     rec = record_from_values("r", "a", [1.0, -3.0, 2.0], 10.0)
     assert rec.residual_max == 3.0
