@@ -187,40 +187,73 @@ def sample_interior(spec, seed, count, target_norm=0.7, margin_floor=0.05):
     return points
 
 
-# Draws per stacked QR in sample_silov, and rows per elimination block in
-# dirichlet._kernel_dets: large enough to amortize the Python overhead, small
-# enough that the temporaries of one block stay a fraction of the
-# (count, m, n) sample.
+# Draws per Gram-Schmidt block in sample_silov, and rows per elimination
+# block in dirichlet._kernel_dets: large enough to amortize the Python
+# overhead, small enough that the temporaries of one block stay a fraction of
+# the (count, m, n) sample.
 SILOV_CHUNK = 4096
 
 
-def _haar_stack(rng, k, n, cols, buf=None):
-    """k Haar-distributed n x cols isometries via phase-corrected QR.
+def _gram_schmidt(a):
+    """Orthonormalize the columns of each draw of an entry-major block, in place.
+
+    a has shape (n, cols, k): a[i, j] is entry (i, j) of all k draws, one
+    contiguous vector. Classical Gram-Schmidt with one reorthogonalization
+    pass (CGS2) keeps the columns orthonormal to working precision whenever
+    the draw is numerically nonsingular (Giraud, Langou & Rozloznik, Numer.
+    Math. 101, 2005). The implied R has a positive real diagonal, the norms
+    that divide each column. Returns a.
+    """
+    for j in range(a.shape[1]):
+        v = a[:, j]
+        if j:
+            q = a[:, :j]
+            qc = q.conj()
+            for _ in range(2):
+                # r_i = q_i* v for every i < j from the same v, then
+                # v -= sum_i q_i r_i
+                v -= (q * (qc * v[:, None]).sum(0)).sum(1)
+        v /= np.sqrt((v.real**2 + v.imag**2).sum(0))
+    return a
+
+
+def _require_orthonormal(q):
+    """Raise ValueError unless every draw of the entry-major block q has
+    orthonormal columns, Q*Q = I to SYMMETRY_TOL entrywise."""
+    defects = []
+    # Q*Q is Hermitian, so its upper triangle (row i from column i on) will do
+    for i in range(q.shape[1]):
+        gram = (q[:, i, None].conj() * q[:, i:]).sum(0)
+        gram[0] -= 1.0
+        defects.append(np.abs(gram).max())
+    worst = np.max(defects)
+    # fail closed: nan <= tol is False, so a NaN entry raises too
+    if not worst <= SYMMETRY_TOL:
+        raise ValueError(f"Haar draw is not orthonormal (Q*Q - I reaches {worst:.3g})")
+
+
+def _haar_stack(rng, k, n, cols):
+    """k Haar-distributed n x cols isometries, entry-major: shape (n, cols, k).
 
     Draws a (k, 2, n, cols) Gaussian block, so draw i consumes the stream
     exactly as one (n, cols) real draw followed by one imaginary draw would.
-    The complex block is assembled in ``buf`` when given (any contiguous
-    array of k * n * cols complex entries, free to overwrite), so the QR
-    temporaries are the only ones. Dividing each column of Q by the phase of
-    the matching diagonal entry of R makes the factorization unique and the
-    result Haar (Mezzadri 2007).
+    The QR factorization with a positive real diagonal in R is unique, and
+    Gram-Schmidt produces exactly that factor, so Q is the phase-corrected
+    QR factor that makes the result Haar (Mezzadri, Notices AMS 54, 2007).
+    Every block is checked for orthonormality before it is returned.
     """
     g = rng.standard_normal((k, 2, n, cols))
-    if buf is None:
-        buf = np.empty((k, n, cols), dtype=complex)
-    a = buf.reshape(k, n, cols)
-    a.real = g[:, 0]
-    a.imag = g[:, 1]
+    a = np.empty((n, cols, k), dtype=complex)
+    a.real = g[:, 0].transpose(1, 2, 0)
+    a.imag = g[:, 1].transpose(1, 2, 0)
     del g
-    q, r = np.linalg.qr(a)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    q *= (d / np.abs(d))[:, None, :]
-    return q
+    _require_orthonormal(_gram_schmidt(a))
+    return a
 
 
 def haar_unitary(rng, n):
-    """Haar-distributed n x n unitary via phase-corrected QR."""
-    return _haar_stack(rng, 1, n, n)[0]
+    """Haar-distributed n x n unitary, a block of one draw of _haar_stack."""
+    return _haar_stack(rng, 1, n, n)[:, :, 0]
 
 
 def _antisym_block_j(n):
@@ -234,23 +267,18 @@ def _antisym_block_j(n):
     return J
 
 
-def _times_block_j(u):
-    """u @ _antisym_block_j(n) for a stack u, as a signed swap of column pairs."""
-    uj = np.empty_like(u)
-    uj[..., 0::2] = -u[..., 1::2]
-    uj[..., 1::2] = u[..., 0::2]
-    return uj
-
-
 def sample_silov(spec, seed, count):
     """Points of the distinguished (minimal) boundary: w with ww* = I_m.
 
     Returns a (count, m, n) complex array. TypeI uses Haar-orthonormal rows,
     TypeII symmetric unitaries U U^t, and TypeIII with even n antisymmetric
     unitaries U J U^t. TypeIII with odd n and TypeIV have no such
-    parametrization here. Draws are made in blocks of SILOV_CHUNK rows, and
-    each block is checked for the family symmetry as it is drawn; row i
-    depends only on the seed and i, so a shorter sample is a prefix.
+    parametrization here. Draws are made in blocks of SILOV_CHUNK rows; U is
+    the Gram-Schmidt (CGS2) Q factor of a complex Gaussian draw, which is the
+    unique QR factor with a positive diagonal in R and therefore Haar. Each
+    block is checked for orthonormality and for the family symmetry as it is
+    drawn; row i depends only on the seed and i, so a shorter sample is a
+    prefix.
     """
     if spec.family == "I":
         cols = spec.m
@@ -270,24 +298,30 @@ def sample_silov(spec, seed, count):
 def _fill_silov_block(spec, rng, rows, cols):
     """Draw len(rows) boundary points into rows and check the family symmetry.
 
-    The Gaussian draw is assembled in rows, and the product is written back
-    into them, so a block holds no more than its QR temporaries and one
-    unitary stack at a time.
+    The products are formed entry-major, one vector over the block's draws
+    per matrix entry, and transposed into rows once at the end.
     """
-    u = _haar_stack(rng, len(rows), spec.n, cols, rows)
-    ut = u.transpose(0, 2, 1)
+    u = _haar_stack(rng, len(rows), spec.n, cols)
     if spec.family == "I":
-        rows[...] = ut
+        rows[...] = u.transpose(2, 1, 0)
         return
+    w = np.zeros((spec.n, spec.n, len(rows)), dtype=complex)
     if spec.family == "II":
-        np.matmul(u, ut, out=rows)
-        defect = rows - rows.transpose(0, 2, 1)
+        # (U U^t)_ab = sum_c U_ac U_bc
+        for c in range(cols):
+            w += u[:, None, c] * u[None, :, c]
     else:
-        np.matmul(_times_block_j(u), ut, out=rows)
-        defect = rows + rows.transpose(0, 2, 1)
+        # (U J U^t)_ab = sum_i U_a,2i U_b,2i+1 - U_a,2i+1 U_b,2i
+        for c in range(0, cols, 2):
+            w += u[:, None, c] * u[None, :, c + 1]
+            w -= u[:, None, c + 1] * u[None, :, c]
+    del u
+    wt = w.transpose(1, 0, 2)
+    defect = w - wt if spec.family == "II" else w + wt
     # fail closed: a NaN defect must raise, and nan <= tol is False
     if not np.abs(defect).max() <= SYMMETRY_TOL:
         raise ValueError(f"{spec.label()} boundary draw breaks the family symmetry")
+    rows[...] = w.transpose(2, 0, 1)
 
 
 def rank_deficient_pseudo_boundary(n, seed):

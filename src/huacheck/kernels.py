@@ -9,7 +9,9 @@ The central object is the determinant-power kernel
 (W and V live in huacheck.domains). The boundary identity is checked along
 two routes: direct numerical differentiation of P, and closed forms built
 from the log-gradient formulas (the boundary tensors for II/III, the exact
-component assembly for TypeI).
+component assembly for TypeI). Every matrix inverse goes through
+``inverse``, which raises SingularMatrixError near singularity instead of
+returning an inaccurate result.
 """
 
 from __future__ import annotations
@@ -19,12 +21,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .domains import kappa, v_matrix, w_matrix
 from .fields import OpaqueField, wirtinger_gradient, wirtinger_gradient_bar
 from .fields import wirtinger_hessian
 from .operators import OperatorId, component_weights, direction_matrix
 from .operators import coefficients as op_coefficients
+
+
+SINGULARITY_FLOOR = 1e-12
+
+
+class SingularMatrixError(np.linalg.LinAlgError):
+    """Raised when a matrix is too close to singular to invert reliably.
+
+    For the kernel tensors this signals a point too close to the domain
+    boundary, where V(z) or W(z,w) degenerates.
+    """
+
+
+def inverse(M):
+    """Inverse of M.
+
+    Raises SingularMatrixError when the smallest singular value is at most
+    SINGULARITY_FLOOR times the largest, i.e. the condition number is 1e12
+    or more. Unlike |det|, this does not depend on the scale of M.
+    """
+    M = np.asarray(M, dtype=complex)
+    sv = np.linalg.svd(M, compute_uv=False)
+    if sv[-1] <= SINGULARITY_FLOOR * sv[0]:
+        raise SingularMatrixError("matrix is singular to working precision")
+    return np.linalg.inv(M)
 
 
 @functools.lru_cache(maxsize=None)
@@ -43,7 +69,7 @@ def poisson_szego(spec, z, w):
     detv = dets[0].real
     detw = abs(dets[1])
     if detw < 1e-300:
-        raise linalg.SingularMatrixError("det W(z, w) vanished")
+        raise SingularMatrixError("det W(z, w) vanished")
     # det V is real positive on the interior; exp/log handles half-integer k
     return float(np.exp(k * np.log(detv)) / detw ** (2.0 * k))
 
@@ -65,8 +91,8 @@ def log_gradients_closed(spec, z, w):
     plain entrywise derivative. cbar is the matching z-bar gradient of
     log det W(w, z).
     """
-    Wi_zw = linalg.inverse(w_matrix(z, w))
-    Wi_wz = linalg.inverse(w_matrix(w, z))
+    Wi_zw = inverse(w_matrix(z, w))
+    Wi_wz = inverse(w_matrix(w, z))
     G = w.conj().T @ Wi_zw  # n x m
     Gbar = Wi_wz @ w  # m x n
     n = spec.n
@@ -121,8 +147,8 @@ def d2_logdetv(spec, z):
     coordinates sandwich it between the direction matrices.
     """
     m, n = spec.shape
-    Vi = linalg.inverse(v_matrix(z))
-    Vsi = linalg.inverse(v_matrix(z.conj().T))
+    Vi = inverse(v_matrix(z))
+    Vsi = inverse(v_matrix(z.conj().T))
     H = np.zeros((m * n, m * n), dtype=complex)
     for j in range(m):
         for k in range(m):
@@ -154,10 +180,10 @@ def identity_tensors(spec, z, w):
     n = spec.n
     k = float(kappa(spec))
     zs, ws = z.conj().T, w.conj().T
-    Vi = linalg.inverse(v_matrix(z))
-    Vsi = linalg.inverse(v_matrix(zs))
-    Wi_zs_ws = linalg.inverse(w_matrix(zs, ws))
-    Wi_ws_zs = linalg.inverse(w_matrix(ws, zs))
+    Vi = inverse(v_matrix(z))
+    Vsi = inverse(v_matrix(zs))
+    Wi_zs_ws = inverse(w_matrix(zs, ws))
+    Wi_ws_zs = inverse(w_matrix(ws, zs))
     eye = np.eye(n)
 
     if spec.family == "II":

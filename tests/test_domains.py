@@ -94,35 +94,80 @@ def test_silov_samples_satisfy_gram_identity():
                 assert_allclose(w, -w.T, atol=1e-12)
 
 
+def _lapack_haar(rng, n, cols):
+    """One phase-corrected LAPACK QR of an (n, cols) complex Gaussian draw."""
+    g = rng.standard_normal((n, cols)) + 1j * rng.standard_normal((n, cols))
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
 def _silov_reference(spec, seed, count):
-    """One phase-corrected QR per draw, as the sampler did before stacking."""
+    """The boundary sample from one phase-corrected LAPACK QR per draw, a
+    route independent of the sampler's blockwise Gram-Schmidt."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
         if spec.family == "I":
-            g = rng.standard_normal((spec.n, spec.m)) + 1j * rng.standard_normal(
-                (spec.n, spec.m)
-            )
-            q, r = np.linalg.qr(g)
-            d = np.diagonal(r)
-            out.append((q * (d / np.abs(d))).T)
+            out.append(_lapack_haar(rng, spec.n, spec.m).T)
         elif spec.family == "II":
-            u = domains.haar_unitary(rng, spec.n)
+            u = _lapack_haar(rng, spec.n, spec.n)
             out.append(u @ u.T)
         else:
-            u = domains.haar_unitary(rng, spec.n)
+            u = _lapack_haar(rng, spec.n, spec.n)
             j = np.kron(np.eye(spec.n // 2), [[0.0, 1.0], [-1.0, 0.0]])
             out.append(u @ j @ u.T)
     return np.array(out)
 
 
 def test_silov_stack_equals_per_draw_reference():
+    # Gram-Schmidt and Householder QR round differently, so the draws agree
+    # to roundoff, not bit for bit
     count = domains.SILOV_CHUNK + 37
     for spec in (type_i(2, 3), type_ii(3), type_iii(4)):
         ws = domains.sample_silov(spec, seed=5, count=count)
         assert ws.shape == (count,) + spec.shape
         assert ws.dtype == np.complex128
-        assert np.array_equal(ws, _silov_reference(spec, 5, count))
+        assert np.abs(ws - _silov_reference(spec, 5, count)).max() <= 1e-13
+
+
+def _entry_major(stack):
+    """A (k, n, cols) stack of matrices as an entry-major (n, cols, k) block."""
+    return np.ascontiguousarray(stack.transpose(1, 2, 0))
+
+
+def test_orthonormality_gate_rejects_a_perturbed_column():
+    q = domains._haar_stack(np.random.default_rng(8), 16, 3, 3)
+    domains._require_orthonormal(q)
+    q[:, 1, 5] += 1e-9
+    with pytest.raises(ValueError, match="not orthonormal"):
+        domains._require_orthonormal(q)
+
+
+def test_orthonormality_gate_fails_closed_on_nan():
+    q = domains._haar_stack(np.random.default_rng(9), 16, 4, 2)
+    q[2, 0, 7] = np.nan
+    with pytest.raises(ValueError, match="not orthonormal"):
+        domains._require_orthonormal(q)
+
+
+def test_gram_schmidt_stays_orthonormal_at_condition_1e8():
+    # CGS2 keeps Q*Q - I at roundoff while cond(A) * eps < 1
+    rng = np.random.default_rng(10)
+    k, n = 64, 3
+    u = np.array([_lapack_haar(rng, n, n) for _ in range(k)])
+    v = np.array([_lapack_haar(rng, n, n) for _ in range(k)])
+    a = u @ (np.array([1.0, 1e-4, 1e-8])[:, None] * v)
+    assert np.allclose(np.linalg.cond(a), 1e8, rtol=1e-3)
+    q = domains._gram_schmidt(_entry_major(a)).transpose(2, 0, 1)
+    gram = q.conj().transpose(0, 2, 1) @ q
+    assert np.abs(gram - np.eye(n)).max() <= domains.SYMMETRY_TOL
+    domains._require_orthonormal(_entry_major(q))
+    # Q*A is R: upper triangular, with a positive real diagonal
+    r = q.conj().transpose(0, 2, 1) @ a
+    assert np.abs(np.tril(r, -1)).max() <= 1e-15
+    d = np.diagonal(r, axis1=1, axis2=2)
+    assert np.all(d.real > 0.0) and np.abs(d.imag).max() <= 1e-15
 
 
 def test_silov_shorter_sample_is_a_prefix():

@@ -183,3 +183,31 @@ def test_silov_gram_defect():
     assert kernels.silov_gram_defect(wpt) < 1e-12
     zpt = domains.sample_interior(spec, 12, 1)[0]
     assert kernels.silov_gram_defect(zpt) > 0.1
+
+
+def test_inverse_roundtrip():
+    rng = np.random.default_rng(1)
+    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    assert_allclose(kernels.inverse(m) @ m, np.eye(3), atol=1e-12)
+
+
+def test_singular_matrix_raises():
+    m = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
+    with pytest.raises(kernels.SingularMatrixError):
+        kernels.inverse(m)
+
+
+def test_small_well_conditioned_matrix_inverts():
+    # det = 1e-16, but every singular value is 0.01
+    m = 0.01 * np.eye(8)
+    assert_allclose(kernels.inverse(m), 100.0 * np.eye(8), rtol=1e-15)
+
+
+def test_rank_deficient_matrix_raises():
+    rng = np.random.default_rng(2)
+    a = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    b = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    with pytest.raises(kernels.SingularMatrixError):
+        kernels.inverse(a @ b)
+    with pytest.raises(kernels.SingularMatrixError):
+        kernels.inverse(np.zeros((3, 3)))
