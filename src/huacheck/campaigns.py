@@ -349,8 +349,6 @@ def run_dirichlet_campaign(specs, points, seed, tol, samples=100_000):
         ),
     ]
     for spec in specs:
-        if spec.family == "IV" or (spec.family == "III" and spec.n % 2):
-            continue
         interior = domains.sample_interior(spec, seed + 3, min(points, 10))
         # the 100k-draw batch lives only for this call, one domain at a time
         mass_vals, repro_vals = poisson_z_scores(
@@ -436,12 +434,14 @@ def polarization_errors(rng, count):
 def transport_residuals(rng, count):
     """Hessian chain rule under a linear bidisc map and an antisymmetric map.
 
-    Returns 2 * count residuals, alternating between the two maps.
+    The bidisc map is domains.biholo_iv2_inverse of the two PolyField
+    coordinates. Returns 2 * count residuals, alternating between the two
+    maps.
     """
     shape2 = (1, 2)
     c0 = PolyField.coordinate(shape2, 0)
     c1 = PolyField.coordinate(shape2, 1)
-    bidisc_map = [c0 + c1 * 1j, c0 - c1 * 1j]
+    bidisc_map = list(domains.biholo_iv2_inverse(c0, c1))
     shape3 = (1, 3)
     # antisymmetric 3x3 matrix built from three ball coordinates
     ball_coords = [PolyField.coordinate(shape3, a) for a in range(3)]

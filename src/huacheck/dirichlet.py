@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import SILOV_CHUNK, kappa, membership_margin, sample_silov, v_matrix
-from .fields import OpaqueField, PolyField
+from .domains import SILOV_CHUNK, kappa, membership_margin, v_matrix
 
 # The benchmark's tracer test checks that tracing patches this module's
-# binding of wirtinger_hessian, so it stays bound here.
+# bindings of sample_silov and wirtinger_hessian, so they stay bound here.
+from .domains import sample_silov  # noqa: F401
+from .fields import OpaqueField, PolyField
 from .fields import wirtinger_hessian  # noqa: F401
 from .hypergeom import RadialProfile
 
@@ -42,10 +43,11 @@ def _norm_squared_field(shape):
     return out
 
 
-def _random_bihomogeneous(shape, p, q, rng, n_terms):
+def _random_bihomogeneous(shape, p, q, rng):
+    """A bidegree-(p,q) polynomial of four random monomials."""
     size = shape[0] * shape[1]
     terms = {}
-    for _ in range(n_terms):
+    for _ in range(4):
         ze = [0] * size
         we = [0] * size
         for _ in range(p):
@@ -97,7 +99,7 @@ def harmonic_projection(f, p, q, n):
     return out
 
 
-def make_bidegree(p, q, n, seed, n_terms=4):
+def make_bidegree(p, q, n, seed):
     """A nonzero random harmonic bidegree-(p,q) polynomial on C^n, n >= 2."""
     if n < 2:
         raise ValueError("ball dimension must be at least 2")
@@ -108,7 +110,7 @@ def make_bidegree(p, q, n, seed, n_terms=4):
         return BidegreeHarmonic(0, 0, n, PolyField.constant(shape, 1.0))
     rng = np.random.default_rng(seed)
     for _ in range(32):
-        raw = _random_bihomogeneous(shape, p, q, rng, n_terms)
+        raw = _random_bihomogeneous(shape, p, q, rng)
         h = harmonic_projection(raw, p, q, n)
         if not h.is_zero():
             return BidegreeHarmonic(p, q, n, h)
@@ -197,17 +199,17 @@ def _mean_and_stderr(vals):
     return mean, float(np.sqrt(var / len(vals)))
 
 
-def poisson_solve(spec, boundary_fields, zs, samples=100_000, seed=0, batch=None):
+def poisson_solve(spec, boundary_fields, zs, batch):
     """Monte-Carlo Poisson integrals over the distinguished boundary.
 
-    Averages P(z, w) phi(w) over Haar samples of the boundary for each
-    interior point z in zs and each phi in boundary_fields; returns, for
-    each point, one (mean, standard error) per field. Each phi is evaluated
-    on the boundary once for all points, and the kernel weights of a point
-    once for all fields. A phi may be a PolyField (vectorized) or any
-    callable on the boundary matrix. Pass a precomputed sample_silov array
-    as ``batch`` to share one sample across calls. A point that is not
-    interior (membership margin <= 0) raises ValueError.
+    Averages P(z, w) phi(w) over the rows w of ``batch``, a sample_silov draw
+    of the boundary, for each interior point z in zs and each phi in
+    boundary_fields; returns, for each point, one (mean, standard error) per
+    field. The caller draws the batch, so one sample can serve several
+    calls. Each phi is evaluated on the boundary once for all points, and
+    the kernel weights of a point once for all fields. A phi may be a
+    PolyField (vectorized) or any callable on the boundary matrix. A point
+    that is not interior (membership margin <= 0) raises ValueError.
     """
     zs = [np.asarray(z, dtype=complex).reshape(spec.shape) for z in zs]
     for i, z in enumerate(zs):
@@ -217,21 +219,21 @@ def poisson_solve(spec, boundary_fields, zs, samples=100_000, seed=0, batch=None
                 f"point {i} is not interior to {spec.label()} "
                 f"(membership margin {margin:.3g})"
             )
-    ws = sample_silov(spec, seed, samples) if batch is None else batch
-    if ws.shape[1:] != spec.shape:
+    if batch.shape[1:] != spec.shape:
         raise ValueError(
-            f"boundary batch rows have shape {ws.shape[1:]}, expected {spec.shape}"
+            f"boundary batch rows have shape {batch.shape[1:]}, expected {spec.shape}"
         )
     phis = [
-        field.evaluate_many(ws)
+        field.evaluate_many(batch)
         if isinstance(field, PolyField)
-        else np.array([complex(field(w)) for w in ws])
+        else np.array([complex(field(w)) for w in batch])
         for field in boundary_fields
     ]
     k = float(kappa(spec))
     results = []
     for z in zs:
         detv = float(np.linalg.det(v_matrix(z)).real)
-        weights = np.exp(k * np.log(detv)) / np.abs(_kernel_dets(ws, z)) ** (2.0 * k)
+        scale = np.exp(k * np.log(detv))
+        weights = scale / np.abs(_kernel_dets(batch, z)) ** (2.0 * k)
         results.append([_mean_and_stderr(weights * phi) for phi in phis])
     return results

@@ -166,22 +166,22 @@ def _shape_draw(spec, rng):
     return v
 
 
-def sample_interior(spec, seed, count, target_norm=0.7, margin_floor=0.05):
+def sample_interior(spec, seed, count):
     """Interior points built from norm-rescaled Gaussian draws.
 
     Each draw is symmetrized/antisymmetrized as the family requires, rescaled
-    to the target operator norm (Euclidean norm for TypeIV), then shrunk until
-    the membership margin clears the floor.
+    to operator norm 0.7 (Euclidean norm for TypeIV), then shrunk by factors
+    of 0.9 until its membership margin is at least 0.05.
     """
     rng = np.random.default_rng(seed)
     points = []
     for _ in range(count):
         v = _shape_draw(spec, rng)
         if spec.family == "IV":
-            v = v * (target_norm / np.linalg.norm(v))
+            v = v * (0.7 / np.linalg.norm(v))
         else:
-            v = v * (target_norm / np.linalg.norm(v, 2))
-        while membership_margin(spec, v) < margin_floor:
+            v = v * (0.7 / np.linalg.norm(v, 2))
+        while membership_margin(spec, v) < 0.05:
             v = 0.9 * v
         points.append(MatrixPoint(spec, v))
     return points
@@ -347,6 +347,8 @@ def biholo_iv2_inverse(w1, w2):
     """Bidisc coordinates of a point of IV(2): z1 = w1 + i w2, z2 = w1 - i w2.
 
     It inverts campaigns.bidisc_inverse_map, which maps the bidisc onto IV(2).
+    w1 and w2 may be numbers, or PolyFields for compose_holomorphic (as in
+    campaigns.transport_residuals).
     """
     return (w1 + 1j * w2, w1 - 1j * w2)
 

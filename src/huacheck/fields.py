@@ -358,7 +358,7 @@ class OpaqueField:
         return complex(self.fn(np.asarray(z, dtype=complex).reshape(self.shape)))
 
 
-def random_poly_field(shape, rng, degree=4, n_terms=8, real_valued=False):
+def random_poly_field(shape, rng, degree=4, n_terms=8):
     """A random polynomial field of total degree <= degree."""
     if degree >= EXP_LIMIT:
         raise ValueError(f"degree must stay below 2^{EXP_BITS}")
@@ -372,10 +372,7 @@ def random_poly_field(shape, rng, degree=4, n_terms=8, real_valued=False):
             key += 1 << EXP_BITS * (a if rng.random() < 0.5 else size + a)
         c = complex(rng.standard_normal(), rng.standard_normal())
         terms[key] = terms.get(key, 0.0) + c
-    field = PolyField._canonical(tuple(shape), terms, degree)
-    if real_valued:
-        field = field.real_part()
-    return field
+    return PolyField._canonical(tuple(shape), terms, degree)
 
 
 def default_step(z):
@@ -475,12 +472,12 @@ def _poly_hessian(u, zf):
     return np.array(H, dtype=complex).reshape(size, size)
 
 
-def wirtinger_hessian(u, z, step=None, richardson=True):
+def wirtinger_hessian(u, z, step=None):
     """Mixed Wirtinger Hessian H[a, b] = d^2 u / dz_a dzbar_b, flattened
     row-major, as an (m*n) x (m*n) complex array.
 
-    Exact for PolyField; central finite differences (optionally one level of
-    Richardson extrapolation) for opaque fields, via
+    Exact for PolyField; central finite differences with one level of
+    Richardson extrapolation for opaque fields, via
     d^2/dz dzbar = 1/4 (d_xx + d_yy) + i/4 (d_xy - d_yx). An opaque u is
     called once per stencil point, on a flat row of a reused buffer that it
     must not keep.
@@ -499,9 +496,8 @@ def wirtinger_hessian(u, z, step=None, richardson=True):
         return complex(u(x))
 
     R = _real_hessian(fn, zf, h)
-    if richardson:
-        R2 = _real_hessian(fn, zf, h / 2.0)
-        R = (4.0 * R2 - R) / 3.0
+    R2 = _real_hessian(fn, zf, h / 2.0)
+    R = (4.0 * R2 - R) / 3.0
     Hxx = R[:size, :size]
     Hyy = R[size:, size:]
     Hxy = R[:size, size:]
@@ -509,8 +505,9 @@ def wirtinger_hessian(u, z, step=None, richardson=True):
     return 0.25 * (Hxx + Hyy) + 0.25j * (Hxy - Hyx)
 
 
-def _fd_gradient(u, z, step, richardson, sign):
-    """Central-difference Wirtinger gradient of an opaque field.
+def _fd_gradient(u, z, step, sign):
+    """Central-difference Wirtinger gradient of an opaque field, with one
+    level of Richardson extrapolation.
 
     Each entry is 1/2 (d_x + sign i d_y): sign -1 gives d/dz_a, sign +1
     gives d/dzbar_a.
@@ -531,22 +528,20 @@ def _fd_gradient(u, z, step, richardson, sign):
         return g
 
     g = diff(h)
-    if richardson:
-        g = (4.0 * diff(h / 2.0) - g) / 3.0
-    return g
+    return (4.0 * diff(h / 2.0) - g) / 3.0
 
 
-def wirtinger_gradient(u, z, step=None, richardson=True):
+def wirtinger_gradient(u, z, step=None):
     """Holomorphic Wirtinger gradient d u / dz_a as a flat complex array."""
     if isinstance(u, PolyField):
         z = np.asarray(z, dtype=complex)
         return np.array([u.dz(a)(z) for a in range(z.size)], dtype=complex)
-    return _fd_gradient(u, z, step, richardson, -1.0)
+    return _fd_gradient(u, z, step, -1.0)
 
 
-def wirtinger_gradient_bar(u, z, step=None, richardson=True):
+def wirtinger_gradient_bar(u, z, step=None):
     """Antiholomorphic Wirtinger gradient d u / dzbar_a as a flat array."""
     if isinstance(u, PolyField):
         z = np.asarray(z, dtype=complex)
         return np.array([u.dzbar(a)(z) for a in range(z.size)], dtype=complex)
-    return _fd_gradient(u, z, step, richardson, 1.0)
+    return _fd_gradient(u, z, step, 1.0)

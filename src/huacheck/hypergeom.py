@@ -7,9 +7,6 @@ classifier for the type of boundary singularity of the profile.
 
 The series is summed as a short scalar prefix followed by sequential NumPy
 blocks, with results identical to the plain scalar loop (see `gauss_2f1`).
-
-A standalone Lanczos log-Gamma keeps the module dependency-free; its relative
-error is below 1e-13 on the positive axis.
 """
 
 from __future__ import annotations
@@ -28,43 +25,16 @@ SERIES_TERM_CAP = 1_000_000
 _SCALAR_PREFIX = 64
 _BLOCK_MAX = 4096
 
-# Lanczos approximation, g = 7, nine coefficients.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 def lgamma(x):
-    """log Gamma(x) for x > 0 (Lanczos; relative error < 1e-13)."""
+    """log Gamma(x) for x > 0.
+
+    math.lgamma returns log|Gamma(x)| for x <= 0, which drops the sign, so
+    that range raises.
+    """
     if x <= 0.0:
         raise ValueError("lgamma requires x > 0")
-    if x < 0.5:
-        # reflection keeps the Lanczos sum in its accurate range
-        return math.log(math.pi / math.sin(math.pi * x)) - lgamma(1.0 - x)
-    x = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (x + 0.5) * math.log(t) - t + math.log(acc)
-
-
-def gamma(x):
-    """Gamma(x) for real non-pole x, negative arguments via reflection."""
-    if x > 0.0:
-        return math.exp(lgamma(x))
-    if x == int(x):
-        raise ValueError("Gamma pole at non-positive integer")
-    return math.pi / (math.sin(math.pi * x) * math.exp(lgamma(1.0 - x)))
+    return math.lgamma(x)
 
 
 class SeriesConvergenceError(RuntimeError):
@@ -177,21 +147,21 @@ def log_limit_value(a, b):
     return math.exp(lgamma(a + b) - lgamma(a) - lgamma(b))
 
 
-def log_limit_estimate(a, b, j=14):
-    """Estimate the log-law limit from t = 1 - 2^-j.
+def log_limit_estimate(a, b):
+    """Estimate the log-law limit from t = 1 - 2^-13 and t = 1 - 2^-14.
 
     Returns (plain ratio at the finest point, two-point estimate). Near t = 1
     the numerator behaves like A log(1/(1-t)) + B, so the plain ratio carries
     an O(1/log) bias; differencing two geometric points removes the constant.
     """
-    t1 = 1.0 - 2.0 ** -(j - 1)
-    t2 = 1.0 - 2.0**-j
+    t1 = 1.0 - 2.0**-13
+    t2 = 1.0 - 2.0**-14
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         f1 = gauss_2f1(a, b, a + b, t1)
         f2 = gauss_2f1(a, b, a + b, t2)
-    l1 = (j - 1) * math.log(2.0)
-    l2 = j * math.log(2.0)
+    l1 = 13 * math.log(2.0)
+    l2 = 14 * math.log(2.0)
     plain = f2 / l2
     twopoint = (f2 - f1) / (l2 - l1)
     return plain, twopoint
@@ -280,7 +250,7 @@ def log_coefficient_value(a, b, k):
 def half_power_coefficient_value(a, b, k):
     """Coefficient of (1-t)^(k+1/2) in F(a,b,a+b+k+1/2;t)."""
     c = a + b + k + 0.5
-    return gamma(c) * gamma(-(k + 0.5)) / (gamma(a) * gamma(b))
+    return math.gamma(c) * math.gamma(-(k + 0.5)) / (math.gamma(a) * math.gamma(b))
 
 
 def classify_singularity(p, q, n):

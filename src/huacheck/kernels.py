@@ -30,6 +30,10 @@ from .operators import coefficients as op_coefficients
 
 SINGULARITY_FLOOR = 1e-12
 
+# Step of the FD Hessian in check_theorem22: it balances roundoff in the
+# second difference against Richardson truncation.
+FD_STEP = 1e-3
+
 
 class SingularMatrixError(np.linalg.LinAlgError):
     """Raised when a matrix is too close to singular to invert reliably.
@@ -111,11 +115,12 @@ def log_gradients_closed(spec, z, w):
     return c.reshape(-1), cbar.reshape(-1)
 
 
-def log_gradients_fd(spec, z, w, step=1e-6):
+def log_gradients_fd(spec, z, w):
     """Finite-difference oracle for log_gradients_closed.
 
-    Differentiates log det W entrywise on the unconstrained matrix, then maps
-    the plain gradient to constrained coordinates with the direction matrix.
+    Differentiates log det W entrywise on the unconstrained matrix, with step
+    1e-6 and Richardson extrapolation, then maps the plain gradient to
+    constrained coordinates with the direction matrix.
     """
     shape = spec.shape
 
@@ -125,12 +130,8 @@ def log_gradients_fd(spec, z, w, step=1e-6):
     def logdetw_wz(zz):
         return np.log(np.linalg.det(w_matrix(w, zz.reshape(shape))))
 
-    g_plain = wirtinger_gradient(
-        OpaqueField(shape, logdetw_zw), z, step=step, richardson=True
-    )
-    gbar_plain = wirtinger_gradient_bar(
-        OpaqueField(shape, logdetw_wz), z, step=step, richardson=True
-    )
+    g_plain = wirtinger_gradient(OpaqueField(shape, logdetw_zw), z, step=1e-6)
+    gbar_plain = wirtinger_gradient_bar(OpaqueField(shape, logdetw_wz), z, step=1e-6)
     D = direction_matrix(spec)
     return D @ g_plain, D.conj() @ gbar_plain
 
@@ -222,7 +223,7 @@ def component_kernel_exact(spec, z, w):
     return np.einsum("jakb,jakb->jk", weights, T)
 
 
-def check_theorem22(spec, zpt, wpt, fd_step=1e-3):
+def check_theorem22(spec, zpt, wpt):
     """Residuals of the boundary differential identity at one (z, w) pair.
 
     Returns (r_fd, r_exact): the largest component-operator value of the
@@ -232,18 +233,17 @@ def check_theorem22(spec, zpt, wpt, fd_step=1e-3):
     """
     z = zpt.value
     w = wpt.value
-    # a stencil point moves at most two real coordinates by fd_step, so its
-    # operator norm is at most ||z||_2 + sqrt(2) fd_step
-    if np.linalg.norm(z, 2) + np.sqrt(2.0) * fd_step >= 1.0:
+    # a stencil point moves at most two real coordinates by FD_STEP, so its
+    # operator norm is at most ||z||_2 + sqrt(2) FD_STEP
+    if np.linalg.norm(z, 2) + np.sqrt(2.0) * FD_STEP >= 1.0:
         raise ValueError(
             "the FD stencil around z can leave the domain: "
-            "||z||_2 + sqrt(2) * fd_step >= 1"
+            "||z||_2 + sqrt(2) * FD_STEP >= 1"
         )
     kind = {"I": "delta1", "II": "delta2", "III": "delta3"}[spec.family]
     P_field = kernel_field(spec, w)
-    # one Hessian evaluation serves every component; the step balances
-    # roundoff in the second difference against Richardson truncation
-    H = wirtinger_hessian(P_field, z, step=fd_step)
+    # one Hessian evaluation serves every component
+    H = wirtinger_hessian(P_field, z, step=FD_STEP)
     r_fd = 0.0
     for j in range(spec.m):
         for k in range(spec.m):

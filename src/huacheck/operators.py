@@ -170,8 +170,8 @@ def coefficients(op, point):
     return W
 
 
-def apply(op, u, point, step=None, richardson=True):
+def apply(op, u, point):
     """Evaluate the operator on a field at a point."""
     C = coefficients(op, point)
-    H = wirtinger_hessian(u, point.value, step=step, richardson=richardson)
+    H = wirtinger_hessian(u, point.value)
     return complex(np.sum(C * H))

@@ -142,8 +142,9 @@ class VerificationReport:
         return rep
 
 
-def merge_reports(reports, campaign="merged"):
-    merged = VerificationReport(campaign=campaign)
+def merge_reports(reports):
+    """One report, campaign "merged", holding the records of reports in order."""
+    merged = VerificationReport(campaign="merged")
     for rep in reports:
         for r in rep.records:
             merged.add(r)

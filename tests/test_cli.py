@@ -133,10 +133,14 @@ def test_points_below_one_exits_2_without_traceback(suite, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("domain", ["III:3", "IV:2"])
-def test_unsupported_kernel_domain_exits_2_without_traceback(domain, capsys):
+@pytest.mark.parametrize(
+    "suite, domain",
+    [(suite, domain) for suite in ("kernel", "dirichlet") for domain in ("III:3", "IV:2")],
+    ids=["III:3", "IV:2", "dirichlet-III:3", "dirichlet-IV:2"],
+)
+def test_unsupported_kernel_domain_exits_2_without_traceback(suite, domain, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "kernel", "--domain", domain, "--points", "1"])
+        main(["verify", suite, "--domain", domain, "--points", "1"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "no distinguished-boundary sampler" in err

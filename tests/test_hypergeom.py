@@ -8,18 +8,21 @@ from numpy.testing import assert_allclose
 from huacheck import campaigns, hypergeom
 
 
-def test_lgamma_matches_math_library():
-    for x in (0.1, 0.5, 1.0, 2.5, 7.0, 20.0, 150.5):
-        assert_allclose(hypergeom.lgamma(x), math.lgamma(x), rtol=1e-12, atol=1e-13)
-    with pytest.raises(ValueError):
-        hypergeom.lgamma(0.0)
+def test_lgamma_rejects_non_positive_arguments():
+    # math.lgamma(-0.5) is log|Gamma(-0.5)| = 1.2655..., without the sign
+    for x in (0.0, -0.5):
+        with pytest.raises(ValueError):
+            hypergeom.lgamma(x)
 
 
-def test_gamma_reflection_for_negative_arguments():
-    assert_allclose(hypergeom.gamma(-0.5), -2.0 * math.sqrt(math.pi), rtol=1e-12)
-    assert_allclose(hypergeom.gamma(-1.5), 4.0 * math.sqrt(math.pi) / 3.0, rtol=1e-12)
-    with pytest.raises(ValueError):
-        hypergeom.gamma(-2.0)
+def test_singular_coefficients_match_closed_forms():
+    # F(1/2, 1/2, 3/2; t) = arcsin(sqrt t) / sqrt t, whose (1 - t)^(1/2)
+    # coefficient at t = 1 is -1
+    assert_allclose(hypergeom.half_power_coefficient_value(0.5, 0.5, 0), -1.0, rtol=1e-14)
+    # F(1, 1, 3; t) = 2 [(1 - t) log(1 - t) + t] / t^2: the coefficient of
+    # (1 - t) log(1 - t) is 2, and so is the value at t = 1
+    assert_allclose(hypergeom.log_coefficient_value(1.0, 1.0, 1), 2.0, rtol=1e-14)
+    assert_allclose(hypergeom.gauss_2f1_at_1(1.0, 1.0, 3.0), 2.0, rtol=1e-14)
 
 
 def test_gauss_2f1_closed_forms():

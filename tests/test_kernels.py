@@ -165,14 +165,14 @@ def test_check_theorem22_both_routes(spec):
 def test_check_theorem22_rejects_a_stencil_leaving_the_domain():
     spec = type_ii(2)
     wpt = MatrixPoint(spec, domains.sample_silov(spec, 14, 1)[0])
-    step = 1e-3
+    step = kernels.FD_STEP
     z = domains.sample_interior(spec, 15, 1)[0].value
     z = z / np.linalg.norm(z, 2)
     for value in (1.5 * np.eye(2), (1.0 - step) * z):
         with pytest.raises(ValueError, match="stencil"):
-            kernels.check_theorem22(spec, MatrixPoint(spec, value), wpt, fd_step=step)
+            kernels.check_theorem22(spec, MatrixPoint(spec, value), wpt)
     r_fd, r_exact = kernels.check_theorem22(
-        spec, MatrixPoint(spec, (1.0 - 2.0 * step) * z), wpt, fd_step=step
+        spec, MatrixPoint(spec, (1.0 - 2.0 * step) * z), wpt
     )
     assert np.isfinite(r_fd) and np.isfinite(r_exact)
 

@@ -89,7 +89,7 @@ def test_merge_reports_concatenates_records():
     r1.add(make_record("a"))
     r2 = VerificationReport(campaign="two")
     r2.add(make_record("b"))
-    merged = merge_reports([r1, r2], campaign="joint")
-    assert merged.campaign == "joint"
+    merged = merge_reports([r1, r2])
+    assert merged.campaign == "merged"
     assert [r.name for r in merged.records] == ["a", "b"]
     assert merged.passed
