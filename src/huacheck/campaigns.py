@@ -319,7 +319,7 @@ def poisson_z_scores(spec, zs, batch):
     return mass_vals, repro_vals
 
 
-def run_dirichlet_campaign(specs, points, seed, tol, samples=100_000):
+def run_dirichlet_campaign(specs, points, seed, tol):
     n = 3
     f = dirichlet.BidegreeHarmonic(
         1, 1, n, PolyField((1, n), {((1, 0, 0), (0, 1, 0)): 1.0})
@@ -354,7 +354,7 @@ def run_dirichlet_campaign(specs, points, seed, tol, samples=100_000):
         mass_vals, repro_vals = poisson_z_scores(
             spec,
             [zp.value for zp in interior],
-            domains.sample_silov(spec, seed + 7, samples),
+            domains.sample_silov(spec, seed + 7, 100_000),
         )
         label = spec.label()
         records += [

@@ -74,19 +74,21 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, default_points):
-        p.add_argument("--domain", type=_domain_spec, action="append", default=None)
         p.add_argument("--points", type=_POINTS, default=default_points)
         p.add_argument("--seed", type=_SEED, default=0)
         p.add_argument("--tol", type=_TOL, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("json", "text"), default="text")
+        return p
 
     verify = sub.add_parser("verify", help="run one verification suite")
     vsub = verify.add_subparsers(dest="suite", required=True)
-    common(vsub.add_parser("kernel"), 10)
-    common(vsub.add_parser("hypergeom"), 50)
-    common(vsub.add_parser("dirichlet"), 50)
-    common(vsub.add_parser("embeddings"), 20)
+    suites = (("kernel", 10), ("hypergeom", 50), ("dirichlet", 50), ("embeddings", 20))
+    for suite, points in suites:
+        p = common(vsub.add_parser(suite), points)
+        # only the kernel and dirichlet campaigns run over a list of domains
+        if suite in ("kernel", "dirichlet"):
+            p.add_argument("--domain", type=_domain_spec, action="append", default=None)
 
     demo = sub.add_parser("demo", help="run a demonstration campaign")
     dsub = demo.add_subparsers(dest="suite", required=True)

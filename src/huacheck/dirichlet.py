@@ -4,8 +4,8 @@ Two constructions live here. For the modified ball Laplacian, boundary data
 given as a finite sum of bidegree-(p,q) harmonics extends to the interior by
 attaching the normalized radial hypergeometric profile h_{p,q}(|z|^4) to each
 term. For the matrix domains the Poisson integral against the determinant
-kernel is approximated by Monte-Carlo averaging over the distinguished
-boundary.
+kernel (kernels.poisson_szego, over a stacked boundary sample) is
+approximated by Monte-Carlo averaging over the distinguished boundary.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import SILOV_CHUNK, kappa, membership_margin, v_matrix
+from .domains import membership_margin
 
 # The benchmark's tracer test checks that tracing patches this module's
 # bindings of sample_silov and wirtinger_hessian, so they stay bound here.
@@ -22,6 +22,7 @@ from .domains import sample_silov  # noqa: F401
 from .fields import OpaqueField, PolyField
 from .fields import wirtinger_hessian  # noqa: F401
 from .hypergeom import RadialProfile
+from .kernels import poisson_szego
 
 
 def _mixed_laplacian(f):
@@ -155,44 +156,6 @@ def solve_tilde(fs, n):
     return DirichletSolution(n, tuple(parts))
 
 
-def _kernel_dets(ws, z):
-    """det(I - w z*) for every row w of the boundary batch ws.
-
-    This is the conjugate of det(I - z w*), so it has the same modulus (also
-    for m < n). The batch is worked in blocks of SILOV_CHUNK rows, so the
-    (block, m, m) stack stays small next to ws. Each stack is one BLAS
-    product of the stacked rows against -z*, with 1 added on the diagonal in
-    place. Its determinants come from Gaussian elimination without pivoting,
-    run as vector arithmetic over the strided entry views A[:, i, j] of all
-    matrices of the block at once.
-
-    Pivoting is not needed: for ||w|| = 1 and ||z|| < 1 the Hermitian part
-    of A = I - w z* is at least (1 - ||z||) I, because Re x*(w z*)x <=
-    ||w* x|| ||z* x|| <= ||z|| for a unit vector x. Every Schur complement of
-    such a matrix keeps that bound, so each pivot has modulus at least
-    1 - ||z|| and elimination without pivoting is backward stable (Golub &
-    Van Loan, "Unsymmetric positive definite linear systems", Linear Algebra
-    Appl. 28, 1979).
-    """
-    samples, m, n = ws.shape
-    minus_zh = -z.conj().T
-    dets = np.empty(samples, dtype=complex)
-    for start in range(0, samples, SILOV_CHUNK):
-        block = ws[start : start + SILOV_CHUNK]
-        size = len(block)
-        a = (block.reshape(-1, n) @ minus_zh).reshape(size, m, m)
-        a.reshape(size, m * m)[:, :: m + 1] += 1.0
-        d = dets[start : start + size]
-        d[:] = a[:, 0, 0]
-        for k in range(m - 1):
-            for i in range(k + 1, m):
-                factor = a[:, i, k] / a[:, k, k]
-                for j in range(k + 1, m):
-                    a[:, i, j] -= factor * a[:, k, j]
-            d *= a[:, k + 1, k + 1]
-    return dets
-
-
 def _mean_and_stderr(vals):
     mean = complex(np.mean(vals))
     var = float(np.mean(np.abs(vals - mean) ** 2))
@@ -206,10 +169,10 @@ def poisson_solve(spec, boundary_fields, zs, batch):
     of the boundary, for each interior point z in zs and each phi in
     boundary_fields; returns, for each point, one (mean, standard error) per
     field. The caller draws the batch, so one sample can serve several
-    calls. Each phi is evaluated on the boundary once for all points, and
-    the kernel weights of a point once for all fields. A phi may be a
-    PolyField (vectorized) or any callable on the boundary matrix. A point
-    that is not interior (membership margin <= 0) raises ValueError.
+    calls. Each phi is a PolyField, evaluated on the whole batch once for
+    all points, and the kernel weights of a point, poisson_szego over the
+    batch, are computed once for all fields. A point that is not interior
+    (membership margin <= 0) raises ValueError.
     """
     zs = [np.asarray(z, dtype=complex).reshape(spec.shape) for z in zs]
     for i, z in enumerate(zs):
@@ -223,17 +186,9 @@ def poisson_solve(spec, boundary_fields, zs, batch):
         raise ValueError(
             f"boundary batch rows have shape {batch.shape[1:]}, expected {spec.shape}"
         )
-    phis = [
-        field.evaluate_many(batch)
-        if isinstance(field, PolyField)
-        else np.array([complex(field(w)) for w in batch])
-        for field in boundary_fields
-    ]
-    k = float(kappa(spec))
+    phis = [field.evaluate_many(batch) for field in boundary_fields]
     results = []
     for z in zs:
-        detv = float(np.linalg.det(v_matrix(z)).real)
-        scale = np.exp(k * np.log(detv))
-        weights = scale / np.abs(_kernel_dets(batch, z)) ** (2.0 * k)
+        weights = poisson_szego(spec, z, batch)
         results.append([_mean_and_stderr(weights * phi) for phi in phis])
     return results

@@ -188,7 +188,7 @@ def sample_interior(spec, seed, count):
 
 
 # Draws per Gram-Schmidt block in sample_silov, and rows per elimination
-# block in dirichlet._kernel_dets: large enough to amortize the Python
+# block in kernels._kernel_dets: large enough to amortize the Python
 # overhead, small enough that the temporaries of one block stay a fraction of
 # the (count, m, n) sample.
 SILOV_CHUNK = 4096

@@ -505,16 +505,16 @@ def wirtinger_hessian(u, z, step=None):
     return 0.25 * (Hxx + Hyy) + 0.25j * (Hxy - Hyx)
 
 
-def _fd_gradient(u, z, step, sign):
-    """Central-difference Wirtinger gradient of an opaque field, with one
-    level of Richardson extrapolation.
+def _fd_gradient(u, z, sign):
+    """Central-difference Wirtinger gradient of an opaque field, with step
+    1e-6 and one level of Richardson extrapolation.
 
     Each entry is 1/2 (d_x + sign i d_y): sign -1 gives d/dz_a, sign +1
     gives d/dzbar_a.
     """
     z = np.asarray(z, dtype=complex)
     size = z.size
-    h = step if step is not None else default_step(z)
+    h = 1e-6
     zf = z.reshape(-1)
 
     def diff(h_):
@@ -531,17 +531,17 @@ def _fd_gradient(u, z, step, sign):
     return (4.0 * diff(h / 2.0) - g) / 3.0
 
 
-def wirtinger_gradient(u, z, step=None):
+def wirtinger_gradient(u, z):
     """Holomorphic Wirtinger gradient d u / dz_a as a flat complex array."""
     if isinstance(u, PolyField):
         z = np.asarray(z, dtype=complex)
         return np.array([u.dz(a)(z) for a in range(z.size)], dtype=complex)
-    return _fd_gradient(u, z, step, -1.0)
+    return _fd_gradient(u, z, -1.0)
 
 
-def wirtinger_gradient_bar(u, z, step=None):
+def wirtinger_gradient_bar(u, z):
     """Antiholomorphic Wirtinger gradient d u / dzbar_a as a flat array."""
     if isinstance(u, PolyField):
         z = np.asarray(z, dtype=complex)
         return np.array([u.dzbar(a)(z) for a in range(z.size)], dtype=complex)
-    return _fd_gradient(u, z, step, 1.0)
+    return _fd_gradient(u, z, 1.0)

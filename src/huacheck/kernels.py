@@ -6,9 +6,11 @@ The central object is the determinant-power kernel
     P(z, w) = det(V(z))^kappa / |det W(z, w)|^(2 kappa),
     W(z, w) = I - z w*,   V(z) = W(z, z)
 
-(W and V live in huacheck.domains). The boundary identity is checked along
-two routes: direct numerical differentiation of P, and closed forms built
-from the log-gradient formulas (the boundary tensors for II/III, the exact
+(W and V live in huacheck.domains). poisson_szego is its one evaluator, at
+one boundary point for the FD stencil or over a stacked boundary sample for
+the Monte-Carlo Poisson solve of huacheck.dirichlet. The boundary identity
+is checked along two routes: direct numerical differentiation of P, and
+closed forms built from the log-gradient formulas (the boundary tensors for II/III, the exact
 component assembly for TypeI). Every matrix inverse goes through
 ``inverse``, which raises SingularMatrixError near singularity instead of
 returning an inaccurate result.
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import kappa, v_matrix, w_matrix
+from .domains import SILOV_CHUNK, kappa, v_matrix, w_matrix
 from .fields import OpaqueField, wirtinger_gradient, wirtinger_gradient_bar
 from .fields import wirtinger_hessian
 from .operators import OperatorId, component_weights, direction_matrix
@@ -63,19 +65,68 @@ def _kernel_constants(spec):
     return float(kappa(spec)), np.eye(spec.m)
 
 
+def _kernel_dets(ws, z):
+    """det(I - w z*) for every row w of the boundary batch ws.
+
+    This is the conjugate of det(I - z w*), so it has the same modulus (also
+    for m < n). The batch is worked in blocks of SILOV_CHUNK rows, so the
+    (block, m, m) stack stays small next to ws. Each stack is one BLAS
+    product of the stacked rows against -z*, with 1 added on the diagonal in
+    place. Its determinants come from Gaussian elimination without pivoting,
+    run as vector arithmetic over the strided entry views A[:, i, j] of all
+    matrices of the block at once.
+
+    Pivoting is not needed: for ||w|| = 1 and ||z|| < 1 the Hermitian part
+    of A = I - w z* is at least (1 - ||z||) I, because Re x*(w z*)x <=
+    ||w* x|| ||z* x|| <= ||z|| for a unit vector x. Every Schur complement of
+    such a matrix keeps that bound, so each pivot has modulus at least
+    1 - ||z|| and elimination without pivoting is backward stable (Golub &
+    Van Loan, "Unsymmetric positive definite linear systems", Linear Algebra
+    Appl. 28, 1979).
+    """
+    samples, m, n = ws.shape
+    minus_zh = -z.conj().T
+    dets = np.empty(samples, dtype=complex)
+    for start in range(0, samples, SILOV_CHUNK):
+        block = ws[start : start + SILOV_CHUNK]
+        size = len(block)
+        a = (block.reshape(-1, n) @ minus_zh).reshape(size, m, m)
+        a.reshape(size, m * m)[:, :: m + 1] += 1.0
+        d = dets[start : start + size]
+        d[:] = a[:, 0, 0]
+        for k in range(m - 1):
+            for i in range(k + 1, m):
+                factor = a[:, i, k] / a[:, k, k]
+                for j in range(k + 1, m):
+                    a[:, i, j] -= factor * a[:, k, j]
+            d *= a[:, k + 1, k + 1]
+    return dets
+
+
 def poisson_szego(spec, z, w):
-    """Kernel value; z interior, w on the distinguished boundary."""
+    """P(z, w) for z interior and w on the distinguished boundary.
+
+    w is one boundary point of shape (m, n), which gives a float, or a stack
+    (N, m, n), which gives an array of N values. Each path is the faster one
+    at its size: LAPACK det for one point, _kernel_dets' elimination for a
+    stack.
+    """
     if spec.family == "IV":
         raise ValueError("no determinant kernel for TypeIV")
     k, eye = _kernel_constants(spec)
-    # V = W(z, z) and W(z, w) from one stacked product and one stacked det
-    dets = np.linalg.det(eye - z @ np.array((z, w)).conj().transpose(0, 2, 1))
-    detv = dets[0].real
-    detw = abs(dets[1])
-    if detw < 1e-300:
-        raise SingularMatrixError("det W(z, w) vanished")
+    if w.ndim == 2:
+        # V = W(z, z) and W(z, w) from one stacked product and one stacked det
+        dets = np.linalg.det(eye - z @ np.array((z, w)).conj().transpose(0, 2, 1))
+        detv = dets[0].real
+        detw = abs(dets[1])
+        if detw < 1e-300:
+            raise SingularMatrixError("det W(z, w) vanished")
+    else:
+        detv = np.linalg.det(v_matrix(z)).real
+        detw = np.abs(_kernel_dets(w, z))
     # det V is real positive on the interior; exp/log handles half-integer k
-    return float(np.exp(k * np.log(detv)) / detw ** (2.0 * k))
+    p = np.exp(k * np.log(detv)) / detw ** (2.0 * k)
+    return float(p) if w.ndim == 2 else p
 
 
 def kernel_field(spec, w):
@@ -130,8 +181,8 @@ def log_gradients_fd(spec, z, w):
     def logdetw_wz(zz):
         return np.log(np.linalg.det(w_matrix(w, zz.reshape(shape))))
 
-    g_plain = wirtinger_gradient(OpaqueField(shape, logdetw_zw), z, step=1e-6)
-    gbar_plain = wirtinger_gradient_bar(OpaqueField(shape, logdetw_wz), z, step=1e-6)
+    g_plain = wirtinger_gradient(OpaqueField(shape, logdetw_zw), z)
+    gbar_plain = wirtinger_gradient_bar(OpaqueField(shape, logdetw_wz), z)
     D = direction_matrix(spec)
     return D @ g_plain, D.conj() @ gbar_plain
 
@@ -147,13 +198,9 @@ def d2_logdetv(spec, z):
     The plain-entry tensor is -V^{kj} [V(z*)^{-1}]_{ab}; constrained
     coordinates sandwich it between the direction matrices.
     """
-    m, n = spec.shape
     Vi = inverse(v_matrix(z))
     Vsi = inverse(v_matrix(z.conj().T))
-    H = np.zeros((m * n, m * n), dtype=complex)
-    for j in range(m):
-        for k in range(m):
-            H[j * n : (j + 1) * n, k * n : (k + 1) * n] = -Vi[k, j] * Vsi
+    H = -np.kron(Vi.T, Vsi)
     if spec.family in ("II", "III"):
         D = direction_matrix(spec)
         H = D @ H @ D.conj().T
@@ -216,11 +263,7 @@ def component_kernel_exact(spec, z, w):
     c, cbar = log_gradients_closed(spec, z, w)
     T = H / k + np.outer(b - c, bbar - cbar)
     T = (k * k * P) * T.reshape(m, n, m, n)
-    if spec.family == "I":
-        inner = v_matrix(z.T)
-        return np.einsum("ab,jakb->jk", inner, T)
-    weights = component_weights(spec, z)
-    return np.einsum("jakb,jakb->jk", weights, T)
+    return np.einsum("jakb,jakb->jk", component_weights(spec, z), T)
 
 
 def check_theorem22(spec, zpt, wpt):

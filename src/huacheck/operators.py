@@ -80,21 +80,25 @@ def direction_matrix(spec):
 
 
 def component_weights(spec, z):
-    """Weights w[j, a, k, b] of the (j,k) components of delta2 and delta3.
+    """Weights w[j, a, k, b] of the (j,k) components of delta1, delta2 and
+    delta3.
 
-    Component (j,k) weighs the constrained coordinate pair ((j,a),(k,b)) by
-    V(z)_ab f_ja f_kb, where f is 2 on the diagonal and 1 off it for the
-    symmetric family, and 0 on the diagonal and 1 off it for the
+    For TypeI, component (j,k) weighs the entry pair ((j,a),(k,b)) by
+    V(z^t)_ab. For the square families it weighs the constrained coordinate
+    pair by V(z)_ab f_ja f_kb, where f is 2 on the diagonal and 1 off it for
+    the symmetric family, and 0 on the diagonal and 1 off it for the
     antisymmetric one.
     """
-    n = spec.n
+    m, n = spec.shape
+    if spec.family == "I":
+        return np.broadcast_to(v_matrix(z.T)[None, :, None, :], (m, n, m, n))
     eye = np.eye(n)
     if spec.family == "II":
         f = 1.0 / (1.0 - 0.5 * eye)
     elif spec.family == "III":
         f = 1.0 - eye
     else:
-        raise ValueError("weights are defined for the square families only")
+        raise ValueError("weights are defined for the matrix families only")
     return v_matrix(z)[None, :, None, :] * f[:, :, None, None] * f[None, None, :, :]
 
 
@@ -141,13 +145,8 @@ def _weight_tensor(op, spec, z):
         zv = z.reshape(-1)
         return np.eye(n) - float(np.vdot(zv, zv).real) * np.outer(zv, zv.conj())
 
-    if op.kind == "delta1":
-        inner = v_matrix(z.T)
-        weights = np.broadcast_to(inner[None, :, None, :], (m, n, m, n))
-        scale = 1.0
-    else:
-        weights = component_weights(spec, z)
-        scale = 0.25
+    weights = component_weights(spec, z)
+    scale = 1.0 if op.kind == "delta1" else 0.25
     if op.component is None:
         W = (v_matrix(z) * scale)[:, None, :, None] * weights
     else:

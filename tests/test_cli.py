@@ -90,14 +90,14 @@ def test_report_merge_round_trip(tmp_path):
 
 def test_dirichlet_campaign_with_reduced_sampling():
     specs = [domains.type_ii(2)]
-    report = campaigns.run_dirichlet_campaign(specs, points=5, seed=0, tol=None, samples=3000)
+    report = campaigns.run_dirichlet_campaign(specs, points=5, seed=0, tol=None)
     assert report.passed
 
 
 def test_dirichlet_campaign_is_deterministic():
     specs = [domains.type_ii(2), domains.type_i(2, 3)]
     first, second = (
-        campaigns.run_dirichlet_campaign(specs, points=3, seed=0, tol=None, samples=3000)
+        campaigns.run_dirichlet_campaign(specs, points=3, seed=0, tol=None)
         for _ in range(2)
     )
     assert first.to_json() == second.to_json()
@@ -183,6 +183,16 @@ def test_negative_seed_exits_2_without_traceback(capsys):
 def test_non_finite_or_non_positive_tol_exits_2_without_traceback(tol, capsys):
     argv = ["verify", "embeddings", "--points", "1", "--tol", tol]
     _assert_exits_2(argv, f"--tol: must be finite and above 0, got {tol}", capsys)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["verify", "hypergeom"], ["verify", "embeddings"], ["demo", "counterexample"]],
+    ids=["hypergeom", "embeddings", "counterexample"],
+)
+def test_domain_on_a_campaign_without_domains_exits_2(command, capsys):
+    argv = [*command, "--domain", "II:2", "--points", "1"]
+    _assert_exits_2(argv, "unrecognized arguments: --domain II:2", capsys)
 
 
 def test_merge_of_a_missing_file_exits_2_without_traceback(tmp_path, capsys):

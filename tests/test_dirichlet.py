@@ -113,7 +113,7 @@ def test_poisson_solve_field_list_matches_single_field_calls():
     fields = [
         PolyField.constant(spec.shape, 1.0),
         PolyField(spec.shape, {((0, 1, 0, 0), (0, 0, 0, 0)): 1.0}),
-        lambda w: w[0, 0] * np.conj(w[1, 1]),
+        PolyField(spec.shape, {((1, 0, 0, 0), (0, 0, 0, 1)): 1.0}),
     ]
     [together] = dirichlet.poisson_solve(spec, fields, [z], batch=batch)
     separate = [
@@ -122,13 +122,14 @@ def test_poisson_solve_field_list_matches_single_field_calls():
     assert together == separate
 
 
-def test_poisson_solve_accepts_plain_callables():
-    spec = type_ii(2)
+def test_poisson_solve_is_mean_and_stderr_of_the_stacked_kernel():
+    spec = type_iii(4)
     batch = domains.sample_silov(spec, seed=10, count=500)
-    z = np.zeros(spec.shape)
-    [[(mean, se)]] = dirichlet.poisson_solve(spec, [lambda w: 1.0], [z], batch=batch)
-    assert_allclose(mean, 1.0, atol=1e-12)
-    assert se < 1e-12
+    z = domains.sample_interior(spec, seed=11, count=1)[0].value
+    phi = PolyField(spec.shape, {((0, 1) + (0,) * 14, (0,) * 15 + (1,)): 1.0})
+    [[(mean, se)]] = dirichlet.poisson_solve(spec, [phi], [z], batch=batch)
+    weights = kernels.poisson_szego(spec, z, batch)
+    assert (mean, se) == dirichlet._mean_and_stderr(weights * phi.evaluate_many(batch))
 
 
 POISSON_WEIGHT_DOMAINS = ["I:2,3", "I:1,3", "I:3,3", "II:3", "III:4", "III:6"]
@@ -167,7 +168,7 @@ def test_kernel_dets_across_block_boundaries(domain, margin):
     z *= np.sqrt(1.0 - margin) / np.linalg.norm(z, 2)
     assert domains.membership_margin(spec, z) == pytest.approx(margin)
     expected = np.linalg.det(np.eye(spec.m) - z @ ws.conj().transpose(0, 2, 1))
-    dets = dirichlet._kernel_dets(ws, z)
+    dets = kernels._kernel_dets(ws, z)
     assert_allclose(np.abs(dets), np.abs(expected), rtol=1e-12)
 
 
@@ -177,7 +178,7 @@ def test_kernel_dets_working_set_is_one_block():
     z = domains.sample_interior(spec, seed=21, count=1)[0].value
     tracemalloc.start()
     try:
-        dirichlet._kernel_dets(ws, z)
+        kernels._kernel_dets(ws, z)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

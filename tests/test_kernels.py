@@ -55,9 +55,33 @@ def test_stacked_kernel_equals_two_det_formula(spec):
             assert kernels.poisson_szego(spec, z, w) == _two_det_kernel(spec, z, w)
 
 
+STACK_DOMAINS = ["I:2,3", "I:1,3", "I:3,3", "II:3", "III:4", "III:6"]
+
+
+@pytest.mark.parametrize("margin", [None, 1e-3], ids=["interior", "margin-1e-3"])
+@pytest.mark.parametrize("domain", STACK_DOMAINS)
+def test_stacked_kernel_matches_per_row_kernel(domain, margin):
+    spec = domains.parse_spec(domain)
+    batch = domains.sample_silov(spec, seed=12, count=300)
+    z = domains.sample_interior(spec, seed=13, count=1)[0].value
+    rtol = 1e-12
+    if margin is not None:
+        # operator norm sqrt(1 - margin) puts z at that membership margin
+        z *= np.sqrt(1.0 - margin) / np.linalg.norm(z, 2)
+        assert domains.membership_margin(spec, z) == pytest.approx(margin)
+        rtol = 1e-10
+    rows = [kernels.poisson_szego(spec, z, w) for w in batch]
+    assert all(type(p) is float for p in rows)
+    stacked = kernels.poisson_szego(spec, z, batch)
+    assert stacked.shape == (len(batch),)
+    assert_allclose(stacked, rows, rtol=rtol)
+
+
 def test_kernel_rejects_type_iv():
-    with pytest.raises(ValueError):
-        kernels.poisson_szego(type_iv(2), np.zeros((1, 2)), np.zeros((1, 2)))
+    # one boundary point and a stack of three
+    for w in (np.zeros((1, 2)), np.zeros((3, 1, 2))):
+        with pytest.raises(ValueError):
+            kernels.poisson_szego(type_iv(2), np.zeros((1, 2)), w)
 
 
 @pytest.mark.parametrize("spec", [type_i(2, 3), type_ii(2), type_ii(3), type_iii(4)])
