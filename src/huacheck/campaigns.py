@@ -320,6 +320,9 @@ def poisson_z_scores(spec, zs, batch):
 
 
 def run_dirichlet_campaign(specs, points, seed, tol):
+    # reject a domain without a boundary sampler before any record runs
+    for spec in specs:
+        domains.silov_columns(spec)
     n = 3
     f = dirichlet.BidegreeHarmonic(
         1, 1, n, PolyField((1, n), {((1, 0, 0), (0, 1, 0)): 1.0})

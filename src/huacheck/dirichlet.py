@@ -3,9 +3,11 @@
 Two constructions live here. For the modified ball Laplacian, boundary data
 given as a finite sum of bidegree-(p,q) harmonics extends to the interior by
 attaching the normalized radial hypergeometric profile h_{p,q}(|z|^4) to each
-term. For the matrix domains the Poisson integral against the determinant
-kernel (kernels.poisson_szego, over a stacked boundary sample) is
-approximated by Monte-Carlo averaging over the distinguished boundary.
+term; the extension evaluates one point or a stack of points, the stack
+being what its FD Hessian uses. For the matrix domains the Poisson integral
+against the determinant kernel (kernels.poisson_szego, over a stacked
+boundary sample) is approximated by Monte-Carlo averaging over the
+distinguished boundary.
 """
 
 from __future__ import annotations
@@ -139,11 +141,29 @@ class DirichletSolution:
             total += ht * f.field(z)
         return total
 
+    def evaluate_many(self, zs):
+        """u at each row of a stack zs of shape (N, 1, n), with __call__'s
+        clamp: the profile is 1 where |z|^4 >= 1 - 1e-12.
+
+        The profile of all other rows comes from one stacked 2F1 series and
+        the data from PolyField.evaluate_many; |z|^2 is summed per row in
+        place of a BLAS dot, so values agree with __call__ to roundoff.
+        """
+        zs = np.asarray(zs, dtype=complex).reshape(len(zs), self.n)
+        t = (zs.real**2 + zs.imag**2).sum(axis=1) ** 2
+        inside = t < 1.0 - 1e-12
+        total = np.zeros(len(zs), dtype=complex)
+        for f, h in self.parts:
+            ht = np.ones(len(zs))
+            ht[inside] = h.value(t[inside])
+            total += ht * f.field.evaluate_many(zs)
+        return total
+
     def boundary_trace(self, z):
         return sum(f.field(z) for f, _ in self.parts)
 
     def as_field(self):
-        return OpaqueField(self.shape, self.__call__)
+        return OpaqueField(self.shape, self.__call__, self.evaluate_many)
 
 
 def solve_tilde(fs, n):

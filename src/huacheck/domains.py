@@ -267,6 +267,21 @@ def _antisym_block_j(n):
     return J
 
 
+def silov_columns(spec):
+    """Columns of the Haar isometry U that sample_silov draws for spec.
+
+    Raises UnsupportedDomainError for the families without a sampler:
+    TypeIII with odd n and TypeIV.
+    """
+    if spec.family == "I":
+        return spec.m
+    if spec.family == "II" or (spec.family == "III" and spec.n % 2 == 0):
+        return spec.n
+    raise UnsupportedDomainError(
+        f"no distinguished-boundary sampler for {spec.label()}"
+    )
+
+
 def sample_silov(spec, seed, count):
     """Points of the distinguished (minimal) boundary: w with ww* = I_m.
 
@@ -280,14 +295,7 @@ def sample_silov(spec, seed, count):
     drawn; row i depends only on the seed and i, so a shorter sample is a
     prefix.
     """
-    if spec.family == "I":
-        cols = spec.m
-    elif spec.family == "II" or (spec.family == "III" and spec.n % 2 == 0):
-        cols = spec.n
-    else:
-        raise UnsupportedDomainError(
-            f"no distinguished-boundary sampler for {spec.label()}"
-        )
+    cols = silov_columns(spec)
     rng = np.random.default_rng(seed)
     out = np.empty((count,) + spec.shape, dtype=complex)
     for start in range(0, count, SILOV_CHUNK):

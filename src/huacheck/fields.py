@@ -16,7 +16,8 @@ matrix.  Two representations are supported:
   from the terms, and a composition sums its terms into one dict; both are
   bitwise what the derivative fields and the repeated ``+`` give.
 * ``OpaqueField`` -- an arbitrary evaluator, differentiated by central finite
-  differences in the underlying real coordinates.
+  differences in the underlying real coordinates. An optional stack
+  evaluator lets the FD Hessian evaluate its whole stencil in one call.
 """
 
 from __future__ import annotations
@@ -346,16 +347,30 @@ def _entry_tops(field):
 
 
 class OpaqueField:
-    """Field backed by an arbitrary evaluator; differentiated numerically."""
+    """Field backed by an arbitrary evaluator; differentiated numerically.
 
-    __slots__ = ("shape", "fn")
+    fn maps one point of the field's shape to a number. The optional many
+    maps a stack of points, shape (N,) + shape, to N values at once; it
+    must agree with fn row by row, and it is what evaluate_many calls.
+    """
 
-    def __init__(self, shape, fn):
+    __slots__ = ("shape", "fn", "many")
+
+    def __init__(self, shape, fn, many=None):
         self.shape = tuple(shape)
         self.fn = fn
+        self.many = many
 
     def __call__(self, z):
         return complex(self.fn(np.asarray(z, dtype=complex).reshape(self.shape)))
+
+    def evaluate_many(self, pts):
+        """Evaluate at an array of points with shape (npts,) + self.shape:
+        one call of many if it is set, else one call of self per point."""
+        pts = np.asarray(pts, dtype=complex).reshape((len(pts),) + self.shape)
+        if self.many is not None:
+            return np.asarray(self.many(pts), dtype=complex)
+        return np.fromiter(map(self, pts), dtype=complex, count=len(pts))
 
 
 def random_poly_field(shape, rng, degree=4, n_terms=8):
@@ -379,50 +394,41 @@ def default_step(z):
     return 1e-4 * max(1.0, float(np.linalg.norm(np.asarray(z).reshape(-1))))
 
 
-def _shift_rows(Z, zf, cols, deltas):
-    """Set each row r of Z to zf, then add deltas[t][r] at column cols[t][r]
-    of its interleaved (re, im) float view, for each t."""
-    Z[:] = zf
-    X = Z.view(np.float64)
-    rows = np.arange(len(Z))
-    for c, s in zip(cols, deltas):
-        X[rows, c] += s
-    return Z
+def _real_hessian(u, zf, h):
+    """Full real Hessian of a complex-valued field of a complex vector,
+    central differences in the real coordinates (Re zf, Im zf).
 
-
-def _real_hessian(fn, zf, h):
-    """Full real Hessian of a complex-valued fn of a complex vector, central
-    differences in the real coordinates (Re zf, Im zf).
-
-    The stencil is built as complex rows in blocks of one buffer: first the
-    2d axis points, then per row index i the 4 (d - 1 - i) pair points
-    (i, j > i). fn sees one row per call and must not keep it.
+    u is an OpaqueField, or a callable of one flat row. The stencil is one
+    array of 1 + 2 d^2 complex rows, evaluated with one evaluate_many call:
+    the centre, then the 2d axis rows (+h, -h per coordinate), then the four
+    rows ++, +-, -+, -- of each pair i < j in np.triu_indices order. The
+    differences are taken on the (re, im) float pairs of the values, which
+    gives bitwise the complex arithmetic of the per-pair loop.
     """
+    if not isinstance(u, OpaqueField):
+        u = OpaqueField(zf.shape, u)
     size = zf.size
     d = 2 * size
     # real coordinate i is column col[i] of the interleaved float view
     col = np.concatenate([np.arange(0, d, 2), np.arange(1, d, 2)])
-    f0 = fn(zf)
-    H = np.zeros((d, d), dtype=complex)
-    # d >= 2, so the 4 (d - 1) rows of the largest pair block hold 2d rows
-    buf = np.empty((4 * (d - 1), size), dtype=complex)
-    axis = _shift_rows(buf[: 2 * d], zf, [np.repeat(col, 2)], [np.tile([h, -h], d)])
-    fa = [fn(x) for x in axis]
-    for i in range(d):
-        H[i, i] = (fa[2 * i] - 2.0 * f0 + fa[2 * i + 1]) / h**2
-    for i in range(d - 1):
-        n = d - 1 - i
-        cols = (col[i], np.repeat(col[i + 1 :], 4))
-        signs = (np.tile([h, h, -h, -h], n), np.tile([h, -h, h, -h], n))
-        f = [fn(x) for x in _shift_rows(buf[: 4 * n], zf, cols, signs)]
-        for k, j in enumerate(range(i + 1, d)):
-            # the four rows of (i, j) are ++, +-, -+, --
-            val = (f[4 * k] - f[4 * k + 1] - f[4 * k + 2] + f[4 * k + 3]) / (
-                4.0 * h**2
-            )
-            H[i, j] = val
-            H[j, i] = val
-    return H
+    iu, ju = np.triu_indices(d, 1)
+    pairs = len(iu)
+    rows = np.tile(zf, (1 + 2 * d + 4 * pairs, 1))
+    X = rows.view(np.float64)
+    axis = np.arange(1, 1 + 2 * d)
+    X[axis, np.repeat(col, 2)] += np.tile([h, -h], d)
+    quad = np.arange(1 + 2 * d, len(rows))
+    X[quad, np.repeat(col[iu], 4)] += np.tile([h, h, -h, -h], pairs)
+    X[quad, np.repeat(col[ju], 4)] += np.tile([h, -h, h, -h], pairs)
+    v = u.evaluate_many(rows)
+    f = np.stack((v.real, v.imag), axis=-1)
+    fa = f[axis].reshape(d, 2, 2)
+    fq = f[quad].reshape(pairs, 4, 2)
+    R = np.empty((d, d, 2))
+    R[np.diag_indices(d)] = (fa[:, 0] - 2.0 * f[0] + fa[:, 1]) / h**2
+    R[iu, ju] = (fq[:, 0] - fq[:, 1] - fq[:, 2] + fq[:, 3]) / (4.0 * h**2)
+    R[ju, iu] = R[iu, ju]
+    return R.view(complex)[..., 0]
 
 
 def _poly_hessian(u, zf):
@@ -479,8 +485,9 @@ def wirtinger_hessian(u, z, step=None):
     Exact for PolyField; central finite differences with one level of
     Richardson extrapolation for opaque fields, via
     d^2/dz dzbar = 1/4 (d_xx + d_yy) + i/4 (d_xy - d_yx). An opaque u is
-    called once per stencil point, on a flat row of a reused buffer that it
-    must not keep.
+    evaluated with evaluate_many, once per Richardson level on the whole
+    1 + 2 d^2 point stencil (d = 2 m n real coordinates): one call of its
+    stack evaluator if it has one, else one call per stencil point.
     """
     z = np.asarray(z, dtype=complex)
     size = z.size
@@ -491,12 +498,8 @@ def wirtinger_hessian(u, z, step=None):
     if h < 1e-7:
         warnings.warn("finite-difference step below 1e-7; expect cancellation")
     zf = z.reshape(-1)
-
-    def fn(x):
-        return complex(u(x))
-
-    R = _real_hessian(fn, zf, h)
-    R2 = _real_hessian(fn, zf, h / 2.0)
+    R = _real_hessian(u, zf, h)
+    R2 = _real_hessian(u, zf, h / 2.0)
     R = (4.0 * R2 - R) / 3.0
     Hxx = R[:size, :size]
     Hyy = R[size:, size:]

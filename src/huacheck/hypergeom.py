@@ -6,7 +6,9 @@ normalized radial profile h(t) with its defining ODE, and a numerical
 classifier for the type of boundary singularity of the profile.
 
 The series is summed as a short scalar prefix followed by sequential NumPy
-blocks, with results identical to the plain scalar loop (see `gauss_2f1`).
+blocks, with results identical to the plain scalar loop (see `gauss_2f1`);
+`gauss_2f1_stack` sums one series per element of an array in the same
+blocks, bit for bit.
 """
 
 from __future__ import annotations
@@ -41,57 +43,106 @@ class SeriesConvergenceError(RuntimeError):
     pass
 
 
-def gauss_2f1(a, b, c, t):
-    """The 2F1 series sum_k (a)_k (b)_k / ((c)_k k!) t^k for 0 <= t < 1.
+def _check_series(a, b, c, t_min, t_max):
+    """Raise ValueError unless [t_min, t_max] lies in [0, 1) and c is not a
+    non-positive integer.
 
-    The series stops at the first term with |term| < SERIES_RTOL |total|.
-    The first _SCALAR_PREFIX terms are summed in a scalar loop. A series that
-    has not converged by then continues in NumPy blocks, which start at the
-    prefix length and double up to _BLOCK_MAX terms. Each block forms the
-    term ratios, takes the running terms with `np.multiply.accumulate` seeded
-    with the carried term, and the running totals with `np.add.accumulate`
-    seeded with the carried total. A ufunc `accumulate` is a sequential
-    left-to-right loop, without the pairwise summation of `np.sum`, so every
-    partial product and partial sum is the same IEEE operation, in the same
-    order, as in the scalar loop: the result is bit-identical to summing the
-    whole series term by term. SERIES_TERM_CAP counts terms of both phases.
+    Returns True when the series is trivial (a or b is 0, the sum is 1);
+    otherwise warns, naming the caller of the entry point, when it
+    converges slowly.
     """
-    if not (0.0 <= t < 1.0):
+    if not (0.0 <= t_min and t_max < 1.0):
         raise ValueError("series evaluation needs t in [0, 1)")
     if c <= 0.0 and c == int(c):
         raise ValueError("c must not be a non-positive integer")
     if a == 0.0 or b == 0.0:
-        return 1.0
-    if t > 0.5 and c - a - b <= 0.0:
+        return True
+    if t_max > 0.5 and c - a - b <= 0.0:
         warnings.warn(
             "2F1 series converges slowly for t > 0.5 with c - a - b <= 0",
-            stacklevel=2,
+            stacklevel=3,
         )
+    return False
+
+
+def _sum_blocks(a, b, c, ts, term, total, start):
+    """Continue one series per column t of ts from term k = start, where
+    term and total hold its last term and partial sum; returns the sums.
+
+    Blocks start at _SCALAR_PREFIX terms and double up to _BLOCK_MAX. Each
+    block forms the (terms, columns) term ratios, takes the running terms
+    with `np.multiply.accumulate` along axis 0 seeded with the carried
+    terms, and the running totals with `np.add.accumulate` seeded with the
+    carried totals. A ufunc `accumulate` is a sequential loop down each
+    column, without the pairwise summation of `np.sum`, so every partial
+    product and partial sum is the same IEEE operation, in the same order,
+    as in the scalar loop. A column stops at its first term with |term| <
+    SERIES_RTOL |total| and leaves the blocks. SERIES_TERM_CAP counts terms
+    from k = 0.
+    """
     cap = SERIES_TERM_CAP
+    out = np.empty(len(ts))
+    live = np.arange(len(ts))
+    size = _SCALAR_PREFIX
+    # Python floats overflow to inf silently; keep the blocks as quiet
+    with np.errstate(all="ignore"):
+        while len(live):
+            if start >= cap:
+                raise SeriesConvergenceError(
+                    f"2F1 series did not converge within {SERIES_TERM_CAP} terms"
+                )
+            k = np.arange(start, min(start + size, cap), dtype=float)[:, None]
+            ratios = (a + k) * (b + k) / ((c + k) * (k + 1.0)) * ts
+            terms = np.multiply.accumulate(np.concatenate((term[None], ratios)))[1:]
+            totals = np.add.accumulate(np.concatenate((total[None], terms)))[1:]
+            done = np.abs(terms) < SERIES_RTOL * np.abs(totals)
+            term, total = terms[-1], totals[-1]
+            hit = done.any(0)
+            if hit.any():
+                out[live[hit]] = totals[done[:, hit].argmax(0), hit]
+                keep = ~hit
+                live, ts, term, total = live[keep], ts[keep], term[keep], total[keep]
+            start += len(k)
+            size = min(2 * size, _BLOCK_MAX)
+    return out
+
+
+def gauss_2f1(a, b, c, t):
+    """The 2F1 series sum_k (a)_k (b)_k / ((c)_k k!) t^k for a scalar
+    0 <= t < 1.
+
+    The series stops at the first term with |term| < SERIES_RTOL |total|.
+    The first _SCALAR_PREFIX terms are summed in a scalar loop, so the many
+    short series pay no NumPy call overhead. A series that has not converged
+    by then continues in the NumPy blocks of _sum_blocks, whose result is
+    bit-identical to summing the whole series term by term.
+    """
+    if _check_series(a, b, c, t, t):
+        return 1.0
     total = 1.0
     term = 1.0
-    for k in range(min(_SCALAR_PREFIX, cap)):
+    for k in range(min(_SCALAR_PREFIX, SERIES_TERM_CAP)):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * t
         total += term
         if abs(term) < SERIES_RTOL * abs(total):
             return total
-    start = size = _SCALAR_PREFIX
-    # Python floats overflow to inf silently; keep the blocks as quiet
-    with np.errstate(all="ignore"):
-        while start < cap:
-            k = np.arange(start, min(start + size, cap), dtype=float)
-            ratios = (a + k) * (b + k) / ((c + k) * (k + 1.0)) * t
-            terms = np.multiply.accumulate(np.append(term, ratios))[1:]
-            totals = np.add.accumulate(np.append(total, terms))[1:]
-            done = np.abs(terms) < SERIES_RTOL * np.abs(totals)
-            if done.any():
-                return float(totals[done.argmax()])
-            term, total = terms[-1], totals[-1]
-            start += len(k)
-            size = min(2 * size, _BLOCK_MAX)
-    raise SeriesConvergenceError(
-        f"2F1 series did not converge within {SERIES_TERM_CAP} terms"
-    )
+    carried = np.array([t]), np.array([term]), np.array([total])
+    return float(_sum_blocks(a, b, c, *carried, _SCALAR_PREFIX)[0])
+
+
+def gauss_2f1_stack(a, b, c, ts):
+    """gauss_2f1(a, b, c, t) for each t of the 1-d array ts, bit for bit.
+
+    Every series is summed in the blocks of _sum_blocks from its first
+    term, one column per t, so a stack pays a few NumPy calls in place of
+    one Python loop per element.
+    """
+    ts = np.asarray(ts, dtype=float)
+    ones = np.ones(len(ts))
+    # a NaN t propagates through min and max and fails the range check
+    if _check_series(a, b, c, np.min(ts, initial=0.0), np.max(ts, initial=0.0)):
+        return ones
+    return _sum_blocks(a, b, c, ts, ones, ones, 0)
 
 
 def gauss_2f1_at_1(a, b, c):
@@ -196,9 +247,12 @@ class RadialProfile:
         return gauss_2f1_at_1(self.a, self.b, self.c)
 
     def value(self, t):
+        """h(t) for a scalar t, or for each t of a 1-d array (through
+        gauss_2f1_stack, bit for bit the scalar values)."""
         if self.p * self.q == 0:
             return 1.0
-        return gauss_2f1(self.a, self.b, self.c, t) / self.normalization
+        series = gauss_2f1_stack if np.ndim(t) else gauss_2f1
+        return series(self.a, self.b, self.c, t) / self.normalization
 
     def derivative(self, t, order=1):
         if self.p * self.q == 0:

@@ -69,12 +69,13 @@ def _kernel_dets(ws, z):
     """det(I - w z*) for every row w of the boundary batch ws.
 
     This is the conjugate of det(I - z w*), so it has the same modulus (also
-    for m < n). The batch is worked in blocks of SILOV_CHUNK rows, so the
-    (block, m, m) stack stays small next to ws. Each stack is one BLAS
-    product of the stacked rows against -z*, with 1 added on the diagonal in
-    place. Its determinants come from Gaussian elimination without pivoting,
-    run as vector arithmetic over the strided entry views A[:, i, j] of all
-    matrices of the block at once.
+    for m < n). The batch is worked in blocks of SILOV_CHUNK rows. Each
+    block is formed entry-major, as one stacked BLAS product of -z against
+    the block's transposed rows into an (m, m, SILOV_CHUNK) buffer that all
+    blocks reuse, with 1 added on the diagonal in place: a[i, j] is entry
+    (i, j) of every matrix of the block, one contiguous vector. The
+    determinants come from Gaussian elimination without pivoting, run as
+    arithmetic on those vectors.
 
     Pivoting is not needed: for ||w|| = 1 and ||z|| < 1 the Hermitian part
     of A = I - w z* is at least (1 - ||z||) I, because Re x*(w z*)x <=
@@ -84,22 +85,25 @@ def _kernel_dets(ws, z):
     Van Loan, "Unsymmetric positive definite linear systems", Linear Algebra
     Appl. 28, 1979).
     """
-    samples, m, n = ws.shape
-    minus_zh = -z.conj().T
+    samples, m, _ = ws.shape
+    minus_zc = -z.conj()
+    buf = np.empty((m, m, min(samples, SILOV_CHUNK)), dtype=complex)
     dets = np.empty(samples, dtype=complex)
     for start in range(0, samples, SILOV_CHUNK):
         block = ws[start : start + SILOV_CHUNK]
         size = len(block)
-        a = (block.reshape(-1, n) @ minus_zh).reshape(size, m, m)
-        a.reshape(size, m * m)[:, :: m + 1] += 1.0
+        # a[i, j, s] = -sum_k w_s[i, k] conj(z[j, k])
+        a = np.matmul(minus_zc, block.transpose(1, 2, 0), out=buf[:, :, :size])
+        for i in range(m):
+            a[i, i] += 1.0
         d = dets[start : start + size]
-        d[:] = a[:, 0, 0]
+        d[:] = a[0, 0]
         for k in range(m - 1):
             for i in range(k + 1, m):
-                factor = a[:, i, k] / a[:, k, k]
+                factor = a[i, k] / a[k, k]
                 for j in range(k + 1, m):
-                    a[:, i, j] -= factor * a[:, k, j]
-            d *= a[:, k + 1, k + 1]
+                    a[i, j] -= factor * a[k, j]
+            d *= a[k + 1, k + 1]
     return dets
 
 

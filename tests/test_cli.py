@@ -147,6 +147,25 @@ def test_unsupported_kernel_domain_exits_2_without_traceback(suite, domain, caps
     assert "Traceback" not in err
 
 
+def test_dirichlet_rejects_an_unsupported_domain_before_any_record(monkeypatch, capsys):
+    def record(*args):
+        raise AssertionError("a record ran before the domains were checked")
+
+    for name in (
+        "radial_extension_residuals",
+        "boundary_trace_residuals",
+        "holomorphic_passthrough_residuals",
+        "poisson_z_scores",
+    ):
+        monkeypatch.setattr(campaigns, name, record)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "dirichlet", "--domain", "II:2", "--domain", "III:3", "--points", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "no distinguished-boundary sampler for III(3)" in err
+    assert "Traceback" not in err
+
+
 def _assert_domain_rejected(domain, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "kernel", "--domain", domain, "--points", "1"])

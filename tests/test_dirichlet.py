@@ -85,6 +85,29 @@ def test_holomorphic_data_extends_to_itself():
     assert abs(u(z) - f.field(z)) < 1e-12
 
 
+def test_stack_evaluator_matches_scalar_calls():
+    n = 3
+    parts = [
+        dirichlet.make_bidegree(1, 1, n, seed=2),
+        dirichlet.make_bidegree(2, 1, n, seed=3),
+        # pq = 0 data keeps the profile 1
+        dirichlet.make_bidegree(2, 0, n, seed=4),
+        dirichlet.make_bidegree(0, 0, n, seed=5),
+    ]
+    u = dirichlet.solve_tilde(parts, n)
+    rng = np.random.default_rng(8)
+    zs = rng.standard_normal((40, 1, n)) + 1j * rng.standard_normal((40, 1, n))
+    zs /= np.linalg.norm(zs, axis=2, keepdims=True)
+    # 30 interior rows, then 10 rows at |z| = 1, where the profile is clamped
+    zs[:30] *= rng.uniform(0.0, 0.99, (30, 1, 1))
+    zs[0] = 0.0
+    expected = np.array([u(z) for z in zs])
+    assert_allclose(u.evaluate_many(zs), expected, rtol=1e-13)
+    assert_allclose(u.as_field().evaluate_many(zs), expected, rtol=1e-13)
+    single = dirichlet.solve_tilde(parts[2:], n)
+    assert_allclose(single.evaluate_many(zs), [single(z) for z in zs], rtol=1e-13)
+
+
 def test_solve_tilde_checks_dimensions():
     f = dirichlet.make_bidegree(1, 1, 3, seed=7)
     with pytest.raises(ValueError):
@@ -160,7 +183,7 @@ def test_poisson_solve_weights_match_per_row_kernel(domain, margin):
 
 
 @pytest.mark.parametrize("margin", [0.5, 1e-3])
-@pytest.mark.parametrize("domain", ["I:2,3", "II:3", "III:4"])
+@pytest.mark.parametrize("domain", ["I:2,3", "II:3", "III:4", "I:2,2", "II:2"])
 def test_kernel_dets_across_block_boundaries(domain, margin):
     spec = domains.parse_spec(domain)
     ws = domains.sample_silov(spec, seed=18, count=2 * domains.SILOV_CHUNK + 37)

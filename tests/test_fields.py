@@ -242,6 +242,31 @@ def test_fd_hessian_evaluates_once_per_stencil_point(shape):
     assert set(calls) == {shape}
 
 
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: _kernel_case(type_i(2, 3)),
+        lambda: _kernel_case(type_ii(3)),
+        lambda: _kernel_case(type_iii(4)),
+        _poly_case,
+    ],
+    ids=["kernel-I(2,3)", "kernel-II(3)", "kernel-III(4)", "poly"],
+)
+def test_stack_evaluator_gives_the_scalar_path_hessian(case):
+    u, z, step = case()
+    stacks = []
+
+    def many(pts):
+        stacks.append(pts.shape)
+        return [u(p) for p in pts]
+
+    H = wirtinger_hessian(OpaqueField(u.shape, u.fn, many), z, step=step)
+    assert np.array_equal(H, wirtinger_hessian(u, z, step=step))
+    # one call per Richardson level, on the whole 1 + 2 d^2 point stencil
+    d = 2 * z.size
+    assert stacks == [(1 + 2 * d * d,) + u.shape] * 2
+
+
 def test_constructor_rejects_exponents_of_wrong_length():
     with pytest.raises(ValueError, match="exponent length"):
         PolyField(SHAPE, {((1, 0, 0), (0, 0, 0, 0)): 1.0})

@@ -108,6 +108,40 @@ def test_block_series_equals_scalar_reference():
     assert min(lengths) < prefix and max(lengths) > 16 * hypergeom._BLOCK_MAX
 
 
+def test_stack_series_equals_scalar_reference():
+    prefix = hypergeom._SCALAR_PREFIX
+    a, b, c = 1.0, 1.0, 2.5
+    rng = np.random.default_rng(3)
+    ts = np.concatenate(
+        [[0.0, 1e-3, 0.3, 0.9, 1.0 - 2.0**-8, 1.0 - 2.0**-12], rng.uniform(0, 1, 40)]
+    )
+    ts = ts[rng.permutation(len(ts))]
+    reference = [_reference_gauss_2f1(a, b, c, t) for t in ts]
+    got = hypergeom.gauss_2f1_stack(a, b, c, ts)
+    assert np.array_equal(got, [total for total, _ in reference])
+    # one call mixes series that stop in the first block with series that
+    # run past the prefix length and into the capped blocks
+    lengths = [count for _, count in reference]
+    assert min(lengths) < prefix and max(lengths) > 2 * hypergeom._BLOCK_MAX
+    assert np.array_equal(hypergeom.gauss_2f1_stack(0.0, b, c, ts), np.ones(len(ts)))
+    assert hypergeom.gauss_2f1_stack(a, b, c, np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [1.0, -0.5, np.nan, np.inf])
+def test_stack_series_rejects_t_outside_the_unit_interval(bad):
+    with pytest.raises(ValueError, match=r"t in \[0, 1\)"):
+        hypergeom.gauss_2f1_stack(1.0, 1.0, 3.0, np.array([0.2, bad, 0.4]))
+
+
+def test_stack_series_warns_once_per_call():
+    with pytest.warns(UserWarning, match="converges slowly") as record:
+        hypergeom.gauss_2f1_stack(1.0, 1.0, 2.0, np.array([0.6, 0.7, 0.2, 0.8]))
+    assert [w.filename for w in record] == [__file__]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hypergeom.gauss_2f1_stack(1.0, 1.0, 2.0, np.array([0.1, 0.5]))
+
+
 @pytest.mark.parametrize("cap", [10, 64, 100, 1000])
 def test_term_cap_counts_both_phases(monkeypatch, cap):
     monkeypatch.setattr(hypergeom, "SERIES_TERM_CAP", cap)
