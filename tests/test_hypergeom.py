@@ -157,6 +157,15 @@ def test_term_cap_counts_both_phases(monkeypatch, cap):
         assert hypergeom.gauss_2f1(*_terminating(cap)) == expected
         with pytest.raises(hypergeom.SeriesConvergenceError):
             hypergeom.gauss_2f1(*_terminating(cap + 1))
+        # the stack counts its terms from k = 0 in the blocks alone
+        a, b, c, t = _terminating(cap)
+        assert hypergeom.gauss_2f1_stack(a, b, c, np.array([t, 0.0])).tolist() == [
+            expected,
+            1.0,
+        ]
+        with pytest.raises(hypergeom.SeriesConvergenceError):
+            a, b, c, t = _terminating(cap + 1)
+            hypergeom.gauss_2f1_stack(a, b, c, np.array([t]))
 
 
 def test_overflowing_series_fails_without_runtime_warning(monkeypatch):
