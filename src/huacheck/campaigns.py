@@ -303,7 +303,8 @@ def poisson_z_scores(spec, zs, batch):
 
     At each interior point of zs: the integral of 1, whose exact value is 1,
     and that of the pluriharmonic Re z_01, which reproduces its value at the
-    point. batch is the sample_silov draw the integrals average over.
+    point. batch is the domains.SilovSample the integrals average over,
+    streamed one block at a time.
     """
     one = PolyField.constant(spec.shape, 1.0)
     size = spec.size
@@ -353,11 +354,12 @@ def run_dirichlet_campaign(specs, points, seed, tol):
     ]
     for spec in specs:
         interior = domains.sample_interior(spec, seed + 3, min(points, 10))
-        # the 100k-draw batch lives only for this call, one domain at a time
+        # the 100k draws are made one SILOV_CHUNK block at a time inside the
+        # solve, so no domain's sample is ever held whole
         mass_vals, repro_vals = poisson_z_scores(
             spec,
             [zp.value for zp in interior],
-            domains.sample_silov(spec, seed + 7, 100_000),
+            domains.SilovSample(spec, seed + 7, 100_000),
         )
         label = spec.label()
         records += [

@@ -176,25 +176,36 @@ def solve_tilde(fs, n):
     return DirichletSolution(n, tuple(parts))
 
 
-def _mean_and_stderr(vals):
-    mean = complex(np.mean(vals))
-    var = float(np.mean(np.abs(vals - mean) ** 2))
-    return mean, float(np.sqrt(var / len(vals)))
+def _block_moments(spec, boundary_fields, zs, block):
+    """Mean and sum of |v - mean|^2 of v = P(z, w) phi(w) over the draws w
+    of one boundary block, per (point, field), in two passes."""
+    phis = np.array([field.evaluate_many(block) for field in boundary_fields])
+    v = poisson_szego(spec, zs, block)[:, None] * phis
+    mean = v.mean(axis=-1)
+    v -= mean[..., None]
+    return mean, (v.real**2 + v.imag**2).sum(axis=-1)
 
 
 def poisson_solve(spec, boundary_fields, zs, batch):
     """Monte-Carlo Poisson integrals over the distinguished boundary.
 
-    Averages P(z, w) phi(w) over the rows w of ``batch``, a sample_silov draw
-    of the boundary, for each interior point z in zs and each phi in
-    boundary_fields; returns, for each point, one (mean, standard error) per
-    field. The caller draws the batch, so one sample can serve several
-    calls. Each phi is a PolyField, evaluated on the whole batch once for
-    all points, and the kernel weights of a point, poisson_szego over the
-    batch, are computed once for all fields. A point that is not interior
-    (membership margin <= 0) raises ValueError.
+    Averages P(z, w) phi(w) over the draws w of ``batch``, for each interior
+    point z in zs and each phi in boundary_fields; returns, for each point,
+    one (mean, standard error) per field. batch is a domains.SilovSample, or
+    any iterable of (k, m, n) boundary blocks whose len is the number of
+    draws; the caller makes it, so one sample can serve several calls.
+
+    The sample is streamed one block at a time, so no array of its length
+    is held. On each block every phi is evaluated once (a PolyField over the
+    block), the kernel weights of all points come from one poisson_szego
+    call, and the block's mean and sum of |v - mean|^2 per (point, field)
+    are taken in two passes. Blocks are merged by the pairwise update of
+    Chan, Golub & LeVeque ("Algorithms for computing the sample variance",
+    Am. Stat. 37, 1983), which, unlike sum |v|^2 - k |mean|^2, cannot cancel
+    to a negative variance. A point that is not interior (membership margin
+    <= 0) raises ValueError, and so does a block of the wrong shape.
     """
-    zs = [np.asarray(z, dtype=complex).reshape(spec.shape) for z in zs]
+    zs = np.array([np.asarray(z, dtype=complex).reshape(spec.shape) for z in zs])
     for i, z in enumerate(zs):
         margin = membership_margin(spec, z)
         if margin <= 0.0:
@@ -202,13 +213,23 @@ def poisson_solve(spec, boundary_fields, zs, batch):
                 f"point {i} is not interior to {spec.label()} "
                 f"(membership margin {margin:.3g})"
             )
-    if batch.shape[1:] != spec.shape:
-        raise ValueError(
-            f"boundary batch rows have shape {batch.shape[1:]}, expected {spec.shape}"
-        )
-    phis = [field.evaluate_many(batch) for field in boundary_fields]
-    results = []
-    for z in zs:
-        weights = poisson_szego(spec, z, batch)
-        results.append([_mean_and_stderr(weights * phi) for phi in phis])
-    return results
+    count = 0
+    mean = np.zeros((len(zs), len(boundary_fields)), dtype=complex)
+    m2 = np.zeros(mean.shape)
+    for block in batch:
+        if block.shape[1:] != spec.shape:
+            raise ValueError(
+                f"boundary batch rows have shape {block.shape[1:]}, expected {spec.shape}"
+            )
+        k = len(block)
+        block_mean, block_m2 = _block_moments(spec, boundary_fields, zs, block)
+        delta = block_mean - mean
+        total = count + k
+        mean += delta * (k / total)
+        m2 += block_m2 + (delta.real**2 + delta.imag**2) * (count * k / total)
+        count = total
+    stderr = np.sqrt(m2 / count / count)
+    return [
+        [(complex(mu), float(se)) for mu, se in zip(means, errors)]
+        for means, errors in zip(mean, stderr)
+    ]

@@ -187,10 +187,11 @@ def sample_interior(spec, seed, count):
     return points
 
 
-# Draws per Gram-Schmidt block in sample_silov, and rows per elimination
-# block in kernels._kernel_dets: large enough to amortize the Python
-# overhead, small enough that the temporaries of one block stay a fraction of
-# the (count, m, n) sample.
+# Draws per Gram-Schmidt block in sample_silov, per block of a SilovSample
+# and per elimination block in kernels._kernel_dets: large enough to amortize
+# the Python overhead over the block's arrays, small enough that a Poisson
+# solve streaming a SilovSample holds one block's draws and their kernel
+# weights at a time, never an array of the sample's length.
 SILOV_CHUNK = 4096
 
 
@@ -294,6 +295,11 @@ def sample_silov(spec, seed, count):
     block is checked for orthonormality and for the family symmetry as it is
     drawn; row i depends only on the seed and i, so a shorter sample is a
     prefix.
+
+    seed may also be a numpy Generator, which is used as it stands. Each
+    draw takes the next values of the stream, so successive calls on one
+    Generator give the rows of one call with its seed and their summed
+    count; SilovSample draws its blocks that way.
     """
     cols = silov_columns(spec)
     rng = np.random.default_rng(seed)
@@ -301,6 +307,33 @@ def sample_silov(spec, seed, count):
     for start in range(0, count, SILOV_CHUNK):
         _fill_silov_block(spec, rng, out[start : start + SILOV_CHUNK], cols)
     return out
+
+
+@dataclass(frozen=True)
+class SilovSample:
+    """count draws of sample_silov(spec, seed, count), drawn lazily.
+
+    len() is count. Each iteration starts the stream again from seed and
+    yields sample_silov blocks of at most SILOV_CHUNK rows from one
+    Generator, so the concatenated blocks equal sample_silov(spec, seed,
+    count) bit for bit while only one block is held at a time. A family
+    without a sampler raises UnsupportedDomainError here, before any draw.
+    """
+
+    spec: DomainSpec
+    seed: int
+    count: int
+
+    def __post_init__(self):
+        silov_columns(self.spec)
+
+    def __len__(self):
+        return self.count
+
+    def __iter__(self):
+        rng = np.random.default_rng(self.seed)
+        for start in range(0, self.count, SILOV_CHUNK):
+            yield sample_silov(self.spec, rng, min(SILOV_CHUNK, self.count - start))
 
 
 def _fill_silov_block(spec, rng, rows, cols):

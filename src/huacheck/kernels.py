@@ -68,14 +68,24 @@ def _kernel_constants(spec):
 def _kernel_dets(ws, z):
     """det(I - w z*) for every row w of the boundary batch ws.
 
-    This is the conjugate of det(I - z w*), so it has the same modulus (also
-    for m < n). The batch is worked in blocks of SILOV_CHUNK rows. Each
-    block is formed entry-major, as one stacked BLAS product of -z against
-    the block's transposed rows into an (m, m, SILOV_CHUNK) buffer that all
-    blocks reuse, with 1 added on the diagonal in place: a[i, j] is entry
-    (i, j) of every matrix of the block, one contiguous vector. The
-    determinants come from Gaussian elimination without pivoting, run as
-    arithmetic on those vectors.
+    z is one interior point (m, n), which gives N values, or a stack
+    (Z, m, n), which gives a (Z, N) array. det(I - w z*) is the conjugate of
+    det(I - z w*), so it has the same modulus (also for m < n). The batch is
+    worked in blocks of SILOV_CHUNK rows, and each block is eliminated for
+    all points at once, column by column. Column j of I - w z* is one
+    stacked matmul of -z's row j against the block's transposed rows, with
+    1 added on the diagonal in place: a[i] is entry (i, j) of every (point,
+    draw) pair, one contiguous array. The matmul makes a separate (1, n) by
+    (n, k) BLAS product per (point, row), because a (Z, n) by (n, k) product
+    rounds a point's entries differently as Z changes; so on blocks of more
+    than one draw a point's entries do not depend on the other points of
+    the stack. The determinants come from Gaussian elimination without
+    pivoting in its left-looking order: the multipliers of the earlier
+    columns update the new column, whose entries below the diagonal become
+    the next multipliers. That makes the same operations, in the same order
+    per entry, as eliminating the whole matrix, but holds m (m + 1) / 2
+    entries per pair in place of m^2. The column, the multipliers and one
+    product share a single buffer that every block reuses.
 
     Pivoting is not needed: for ||w|| = 1 and ||z|| < 1 the Hermitian part
     of A = I - w z* is at least (1 - ||z||) I, because Re x*(w z*)x <=
@@ -86,34 +96,44 @@ def _kernel_dets(ws, z):
     Appl. 28, 1979).
     """
     samples, m, _ = ws.shape
-    minus_zc = -z.conj()
-    buf = np.empty((m, m, min(samples, SILOV_CHUNK)), dtype=complex)
-    dets = np.empty(samples, dtype=complex)
+    minus_zc = -np.reshape(z, (-1,) + z.shape[-2:]).conj()
+    points = len(minus_zc)
+    work = np.empty(
+        (m * (m + 1) // 2 + 1, points, min(samples, SILOV_CHUNK)), dtype=complex
+    )
+    dets = np.empty((points, samples), dtype=complex)
     for start in range(0, samples, SILOV_CHUNK):
-        block = ws[start : start + SILOV_CHUNK]
-        size = len(block)
-        # a[i, j, s] = -sum_k w_s[i, k] conj(z[j, k])
-        a = np.matmul(minus_zc, block.transpose(1, 2, 0), out=buf[:, :, :size])
-        for i in range(m):
-            a[i, i] += 1.0
-        d = dets[start : start + size]
-        d[:] = a[0, 0]
-        for k in range(m - 1):
-            for i in range(k + 1, m):
-                factor = a[i, k] / a[k, k]
-                for j in range(k + 1, m):
-                    a[i, j] -= factor * a[k, j]
-            d *= a[k + 1, k + 1]
-    return dets
+        block = ws[start : start + SILOV_CHUNK].transpose(1, 2, 0)
+        size = block.shape[-1]
+        a, product = work[:m, :, :size], work[-1, :, :size]
+        a_by_point = a.transpose(1, 0, 2)[:, :, None]
+        free_slots = iter(work[m:-1, :, :size])
+        lower = {}
+        d = dets[:, start : start + size]
+        for j in range(m):
+            # a[i, p, s] = -sum_k w_s[i, k] conj(z_p[j, k])
+            np.matmul(minus_zc[:, None, j : j + 1], block, out=a_by_point)
+            a[j] += 1.0
+            for k in range(j):
+                for i in range(k + 1, m):
+                    a[i] -= np.multiply(lower[i, k], a[k], out=product)
+            if j:
+                d *= a[j]
+            else:
+                d[:] = a[0]
+            for i in range(j + 1, m):
+                lower[i, j] = np.divide(a[i], a[j], out=next(free_slots))
+    return dets if z.ndim == 3 else dets[0]
 
 
 def poisson_szego(spec, z, w):
     """P(z, w) for z interior and w on the distinguished boundary.
 
     w is one boundary point of shape (m, n), which gives a float, or a stack
-    (N, m, n), which gives an array of N values. Each path is the faster one
-    at its size: LAPACK det for one point, _kernel_dets' elimination for a
-    stack.
+    (N, m, n), which gives an array of N values. With a stack of boundary
+    points, z may be a stack (Z, m, n) of interior points too, which gives a
+    (Z, N) array. Each path is the faster one at its size: LAPACK det for
+    one point, _kernel_dets' elimination for a stack.
     """
     if spec.family == "IV":
         raise ValueError("no determinant kernel for TypeIV")
@@ -126,7 +146,8 @@ def poisson_szego(spec, z, w):
         if detw < 1e-300:
             raise SingularMatrixError("det W(z, w) vanished")
     else:
-        detv = np.linalg.det(v_matrix(z)).real
+        # one det V per point, broadcast along that point's row of weights
+        detv = np.linalg.det(eye - z @ z.conj().swapaxes(-1, -2)).real[..., None]
         detw = np.abs(_kernel_dets(w, z))
     # det V is real positive on the interior; exp/log handles half-integer k
     p = np.exp(k * np.log(detv)) / detw ** (2.0 * k)

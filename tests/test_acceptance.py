@@ -203,7 +203,7 @@ def test_criterion_9_poisson_reproduction(capsys):
         spec = parse_spec(name)
         zs = [zp.value for zp in domains.sample_interior(spec, seed=11, count=10)]
         mass, repro = campaigns.poisson_z_scores(
-            spec, zs, domains.sample_silov(spec, seed=10, count=100_000)
+            spec, zs, domains.SilovSample(spec, seed=10, count=100_000)
         )
         worst_sigma = max(mass + repro)
         ok = ok and worst_sigma < 3.0

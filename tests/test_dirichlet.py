@@ -116,7 +116,7 @@ def test_solve_tilde_checks_dimensions():
 
 def test_poisson_solve_mass_and_reproduction():
     spec = type_ii(2)
-    batch = domains.sample_silov(spec, seed=8, count=4000)
+    batch = domains.SilovSample(spec, seed=8, count=4000)
     z = domains.sample_interior(spec, seed=9, count=1)[0].value
     one = PolyField.constant(spec.shape, 1.0)
     [[(mean, se)]] = dirichlet.poisson_solve(spec, [one], [z], batch=batch)
@@ -131,7 +131,7 @@ def test_poisson_solve_mass_and_reproduction():
 
 def test_poisson_solve_field_list_matches_single_field_calls():
     spec = type_ii(2)
-    batch = domains.sample_silov(spec, seed=8, count=2000)
+    batch = domains.SilovSample(spec, seed=8, count=2000)
     z = domains.sample_interior(spec, seed=9, count=1)[0].value
     fields = [
         PolyField.constant(spec.shape, 1.0),
@@ -146,13 +146,47 @@ def test_poisson_solve_field_list_matches_single_field_calls():
 
 
 def test_poisson_solve_is_mean_and_stderr_of_the_stacked_kernel():
+    # three blocks, merged pairwise, against two passes over the whole sample
     spec = type_iii(4)
-    batch = domains.sample_silov(spec, seed=10, count=500)
+    count = 2 * domains.SILOV_CHUNK + 37
     z = domains.sample_interior(spec, seed=11, count=1)[0].value
     phi = PolyField(spec.shape, {((0, 1) + (0,) * 14, (0,) * 15 + (1,)): 1.0})
+    batch = domains.SilovSample(spec, seed=10, count=count)
     [[(mean, se)]] = dirichlet.poisson_solve(spec, [phi], [z], batch=batch)
-    weights = kernels.poisson_szego(spec, z, batch)
-    assert (mean, se) == dirichlet._mean_and_stderr(weights * phi.evaluate_many(batch))
+    ws = domains.sample_silov(spec, seed=10, count=count)
+    vals = kernels.poisson_szego(spec, z, ws) * phi.evaluate_many(ws)
+    expected_mean = np.mean(vals)
+    expected_se = np.sqrt(np.mean(np.abs(vals - expected_mean) ** 2) / count)
+    assert_allclose(mean, expected_mean, rtol=1e-13)
+    assert_allclose(se, expected_se, rtol=1e-13)
+
+
+def test_poisson_solve_of_one_at_the_origin_has_zero_stderr():
+    # P(0, w) = 1 exactly, so every block has variance 0 and so has the merge
+    spec = type_ii(3)
+    batch = domains.SilovSample(spec, seed=22, count=domains.SILOV_CHUNK + 37)
+    one = PolyField.constant(spec.shape, 1.0)
+    [[(mean, se)]] = dirichlet.poisson_solve(spec, [one], [np.zeros(spec.shape)], batch)
+    assert mean == 1.0
+    assert se == 0.0
+
+
+def test_poisson_solve_streams_the_sample():
+    # the 100,000 draws of III(4) alone take 24.4 MB; the solve holds one
+    # block of 4096 draws (1 MB) and the elimination of that block for the
+    # 10 points, 11 entries per (point, draw) pair and the determinants
+    # (7.9 MB)
+    spec = type_iii(4)
+    zs = [p.value for p in domains.sample_interior(spec, seed=23, count=10)]
+    one = PolyField.constant(spec.shape, 1.0)
+    batch = domains.SilovSample(spec, seed=24, count=100_000)
+    tracemalloc.start()
+    try:
+        dirichlet.poisson_solve(spec, [one], zs, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 POISSON_WEIGHT_DOMAINS = ["I:2,3", "I:1,3", "I:3,3", "II:3", "III:4", "III:6"]
@@ -165,7 +199,7 @@ POISSON_WEIGHT_DOMAINS = ["I:2,3", "I:1,3", "I:3,3", "II:3", "III:4", "III:6"]
 )
 def test_poisson_solve_weights_match_per_row_kernel(domain, margin):
     spec = domains.parse_spec(domain)
-    batch = domains.sample_silov(spec, seed=12, count=300)
+    batch = domains.SilovSample(spec, seed=12, count=300)
     z = domains.sample_interior(spec, seed=13, count=1)[0].value
     rtol = 1e-12
     if margin is not None:
@@ -175,7 +209,8 @@ def test_poisson_solve_weights_match_per_row_kernel(domain, margin):
         rtol = 1e-10
     one = PolyField.constant(spec.shape, 1.0)
     [[(mean, se)]] = dirichlet.poisson_solve(spec, [one], [z], batch=batch)
-    weights = np.array([kernels.poisson_szego(spec, z, w) for w in batch])
+    ws = domains.sample_silov(spec, seed=12, count=300)
+    weights = np.array([kernels.poisson_szego(spec, z, w) for w in ws])
     expected_mean = np.mean(weights)
     expected_se = np.sqrt(np.mean((weights - expected_mean) ** 2) / len(weights))
     assert_allclose(mean, expected_mean, rtol=rtol)
@@ -210,7 +245,7 @@ def test_kernel_dets_working_set_is_one_block():
 
 def test_poisson_solve_point_stack_equals_one_point_calls():
     spec = type_i(2, 3)
-    batch = domains.sample_silov(spec, seed=15, count=2000)
+    batch = domains.SilovSample(spec, seed=15, count=2000)
     zs = [p.value for p in domains.sample_interior(spec, seed=16, count=3)]
     fields = [
         PolyField.constant(spec.shape, 1.0),
@@ -223,7 +258,7 @@ def test_poisson_solve_point_stack_equals_one_point_calls():
 
 def test_poisson_solve_rejects_point_outside_the_domain():
     spec = type_ii(2)
-    batch = domains.sample_silov(spec, seed=17, count=100)
+    batch = domains.SilovSample(spec, seed=17, count=100)
     one = PolyField.constant(spec.shape, 1.0)
     with pytest.raises(ValueError, match="not interior"):
         dirichlet.poisson_solve(
@@ -233,9 +268,8 @@ def test_poisson_solve_rejects_point_outside_the_domain():
 
 def test_poisson_solve_rejects_batch_of_wrong_shape():
     spec = type_i(2, 3)
-    batch = domains.sample_silov(spec, seed=14, count=10)
+    # rows of I(2,2), not of I(2,3)
+    batch = domains.SilovSample(type_i(2, 2), seed=14, count=10)
     one = PolyField.constant(spec.shape, 1.0)
     with pytest.raises(ValueError, match="boundary batch rows"):
-        dirichlet.poisson_solve(
-            spec, [one], [np.zeros(spec.shape)], batch=batch.transpose(0, 2, 1)
-        )
+        dirichlet.poisson_solve(spec, [one], [np.zeros(spec.shape)], batch=batch)

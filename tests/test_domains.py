@@ -177,6 +177,28 @@ def test_silov_shorter_sample_is_a_prefix():
         assert np.array_equal(full[:k], domains.sample_silov(spec, seed=4, count=k))
 
 
+def test_silov_sample_blocks_equal_one_sample():
+    count = 2 * domains.SILOV_CHUNK + 37
+    for spec in (type_i(2, 2), type_i(2, 3), type_ii(2), type_ii(3), type_iii(4)):
+        sample = domains.SilovSample(spec, seed=3, count=count)
+        assert len(sample) == count
+        blocks = list(sample)
+        assert [len(b) for b in blocks] == [domains.SILOV_CHUNK] * 2 + [37]
+        full = domains.sample_silov(spec, seed=3, count=count)
+        assert np.array_equal(np.concatenate(blocks), full)
+        # each iteration starts the stream again
+        assert np.array_equal(next(iter(sample)), blocks[0])
+
+
+def test_silov_calls_on_one_generator_continue_one_stream():
+    spec = type_ii(2)
+    for sizes in ((5, 5, 5), (domains.SILOV_CHUNK, 37)):
+        rng = np.random.default_rng(4)
+        parts = [domains.sample_silov(spec, rng, k) for k in sizes]
+        full = domains.sample_silov(spec, seed=4, count=sum(sizes))
+        assert np.array_equal(np.concatenate(parts), full)
+
+
 def test_silov_symmetry_check_fails_closed_on_nan_in_last_block(monkeypatch):
     haar_stack = domains._haar_stack
 
@@ -209,6 +231,8 @@ def test_silov_unsupported_families():
         domains.sample_silov(type_iii(3), seed=0, count=1)
     with pytest.raises(UnsupportedDomainError):
         domains.sample_silov(type_iv(2), seed=0, count=1)
+    with pytest.raises(UnsupportedDomainError):
+        domains.SilovSample(type_iii(3), seed=0, count=1)
 
 
 def test_pseudo_boundary_is_rank_deficient():

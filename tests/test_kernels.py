@@ -77,6 +77,18 @@ def test_stacked_kernel_matches_per_row_kernel(domain, margin):
     assert_allclose(stacked, rows, rtol=rtol)
 
 
+@pytest.mark.parametrize("domain", STACK_DOMAINS)
+def test_point_stack_kernel_equals_one_point_stacks(domain):
+    # a (Z, N) stack over two blocks; each point's row is bit for bit its own
+    spec = domains.parse_spec(domain)
+    ws = domains.sample_silov(spec, seed=25, count=domains.SILOV_CHUNK + 37)
+    zs = np.array([p.value for p in domains.sample_interior(spec, seed=26, count=3)])
+    stacked = kernels.poisson_szego(spec, zs, ws)
+    assert stacked.shape == (3, len(ws))
+    for z, row in zip(zs, stacked):
+        assert np.array_equal(row, kernels.poisson_szego(spec, z, ws))
+
+
 def test_kernel_rejects_type_iv():
     # one boundary point and a stack of three
     for w in (np.zeros((1, 2)), np.zeros((3, 1, 2))):
