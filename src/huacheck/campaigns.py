@@ -302,21 +302,23 @@ def poisson_z_scores(spec, zs, batch):
     """|estimate - exact| / stderr of two Monte-Carlo Poisson integrals.
 
     At each interior point of zs: the integral of 1, whose exact value is 1,
-    and that of the pluriharmonic Re z_01, which reproduces its value at the
-    point. batch is the domains.SilovSample the integrals average over,
-    streamed one block at a time.
+    and that of the pluriharmonic Re of one entry, which reproduces its value
+    at the point. batch is the domains.SilovSample the integrals average
+    over, streamed one block at a time.
     """
     one = PolyField.constant(spec.shape, 1.0)
     size = spec.size
-    # Re of an off-diagonal entry: nonzero on every family considered
-    e0 = tuple(1 if i == 1 else 0 for i in range(size))
+    # flattened entry 1 is off the diagonal and nonzero on every family with
+    # more than one entry; a one-entry domain has only entry 0
+    entry = min(1, size - 1)
+    e0 = tuple(1 if i == entry else 0 for i in range(size))
     z0 = tuple([0] * size)
     phi = PolyField(spec.shape, {(e0, z0): 0.5, (z0, e0): 0.5})
     solved = dirichlet.poisson_solve(spec, (one, phi), zs, batch=batch)
     mass_vals, repro_vals = [], []
     for z, ((mass, mass_se), (repro, repro_se)) in zip(zs, solved):
         mass_vals.append(abs(mass - 1.0) / mass_se)
-        repro_vals.append(abs(repro - z.reshape(-1)[1].real) / repro_se)
+        repro_vals.append(abs(repro - z.reshape(-1)[entry].real) / repro_se)
     return mass_vals, repro_vals
 
 

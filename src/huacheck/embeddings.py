@@ -17,7 +17,7 @@ import numpy as np
 
 from .domains import DomainSpec, MatrixPoint, membership_margin, type_i, type_ii, type_iii
 from .fields import PolyField, wirtinger_hessian
-from .operators import OperatorId, coefficients as op_coefficients
+from .operators import component_values, constrained_hessian
 
 
 @dataclass(frozen=True)
@@ -173,12 +173,9 @@ def pullback_residual(e, u, lam):
     g = compose(e, u)
     Hg = wirtinger_hessian(g, lam)
     d = lam.size
-    zpt = embed(e, lam)
-    Hu = wirtinger_hessian(u, zpt.value)
-
-    def component(kind, jk):
-        C = op_coefficients(OperatorId(kind, jk), zpt)
-        return complex(np.sum(C * Hu))
+    z = embed(e, lam).value
+    Hu = constrained_hessian(e.spec, wirtinger_hessian(u, z))
+    comps = component_values(e.spec, z, Hu)
 
     # ball-side weight I - s lam lam*, with s = |lam|^2 for kind II, else 1
     s = float(np.vdot(lam, lam).real) if e.kind == "II" else 1.0
@@ -186,23 +183,14 @@ def pullback_residual(e, u, lam):
     lhs = complex(np.einsum("ab,ab->", weight, Hg))
     if e.kind == "I":
         xi = e.parameter
-        m = xi.size
-        rhs = sum(
-            xi[k] * np.conj(xi[l]) * component("delta1", (k, l))
-            for k in range(m)
-            for l in range(m)
-        )
+        rhs = complex(xi @ comps @ xi.conj())
     elif e.kind == "II":
         U = e.parameter
-        n = U.shape[0]
-        comps = np.array(
-            [[component("delta2", (i, k)) for k in range(n)] for i in range(n)]
-        )
         rhs = complex(
             np.einsum("p,q,pi,qk,ik->", lam, lam.conj(), U, U.conj(), comps)
         )
     else:
-        rhs = component("delta3", (0, 0))
+        rhs = complex(comps[0, 0])
     return lhs - rhs
 
 

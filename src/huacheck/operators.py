@@ -10,9 +10,11 @@ these are directional derivatives along
     III: T_ja = E_ja - E_aj,
 
 applied to the unconstrained extension of u. We realize them by sandwiching
-the plain mixed Hessian between the direction matrices, so every operator
-reduces to a contraction of one point-dependent coefficient tensor with the
-plain Hessian.
+the plain mixed Hessian between the direction matrices (constrained_hessian),
+so every full operator reduces to a contraction of one point-dependent
+coefficient tensor with the plain Hessian, and all (j,k) components at once
+to one contraction of the component weights with the constrained Hessian
+(component_values).
 """
 
 from __future__ import annotations
@@ -31,17 +33,10 @@ _FAMILY_OF = {"delta1": "I", "delta2": "II", "delta3": "III", "delta4": "IV"}
 @dataclass(frozen=True)
 class OperatorId:
     kind: str
-    component: tuple[int, int] | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown operator kind {self.kind!r}")
-        if self.component is not None and self.kind not in (
-            "delta1",
-            "delta2",
-            "delta3",
-        ):
-            raise ValueError(f"{self.kind} has no component form")
 
 
 def _check_compat(op, spec):
@@ -50,11 +45,6 @@ def _check_compat(op, spec):
         raise ValueError(f"{op.kind} is not defined on {spec.label()}")
     if op.kind in ("ball", "tilde") and not (spec.family == "I" and spec.m == 1):
         raise ValueError(f"{op.kind} lives on the unit ball I(1,n)")
-    if op.component is not None:
-        j, k = op.component
-        bound = spec.m if op.kind == "delta1" else spec.n
-        if not (0 <= j < bound and 0 <= k < bound):
-            raise ValueError("component index out of range")
 
 
 def direction_matrix(spec):
@@ -79,6 +69,15 @@ def direction_matrix(spec):
     return D
 
 
+def constrained_hessian(spec, H):
+    """The plain mixed Hessian H in constrained coordinates: D H D^t for the
+    square families (the direction matrix D is real), H itself for TypeI."""
+    if spec.family in ("II", "III"):
+        D = direction_matrix(spec)
+        return D @ H @ D.T
+    return H
+
+
 def component_weights(spec, z):
     """Weights w[j, a, k, b] of the (j,k) components of delta1, delta2 and
     delta3.
@@ -100,6 +99,15 @@ def component_weights(spec, z):
     else:
         raise ValueError("weights are defined for the matrix families only")
     return v_matrix(z)[None, :, None, :] * f[:, :, None, None] * f[None, None, :, :]
+
+
+def component_values(spec, z, H):
+    """Every (j,k) component of delta1, delta2 or delta3 at z, from the mixed
+    Hessian H in constrained coordinates: an (m, m) array for TypeI and an
+    (n, n) one for the square families."""
+    m, n = spec.shape
+    weights = component_weights(spec, z)
+    return np.einsum("jakb,jakb->jk", weights, H.reshape(m, n, m, n))
 
 
 def _delta4_weights(zs):
@@ -145,14 +153,8 @@ def _weight_tensor(op, spec, z):
         zv = z.reshape(-1)
         return np.eye(n) - float(np.vdot(zv, zv).real) * np.outer(zv, zv.conj())
 
-    weights = component_weights(spec, z)
     scale = 1.0 if op.kind == "delta1" else 0.25
-    if op.component is None:
-        W = (v_matrix(z) * scale)[:, None, :, None] * weights
-    else:
-        j, k = op.component
-        W = np.zeros((m, n, m, n), dtype=complex)
-        W[j, :, k, :] = weights[j, :, k, :]
+    W = (v_matrix(z) * scale)[:, None, :, None] * component_weights(spec, z)
     return W.reshape(m * n, m * n)
 
 

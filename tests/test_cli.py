@@ -103,6 +103,20 @@ def test_dirichlet_campaign_is_deterministic():
     assert first.to_json() == second.to_json()
 
 
+def test_dirichlet_campaign_on_one_entry_domains(tmp_path):
+    # the pluriharmonic datum falls back to entry 0 when it is the only one
+    code, text = run_to_file(
+        tmp_path,
+        "one-entry.json",
+        ["verify", "dirichlet", "--domain", "I:1,1", "--domain", "II:1", "--points", "2"],
+    )
+    assert code in (0, 1)
+    names = [r["name"] for r in json.loads(text)["records"]]
+    for label in ("I(1,1)", "II(1)"):
+        assert f"poisson-mass-{label}" in names
+        assert f"poisson-pluriharmonic-{label}" in names
+
+
 def test_failing_tolerance_gives_nonzero_exit(tmp_path, capsys):
     out = tmp_path / "fail.json"
     code = main(
