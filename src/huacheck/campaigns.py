@@ -174,12 +174,12 @@ def euler_residuals():
 
 
 def log_limit_errors():
-    """Relative error of the two-point logarithmic blow-up rate estimate."""
+    """Relative error of the Richardson-fitted logarithmic blow-up rate."""
     vals = []
     for a, b in ((1.0, 1.0), (1.5, 1.5)):
-        _, twopoint = hypergeom.log_limit_estimate(a, b)
+        _, lead, _ = hypergeom.blowup(a, b, a + b)
         target = hypergeom.log_limit_value(a, b)
-        vals.append(abs(twopoint - target) / target)
+        vals.append(abs(lead - target) / target)
     return vals
 
 
@@ -195,15 +195,15 @@ def radial_ode_residuals():
 def singularity_residuals():
     """Classifier checks over SINGULARITY_CASES.
 
-    Returns the kind mismatch (0.0 or 1.0) of every case, and the fit
-    residual and relative coefficient error of each singular case.
+    Returns the kind mismatch (0.0 or 1.0) of every case, and the hold-out
+    error and relative coefficient error of each singular case.
     """
     mismatch, fit_vals, coeff_vals = [], [], []
     for p, q, n, kind, exponent in SINGULARITY_CASES:
         sc = hypergeom.classify_singularity(p, q, n)
         mismatch.append(0.0 if (sc.kind == kind and sc.exponent == exponent) else 1.0)
         if kind != "smooth":
-            fit_vals.append(sc.fit_residual)
+            fit_vals.append(sc.holdout_error)
             coeff_vals.append(
                 abs(sc.coefficient - sc.coefficient_oracle) / abs(sc.coefficient_oracle)
             )
@@ -231,9 +231,9 @@ def run_hypergeom_campaign(points, seed, tol):
             ),
             (
                 "log-limit",
-                "two-point estimate of the logarithmic blow-up rate",
+                "Richardson fit of the logarithmic blow-up rate",
                 log_limit_errors(),
-                0.01,
+                1e-6,
             ),
             (
                 "radial-ode",
@@ -243,21 +243,21 @@ def run_hypergeom_campaign(points, seed, tol):
             ),
             (
                 "singularity-kind",
-                "parity of the boundary singularity type and exponent",
+                "boundary singularity type and exponent decided by the hold-out fit",
                 mismatch,
                 0.5,
             ),
             (
                 "singularity-fit",
-                "least-squares fit residual of the singular expansion",
+                "hold-out error of the chosen expansion one grid point out",
                 fit_vals,
-                0.05,
+                1e-3,
             ),
             (
                 "singularity-coefficient",
-                "fitted singular coefficient against the limit-law value",
+                "fitted blow-up coefficient against the limit-law value",
                 coeff_vals,
-                0.05,
+                1e-4,
             ),
         ],
     )

@@ -30,11 +30,14 @@ DEFAULT_KERNEL_DOMAINS = ("I:2,2", "I:2,3", "II:2", "II:3", "III:4")
 DEFAULT_DIRICHLET_DOMAINS = ("I:2,2", "II:2", "III:4")
 
 
-def _emit(report, out, fmt):
+def _emit(report, out, fmt, parser):
     text = report.to_json() if fmt == "json" else report.to_text()
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            parser.error(f"cannot write {out}: {exc.strerror}")
         print(("PASS" if report.passed else "FAIL") + f" -> {out}")
     else:
         sys.stdout.write(text)
@@ -117,31 +120,31 @@ def main(argv=None):
                 parser.error(f"cannot read {path}: {exc.strerror}")
             except (KeyError, TypeError, ValueError) as exc:
                 parser.error(f"{path} is not a report: {type(exc).__name__}: {exc}")
-        return _emit(merge_reports(reports), args.out, args.format)
-    try:
-        return _dispatch(args)
-    except domains.UnsupportedDomainError as exc:
-        parser.error(str(exc))
+        report = merge_reports(reports)
+    else:
+        try:
+            report = _dispatch(args)
+        except domains.UnsupportedDomainError as exc:
+            parser.error(str(exc))
+    return _emit(report, args.out, args.format, parser)
 
 
 def _dispatch(args):
     if args.command == "verify" and args.suite == "kernel":
         specs = args.domain or [parse_spec(s) for s in DEFAULT_KERNEL_DOMAINS]
-        report = campaigns.run_kernel_campaign(specs, args.points, args.seed, args.tol)
+        return campaigns.run_kernel_campaign(specs, args.points, args.seed, args.tol)
     elif args.command == "verify" and args.suite == "hypergeom":
-        report = campaigns.run_hypergeom_campaign(args.points, args.seed, args.tol)
+        return campaigns.run_hypergeom_campaign(args.points, args.seed, args.tol)
     elif args.command == "verify" and args.suite == "dirichlet":
         specs = args.domain or [parse_spec(s) for s in DEFAULT_DIRICHLET_DOMAINS]
-        report = campaigns.run_dirichlet_campaign(
+        return campaigns.run_dirichlet_campaign(
             specs, args.points, args.seed, args.tol
         )
     elif args.command == "verify" and args.suite == "embeddings":
-        report = campaigns.run_embeddings_campaign(args.points, args.seed, args.tol)
+        return campaigns.run_embeddings_campaign(args.points, args.seed, args.tol)
     elif args.command == "demo" and args.suite == "counterexample":
-        report = campaigns.run_counterexample_campaign(args.points, args.seed, args.tol)
-    else:
-        raise SystemExit(2)
-    return _emit(report, args.out, args.format)
+        return campaigns.run_counterexample_campaign(args.points, args.seed, args.tol)
+    raise SystemExit(2)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """Gauss hypergeometric machinery for the radial boundary profiles.
 
 Implements the 2F1 series on [0, 1), the value at 1 by Gauss summation, the
-parameter-shift derivative ladder, the classical limit laws near t = 1, the
-normalized radial profile h(t) with its defining ODE, and a numerical
-classifier for the type of boundary singularity of the profile.
+parameter-shift derivative ladder, the classical limit laws near t = 1 and
+one Richardson fit of the series towards them, the normalized radial profile
+h(t) with its defining ODE, and the profile's boundary singularity type.
 
 The series is summed as a short scalar prefix followed by sequential NumPy
 blocks, with results identical to the plain scalar loop (see `gauss_2f1`);
@@ -198,24 +198,48 @@ def log_limit_value(a, b):
     return math.exp(lgamma(a + b) - lgamma(a) - lgamma(b))
 
 
-def log_limit_estimate(a, b):
-    """Estimate the log-law limit from t = 1 - 2^-13 and t = 1 - 2^-14.
+# the t -> 1 grid t = 1 - 2^-j: fitted on FIT_JS, checked at HOLDOUT_J
+FIT_JS = tuple(range(8, 14))
+HOLDOUT_J = 7
+# (p, q) of the terms x^p log(1/x)^q of F(a, b, a+b; t), x = 1 - t, A&S 15.3.10
+LOG_MODEL = tuple((i, q) for i in range(3) for q in (1, 0))
 
-    Returns (plain ratio at the finest point, two-point estimate). Near t = 1
-    the numerator behaves like A log(1/(1-t)) + B, so the plain ratio carries
-    an O(1/log) bias; differencing two geometric points removes the constant.
+
+def _model_basis(js, model):
+    x = 2.0 ** -np.asarray(js, dtype=float)
+    return np.stack([x**p * np.log(1.0 / x) ** q for p, q in model], axis=-1)
+
+
+def richardson_limit(values, js, model):
+    """Coefficients c_i of sum_i c_i x^p_i log(1/x)^q_i, model = ((p_i, q_i),
+    ...), through the values at x = 2^-j for j in js (one per term)."""
+    return np.linalg.solve(_model_basis(js, model), values)
+
+
+def blowup(a, b, c):
+    """(kind, lead coefficient, hold-out error) of F(a, b, c; t) as t -> 1,
+    for s = a + b - c >= 0.
+
+    Fits the plain series on FIT_JS to the log model LOG_MODEL and to the
+    power model x^(i/2 - s), i < 6 (A&S 15.3.6 for half-integer s), and
+    returns the one whose fit predicts the series at HOLDOUT_J with the
+    smaller relative error. The lead coefficient is that of log(1/x) for
+    "log-type" and of x^-s for "half-power".
     """
-    t1 = 1.0 - 2.0**-13
-    t2 = 1.0 - 2.0**-14
+    s = a + b - c
+    if s < 0.0:
+        raise ValueError("blowup needs a + b - c >= 0")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        f1 = gauss_2f1(a, b, a + b, t1)
-        f2 = gauss_2f1(a, b, a + b, t2)
-    l1 = 13 * math.log(2.0)
-    l2 = 14 * math.log(2.0)
-    plain = f2 / l2
-    twopoint = (f2 - f1) / (l2 - l1)
-    return plain, twopoint
+        held, *fitted = [gauss_2f1(a, b, c, 1 - 2.0**-j) for j in (HOLDOUT_J, *FIT_JS)]
+    power_model = tuple((i / 2.0 - s, 0) for i in range(6))
+    fits = []
+    for kind, model in (("log-type", LOG_MODEL), ("half-power", power_model)):
+        coeffs = richardson_limit(fitted, FIT_JS, model)
+        error = abs(_model_basis(HOLDOUT_J, model) @ coeffs - held) / abs(held)
+        fits.append((float(error), kind, float(coeffs[0])))
+    error, kind, lead = min(fits)
+    return kind, lead, error
 
 
 # -- radial profile ----------------------------------------------------------
@@ -283,37 +307,16 @@ class SingularityClass:
     exponent: float
     coefficient: float
     coefficient_oracle: float
-    fit_residual: float
-
-
-def _fit_grid():
-    return np.array([1.0 - 2.0**-j for j in range(4, 15)])
-
-
-def log_coefficient_value(a, b, k):
-    """Coefficient of (1-t)^k log(1-t) in F(a,b,a+b+k;t), k a positive integer.
-
-    Derived by applying the derivative ladder k times and matching the log
-    law: the k-th derivative is c_k F(a+k, b+k, a+b+2k; t), whose log blow-up
-    pins the coefficient to (-1)^(k+1) Gamma(a+b+k) / (k! Gamma(a) Gamma(b)).
-    """
-    sign = -1.0 if k % 2 == 0 else 1.0
-    return sign * math.exp(lgamma(a + b + k) - lgamma(a) - lgamma(b)) / math.factorial(k)
-
-
-def half_power_coefficient_value(a, b, k):
-    """Coefficient of (1-t)^(k+1/2) in F(a,b,a+b+k+1/2;t)."""
-    c = a + b + k + 0.5
-    return math.gamma(c) * math.gamma(-(k + 0.5)) / (math.gamma(a) * math.gamma(b))
+    holdout_error: float
 
 
 def classify_singularity(p, q, n):
     """Classify the t -> 1 behavior of F(p/2, q/2, (p+q+n+1)/2; t).
 
-    Smooth when pq = 0; otherwise a (1-t)^((n+1)/2) log(1-t) term for odd n
-    and a (1-t)^(n/2 + 1/2) term for even n. The classification follows the
-    parity of n; the returned coefficient and residual come from a least
-    squares fit on a geometric grid approaching 1 and must corroborate it.
+    Smooth when pq = 0. Otherwise `blowup` tells from F(a+m, b+m, c+m; t),
+    m = ceil(c - a - b) rungs up the derivative ladder, whether the profile
+    has a (1-t)^((n+1)/2) log(1-t) term (odd n) or a (1-t)^(n/2 + 1/2) term
+    (even n), and the limit law's Gamma ratio is the coefficient's oracle.
     """
     if n < 2:
         raise ValueError("classification requires n >= 2")
@@ -321,33 +324,10 @@ def classify_singularity(p, q, n):
         return SingularityClass("smooth", 0.0, 0.0, 0.0, 0.0)
     a, b = p / 2.0, q / 2.0
     c = (p + q + n + 1) / 2.0
-    ts = _fit_grid()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        fvals = np.array([gauss_2f1(a, b, c, t) for t in ts])
-    x = 1.0 - ts
-    if n % 2 == 1:
-        k = (n + 1) // 2
-        exponent = float(k)
-        kind = "log-type"
-        singular = [x**k * np.log(x), x ** (k + 1) * np.log(x)]
-        oracle = log_coefficient_value(a, b, k)
+    m = math.ceil(c - a - b)
+    kind, lead, error = blowup(a + m, b + m, c + m)
+    if kind == "log-type":
+        oracle = log_limit_value(a + m, b + m)
     else:
-        k = n // 2
-        exponent = k + 0.5
-        kind = "half-power"
-        singular = [x ** (k + 0.5), x ** (k + 1.5)]
-        oracle = half_power_coefficient_value(a, b, k)
-    smooth_deg = k + 2
-    basis = [x**i for i in range(smooth_deg + 1)] + singular
-    Amat = np.stack(basis, axis=1)
-    coeffs, _, _, _ = np.linalg.lstsq(Amat, fvals, rcond=None)
-    recon = Amat @ coeffs
-    fitted = float(coeffs[smooth_deg + 1])
-    # residual relative to the size of the singular component on the grid
-    sing_scale = float(np.max(np.abs(fitted * singular[0])))
-    if sing_scale == 0.0:
-        warnings.warn("singular basis coefficient vanished; fit is unstable")
-        sing_scale = 1.0
-    fit_residual = float(np.max(np.abs(recon - fvals))) / sing_scale
-    return SingularityClass(kind, exponent, fitted, oracle, fit_residual)
+        oracle = power_limit_value(a + m, b + m, m - (c - a - b))
+    return SingularityClass(kind, c - a - b, lead, oracle, error)

@@ -12,6 +12,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 from huacheck import campaigns, domains, hypergeom
 from huacheck.domains import parse_spec, type_iii
@@ -78,7 +79,11 @@ def test_criterion_3_gram_complement_vanishing_and_control(capsys):
 
 
 def test_criterion_4_hypergeometric_suite(capsys):
-    worst = _worst(campaigns.run_hypergeom_campaign(points=50, seed=6, tol=None))
+    # the ODE record sums h'', the series F(a+2, b+2, c+2; t) with c - a - b
+    # = 0 for n = 3, up to t = 0.9
+    with pytest.warns(UserWarning, match="converges slowly"):
+        report = campaigns.run_hypergeom_campaign(points=50, seed=6, tol=None)
+    worst = _worst(report)
     worst_ladder = worst["derivative-ladder"]
     worst_euler = worst["euler-transformation"]
     worst_log = worst["log-limit"]
@@ -86,7 +91,7 @@ def test_criterion_4_hypergeometric_suite(capsys):
     ok = (
         worst_ladder < 1e-10
         and worst_euler < 1e-10
-        and worst_log < 0.01
+        and worst_log < 1e-6
         and worst_ode < 1e-8
     )
     _verdict(
@@ -98,7 +103,7 @@ def test_criterion_4_hypergeometric_suite(capsys):
     )
     assert worst_ladder < 1e-10
     assert worst_euler < 1e-10
-    assert worst_log < 0.01
+    assert worst_log < 1e-6
     assert worst_ode < 1e-8
 
 
@@ -109,14 +114,15 @@ def test_criterion_5_singularity_dichotomy(capsys):
         if kind == "smooth":
             continue
         sc = hypergeom.classify_singularity(p, q, n)
+        coefficient_error = abs(sc.coefficient / sc.coefficient_oracle - 1.0)
         case_ok = (
             sc.kind == kind
             and sc.exponent == exponent
-            and sc.coefficient != 0.0
-            and sc.fit_residual < 0.05
+            and sc.holdout_error < 1e-3
+            and coefficient_error < 1e-4
         )
         ok = ok and case_ok
-        detail.append(f"({p},{q},{n})={sc.kind}@{sc.fit_residual:.1e}")
+        detail.append(f"({p},{q},{n})={sc.kind}@{sc.holdout_error:.1e}")
     for p, q in ((0, 1), (2, 0), (0, 0)):
         sc = hypergeom.classify_singularity(p, q, 3)
         ok = ok and sc.kind == "smooth"
