@@ -176,11 +176,12 @@ def solve_tilde(fs, n):
     return DirichletSolution(n, tuple(parts))
 
 
-def _block_moments(spec, boundary_fields, zs, block):
+def _block_moments(spec, boundary_fields, zs, block, v):
     """Mean and sum of |v - mean|^2 of v = P(z, w) phi(w) over the draws w
-    of one boundary block, per (point, field), in two passes."""
+    of one boundary block, per (point, field), in two passes. v is a
+    (points, fields, k) buffer for the products, reused across blocks."""
     phis = np.array([field.evaluate_many(block) for field in boundary_fields])
-    v = poisson_szego(spec, zs, block)[:, None] * phis
+    np.multiply(poisson_szego(spec, zs, block)[:, None], phis, out=v)
     mean = v.mean(axis=-1)
     v -= mean[..., None]
     return mean, (v.real**2 + v.imag**2).sum(axis=-1)
@@ -198,12 +199,14 @@ def poisson_solve(spec, boundary_fields, zs, batch):
     The sample is streamed one block at a time, so no array of its length
     is held. On each block every phi is evaluated once (a PolyField over the
     block), the kernel weights of all points come from one poisson_szego
-    call, and the block's mean and sum of |v - mean|^2 per (point, field)
-    are taken in two passes. Blocks are merged by the pairwise update of
-    Chan, Golub & LeVeque ("Algorithms for computing the sample variance",
-    Am. Stat. 37, 1983), which, unlike sum |v|^2 - k |mean|^2, cannot cancel
-    to a negative variance. A point that is not interior (membership margin
-    <= 0) raises ValueError, and so does a block of the wrong shape.
+    call, their products with the phis go to one (point, field, draw)
+    buffer that the blocks share, and the block's mean and sum of
+    |v - mean|^2 per (point, field) are taken in two passes. Blocks are
+    merged by the pairwise update of Chan, Golub & LeVeque ("Algorithms for
+    computing the sample variance", Am. Stat. 37, 1983), which, unlike
+    sum |v|^2 - k |mean|^2, cannot cancel to a negative variance. A point
+    that is not interior (membership margin <= 0) raises ValueError, and so
+    does a block of the wrong shape.
     """
     zs = np.array([np.asarray(z, dtype=complex).reshape(spec.shape) for z in zs])
     for i, z in enumerate(zs):
@@ -216,13 +219,18 @@ def poisson_solve(spec, boundary_fields, zs, batch):
     count = 0
     mean = np.zeros((len(zs), len(boundary_fields)), dtype=complex)
     m2 = np.zeros(mean.shape)
+    products = np.empty(mean.shape + (0,), dtype=complex)
     for block in batch:
         if block.shape[1:] != spec.shape:
             raise ValueError(
                 f"boundary batch rows have shape {block.shape[1:]}, expected {spec.shape}"
             )
         k = len(block)
-        block_mean, block_m2 = _block_moments(spec, boundary_fields, zs, block)
+        if products.shape[-1] < k:
+            products = np.empty(mean.shape + (k,), dtype=complex)
+        block_mean, block_m2 = _block_moments(
+            spec, boundary_fields, zs, block, products[..., :k]
+        )
         delta = block_mean - mean
         total = count + k
         mean += delta * (k / total)

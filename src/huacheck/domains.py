@@ -188,10 +188,10 @@ def sample_interior(spec, seed, count):
 
 
 # Draws per Gram-Schmidt block in sample_silov, per block of a SilovSample
-# and per elimination block in kernels._kernel_dets: large enough to amortize
-# the Python overhead over the block's arrays, small enough that a Poisson
-# solve streaming a SilovSample holds one block's draws and their kernel
-# weights at a time, never an array of the sample's length.
+# and per generic-norm block in kernels._generic_norm_dets: large enough to
+# amortize the Python overhead over the block's arrays, small enough that a
+# Poisson solve streaming a SilovSample holds one block's draws and their
+# kernel weights at a time, never an array of the sample's length.
 SILOV_CHUNK = 4096
 
 

@@ -8,7 +8,9 @@ The central object is the determinant-power kernel
 
 (W and V live in huacheck.domains). poisson_szego is its one evaluator, at
 one boundary point for the FD stencil or over a stacked boundary sample for
-the Monte-Carlo Poisson solve of huacheck.dirichlet. The boundary identity
+the Monte-Carlo Poisson solve of huacheck.dirichlet; over a stack, det W
+comes from the generic norm of the Jordan triple, a short signed sum of
+minor (or Pfaffian) products of z and w. The boundary identity
 is checked along two routes: direct numerical differentiation of P, and
 closed forms built from the log-gradient formulas (the boundary tensors for II/III, the exact
 component assembly for TypeI). Every matrix inverse goes through
@@ -19,6 +21,7 @@ returning an inaccurate result.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,64 +67,148 @@ def _kernel_constants(spec):
     return float(kappa(spec)), np.eye(spec.m)
 
 
-def _kernel_dets(ws, z):
+@functools.lru_cache(maxsize=None)
+def _generic_norm_table(spec):
+    """The signed minor table of spec's generic norm, once per spec.
+
+    The features f_F of a matrix x are its minors det x[S, T] over row sets
+    S and column sets T of one size (I and II), or its Pfaffians Pf x[S]
+    over even sets S (III), ordered by size, without the empty set, whose
+    feature is 1. Returns (cells, expansions, signs). The first features
+    are the 1 x 1 minors, or the Pfaffians of pairs: the entries of x at
+    the flattened indices cells. Every later feature has a tuple of (sign,
+    cell, earlier feature) terms, its expansion along its first row. signs
+    holds each feature's sign in the generic norm.
+    """
+    m, n = spec.shape
+    keys = []
+    if spec.family == "III":
+        cells = list(itertools.combinations(range(n), 2))
+        # Pf x[S] = sum_a (-1)^a x[s, t_a] Pf x[S - {s, t_a}] for S = (s,) + R
+        # over the t_a of R; its sign in h is (-1)^(|S| / 2)
+        for r in range(2, n + 1, 2):
+            for S in itertools.combinations(range(n), r):
+                R = S[1:]
+                subs = [R[:a] + R[a + 1 :] for a in range(r - 1)]
+                keys.append((S, S[0], R, subs, r // 2))
+    else:
+        cells = list(itertools.product(range(m), range(n)))
+        # det x[S, T] = sum_a (-1)^a x[s, t_a] det x[R, T - t_a] for
+        # S = (s,) + R over the t_a of T; its sign in h is (-1)^|S|
+        for r in range(1, min(m, n) + 1):
+            for S in itertools.combinations(range(m), r):
+                for T in itertools.combinations(range(n), r):
+                    subs = [(S[1:], T[:a] + T[a + 1 :]) for a in range(r)]
+                    keys.append(((S, T), S[0], T, subs, r))
+    # the one-term keys come first, in the order of cells, so feature i of
+    # the first len(cells) is the cells' row i
+    cell_index = {cell: i for i, cell in enumerate(cells)}
+    index, expansions, signs = {}, [], []
+    for key, s, cols, subs, degree in keys:
+        if len(cols) > 1:
+            expansions.append(tuple(
+                ((-1.0) ** a, cell_index[s, t], index[sub])
+                for a, (t, sub) in enumerate(zip(cols, subs))
+            ))
+        index[key] = len(index)
+        signs.append((-1.0) ** degree)
+    return [s * n + t for s, t in cells], tuple(expansions), np.array(signs)
+
+
+def _features(table, flat, work):
+    """The features of every column of flat, the (cells, k) array of the
+    table's cells of k matrices.
+
+    Returns a list of (k,) arrays in the table's order: the rows of flat,
+    then rows of work for the expansions, each made from earlier features
+    by elementwise multiply-adds. work has one row more than there are
+    expansions; the last is scratch.
+    """
+    _, expansions, _ = table
+    features = list(flat)
+    scratch = work[-1]
+    for terms, out in zip(expansions, work):
+        # the first term of an expansion has sign +1
+        (_, c, sub), rest = terms[0], terms[1:]
+        np.multiply(flat[c], features[sub], out=out)
+        for sign, c, sub in rest:
+            np.multiply(flat[c], features[sub], out=scratch)
+            if sign > 0:
+                out += scratch
+            else:
+                out -= scratch
+        features.append(out)
+    return features
+
+
+@functools.lru_cache(maxsize=1)
+def _workspace(spec, points):
+    """The buffers of _generic_norm_dets for one SILOV_CHUNK block: the
+    entry-major copy of the block's cells, the features and their scratch
+    row, and the (points, block) products. Cached for the last (spec,
+    points), so a Poisson solve that calls poisson_szego once per block
+    allocates them once; two threads must not evaluate the same (spec,
+    points) at a time."""
+    cells, expansions, _ = _generic_norm_table(spec)
+    return (
+        np.empty((len(cells), SILOV_CHUNK), dtype=complex),
+        np.empty((len(expansions) + 1, SILOV_CHUNK), dtype=complex),
+        np.empty((points, SILOV_CHUNK), dtype=complex),
+    )
+
+
+def _generic_norm_dets(spec, ws, z):
     """det(I - w z*) for every row w of the boundary batch ws.
 
     z is one interior point (m, n), which gives N values, or a stack
     (Z, m, n), which gives a (Z, N) array. det(I - w z*) is the conjugate of
-    det(I - z w*), so it has the same modulus (also for m < n). The batch is
-    worked in blocks of SILOV_CHUNK rows, and each block is eliminated for
-    all points at once, column by column. Column j of I - w z* is one
-    stacked matmul of -z's row j against the block's transposed rows, with
-    1 added on the diagonal in place: a[i] is entry (i, j) of every (point,
-    draw) pair, one contiguous array. The matmul makes a separate (1, n) by
-    (n, k) BLAS product per (point, row), because a (Z, n) by (n, k) product
-    rounds a point's entries differently as Z changes; so on blocks of more
-    than one draw a point's entries do not depend on the other points of
-    the stack. The determinants come from Gaussian elimination without
-    pivoting in its left-looking order: the multipliers of the earlier
-    columns update the new column, whose entries below the diagonal become
-    the next multipliers. That makes the same operations, in the same order
-    per entry, as eliminating the whole matrix, but holds m (m + 1) / 2
-    entries per pair in place of m^2. The column, the multipliers and one
-    product share a single buffer that every block reuses.
+    det(I - z w*), so it has the same modulus (also for m < n). It comes
+    from the generic norm of the Jordan triple (Faraut & Koranyi, "Function
+    spaces and reproducing kernels on bounded symmetric domains", J. Funct.
+    Anal. 88, 1990), which by Cauchy-Binet is
 
-    Pivoting is not needed: for ||w|| = 1 and ||z|| < 1 the Hermitian part
-    of A = I - w z* is at least (1 - ||z||) I, because Re x*(w z*)x <=
-    ||w* x|| ||z* x|| <= ||z|| for a unit vector x. Every Schur complement of
-    such a matrix keeps that bound, so each pivot has modulus at least
-    1 - ||z|| and elimination without pivoting is backward stable (Golub &
-    Van Loan, "Unsymmetric positive definite linear systems", Linear Algebra
-    Appl. 28, 1979).
+        I, II:  h(z, w) = sum_{S,T} (-1)^|S| det z[S, T] conj(det w[S, T]),
+        III:    h(z, w) = sum_S (-1)^(|S|/2) Pf z[S] conj(Pf w[S]),
+
+    over row and column sets of equal size, or even sets, with det W = h on
+    I and II and det W = h^2 on III. So det(I - w z*) = h(w, z) is a short
+    sum of (draw feature) x (point coefficient) products: the features of
+    _generic_norm_table, 6 for I(2,2) and II(2), 8 for III(4), 20 for
+    I(3,3) and 32 for III(6), counting the constant 1. The points'
+    coefficients sign_F conj(f_F(z)) are made once per call; the draws'
+    features once per SILOV_CHUNK block, on an entry-major copy of the
+    block. The sum runs feature by feature in elementwise multiply-adds,
+    not one matrix product, so a point's values do not depend on the other
+    points of the stack.
+
+    The rounding error of the sum is a small multiple of eps sum_F
+    |f_F(z)| |f_F(w)|. By Cauchy-Schwarz that is at most eps times
+    sqrt(h(z, -z) h(w, -w)) = prod_j sqrt((1 + s_j(z)^2)(1 + s_j(w)^2)),
+    over the r = rank singular values s_j (one per pair on III), so at
+    most 2^r eps on the distinguished boundary, where every s_j(w) = 1.
+    Against it, |h(z, w)| >= prod_j (1 - s_j(z)) for ||w|| <= 1.
     """
-    samples, m, _ = ws.shape
-    minus_zc = -np.reshape(z, (-1,) + z.shape[-2:]).conj()
-    points = len(minus_zc)
-    work = np.empty(
-        (m * (m + 1) // 2 + 1, points, min(samples, SILOV_CHUNK)), dtype=complex
-    )
+    cells, expansions, signs = table = _generic_norm_table(spec)
+    zs = np.reshape(z, (-1, spec.size))
+    points = len(zs)
+    z_work = np.empty((len(expansions) + 1, points), dtype=complex)
+    z_features = _features(table, zs[:, cells].T, z_work)
+    coefficients = signs[:, None] * np.conj(z_features)
+    flat, work, product = _workspace(spec, points)
+    samples = len(ws)
     dets = np.empty((points, samples), dtype=complex)
     for start in range(0, samples, SILOV_CHUNK):
-        block = ws[start : start + SILOV_CHUNK].transpose(1, 2, 0)
-        size = block.shape[-1]
-        a, product = work[:m, :, :size], work[-1, :, :size]
-        a_by_point = a.transpose(1, 0, 2)[:, :, None]
-        free_slots = iter(work[m:-1, :, :size])
-        lower = {}
-        d = dets[:, start : start + size]
-        for j in range(m):
-            # a[i, p, s] = -sum_k w_s[i, k] conj(z_p[j, k])
-            np.matmul(minus_zc[:, None, j : j + 1], block, out=a_by_point)
-            a[j] += 1.0
-            for k in range(j):
-                for i in range(k + 1, m):
-                    a[i] -= np.multiply(lower[i, k], a[k], out=product)
-            if j:
-                d *= a[j]
-            else:
-                d[:] = a[0]
-            for i in range(j + 1, m):
-                lower[i, j] = np.divide(a[i], a[j], out=next(free_slots))
+        block = ws[start : start + SILOV_CHUNK]
+        k = len(block)
+        # mode="clip" lets take write into the strided view without a copy
+        np.take(block.reshape(k, -1).T, cells, axis=0, out=flat[:, :k], mode="clip")
+        features = _features(table, flat[:, :k], work[:, :k])
+        h = dets[:, start : start + k]
+        h[...] = 1.0
+        for c, f in zip(coefficients, features):
+            h += np.multiply(c[:, None], f, out=product[:, :k])
+        if spec.family == "III":
+            h *= h
     return dets if z.ndim == 3 else dets[0]
 
 
@@ -132,7 +219,8 @@ def poisson_szego(spec, z, w):
     (N, m, n), which gives an array of N values. With a stack of boundary
     points, z may be a stack (Z, m, n) of interior points too, which gives a
     (Z, N) array. Each path is the faster one at its size: LAPACK det for
-    one point, _kernel_dets' elimination for a stack.
+    one point, the generic-norm expansion of _generic_norm_dets for a stack,
+    whose buffers are reused from call to call.
     """
     if spec.family == "IV":
         raise ValueError("no determinant kernel for TypeIV")
@@ -147,7 +235,7 @@ def poisson_szego(spec, z, w):
     else:
         # one det V per point, broadcast along that point's row of weights
         detv = np.linalg.det(eye - z @ z.conj().swapaxes(-1, -2)).real[..., None]
-        detw = np.abs(_kernel_dets(w, z))
+        detw = np.abs(_generic_norm_dets(spec, w, z))
     # det V is real positive on the interior; exp/log handles half-integer k
     p = np.exp(k * np.log(detv)) / detw ** (2.0 * k)
     return float(p) if w.ndim == 2 else p

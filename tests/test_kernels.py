@@ -89,6 +89,46 @@ def test_point_stack_kernel_equals_one_point_stacks(domain):
         assert np.array_equal(row, kernels.poisson_szego(spec, z, ws))
 
 
+GENERIC_NORM_DOMAINS = [
+    "I:1,1", "I:1,3", "I:2,2", "I:2,3", "I:3,3",
+    "II:1", "II:2", "II:3",
+    "III:2", "III:4", "III:6",
+]
+
+
+def _family_matrices(spec, rng, count):
+    """Gaussian matrices of the family's shape and symmetry, off the boundary."""
+    shape = (count,) + spec.shape
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if spec.family == "II":
+        return g + g.transpose(0, 2, 1)
+    if spec.family == "III":
+        return g - g.transpose(0, 2, 1)
+    return g
+
+
+@pytest.mark.parametrize("domain", GENERIC_NORM_DOMAINS)
+def test_generic_norm_equals_det(domain):
+    # the expansion is an algebraic identity, so it holds for Silov draws and
+    # for arbitrary family matrices alike; on III the value is h^2 itself
+    spec = domains.parse_spec(domain)
+    z = domains.sample_interior(spec, seed=27, count=1)[0].value
+    # operator norm sqrt(1 - margin) puts z at that membership margin
+    z = z / np.linalg.norm(z, 2)
+    zs = np.array([z * np.sqrt(1.0 - margin) for margin in (0.5, 1e-3)])
+    for ws in (
+        domains.sample_silov(spec, seed=28, count=500),
+        _family_matrices(spec, np.random.default_rng(29), 500),
+    ):
+        dets = kernels._generic_norm_dets(spec, ws, zs)
+        assert dets.shape == (2, len(ws))
+        for point, row in zip(zs, dets):
+            # det(I - w z*) is the conjugate of det(I - z w*)
+            wh = ws.conj().transpose(0, 2, 1)
+            expected = np.linalg.det(np.eye(spec.m) - point @ wh)
+            assert_allclose(row, expected.conj(), rtol=1e-12)
+
+
 def test_kernel_rejects_type_iv():
     # one boundary point and a stack of three
     for w in (np.zeros((1, 2)), np.zeros((3, 1, 2))):
