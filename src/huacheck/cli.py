@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import campaigns, domains
@@ -60,7 +59,6 @@ def _checked(convert, valid, rule):
 
 _POINTS = _checked(int, lambda v: v >= 1, "at least 1")
 _SEED = _checked(int, lambda v: v >= 0, "at least 0")
-_TOL = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and above 0")
 
 
 def _domain_spec(text):
@@ -79,7 +77,6 @@ def build_parser():
     def common(p, default_points):
         p.add_argument("--points", type=_POINTS, default=default_points)
         p.add_argument("--seed", type=_SEED, default=0)
-        p.add_argument("--tol", type=_TOL, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("json", "text"), default="text")
         return p
@@ -132,18 +129,16 @@ def main(argv=None):
 def _dispatch(args):
     if args.command == "verify" and args.suite == "kernel":
         specs = args.domain or [parse_spec(s) for s in DEFAULT_KERNEL_DOMAINS]
-        return campaigns.run_kernel_campaign(specs, args.points, args.seed, args.tol)
+        return campaigns.run_kernel_campaign(specs, args.points, args.seed)
     elif args.command == "verify" and args.suite == "hypergeom":
-        return campaigns.run_hypergeom_campaign(args.points, args.seed, args.tol)
+        return campaigns.run_hypergeom_campaign(args.points, args.seed)
     elif args.command == "verify" and args.suite == "dirichlet":
         specs = args.domain or [parse_spec(s) for s in DEFAULT_DIRICHLET_DOMAINS]
-        return campaigns.run_dirichlet_campaign(
-            specs, args.points, args.seed, args.tol
-        )
+        return campaigns.run_dirichlet_campaign(specs, args.points, args.seed)
     elif args.command == "verify" and args.suite == "embeddings":
-        return campaigns.run_embeddings_campaign(args.points, args.seed, args.tol)
+        return campaigns.run_embeddings_campaign(args.points, args.seed)
     elif args.command == "demo" and args.suite == "counterexample":
-        return campaigns.run_counterexample_campaign(args.points, args.seed, args.tol)
+        return campaigns.run_counterexample_campaign(args.points, args.seed)
     raise SystemExit(2)
 
 

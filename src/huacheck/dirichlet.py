@@ -3,11 +3,10 @@
 Two constructions live here. For the modified ball Laplacian, boundary data
 given as a finite sum of bidegree-(p,q) harmonics extends to the interior by
 attaching the normalized radial hypergeometric profile h_{p,q}(|z|^4) to each
-term; the extension evaluates one point or a stack of points, the stack
-being what its FD Hessian uses. For the matrix domains the Poisson integral
-against the determinant kernel (kernels.poisson_szego, over a stacked
-boundary sample) is approximated by Monte-Carlo averaging over the
-distinguished boundary.
+term; the extension evaluates a stack of points, one point being a stack of
+one row. For the matrix domains the Poisson integral against the
+determinant kernel (kernels.poisson_szego, over a stacked boundary sample)
+is approximated by Monte-Carlo averaging over the distinguished boundary.
 """
 
 from __future__ import annotations
@@ -122,7 +121,10 @@ def make_bidegree(p, q, n, seed):
 
 @dataclass(frozen=True)
 class DirichletSolution:
-    """u(z) = sum_k h_{p_k, q_k}(|z|^4) f_k(z); boundary trace sum_k f_k."""
+    """u(z) = sum_k h_{p_k, q_k}(|z|^4) f_k(z); boundary trace sum_k f_k.
+
+    evaluate_many is the one evaluator; a single point is a stack of one.
+    """
 
     n: int
     parts: tuple[tuple[BidegreeHarmonic, RadialProfile], ...]
@@ -132,22 +134,14 @@ class DirichletSolution:
         return (1, self.n)
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex).reshape(-1)
-        t = float(np.vdot(z, z).real) ** 2
-        total = 0.0 + 0.0j
-        for f, h in self.parts:
-            # the profile is normalized to 1 at the boundary; clamp roundoff
-            ht = 1.0 if t >= 1.0 - 1e-12 else h.value(t)
-            total += ht * f.field(z)
-        return total
+        return self.evaluate_many(np.reshape(z, (1, self.n)))[0]
 
     def evaluate_many(self, zs):
-        """u at each row of a stack zs of shape (N, 1, n), with __call__'s
-        clamp: the profile is 1 where |z|^4 >= 1 - 1e-12.
+        """u at each row of a stack zs of shape (N, 1, n) or (N, n).
 
-        The profile of all other rows comes from one stacked 2F1 series and
-        the data from PolyField.evaluate_many; |z|^2 is summed per row in
-        place of a BLAS dot, so values agree with __call__ to roundoff.
+        The profile, normalized to 1 at the boundary, is clamped to 1 where
+        |z|^4 >= 1 - 1e-12; on the other rows it comes from one stacked 2F1
+        series. The data come from PolyField.evaluate_many.
         """
         zs = np.asarray(zs, dtype=complex).reshape(len(zs), self.n)
         t = (zs.real**2 + zs.imag**2).sum(axis=1) ** 2
@@ -159,8 +153,9 @@ class DirichletSolution:
             total += ht * f.field.evaluate_many(zs)
         return total
 
-    def boundary_trace(self, z):
-        return sum(f.field(z) for f, _ in self.parts)
+    def boundary_trace(self, zs):
+        """The data sum_k f_k at each row of a stack zs."""
+        return sum(f.field.evaluate_many(zs) for f, _ in self.parts)
 
     def as_field(self):
         return OpaqueField(self.shape, self.__call__, self.evaluate_many)
@@ -197,9 +192,10 @@ def poisson_solve(spec, boundary_fields, zs, batch):
     draws; the caller makes it, so one sample can serve several calls.
 
     The sample is streamed one block at a time, so no array of its length
-    is held. On each block every phi is evaluated once (a PolyField over the
-    block), the kernel weights of all points come from one poisson_szego
-    call, their products with the phis go to one (point, field, draw)
+    is held, and each block is dropped before the next one is drawn. On
+    each block every phi is evaluated once (a PolyField over the block),
+    the kernel weights of all points come from one poisson_szego call,
+    their products with the phis go to one (point, field, draw)
     buffer that the blocks share, and the block's mean and sum of
     |v - mean|^2 per (point, field) are taken in two passes. Blocks are
     merged by the pairwise update of Chan, Golub & LeVeque ("Algorithms for
@@ -231,6 +227,7 @@ def poisson_solve(spec, boundary_fields, zs, batch):
         block_mean, block_m2 = _block_moments(
             spec, boundary_fields, zs, block, products[..., :k]
         )
+        del block  # before the sample draws the next one
         delta = block_mean - mean
         total = count + k
         mean += delta * (k / total)

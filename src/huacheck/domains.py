@@ -12,6 +12,7 @@ Families:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -134,14 +135,22 @@ class MatrixPoint:
                 raise ValueError("TypeIII point must be antisymmetric")
 
 
+@functools.lru_cache(maxsize=None)
+def _identity(m):
+    """The m x m identity, made once per size and read-only."""
+    eye = np.eye(m)
+    eye.flags.writeable = False
+    return eye
+
+
 def w_matrix(z, w):
-    """W(z, w) = I - z w*."""
-    m = z.shape[0]
-    return np.eye(m) - z @ w.conj().T
+    """W(z, w) = I - z w* of matrices or of stacks (..., m, n) of them, whose
+    leading axes broadcast; each W is bitwise that of its own pair."""
+    return _identity(z.shape[-2]) - z @ w.conj().swapaxes(-1, -2)
 
 
 def v_matrix(z):
-    """V(z) = I - z z*, positive definite on the interior."""
+    """V(z) = I - z z*, positive definite on the interior; one per matrix."""
     return w_matrix(z, z)
 
 

@@ -16,8 +16,9 @@ matrix.  Two representations are supported:
   from the terms, and a composition sums its terms into one dict; both are
   bitwise what the derivative fields and the repeated ``+`` give.
 * ``OpaqueField`` -- an arbitrary evaluator, differentiated by central finite
-  differences in the underlying real coordinates. An optional stack
-  evaluator lets the FD Hessian evaluate its whole stencil in one call.
+  differences in the underlying real coordinates: the FD Hessian and
+  gradient share one stencil builder and one Richardson step, and an
+  optional stack evaluator takes each level's stencil in one call.
 """
 
 from __future__ import annotations
@@ -186,15 +187,19 @@ class PolyField:
         return total
 
     def evaluate_many(self, pts):
-        """Evaluate at an array of points with shape (npts,) + self.shape."""
+        """Evaluate at an array of points with shape (npts,) + self.shape.
+
+        A row's bits do not depend on the stack: numpy's in-place complex
+        multiply of one element rounds unlike its array loop, so the
+        products are formed out of place."""
         zf = np.asarray(pts, dtype=complex).reshape(len(pts), -1)
         out = np.zeros(len(pts), dtype=complex)
         for c, ze, we in self.monomials():
             v = np.full(len(pts), c, dtype=complex)
             for a, e in ze:
-                v *= zf[:, a] ** e
+                v = v * zf[:, a] ** e
             for a, e in we:
-                v *= zf[:, a].conj() ** e
+                v = v * zf[:, a].conj() ** e
             out += v
         return out
 
@@ -390,40 +395,48 @@ def random_poly_field(shape, rng, degree=4, n_terms=8):
     return PolyField._canonical(tuple(shape), terms, degree)
 
 
-def default_step(z):
-    return 1e-4 * max(1.0, float(np.linalg.norm(np.asarray(z).reshape(-1))))
+def _stencil_values(u, zf, h, pairs):
+    """(re, im) float pairs of u at the central-difference stencil of step h
+    around the flat complex point zf, from one evaluate_many call.
+
+    Real coordinate i of d = 2 zf.size is Re zf, then Im zf; the 2d axis
+    rows move one of them by +h, then -h. With pairs, the centre comes first
+    and the four rows ++, +-, -+, -- of each pair i < j follow, in
+    np.triu_indices order.
+    """
+    d = 2 * zf.size
+    # real coordinate i is column col[i] of the interleaved float view
+    col = np.concatenate([np.arange(0, d, 2), np.arange(1, d, 2)])
+    # without pairs, an offset of d leaves the upper triangle empty
+    iu, ju = np.triu_indices(d, 1 if pairs else d)
+    lead = int(pairs)
+    rows = np.tile(zf, (lead + 2 * d + 4 * len(iu), 1))
+    X = rows.view(np.float64)
+    X[lead + np.arange(2 * d), np.repeat(col, 2)] += np.tile([h, -h], d)
+    quad = np.arange(lead + 2 * d, len(rows))
+    X[quad, np.repeat(col[iu], 4)] += np.tile([h, h, -h, -h], len(iu))
+    X[quad, np.repeat(col[ju], 4)] += np.tile([h, -h, h, -h], len(iu))
+    v = u.evaluate_many(rows)
+    return np.stack((v.real, v.imag), axis=-1)
+
+
+def _richardson(level, h):
+    """(4 level(h/2) - level(h)) / 3: one Richardson step, O(h^2) error."""
+    coarse = level(h)
+    return (4.0 * level(h / 2.0) - coarse) / 3.0
 
 
 def _real_hessian(u, zf, h):
     """Full real Hessian of a complex-valued field of a complex vector,
-    central differences in the real coordinates (Re zf, Im zf).
-
-    u is an OpaqueField, or a callable of one flat row. The stencil is one
-    array of 1 + 2 d^2 complex rows, evaluated with one evaluate_many call:
-    the centre, then the 2d axis rows (+h, -h per coordinate), then the four
-    rows ++, +-, -+, -- of each pair i < j in np.triu_indices order. The
-    differences are taken on the (re, im) float pairs of the values, which
-    gives bitwise the complex arithmetic of the per-pair loop.
+    central differences in the real coordinates (Re zf, Im zf) on the
+    1 + 2 d^2 rows of _stencil_values; differencing the (re, im) float
+    pairs gives bitwise the complex arithmetic of the per-pair loop.
     """
-    if not isinstance(u, OpaqueField):
-        u = OpaqueField(zf.shape, u)
-    size = zf.size
-    d = 2 * size
-    # real coordinate i is column col[i] of the interleaved float view
-    col = np.concatenate([np.arange(0, d, 2), np.arange(1, d, 2)])
+    d = 2 * zf.size
     iu, ju = np.triu_indices(d, 1)
-    pairs = len(iu)
-    rows = np.tile(zf, (1 + 2 * d + 4 * pairs, 1))
-    X = rows.view(np.float64)
-    axis = np.arange(1, 1 + 2 * d)
-    X[axis, np.repeat(col, 2)] += np.tile([h, -h], d)
-    quad = np.arange(1 + 2 * d, len(rows))
-    X[quad, np.repeat(col[iu], 4)] += np.tile([h, h, -h, -h], pairs)
-    X[quad, np.repeat(col[ju], 4)] += np.tile([h, -h, h, -h], pairs)
-    v = u.evaluate_many(rows)
-    f = np.stack((v.real, v.imag), axis=-1)
-    fa = f[axis].reshape(d, 2, 2)
-    fq = f[quad].reshape(pairs, 4, 2)
+    f = _stencil_values(u, zf, h, pairs=True)
+    fa = f[1 : 1 + 2 * d].reshape(d, 2, 2)
+    fq = f[1 + 2 * d :].reshape(len(iu), 4, 2)
     R = np.empty((d, d, 2))
     R[np.diag_indices(d)] = (fa[:, 0] - 2.0 * f[0] + fa[:, 1]) / h**2
     R[iu, ju] = (fq[:, 0] - fq[:, 1] - fq[:, 2] + fq[:, 3]) / (4.0 * h**2)
@@ -486,21 +499,18 @@ def wirtinger_hessian(u, z, step=None):
     Richardson extrapolation for opaque fields, via
     d^2/dz dzbar = 1/4 (d_xx + d_yy) + i/4 (d_xy - d_yx). An opaque u is
     evaluated with evaluate_many, once per Richardson level on the whole
-    1 + 2 d^2 point stencil (d = 2 m n real coordinates): one call of its
-    stack evaluator if it has one, else one call per stencil point.
+    1 + 2 d^2 point stencil (d = 2 m n real coordinates); the step defaults
+    to 1e-4 max(1, |z|).
     """
-    z = np.asarray(z, dtype=complex)
-    size = z.size
+    zf = np.asarray(z, dtype=complex).reshape(-1)
+    size = zf.size
     if isinstance(u, PolyField):
-        return _poly_hessian(u, z.reshape(-1))
+        return _poly_hessian(u, zf)
 
-    h = step if step is not None else default_step(z)
+    h = step if step is not None else 1e-4 * max(1.0, float(np.linalg.norm(zf)))
     if h < 1e-7:
         warnings.warn("finite-difference step below 1e-7; expect cancellation")
-    zf = z.reshape(-1)
-    R = _real_hessian(u, zf, h)
-    R2 = _real_hessian(u, zf, h / 2.0)
-    R = (4.0 * R2 - R) / 3.0
+    R = _richardson(lambda h_: _real_hessian(u, zf, h_), h)
     Hxx = R[:size, :size]
     Hyy = R[size:, size:]
     Hxy = R[:size, size:]
@@ -508,43 +518,36 @@ def wirtinger_hessian(u, z, step=None):
     return 0.25 * (Hxx + Hyy) + 0.25j * (Hxy - Hyx)
 
 
-def _fd_gradient(u, z, sign):
-    """Central-difference Wirtinger gradient of an opaque field, with step
-    1e-6 and one level of Richardson extrapolation.
+def _gradient(u, z, sign):
+    """Wirtinger gradient, entry a being 1/2 (d_x + sign i d_y): sign -1
+    gives d/dz_a, sign +1 gives d/dzbar_a.
 
-    Each entry is 1/2 (d_x + sign i d_y): sign -1 gives d/dz_a, sign +1
-    gives d/dzbar_a.
+    Exact for PolyField. An opaque u gets central differences of step 1e-6
+    and one Richardson step, each level one evaluate_many call on the 2d
+    axis rows of the stencil; differencing the (re, im) float pairs gives
+    bitwise the complex arithmetic of the per-entry loop.
     """
-    z = np.asarray(z, dtype=complex)
-    size = z.size
-    h = 1e-6
-    zf = z.reshape(-1)
+    zf = np.asarray(z, dtype=complex).reshape(-1)
+    size = zf.size
+    if isinstance(u, PolyField):
+        deriv = u.dz if sign < 0 else u.dzbar
+        return np.array([deriv(a)(zf) for a in range(size)], dtype=complex)
 
-    def diff(h_):
-        g = np.empty(size, dtype=complex)
-        for a in range(size):
-            ex = np.zeros(size, dtype=complex)
-            ex[a] = h_
-            dfx = (u(zf + ex) - u(zf - ex)) / (2.0 * h_)
-            dfy = (u(zf + 1j * ex) - u(zf - 1j * ex)) / (2.0 * h_)
-            g[a] = 0.5 * (dfx + sign * (1j * dfy))
-        return g
+    def level(h):
+        f = _stencil_values(u, zf, h, pairs=False).reshape(2 * size, 2, 2)
+        df = (f[:, 0] - f[:, 1]) / (2.0 * h)
+        dx, dy = df[:size], df[size:]
+        g = np.stack((dx[:, 0] - sign * dy[:, 1], dx[:, 1] + sign * dy[:, 0]), axis=-1)
+        return (0.5 * g).view(complex)[:, 0]
 
-    g = diff(h)
-    return (4.0 * diff(h / 2.0) - g) / 3.0
+    return _richardson(level, 1e-6)
 
 
 def wirtinger_gradient(u, z):
     """Holomorphic Wirtinger gradient d u / dz_a as a flat complex array."""
-    if isinstance(u, PolyField):
-        z = np.asarray(z, dtype=complex)
-        return np.array([u.dz(a)(z) for a in range(z.size)], dtype=complex)
-    return _fd_gradient(u, z, -1.0)
+    return _gradient(u, z, -1.0)
 
 
 def wirtinger_gradient_bar(u, z):
     """Antiholomorphic Wirtinger gradient d u / dzbar_a as a flat array."""
-    if isinstance(u, PolyField):
-        z = np.asarray(z, dtype=complex)
-        return np.array([u.dzbar(a)(z) for a in range(z.size)], dtype=complex)
-    return _fd_gradient(u, z, 1.0)
+    return _gradient(u, z, 1.0)

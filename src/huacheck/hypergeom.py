@@ -272,15 +272,12 @@ class RadialProfile:
 
     def value(self, t):
         """h(t) for a scalar t, or for each t of a 1-d array (through
-        gauss_2f1_stack, bit for bit the scalar values)."""
-        if self.p * self.q == 0:
-            return 1.0
+        gauss_2f1_stack, bit for bit the scalar values); exactly 1 if pq = 0."""
         series = gauss_2f1_stack if np.ndim(t) else gauss_2f1
         return series(self.a, self.b, self.c, t) / self.normalization
 
     def derivative(self, t, order=1):
-        if self.p * self.q == 0:
-            return 0.0
+        """d^order h / dt^order; exactly 0 if pq = 0."""
         return gauss_2f1_derivative(self.a, self.b, self.c, t, order) / (
             self.normalization
         )

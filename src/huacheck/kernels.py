@@ -62,9 +62,9 @@ def inverse(M):
 
 
 @functools.lru_cache(maxsize=None)
-def _kernel_constants(spec):
-    """kappa as a float and the identity of the row size, once per spec."""
-    return float(kappa(spec)), np.eye(spec.m)
+def _float_kappa(spec):
+    """kappa as a float, once per spec."""
+    return float(kappa(spec))
 
 
 @functools.lru_cache(maxsize=None)
@@ -224,17 +224,17 @@ def poisson_szego(spec, z, w):
     """
     if spec.family == "IV":
         raise ValueError("no determinant kernel for TypeIV")
-    k, eye = _kernel_constants(spec)
+    k = _float_kappa(spec)
     if w.ndim == 2:
         # V = W(z, z) and W(z, w) from one stacked product and one stacked det
-        dets = np.linalg.det(eye - z @ np.array((z, w)).conj().transpose(0, 2, 1))
+        dets = np.linalg.det(w_matrix(z, np.array((z, w))))
         detv = dets[0].real
         detw = abs(dets[1])
         if detw < 1e-300:
             raise SingularMatrixError("det W(z, w) vanished")
     else:
         # one det V per point, broadcast along that point's row of weights
-        detv = np.linalg.det(eye - z @ z.conj().swapaxes(-1, -2)).real[..., None]
+        detv = np.linalg.det(v_matrix(z)).real[..., None]
         detw = np.abs(_generic_norm_dets(spec, w, z))
     # det V is real positive on the interior; exp/log handles half-integer k
     p = np.exp(k * np.log(detv)) / detw ** (2.0 * k)
@@ -283,18 +283,19 @@ def log_gradients_fd(spec, z, w):
 
     Differentiates log det W entrywise on the unconstrained matrix, with step
     1e-6 and Richardson extrapolation, then maps the plain gradient to
-    constrained coordinates with the direction matrix.
+    constrained coordinates with the direction matrix. Each log det W
+    takes a point or a stack, so an FD level is one stacked det.
     """
     shape = spec.shape
 
     def logdetw_zw(zz):
-        return np.log(np.linalg.det(w_matrix(zz.reshape(shape), w)))
+        return np.log(np.linalg.det(w_matrix(zz, w)))
 
     def logdetw_wz(zz):
-        return np.log(np.linalg.det(w_matrix(w, zz.reshape(shape))))
+        return np.log(np.linalg.det(w_matrix(w, zz)))
 
-    g_plain = wirtinger_gradient(OpaqueField(shape, logdetw_zw), z)
-    gbar_plain = wirtinger_gradient_bar(OpaqueField(shape, logdetw_wz), z)
+    g_plain = wirtinger_gradient(OpaqueField(shape, logdetw_zw, logdetw_zw), z)
+    gbar_plain = wirtinger_gradient_bar(OpaqueField(shape, logdetw_wz, logdetw_wz), z)
     D = direction_matrix(spec)
     return D @ g_plain, D.conj() @ gbar_plain
 

@@ -82,7 +82,7 @@ def test_criterion_4_hypergeometric_suite(capsys):
     # the ODE record sums h'', the series F(a+2, b+2, c+2; t) with c - a - b
     # = 0 for n = 3, up to t = 0.9
     with pytest.warns(UserWarning, match="converges slowly"):
-        report = campaigns.run_hypergeom_campaign(points=50, seed=6, tol=None)
+        report = campaigns.run_hypergeom_campaign(points=50, seed=6)
     worst = _worst(report)
     worst_ladder = worst["derivative-ladder"]
     worst_euler = worst["euler-transformation"]
@@ -133,7 +133,7 @@ def test_criterion_5_singularity_dichotomy(capsys):
 def test_criterion_6_radial_extension_dirichlet(capsys):
     # no domains: only the radial Dirichlet checks, none of the Poisson ones
     worst = _worst(
-        campaigns.run_dirichlet_campaign((), points=100, seed=7, tol=None)
+        campaigns.run_dirichlet_campaign((), points=100, seed=7)
     )
     worst_interior = worst["radial-extension-annihilated"]
     worst_boundary = worst["boundary-trace"]
@@ -144,7 +144,7 @@ def test_criterion_6_radial_extension_dirichlet(capsys):
 
 
 def test_criterion_7_pullback_polarization_transport(capsys):
-    worst = _worst(campaigns.run_embeddings_campaign(points=50, seed=8, tol=None))
+    worst = _worst(campaigns.run_embeddings_campaign(points=50, seed=8))
     worst_pull = max(
         worst["pullback-rank-one"],
         worst["pullback-symmetric"],

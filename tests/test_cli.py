@@ -92,14 +92,14 @@ def test_report_merge_round_trip(tmp_path):
 
 def test_dirichlet_campaign_with_reduced_sampling():
     specs = [domains.type_ii(2)]
-    report = campaigns.run_dirichlet_campaign(specs, points=5, seed=0, tol=None)
+    report = campaigns.run_dirichlet_campaign(specs, points=5, seed=0)
     assert report.passed
 
 
 def test_dirichlet_campaign_is_deterministic():
     specs = [domains.type_ii(2), domains.type_i(2, 3)]
     first, second = (
-        campaigns.run_dirichlet_campaign(specs, points=3, seed=0, tol=None)
+        campaigns.run_dirichlet_campaign(specs, points=3, seed=0)
         for _ in range(2)
     )
     assert first.to_json() == second.to_json()
@@ -119,24 +119,18 @@ def test_dirichlet_campaign_on_one_entry_domains(tmp_path):
         assert f"poisson-pluriharmonic-{label}" in names
 
 
-def test_failing_tolerance_gives_nonzero_exit(tmp_path, capsys):
+def test_failing_tolerance_gives_nonzero_exit(tmp_path, monkeypatch):
+    # a residual of 1 misses the polarization record's gate of 1e-12
+    monkeypatch.setattr(campaigns, "polarization_errors", lambda rng, count: [1.0])
     out = tmp_path / "fail.json"
     code = main(
-        [
-            "verify",
-            "embeddings",
-            "--points",
-            "1",
-            "--tol",
-            "1e-30",
-            "--out",
-            str(out),
-            "--format",
-            "json",
-        ]
+        ["verify", "embeddings", "--points", "1", "--out", str(out), "--format", "json"]
     )
     assert code == 1
-    assert json.loads(out.read_text())["pass"] is False
+    report = json.loads(out.read_text())
+    assert report["pass"] is False
+    failed = [r["name"] for r in report["records"] if not r["pass"]]
+    assert failed == ["polarization-roundtrip"]
 
 
 @pytest.mark.parametrize("suite", ["kernel", "dirichlet", "embeddings"])
@@ -214,10 +208,21 @@ def test_negative_seed_exits_2_without_traceback(capsys):
     _assert_exits_2(argv, "--seed: must be at least 0, got -1", capsys)
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
-def test_non_finite_or_non_positive_tol_exits_2_without_traceback(tol, capsys):
-    argv = ["verify", "embeddings", "--points", "1", "--tol", tol]
-    _assert_exits_2(argv, f"--tol: must be finite and above 0, got {tol}", capsys)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["verify", "kernel"],
+        ["verify", "hypergeom"],
+        ["verify", "dirichlet"],
+        ["verify", "embeddings"],
+        ["demo", "counterexample"],
+    ],
+    ids=["kernel", "hypergeom", "dirichlet", "embeddings", "counterexample"],
+)
+def test_tol_is_not_an_option(command, capsys):
+    # every record's tolerance is fixed by its campaign
+    argv = [*command, "--points", "1", "--tol", "nan"]
+    _assert_exits_2(argv, "unrecognized arguments: --tol nan", capsys)
 
 
 @pytest.mark.parametrize(

@@ -60,6 +60,23 @@ def test_type_iv_membership():
     assert domains.membership_margin(spec, np.array([[0.9, 0.9]])) <= 0.0
 
 
+@pytest.mark.parametrize("shape", [(1, 3), (2, 2), (2, 3), (4, 4)])
+def test_stacked_w_and_v_equal_the_per_row_matrices(shape):
+    rng = np.random.default_rng(40)
+    zs = rng.standard_normal((50,) + shape) + 1j * rng.standard_normal((50,) + shape)
+    ws = rng.standard_normal((50,) + shape) + 1j * rng.standard_normal((50,) + shape)
+    W = domains.w_matrix(zs, ws)
+    V = domains.v_matrix(zs)
+    assert W.shape == V.shape == (50, shape[0], shape[0])
+    for z, w, Wi, Vi in zip(zs, ws, W, V):
+        assert np.array_equal(Wi, domains.w_matrix(z, w))
+        assert np.array_equal(Vi, domains.v_matrix(z))
+    # one matrix against a stack broadcasts, on either side
+    for i in (0, 17, 49):
+        assert np.array_equal(domains.w_matrix(zs[i], ws)[i], W[i])
+        assert np.array_equal(domains.w_matrix(zs, ws[i])[i], W[i])
+
+
 def test_sample_interior_respects_family_and_margin():
     for spec in (type_i(2, 3), type_ii(3), type_iii(4), type_iv(2)):
         pts = domains.sample_interior(spec, seed=1, count=5)

@@ -221,7 +221,7 @@ def test_blocked_stencil_equals_per_pair_reference(case, richardson):
         H = wirtinger_hessian(u, z, step=step)
     else:
         # the one-level stencil that wirtinger_hessian extrapolates from
-        R = fields._real_hessian(lambda x: complex(u(x)), z.reshape(-1), step)
+        R = fields._real_hessian(u, z.reshape(-1), step)
         H = _wirtinger_combination(R)
     H_ref = _reference_wirtinger_hessian(u, z, step, richardson)
     assert np.array_equal(H, H_ref)
@@ -265,6 +265,91 @@ def test_stack_evaluator_gives_the_scalar_path_hessian(case):
     # one call per Richardson level, on the whole 1 + 2 d^2 point stencil
     d = 2 * z.size
     assert stacks == [(1 + 2 * d * d,) + u.shape] * 2
+
+
+def _reference_fd_gradient(u, z, sign):
+    """The per-entry loop of four one-point calls per entry and level that
+    the stacked gradient stencil replaced; kept as the bit-for-bit
+    reference."""
+    z = np.asarray(z, dtype=complex)
+    size = z.size
+    h = 1e-6
+    zf = z.reshape(-1)
+
+    def diff(h_):
+        g = np.empty(size, dtype=complex)
+        for a in range(size):
+            ex = np.zeros(size, dtype=complex)
+            ex[a] = h_
+            dfx = (u(zf + ex) - u(zf - ex)) / (2.0 * h_)
+            dfy = (u(zf + 1j * ex) - u(zf - 1j * ex)) / (2.0 * h_)
+            g[a] = 0.5 * (dfx + sign * (1j * dfy))
+        return g
+
+    g = diff(h)
+    return (4.0 * diff(h / 2.0) - g) / 3.0
+
+
+def _logdetw_case(spec, boundary_first):
+    """log det W(z, w) (or of W(w, z)) at an interior z for a Šilov w, as one
+    function of a point or a stack of points."""
+    z = domains.sample_interior(spec, 0, 1)[0].value
+    w = domains.sample_silov(spec, 1, 1)[0]
+
+    def fn(zz):
+        W = domains.w_matrix(w, zz) if boundary_first else domains.w_matrix(zz, w)
+        return np.log(np.linalg.det(W))
+
+    return spec.shape, fn, z
+
+
+def _poly_gradient_case():
+    rng = np.random.default_rng(7)
+    f = random_poly_field(SHAPE, rng, degree=4)
+    z = 0.3 * (rng.standard_normal(SHAPE) + 1j * rng.standard_normal(SHAPE))
+
+    # PolyField.evaluate_many may round a product differently from the
+    # scalar __call__, so the stack goes point by point
+    def fn(zz):
+        return f(zz) if zz.ndim == 2 else [f(p) for p in zz]
+
+    return SHAPE, fn, z
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: _logdetw_case(type_i(2, 3), False),
+        lambda: _logdetw_case(type_i(2, 3), True),
+        lambda: _logdetw_case(type_ii(3), False),
+        lambda: _logdetw_case(type_ii(3), True),
+        lambda: _logdetw_case(type_iii(4), False),
+        lambda: _logdetw_case(type_iii(4), True),
+        _poly_gradient_case,
+    ],
+    ids=[
+        "zw-I(2,3)", "wz-I(2,3)", "zw-II(3)", "wz-II(3)", "zw-III(4)", "wz-III(4)", "poly"
+    ],
+)
+def test_fd_gradient_stencil_equals_per_entry_reference(case):
+    shape, fn, z = case()
+    stacks = []
+
+    def many(pts):
+        stacks.append(pts.shape)
+        return fn(pts)
+
+    u = OpaqueField(shape, fn, many)
+    scalar = OpaqueField(shape, fn)
+    d = 2 * z.size
+    for gradient, sign in ((wirtinger_gradient, -1.0), (wirtinger_gradient_bar, 1.0)):
+        stacks.clear()
+        g = gradient(u, z)
+        assert np.array_equal(g, _reference_fd_gradient(scalar, z, sign))
+        # one stacked call per Richardson level, on the 2d axis rows
+        assert stacks == [(2 * d,) + shape] * 2
+        # without a stack evaluator, the stencil goes point by point
+        assert np.array_equal(gradient(scalar, z), g)
 
 
 def test_constructor_rejects_exponents_of_wrong_length():

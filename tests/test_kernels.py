@@ -4,7 +4,12 @@ from numpy.testing import assert_allclose
 
 from huacheck import domains, kernels, operators
 from huacheck.domains import MatrixPoint, type_i, type_ii, type_iii, type_iv
-from huacheck.fields import OpaqueField, wirtinger_hessian
+from huacheck.fields import (
+    OpaqueField,
+    wirtinger_gradient,
+    wirtinger_gradient_bar,
+    wirtinger_hessian,
+)
 
 
 def pair(spec, seed=0):
@@ -143,6 +148,23 @@ def test_log_gradients_closed_match_finite_differences(spec):
     cf, cbf = kernels.log_gradients_fd(spec, zpt.value, wpt.value)
     assert_allclose(c, cf, atol=1e-7)
     assert_allclose(cb, cbf, atol=1e-7)
+
+
+@pytest.mark.parametrize("spec", [type_i(2, 3), type_ii(3), type_iii(4)])
+def test_log_gradients_fd_equal_the_one_point_route(spec):
+    # each log det W is one stacked det per Richardson level; the same
+    # function differentiated one stencil point at a time gives the same bits
+    zpt, wpt = pair(spec, seed=3)
+    z, w = zpt.value, wpt.value
+    cf, cbf = kernels.log_gradients_fd(spec, z, w)
+    def logdet(W):
+        return np.log(np.linalg.det(W))
+
+    zw = OpaqueField(spec.shape, lambda zz: logdet(domains.w_matrix(zz, w)))
+    wz = OpaqueField(spec.shape, lambda zz: logdet(domains.w_matrix(w, zz)))
+    D = operators.direction_matrix(spec)
+    assert np.array_equal(cf, D @ wirtinger_gradient(zw, z))
+    assert np.array_equal(cbf, D.conj() @ wirtinger_gradient_bar(wz, z))
 
 
 def test_b_gradients_are_diagonal_log_gradients():
