@@ -79,6 +79,9 @@ def rank_deficient_pairs(seed, boundary_seeds):
 
 
 def run_kernel_campaign(specs, points, seed):
+    # reject a domain without a boundary sampler before any record runs
+    for spec in specs:
+        domains.silov_columns(spec)
     records = []
     for spec in specs:
         pairs = interior_boundary_pairs(spec, seed, points)

@@ -1,9 +1,7 @@
 """Command-line driver for reproducible verification campaigns.
 
-Subcommands:
-  verify kernel | hypergeom | dirichlet | embeddings
-  demo counterexample
-  report merge
+Subcommands: one ``verify`` or ``demo`` campaign per row of CAMPAIGNS, and
+``report merge``.
 
 Each campaign (see huacheck.campaigns) runs a fixed battery of identity
 checks and assembles a VerificationReport; the command exits 0 iff every
@@ -25,8 +23,16 @@ from .domains import parse_spec
 from .fields import wirtinger_hessian  # noqa: F401
 from .report import VerificationReport, merge_reports
 
-DEFAULT_KERNEL_DOMAINS = ("I:2,2", "I:2,3", "II:2", "II:3", "III:4")
-DEFAULT_DIRICHLET_DOMAINS = ("I:2,2", "II:2", "III:4")
+# (command, campaign) -> (run function, default --points, default --domain
+# list as space-separated specs, or None). Only a campaign with a list takes
+# --domain, and its run function takes the domain specs first.
+CAMPAIGNS = {
+    ("verify", "kernel"): (campaigns.run_kernel_campaign, 10, "I:2,2 I:2,3 II:2 II:3 III:4"),
+    ("verify", "hypergeom"): (campaigns.run_hypergeom_campaign, 50, None),
+    ("verify", "dirichlet"): (campaigns.run_dirichlet_campaign, 50, "I:2,2 II:2 III:4"),
+    ("verify", "embeddings"): (campaigns.run_embeddings_campaign, 20, None),
+    ("demo", "counterexample"): (campaigns.run_counterexample_campaign, 200, None),
+}
 
 
 def _emit(report, out, fmt, parser):
@@ -74,29 +80,24 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_points):
-        p.add_argument("--points", type=_POINTS, default=default_points)
+    groups = {
+        command: sub.add_parser(command, help=text).add_subparsers(dest="suite", required=True)
+        for command, text in (
+            ("verify", "run one verification suite"),
+            ("demo", "run a demonstration campaign"),
+            ("report", "report utilities"),
+        )
+    }
+    for (command, campaign), (_, points, default_domains) in CAMPAIGNS.items():
+        p = groups[command].add_parser(campaign)
+        p.add_argument("--points", type=_POINTS, default=points)
         p.add_argument("--seed", type=_SEED, default=0)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("json", "text"), default="text")
-        return p
-
-    verify = sub.add_parser("verify", help="run one verification suite")
-    vsub = verify.add_subparsers(dest="suite", required=True)
-    suites = (("kernel", 10), ("hypergeom", 50), ("dirichlet", 50), ("embeddings", 20))
-    for suite, points in suites:
-        p = common(vsub.add_parser(suite), points)
-        # only the kernel and dirichlet campaigns run over a list of domains
-        if suite in ("kernel", "dirichlet"):
+        if default_domains is not None:
             p.add_argument("--domain", type=_domain_spec, action="append", default=None)
 
-    demo = sub.add_parser("demo", help="run a demonstration campaign")
-    dsub = demo.add_subparsers(dest="suite", required=True)
-    common(dsub.add_parser("counterexample"), 200)
-
-    rep = sub.add_parser("report", help="report utilities")
-    rsub = rep.add_subparsers(dest="suite", required=True)
-    merge = rsub.add_parser("merge")
+    merge = groups["report"].add_parser("merge")
     merge.add_argument("inputs", nargs="+")
     merge.add_argument("--out", default=None)
     merge.add_argument("--format", choices=("json", "text"), default="json")
@@ -127,19 +128,11 @@ def main(argv=None):
 
 
 def _dispatch(args):
-    if args.command == "verify" and args.suite == "kernel":
-        specs = args.domain or [parse_spec(s) for s in DEFAULT_KERNEL_DOMAINS]
-        return campaigns.run_kernel_campaign(specs, args.points, args.seed)
-    elif args.command == "verify" and args.suite == "hypergeom":
-        return campaigns.run_hypergeom_campaign(args.points, args.seed)
-    elif args.command == "verify" and args.suite == "dirichlet":
-        specs = args.domain or [parse_spec(s) for s in DEFAULT_DIRICHLET_DOMAINS]
-        return campaigns.run_dirichlet_campaign(specs, args.points, args.seed)
-    elif args.command == "verify" and args.suite == "embeddings":
-        return campaigns.run_embeddings_campaign(args.points, args.seed)
-    elif args.command == "demo" and args.suite == "counterexample":
-        return campaigns.run_counterexample_campaign(args.points, args.seed)
-    raise SystemExit(2)
+    run, _, default_domains = CAMPAIGNS[args.command, args.suite]
+    if default_domains is None:
+        return run(args.points, args.seed)
+    specs = args.domain or [parse_spec(s) for s in default_domains.split()]
+    return run(specs, args.points, args.seed)
 
 
 if __name__ == "__main__":

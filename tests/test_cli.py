@@ -3,7 +3,7 @@ import json
 import pytest
 
 from huacheck import campaigns, domains
-from huacheck.cli import main
+from huacheck.cli import CAMPAIGNS, build_parser, main
 from huacheck.report import VerificationReport
 
 
@@ -157,19 +157,39 @@ def test_unsupported_kernel_domain_exits_2_without_traceback(suite, domain, caps
     assert "Traceback" not in err
 
 
-def test_dirichlet_rejects_an_unsupported_domain_before_any_record(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "suite, records",
+    [
+        (
+            "kernel",
+            (
+                "interior_boundary_pairs",
+                "theorem22_residuals",
+                "log_gradient_residuals",
+                "gram_complement_norms",
+                "rank_deficient_pairs",
+            ),
+        ),
+        (
+            "dirichlet",
+            (
+                "radial_extension_residuals",
+                "boundary_trace_residuals",
+                "holomorphic_passthrough_residuals",
+                "poisson_z_scores",
+            ),
+        ),
+    ],
+    ids=["kernel", "dirichlet"],
+)
+def test_unsupported_domain_is_rejected_before_any_record(suite, records, monkeypatch, capsys):
     def record(*args):
         raise AssertionError("a record ran before the domains were checked")
 
-    for name in (
-        "radial_extension_residuals",
-        "boundary_trace_residuals",
-        "holomorphic_passthrough_residuals",
-        "poisson_z_scores",
-    ):
+    for name in records:
         monkeypatch.setattr(campaigns, name, record)
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "dirichlet", "--domain", "II:2", "--domain", "III:3", "--points", "1"])
+        main(["verify", suite, "--domain", "II:2", "--domain", "III:3", "--points", "1"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "no distinguished-boundary sampler for III(3)" in err
@@ -233,6 +253,44 @@ def test_tol_is_not_an_option(command, capsys):
 def test_domain_on_a_campaign_without_domains_exits_2(command, capsys):
     argv = [*command, "--domain", "II:2", "--points", "1"]
     _assert_exits_2(argv, "unrecognized arguments: --domain II:2", capsys)
+
+
+# each campaign's interface written out by hand, as a reference independent of
+# cli.CAMPAIGNS: default --points and, for the campaigns that take --domain,
+# the labels of the default domains
+_DEFAULTS = {
+    ("verify", "kernel"): (10, ["I(2,2)", "I(2,3)", "II(2)", "II(3)", "III(4)"]),
+    ("verify", "hypergeom"): (50, None),
+    ("verify", "dirichlet"): (50, ["I(2,2)", "II(2)", "III(4)"]),
+    ("verify", "embeddings"): (20, None),
+    ("demo", "counterexample"): (200, None),
+}
+
+
+def test_campaign_table_lists_the_campaigns():
+    assert list(CAMPAIGNS) == list(_DEFAULTS)
+
+
+@pytest.mark.parametrize(
+    "command", list(_DEFAULTS), ids=[suite for _, suite in _DEFAULTS]
+)
+def test_campaign_defaults_match_the_interface(command):
+    args = build_parser().parse_args(list(command))
+    points, labels = _DEFAULTS[command]
+    assert (args.points, args.seed, args.out, args.format) == (points, 0, None, "text")
+    # --domain is an option of the campaigns with default domains only
+    assert hasattr(args, "domain") == (labels is not None)
+    if labels is not None:
+        assert args.domain is None
+
+
+@pytest.mark.parametrize("suite", ["kernel", "dirichlet"])
+def test_default_domains_match_the_interface(suite, tmp_path):
+    _, text = run_to_file(tmp_path, f"{suite}.json", ["verify", suite, "--points", "1"])
+    prefix = "boundary-gram-" if suite == "kernel" else "poisson-mass-"
+    names = [r["name"] for r in json.loads(text)["records"]]
+    labels = [name[len(prefix):] for name in names if name.startswith(prefix)]
+    assert labels == _DEFAULTS["verify", suite][1]
 
 
 def test_merge_of_a_missing_file_exits_2_without_traceback(tmp_path, capsys):
