@@ -9,7 +9,6 @@ profiles, Dirichlet solvers, ball embeddings, and a reporting CLI.
 
 from .domains import (
     DomainSpec,
-    MatrixPoint,
     UnsupportedDomainError,
     ball,
     kappa,
@@ -20,17 +19,15 @@ from .domains import (
     type_iv,
 )
 from .fields import OpaqueField, PolyField, wirtinger_gradient, wirtinger_hessian
-from .operators import OperatorId, apply
+from .operators import apply
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DomainSpec",
-    "MatrixPoint",
     "UnsupportedDomainError",
     "OpaqueField",
     "PolyField",
-    "OperatorId",
     "apply",
     "ball",
     "kappa",

@@ -16,9 +16,7 @@ import warnings
 import numpy as np
 
 from . import dirichlet, domains, embeddings, hypergeom, kernels, operators
-from .domains import MatrixPoint
 from .fields import PolyField, random_poly_field, wirtinger_hessian
-from .operators import OperatorId
 from .report import VerificationReport, record_from_values
 
 
@@ -41,12 +39,12 @@ def interior_boundary_pairs(spec, seed, count):
     """count interior points (seed) paired with Šilov points (seed + 1)."""
     zs = domains.sample_interior(spec, seed, count)
     ws = domains.sample_silov(spec, seed + 1, count)
-    return [(z, MatrixPoint(spec, w)) for z, w in zip(zs, ws)]
+    return list(zip(zs, ws))
 
 
 def theorem22_residuals(spec, pairs):
     """FD-route and closed-route boundary identity residuals of each pair."""
-    residuals = [kernels.check_theorem22(spec, zpt, wpt) for zpt, wpt in pairs]
+    residuals = [kernels.check_theorem22(spec, z, w) for z, w in pairs]
     return [fd for fd, _ in residuals], [exact for _, exact in residuals]
 
 
@@ -56,9 +54,9 @@ def log_gradient_residuals(spec, pairs):
     The gap is relative to the largest closed entry, floored at 1.
     """
     vals = []
-    for zpt, wpt in pairs:
-        c, cb = kernels.log_gradients_closed(spec, zpt.value, wpt.value)
-        cf, cbf = kernels.log_gradients_fd(spec, zpt.value, wpt.value)
+    for z, w in pairs:
+        c, cb = kernels.log_gradients_closed(spec, z, w)
+        cf, cbf = kernels.log_gradients_fd(spec, z, w)
         scale = max(1.0, float(np.max(np.abs(c))), float(np.max(np.abs(cb))))
         vals.append(max(np.max(np.abs(c - cf)), np.max(np.abs(cb - cbf))) / scale)
     return vals
@@ -66,10 +64,7 @@ def log_gradient_residuals(spec, pairs):
 
 def gram_complement_norms(spec, pairs):
     """Frobenius norm of the I - w*w correction tensor F at each pair."""
-    return [
-        float(np.linalg.norm(kernels.identity_tensors(spec, zpt.value, wpt.value).F))
-        for zpt, wpt in pairs
-    ]
+    return [float(np.linalg.norm(kernels.identity_tensors(spec, z, w)[5])) for z, w in pairs]
 
 
 def rank_deficient_pairs(seed, boundary_seeds):
@@ -109,7 +104,7 @@ def run_kernel_campaign(specs, points, seed):
             (
                 f"boundary-gram-{label}",
                 "distinguished boundary points satisfy w*w = I",
-                [kernels.silov_gram_defect(wpt) for _, wpt in pairs],
+                [kernels.silov_gram_defect(w) for _, w in pairs],
                 1e-12,
             ),
         ]
@@ -276,8 +271,7 @@ def radial_extension_residuals(u, rng, count):
     vals = []
     for _ in range(count):
         z = _radial_draw(rng, u.n, 0.1, 0.9)
-        pt = MatrixPoint(spec, z.reshape(1, u.n))
-        vals.append(abs(operators.apply(OperatorId("tilde"), field, pt)))
+        vals.append(abs(operators.apply("tilde", field, spec, z.reshape(1, u.n))))
     return vals
 
 
@@ -354,12 +348,11 @@ def run_dirichlet_campaign(specs, points, seed):
         ),
     ]
     for spec in specs:
-        interior = domains.sample_interior(spec, seed + 3, min(points, 10))
         # the 100k draws are made one SILOV_CHUNK block at a time inside the
         # solve, so no domain's sample is ever held whole
         mass_vals, repro_vals = poisson_z_scores(
             spec,
-            [zp.value for zp in interior],
+            domains.sample_interior(spec, seed + 3, min(points, 10)),
             domains.SilovSample(spec, seed + 7, 100_000),
         )
         label = spec.label()

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import DomainSpec, MatrixPoint, membership_margin, type_i, type_ii, type_iii
+from .domains import DomainSpec, membership_margin, require_family_symmetry
+from .domains import type_i, type_ii, type_iii
 from .fields import PolyField, wirtinger_hessian
 from .operators import component_values, constrained_hessian
 
@@ -93,17 +94,21 @@ def type_iii_embedding(n):
 
 
 def embed(e, lam):
-    """Evaluate the embedding at a ball point; checks both memberships."""
+    """The image of a ball point, an array of e.spec.shape.
+
+    Checks both memberships and the family symmetry of the image, failing
+    closed: a NaN point or image raises.
+    """
     lam = np.asarray(lam, dtype=complex).reshape(-1)
     if lam.size != e.ball_dim:
         raise ValueError("ball point has the wrong dimension")
-    if np.linalg.norm(lam) >= 1.0:
+    if not np.linalg.norm(lam) < 1.0:
         raise ValueError("point must lie in the open unit ball")
-    z = np.array([comp(lam) for comp in e.components]).reshape(e.spec.shape)
-    pt = MatrixPoint(e.spec, z)
-    if membership_margin(e.spec, z) <= 0.0:
+    z = np.array([comp(lam) for comp in e.components], dtype=complex).reshape(e.spec.shape)
+    require_family_symmetry(e.spec, z)
+    if not membership_margin(e.spec, z) > 0.0:
         raise ValueError("image left the target domain")
-    return pt
+    return z
 
 
 def gram_identity_residual(e):
@@ -173,7 +178,7 @@ def pullback_residual(e, u, lam):
     g = compose(e, u)
     Hg = wirtinger_hessian(g, lam)
     d = lam.size
-    z = embed(e, lam).value
+    z = embed(e, lam)
     Hu = constrained_hessian(e.spec, wirtinger_hessian(u, z))
     comps = component_values(e.spec, z, Hu)
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -316,22 +315,12 @@ def d2_logdetv(spec, z):
     return constrained_hessian(spec, -np.kron(Vi.T, Vsi))
 
 
-@dataclass(frozen=True)
-class IdentityTensors:
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    E: np.ndarray
-    F: np.ndarray
-
-    def residual(self):
-        """Entrywise boundary identity A + B + C - D - E (zero on-shell)."""
-        return self.A + self.B + self.C - self.D - self.E
-
-
 def identity_tensors(spec, z, w):
-    """Closed-form boundary tensors for II/III."""
+    """Closed-form boundary tensors (A, B, C, D, E, F) for II/III.
+
+    The boundary identity is A + B + C - D - E = 0 entrywise on the
+    distinguished boundary; F is the I - w*w correction tensor, zero there.
+    """
     if spec.family not in ("II", "III"):
         raise ValueError("identity tensors exist for the square families only")
     n = spec.n
@@ -354,7 +343,7 @@ def identity_tensors(spec, z, w):
     B = 4.0 * (Vsi - eye)
     D = 4.0 * (Wi_zs_ws - eye)
     E = 4.0 * (Wi_ws_zs - eye)
-    return IdentityTensors(A, B, C, D, E, F)
+    return A, B, C, D, E, F
 
 
 def component_kernel_exact(spec, z, w):
@@ -373,7 +362,7 @@ def component_kernel_exact(spec, z, w):
     return component_values(spec, z, (k * k * P) * T)
 
 
-def check_theorem22(spec, zpt, wpt):
+def check_theorem22(spec, z, w):
     """Residuals of the boundary differential identity at one (z, w) pair.
 
     Returns (r_fd, r_exact): the largest component-operator value of the
@@ -381,8 +370,6 @@ def check_theorem22(spec, zpt, wpt):
     residual (closed tensor sum for II/III, exact assembly for TypeI).
     Raises ValueError when the FD stencil around z can leave the domain.
     """
-    z = zpt.value
-    w = wpt.value
     # a stencil point moves at most two real coordinates by FD_STEP, so its
     # operator norm is at most ||z||_2 + sqrt(2) FD_STEP
     if np.linalg.norm(z, 2) + np.sqrt(2.0) * FD_STEP >= 1.0:
@@ -397,13 +384,14 @@ def check_theorem22(spec, zpt, wpt):
     if spec.family == "I":
         r_exact = float(np.max(np.abs(component_kernel_exact(spec, z, w))))
     else:
-        r_exact = float(np.max(np.abs(identity_tensors(spec, z, w).residual())))
+        A, B, C, D, E, _ = identity_tensors(spec, z, w)
+        r_exact = float(np.max(np.abs(A + B + C - D - E)))
     return r_fd, r_exact
 
 
-def silov_gram_defect(wpt):
+def silov_gram_defect(w):
     """Norm of I_m - w w*; zero exactly on the distinguished boundary.
 
     For the square families this agrees with the defect of I - w*w.
     """
-    return float(np.linalg.norm(v_matrix(wpt.value)))
+    return float(np.linalg.norm(v_matrix(w)))

@@ -19,8 +19,6 @@ to one contraction of the component weights with the constrained Hessian
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .domains import v_matrix
@@ -30,21 +28,14 @@ _KINDS = ("delta1", "delta2", "delta3", "delta4", "ball", "tilde")
 _FAMILY_OF = {"delta1": "I", "delta2": "II", "delta3": "III", "delta4": "IV"}
 
 
-@dataclass(frozen=True)
-class OperatorId:
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown operator kind {self.kind!r}")
-
-
-def _check_compat(op, spec):
-    fam = _FAMILY_OF.get(op.kind)
+def _check_compat(kind, spec):
+    if kind not in _KINDS:
+        raise ValueError(f"unknown operator kind {kind!r}")
+    fam = _FAMILY_OF.get(kind)
     if fam is not None and spec.family != fam:
-        raise ValueError(f"{op.kind} is not defined on {spec.label()}")
-    if op.kind in ("ball", "tilde") and not (spec.family == "I" and spec.m == 1):
-        raise ValueError(f"{op.kind} lives on the unit ball I(1,n)")
+        raise ValueError(f"{kind} is not defined on {spec.label()}")
+    if kind in ("ball", "tilde") and not (spec.family == "I" and spec.m == 1):
+        raise ValueError(f"{kind} lives on the unit ball I(1,n)")
 
 
 def direction_matrix(spec):
@@ -132,47 +123,48 @@ def _delta4_weights(zs):
 
 
 def delta4_coefficients(spec, values):
-    """coefficients(OperatorId("delta4"), point) at each point of a stack of
-    IV(n) values, shape (N, n, n), bit for bit."""
-    _check_compat(OperatorId("delta4"), spec)
+    """coefficients("delta4", spec, z) at each point z of a stack of IV(n)
+    values, shape (N, n, n), bit for bit."""
+    _check_compat("delta4", spec)
     values = np.asarray(values, dtype=complex)
     return _delta4_weights(values.reshape(len(values), spec.n))
 
 
-def _weight_tensor(op, spec, z):
+def _weight_tensor(kind, spec, z):
     """Coefficient over constrained-coordinate index pairs ((j,a),(k,b))."""
     m, n = spec.shape
-    if op.kind == "delta4":
+    if kind == "delta4":
         return _delta4_weights(z.reshape(1, n))[0]
-    if op.kind == "ball":
+    if kind == "ball":
         zv = z.reshape(-1)
         return (1.0 - float(np.vdot(zv, zv).real)) * (
             np.eye(n) - np.outer(zv, zv.conj())
         )
-    if op.kind == "tilde":
+    if kind == "tilde":
         zv = z.reshape(-1)
         return np.eye(n) - float(np.vdot(zv, zv).real) * np.outer(zv, zv.conj())
 
-    scale = 1.0 if op.kind == "delta1" else 0.25
+    scale = 1.0 if kind == "delta1" else 0.25
     W = (v_matrix(z) * scale)[:, None, :, None] * component_weights(spec, z)
     return W.reshape(m * n, m * n)
 
 
-def coefficients(op, point):
+def coefficients(kind, spec, z):
     """Effective coefficient tensor over plain flattened entry pairs.
 
-    apply(op, u, z) == sum_{a,b} coefficients(op, z)[a, b] * H_plain[a, b].
+    apply(kind, u, spec, z) == sum_{a,b} coefficients(kind, spec, z)[a, b] *
+    H_plain[a, b]. kind is one of delta1-delta4, "ball" and "tilde".
     """
-    _check_compat(op, point.spec)
-    W = _weight_tensor(op, point.spec, point.value)
-    if point.spec.family in ("II", "III"):
-        D = direction_matrix(point.spec)
+    _check_compat(kind, spec)
+    W = _weight_tensor(kind, spec, z)
+    if spec.family in ("II", "III"):
+        D = direction_matrix(spec)
         return D.T @ W @ D.conj()
     return W
 
 
-def apply(op, u, point):
-    """Evaluate the operator on a field at a point."""
-    C = coefficients(op, point)
-    H = wirtinger_hessian(u, point.value)
+def apply(kind, u, spec, z):
+    """Evaluate the operator named kind on a field u at the point z of spec."""
+    C = coefficients(kind, spec, z)
+    H = wirtinger_hessian(u, z)
     return complex(np.sum(C * H))

@@ -64,8 +64,8 @@ def test_criterion_3_gram_complement_vanishing_and_control(capsys):
     spec = type_iii(4)
     pairs = campaigns.interior_boundary_pairs(spec, seed=2, count=20)
     worst_gram = max(
-        float(np.linalg.norm(np.eye(4) - wpt.value.conj().T @ wpt.value))
-        for _, wpt in pairs
+        float(np.linalg.norm(np.eye(4) - w.conj().T @ w))
+        for _, w in pairs
     )
     worst_f = max(campaigns.gram_complement_norms(spec, pairs))
     (control,) = campaigns.gram_complement_norms(
@@ -207,7 +207,7 @@ def test_criterion_9_poisson_reproduction(capsys):
     details = []
     for name in ("I:2,2", "II:2", "III:4"):
         spec = parse_spec(name)
-        zs = [zp.value for zp in domains.sample_interior(spec, seed=11, count=10)]
+        zs = domains.sample_interior(spec, seed=11, count=10)
         mass, repro = campaigns.poisson_z_scores(
             spec, zs, domains.SilovSample(spec, seed=10, count=100_000)
         )

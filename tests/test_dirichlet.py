@@ -5,9 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from huacheck import dirichlet, domains, kernels, operators
-from huacheck.domains import MatrixPoint, type_i, type_ii, type_iii
+from huacheck.domains import type_i, type_ii, type_iii
 from huacheck.fields import PolyField
-from huacheck.operators import OperatorId
 
 
 def test_bidegree_harmonic_rejects_non_harmonic_data():
@@ -70,8 +69,7 @@ def test_modified_laplacian_annihilates_the_extension():
     for _ in range(10):
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         z *= rng.uniform(0.1, 0.9) / np.linalg.norm(z)
-        pt = MatrixPoint(spec, z.reshape(1, n))
-        assert abs(operators.apply(OperatorId("tilde"), u, pt)) < 1e-6
+        assert abs(operators.apply("tilde", u, spec, z.reshape(1, n))) < 1e-6
 
 
 def test_holomorphic_data_extends_to_itself():
@@ -117,7 +115,7 @@ def test_solve_tilde_checks_dimensions():
 def test_poisson_solve_mass_and_reproduction():
     spec = type_ii(2)
     batch = domains.SilovSample(spec, seed=8, count=4000)
-    z = domains.sample_interior(spec, seed=9, count=1)[0].value
+    z = domains.sample_interior(spec, seed=9, count=1)[0]
     one = PolyField.constant(spec.shape, 1.0)
     [[(mean, se)]] = dirichlet.poisson_solve(spec, [one], [z], batch=batch)
     assert abs(mean - 1.0) < 4.0 * se
@@ -132,7 +130,7 @@ def test_poisson_solve_mass_and_reproduction():
 def test_poisson_solve_field_list_matches_single_field_calls():
     spec = type_ii(2)
     batch = domains.SilovSample(spec, seed=8, count=2000)
-    z = domains.sample_interior(spec, seed=9, count=1)[0].value
+    z = domains.sample_interior(spec, seed=9, count=1)[0]
     fields = [
         PolyField.constant(spec.shape, 1.0),
         PolyField(spec.shape, {((0, 1, 0, 0), (0, 0, 0, 0)): 1.0}),
@@ -149,7 +147,7 @@ def test_poisson_solve_is_mean_and_stderr_of_the_stacked_kernel():
     # three blocks, merged pairwise, against two passes over the whole sample
     spec = type_iii(4)
     count = 2 * domains.SILOV_CHUNK + 37
-    z = domains.sample_interior(spec, seed=11, count=1)[0].value
+    z = domains.sample_interior(spec, seed=11, count=1)[0]
     phi = PolyField(spec.shape, {((0, 1) + (0,) * 14, (0,) * 15 + (1,)): 1.0})
     batch = domains.SilovSample(spec, seed=10, count=count)
     [[(mean, se)]] = dirichlet.poisson_solve(spec, [phi], [z], batch=batch)
@@ -166,7 +164,7 @@ def test_poisson_solve_over_blocks_of_growing_size():
     # 20-draw one
     spec = type_ii(2)
     ws = domains.sample_silov(spec, seed=30, count=65)
-    z = domains.sample_interior(spec, seed=31, count=1)[0].value
+    z = domains.sample_interior(spec, seed=31, count=1)[0]
     one = PolyField.constant(spec.shape, 1.0)
     [[(mean, se)]] = dirichlet.poisson_solve(spec, [one], [z], np.split(ws, [5, 45]))
     vals = kernels.poisson_szego(spec, z, ws)
@@ -193,7 +191,7 @@ def test_poisson_solve_streams_the_sample():
     # points (1.2 MB) and the (point, field, draw) products (0.7 MB) but not
     # the last block, which it drops first: 6.0 MB
     spec = type_iii(4)
-    zs = [p.value for p in domains.sample_interior(spec, seed=23, count=10)]
+    zs = domains.sample_interior(spec, seed=23, count=10)
     one = PolyField.constant(spec.shape, 1.0)
     batch = domains.SilovSample(spec, seed=24, count=100_000)
     tracemalloc.start()
@@ -216,7 +214,7 @@ POISSON_WEIGHT_DOMAINS = ["I:2,3", "I:1,3", "I:3,3", "II:3", "III:4", "III:6"]
 def test_poisson_solve_weights_match_per_row_kernel(domain, margin):
     spec = domains.parse_spec(domain)
     batch = domains.SilovSample(spec, seed=12, count=300)
-    z = domains.sample_interior(spec, seed=13, count=1)[0].value
+    z = domains.sample_interior(spec, seed=13, count=1)[0]
     rtol = 1e-12
     if margin is not None:
         # operator norm sqrt(1 - margin) puts z at that membership margin
@@ -238,7 +236,7 @@ def test_poisson_solve_weights_match_per_row_kernel(domain, margin):
 def test_kernel_dets_across_block_boundaries(domain, margin):
     spec = domains.parse_spec(domain)
     ws = domains.sample_silov(spec, seed=18, count=2 * domains.SILOV_CHUNK + 37)
-    z = domains.sample_interior(spec, seed=19, count=1)[0].value
+    z = domains.sample_interior(spec, seed=19, count=1)[0]
     z *= np.sqrt(1.0 - margin) / np.linalg.norm(z, 2)
     assert domains.membership_margin(spec, z) == pytest.approx(margin)
     expected = np.linalg.det(np.eye(spec.m) - z @ ws.conj().transpose(0, 2, 1))
@@ -249,7 +247,7 @@ def test_kernel_dets_across_block_boundaries(domain, margin):
 def test_kernel_dets_working_set_is_one_block():
     spec = type_iii(4)
     ws = domains.sample_silov(spec, seed=20, count=8 * domains.SILOV_CHUNK)
-    z = domains.sample_interior(spec, seed=21, count=1)[0].value
+    z = domains.sample_interior(spec, seed=21, count=1)[0]
     tracemalloc.start()
     try:
         kernels._generic_norm_dets(spec, ws, z)
@@ -262,7 +260,7 @@ def test_kernel_dets_working_set_is_one_block():
 def test_poisson_solve_point_stack_equals_one_point_calls():
     spec = type_i(2, 3)
     batch = domains.SilovSample(spec, seed=15, count=2000)
-    zs = [p.value for p in domains.sample_interior(spec, seed=16, count=3)]
+    zs = domains.sample_interior(spec, seed=16, count=3)
     fields = [
         PolyField.constant(spec.shape, 1.0),
         PolyField(spec.shape, {((0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0)): 1.0}),

@@ -1,12 +1,13 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from huacheck import campaigns, domains
+import huacheck
+from huacheck import campaigns, domains, embeddings
 from huacheck.domains import (
-    MatrixPoint,
     UnsupportedDomainError,
     kappa,
     parse_spec,
@@ -40,12 +41,58 @@ def test_kappa_values():
         kappa(type_iv(2))
 
 
-def test_matrix_point_validates_symmetry():
-    bad = np.array([[0.0, 1.0], [0.5, 0.0]])
-    with pytest.raises(ValueError):
-        MatrixPoint(type_ii(2), bad)
-    with pytest.raises(ValueError):
-        MatrixPoint(type_iii(2), np.eye(2))
+def test_public_names_resolve():
+    for name in huacheck.__all__:
+        assert getattr(huacheck, name) is not None, name
+
+
+@pytest.mark.parametrize("broken", ["nan", "wrong-symmetry"])
+@pytest.mark.parametrize("spec", [type_ii(3), type_iii(3)], ids=lambda spec: spec.label())
+def test_family_symmetry_check_fails_closed(spec, broken):
+    # v^t = sign v on the family; entry (0, 1) is broken by a NaN or by the
+    # other family's sign
+    sign = 1.0 if spec.family == "II" else -1.0
+    g = 0.1 * np.random.default_rng(40).standard_normal((3, 3)) * (1.0 + 1.0j)
+    v = g + sign * g.T
+    v[0, 1] = np.nan if broken == "nan" else -sign * v[1, 0]
+    with pytest.raises(ValueError, match="breaks the family symmetry"):
+        domains.require_family_symmetry(spec, v)
+    v[0, 1] = sign * v[1, 0]
+    domains.require_family_symmetry(spec, v)
+
+
+@pytest.mark.parametrize("broken", ["nan", "wrong-symmetry"])
+def test_pseudo_boundary_checks_the_family_symmetry(monkeypatch, broken):
+    if broken == "nan":
+        haar_unitary = domains.haar_unitary
+
+        def nan_unitary(rng, n):
+            u = haar_unitary(rng, n)
+            u[0, 0] = np.nan
+            return u
+
+        monkeypatch.setattr(domains, "haar_unitary", nan_unitary)
+    else:
+        monkeypatch.setattr(domains, "_antisym_block_j", lambda n: np.eye(n))
+    with pytest.raises(ValueError, match="breaks the family symmetry"):
+        domains.rank_deficient_pseudo_boundary(3, seed=5)
+
+
+@pytest.mark.parametrize("broken", ["nan", "wrong-symmetry"])
+@pytest.mark.parametrize("family", ["II", "III"])
+def test_embed_checks_the_family_symmetry(family, broken):
+    if family == "II":
+        e = embeddings.type_ii_embedding(domains.haar_unitary(np.random.default_rng(41), 3))
+    else:
+        e = embeddings.type_iii_embedding(3)
+    lam = np.full(e.ball_dim, 0.3 + 0.1j)
+    assert embeddings.embed(e, lam).shape == e.spec.shape
+    # entry (0, 1) of the image becomes NaN, or twice its symmetric value
+    comps = e.components
+    factor = np.nan if broken == "nan" else 2.0
+    e = dataclasses.replace(e, components=(comps[0], comps[1] * factor) + comps[2:])
+    with pytest.raises(ValueError, match="breaks the family symmetry"):
+        embeddings.embed(e, lam)
 
 
 def test_membership_margin_signs():
@@ -81,18 +128,58 @@ def test_sample_interior_respects_family_and_margin():
     for spec in (type_i(2, 3), type_ii(3), type_iii(4), type_iv(2)):
         pts = domains.sample_interior(spec, seed=1, count=5)
         for p in pts:
-            assert domains.membership_margin(spec, p.value) >= 0.05
+            assert domains.membership_margin(spec, p) >= 0.05
             if spec.family == "II":
-                assert_allclose(p.value, p.value.T, atol=1e-12)
+                assert_allclose(p, p.T, atol=1e-12)
             if spec.family == "III":
-                assert_allclose(p.value, -p.value.T, atol=1e-12)
+                assert_allclose(p, -p.T, atol=1e-12)
 
 
 def test_sample_interior_is_deterministic():
     a = domains.sample_interior(type_ii(2), seed=7, count=3)
     b = domains.sample_interior(type_ii(2), seed=7, count=3)
     for p, q in zip(a, b):
-        assert_allclose(p.value, q.value)
+        assert_allclose(p, q)
+
+
+def _interior_reference(spec, seed, count):
+    """The per-draw sampler that the stacked one replaced, kept as the bit for
+    bit reference; also returns how many draws the 0.9 shrink loop touched."""
+    rng = np.random.default_rng(seed)
+    points, shrunk = [], 0
+    for _ in range(count):
+        v = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
+        if spec.family == "II":
+            v = (v + v.T) / 2.0
+        elif spec.family == "III":
+            v = (v - v.T) / 2.0
+        if spec.family == "IV":
+            v = v * (0.7 / np.linalg.norm(v))
+        else:
+            v = v * (0.7 / np.linalg.norm(v, 2))
+        shrunk += domains.membership_margin(spec, v) < 0.05
+        while domains.membership_margin(spec, v) < 0.05:
+            v = 0.9 * v
+        points.append(v)
+    return np.array(points), shrunk
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [type_i(2, 3), type_ii(3), type_iii(4), type_iv(2), type_iv(3)],
+    ids=lambda spec: spec.label(),
+)
+def test_interior_stack_equals_per_draw_reference(spec):
+    for seed in range(6):
+        zs = domains.sample_interior(spec, seed, 50)
+        assert isinstance(zs, np.ndarray)
+        assert zs.shape == (50,) + spec.shape and zs.dtype == np.complex128
+        ref, shrunk = _interior_reference(spec, seed, 50)
+        assert np.array_equal(zs, ref)
+        if spec == type_iv(2):
+            # 1 to 6 of the 50 draws shrink at each of these seeds, so the
+            # shrink loop is compared too
+            assert shrunk >= 1
 
 
 def test_haar_unitary_is_unitary():
@@ -253,8 +340,7 @@ def test_silov_unsupported_families():
 
 
 def test_pseudo_boundary_is_rank_deficient():
-    p = domains.rank_deficient_pseudo_boundary(3, seed=5)
-    w = p.value
+    w = domains.rank_deficient_pseudo_boundary(3, seed=5)
     assert_allclose(w, -w.T, atol=1e-12)
     gram = np.eye(3) - w.conj().T @ w
     assert np.linalg.norm(gram) > 0.5
@@ -281,5 +367,5 @@ def test_biholo_iv2_round_trip_and_membership():
 
 def test_json_round_trip():
     for p in domains.sample_interior(type_ii(2), seed=9, count=2):
-        back = domains.matrix_from_json(domains.matrix_to_json(p.value))
-        assert_allclose(back, p.value, atol=1e-15)
+        back = domains.matrix_from_json(domains.matrix_to_json(p))
+        assert_allclose(back, p, atol=1e-15)

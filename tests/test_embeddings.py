@@ -34,10 +34,14 @@ def test_embed_lands_in_the_target_domain():
     ]
     for e in cases:
         lam = ball_point(rng, e.ball_dim)
-        pt = embeddings.embed(e, lam)
-        assert domains.membership_margin(e.spec, pt.value) > 0.0
+        z = embeddings.embed(e, lam)
+        assert domains.membership_margin(e.spec, z) > 0.0
     with pytest.raises(ValueError):
         embeddings.embed(cases[0], np.array([1.0, 0.0, 0.0]))
+    # the ball test fails closed: nan >= 1 is False, nan < 1 too
+    for e in cases:
+        with pytest.raises(ValueError, match="open unit ball"):
+            embeddings.embed(e, np.full(e.ball_dim, np.nan))
 
 
 def test_rank_one_gram_identity_is_exact():

@@ -191,7 +191,7 @@ def _reference_wirtinger_hessian(u, z, step, richardson):
 
 
 def _kernel_case(spec):
-    z = domains.sample_interior(spec, 0, 1)[0].value
+    z = domains.sample_interior(spec, 0, 1)[0]
     w = domains.sample_silov(spec, 1, 1)[0]
     return kernels.kernel_field(spec, w), z, 1e-3
 
@@ -293,7 +293,7 @@ def _reference_fd_gradient(u, z, sign):
 def _logdetw_case(spec, boundary_first):
     """log det W(z, w) (or of W(w, z)) at an interior z for a Šilov w, as one
     function of a point or a stack of points."""
-    z = domains.sample_interior(spec, 0, 1)[0].value
+    z = domains.sample_interior(spec, 0, 1)[0]
     w = domains.sample_silov(spec, 1, 1)[0]
 
     def fn(zz):

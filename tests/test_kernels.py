@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from huacheck import domains, kernels, operators
-from huacheck.domains import MatrixPoint, type_i, type_ii, type_iii, type_iv
+from huacheck.domains import type_i, type_ii, type_iii, type_iv
 from huacheck.fields import (
     OpaqueField,
     wirtinger_gradient,
@@ -15,7 +15,7 @@ from huacheck.fields import (
 def pair(spec, seed=0):
     z = domains.sample_interior(spec, seed, 1)[0]
     w = domains.sample_silov(spec, seed + 1, 1)[0]
-    return z, MatrixPoint(spec, w)
+    return z, w
 
 
 def test_kernel_is_one_at_the_origin():
@@ -27,8 +27,8 @@ def test_kernel_is_one_at_the_origin():
 
 def test_kernel_positive_on_interior():
     spec = type_ii(3)
-    zpt, wpt = pair(spec)
-    assert kernels.poisson_szego(spec, zpt.value, wpt.value) > 0.0
+    z, w = pair(spec)
+    assert kernels.poisson_szego(spec, z, w) > 0.0
 
 
 def _two_det_kernel(spec, z, w):
@@ -55,7 +55,7 @@ def test_stacked_kernel_equals_two_det_formula(spec):
     ws = domains.sample_silov(spec, 13, 5)
     for margin in (0.5, 1e-3):
         for seed, w in enumerate(ws):
-            z = domains.sample_interior(spec, seed, 1)[0].value
+            z = domains.sample_interior(spec, seed, 1)[0]
             z = z * ((1.0 - margin) / np.linalg.norm(z, 2))
             assert kernels.poisson_szego(spec, z, w) == _two_det_kernel(spec, z, w)
 
@@ -68,7 +68,7 @@ STACK_DOMAINS = ["I:2,3", "I:1,3", "I:3,3", "II:3", "III:4", "III:6"]
 def test_stacked_kernel_matches_per_row_kernel(domain, margin):
     spec = domains.parse_spec(domain)
     batch = domains.sample_silov(spec, seed=12, count=300)
-    z = domains.sample_interior(spec, seed=13, count=1)[0].value
+    z = domains.sample_interior(spec, seed=13, count=1)[0]
     rtol = 1e-12
     if margin is not None:
         # operator norm sqrt(1 - margin) puts z at that membership margin
@@ -87,7 +87,7 @@ def test_point_stack_kernel_equals_one_point_stacks(domain):
     # a (Z, N) stack over two blocks; each point's row is bit for bit its own
     spec = domains.parse_spec(domain)
     ws = domains.sample_silov(spec, seed=25, count=domains.SILOV_CHUNK + 37)
-    zs = np.array([p.value for p in domains.sample_interior(spec, seed=26, count=3)])
+    zs = domains.sample_interior(spec, seed=26, count=3)
     stacked = kernels.poisson_szego(spec, zs, ws)
     assert stacked.shape == (3, len(ws))
     for z, row in zip(zs, stacked):
@@ -117,7 +117,7 @@ def test_generic_norm_equals_det(domain):
     # the expansion is an algebraic identity, so it holds for Silov draws and
     # for arbitrary family matrices alike; on III the value is h^2 itself
     spec = domains.parse_spec(domain)
-    z = domains.sample_interior(spec, seed=27, count=1)[0].value
+    z = domains.sample_interior(spec, seed=27, count=1)[0]
     # operator norm sqrt(1 - margin) puts z at that membership margin
     z = z / np.linalg.norm(z, 2)
     zs = np.array([z * np.sqrt(1.0 - margin) for margin in (0.5, 1e-3)])
@@ -143,9 +143,9 @@ def test_kernel_rejects_type_iv():
 
 @pytest.mark.parametrize("spec", [type_i(2, 3), type_ii(2), type_ii(3), type_iii(4)])
 def test_log_gradients_closed_match_finite_differences(spec):
-    zpt, wpt = pair(spec, seed=2)
-    c, cb = kernels.log_gradients_closed(spec, zpt.value, wpt.value)
-    cf, cbf = kernels.log_gradients_fd(spec, zpt.value, wpt.value)
+    z, w = pair(spec, seed=2)
+    c, cb = kernels.log_gradients_closed(spec, z, w)
+    cf, cbf = kernels.log_gradients_fd(spec, z, w)
     assert_allclose(c, cf, atol=1e-7)
     assert_allclose(cb, cbf, atol=1e-7)
 
@@ -154,8 +154,7 @@ def test_log_gradients_closed_match_finite_differences(spec):
 def test_log_gradients_fd_equal_the_one_point_route(spec):
     # each log det W is one stacked det per Richardson level; the same
     # function differentiated one stencil point at a time gives the same bits
-    zpt, wpt = pair(spec, seed=3)
-    z, w = zpt.value, wpt.value
+    z, w = pair(spec, seed=3)
     cf, cbf = kernels.log_gradients_fd(spec, z, w)
     def logdet(W):
         return np.log(np.linalg.det(W))
@@ -169,22 +168,22 @@ def test_log_gradients_fd_equal_the_one_point_route(spec):
 
 def test_b_gradients_are_diagonal_log_gradients():
     spec = type_ii(3)
-    zpt, _ = pair(spec, seed=3)
-    b, bb = kernels.b_gradients(spec, zpt.value)
-    c, cb = kernels.log_gradients_closed(spec, zpt.value, zpt.value)
+    z, _ = pair(spec, seed=3)
+    b, bb = kernels.b_gradients(spec, z)
+    c, cb = kernels.log_gradients_closed(spec, z, z)
     assert_allclose(b, c, atol=1e-14)
     assert_allclose(bb, cb, atol=1e-14)
 
 
 def test_d2_logdetv_against_numerical_hessian():
     spec = type_i(2, 2)
-    zpt, _ = pair(spec, seed=4)
+    z, _ = pair(spec, seed=4)
     field = OpaqueField(
         spec.shape,
         lambda z: float(np.log(np.linalg.det(kernels.v_matrix(z)).real)),
     )
-    H_fd = wirtinger_hessian(field, zpt.value, step=1e-3)
-    H = kernels.d2_logdetv(spec, zpt.value)
+    H_fd = wirtinger_hessian(field, z, step=1e-3)
+    H = kernels.d2_logdetv(spec, z)
     assert_allclose(H, H_fd, atol=1e-8)
 
 
@@ -207,37 +206,31 @@ def _direct_tensors(spec, z, w):
 
 @pytest.mark.parametrize("spec", [type_ii(2), type_ii(3), type_iii(4)])
 def test_identity_tensors_residual_and_dual_paths(spec):
-    zpt, wpt = pair(spec, seed=5)
-    tensors = kernels.identity_tensors(spec, zpt.value, wpt.value)
-    assert float(np.max(np.abs(tensors.residual()))) < 1e-10
-    scale = max(float(np.max(np.abs(t))) for t in (tensors.A, tensors.B, tensors.C))
-    closed = (tensors.A, tensors.B, tensors.C, tensors.D, tensors.E)
-    direct = _direct_tensors(spec, zpt.value, wpt.value)
+    z, w = pair(spec, seed=5)
+    closed = kernels.identity_tensors(spec, z, w)[:5]
+    A, B, C, D, E = closed
+    assert float(np.max(np.abs(A + B + C - D - E))) < 1e-10
+    scale = max(float(np.max(np.abs(t))) for t in (A, B, C))
+    direct = _direct_tensors(spec, z, w)
     for x, y in zip(closed, direct):
         assert float(np.max(np.abs(x - y))) < 1e-10 * max(1.0, scale)
 
 
 def test_identity_tensors_reject_type_i():
     spec = type_i(2, 2)
-    zpt, wpt = pair(spec)
+    z, w = pair(spec)
     with pytest.raises(ValueError):
-        kernels.identity_tensors(spec, zpt.value, wpt.value)
+        kernels.identity_tensors(spec, z, w)
 
 
 def test_gram_complement_tensor_vanishes_only_on_true_boundary():
     spec = type_iii(4)
-    zpt, wpt = pair(spec, seed=6)
-    assert (
-        float(np.linalg.norm(kernels.identity_tensors(spec, zpt.value, wpt.value).F))
-        < 1e-10
-    )
+    z, w = pair(spec, seed=6)
+    assert float(np.linalg.norm(kernels.identity_tensors(spec, z, w)[5])) < 1e-10
     spec3 = type_iii(3)
     z3 = domains.sample_interior(spec3, 7, 1)[0]
     w3 = domains.rank_deficient_pseudo_boundary(3, seed=8)
-    assert (
-        float(np.linalg.norm(kernels.identity_tensors(spec3, z3.value, w3.value).F))
-        > 1e-3
-    )
+    assert float(np.linalg.norm(kernels.identity_tensors(spec3, z3, w3)[5])) > 1e-3
 
 
 @pytest.mark.parametrize(
@@ -247,40 +240,38 @@ def test_gram_complement_tensor_vanishes_only_on_true_boundary():
 )
 def test_component_kernel_exact_vanishes(spec):
     for seed in (9, 10, 11):
-        zpt, wpt = pair(spec, seed=seed)
-        vals = kernels.component_kernel_exact(spec, zpt.value, wpt.value)
+        z, w = pair(spec, seed=seed)
+        vals = kernels.component_kernel_exact(spec, z, w)
         assert float(np.max(np.abs(vals))) < 1e-10
 
 
 @pytest.mark.parametrize("spec", [type_i(2, 2), type_ii(2), type_iii(4)])
 def test_check_theorem22_both_routes(spec):
-    zpt, wpt = pair(spec, seed=10)
-    r_fd, r_exact = kernels.check_theorem22(spec, zpt, wpt)
+    z, w = pair(spec, seed=10)
+    r_fd, r_exact = kernels.check_theorem22(spec, z, w)
     assert r_fd < 1e-6
     assert r_exact < 1e-9
 
 
 def test_check_theorem22_rejects_a_stencil_leaving_the_domain():
     spec = type_ii(2)
-    wpt = MatrixPoint(spec, domains.sample_silov(spec, 14, 1)[0])
+    w = domains.sample_silov(spec, 14, 1)[0]
     step = kernels.FD_STEP
-    z = domains.sample_interior(spec, 15, 1)[0].value
+    z = domains.sample_interior(spec, 15, 1)[0]
     z = z / np.linalg.norm(z, 2)
     for value in (1.5 * np.eye(2), (1.0 - step) * z):
         with pytest.raises(ValueError, match="stencil"):
-            kernels.check_theorem22(spec, MatrixPoint(spec, value), wpt)
-    r_fd, r_exact = kernels.check_theorem22(
-        spec, MatrixPoint(spec, (1.0 - 2.0 * step) * z), wpt
-    )
+            kernels.check_theorem22(spec, value, w)
+    r_fd, r_exact = kernels.check_theorem22(spec, (1.0 - 2.0 * step) * z, w)
     assert np.isfinite(r_fd) and np.isfinite(r_exact)
 
 
 def test_silov_gram_defect():
     spec = type_i(2, 3)
-    wpt = MatrixPoint(spec, domains.sample_silov(spec, 11, 1)[0])
-    assert kernels.silov_gram_defect(wpt) < 1e-12
-    zpt = domains.sample_interior(spec, 12, 1)[0]
-    assert kernels.silov_gram_defect(zpt) > 0.1
+    w = domains.sample_silov(spec, 11, 1)[0]
+    assert kernels.silov_gram_defect(w) < 1e-12
+    z = domains.sample_interior(spec, 12, 1)[0]
+    assert kernels.silov_gram_defect(z) > 0.1
 
 
 def test_inverse_roundtrip():

@@ -3,10 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from huacheck import campaigns, domains
-from huacheck.domains import MatrixPoint, type_i, type_ii, type_iii, type_iv
+from huacheck.domains import type_i, type_ii, type_iii, type_iv
 from huacheck.fields import OpaqueField, PolyField, random_poly_field, wirtinger_hessian
 from huacheck.operators import (
-    OperatorId,
     apply,
     coefficients,
     component_values,
@@ -17,18 +16,19 @@ from huacheck.operators import (
 )
 
 
-def test_operator_id_validation():
-    with pytest.raises(ValueError):
-        OperatorId("delta5")
+def test_unknown_operator_kind_is_rejected():
+    u = PolyField.constant((1, 2), 1.0)
+    with pytest.raises(ValueError, match="unknown operator kind"):
+        apply("delta5", u, domains.ball(2), np.zeros((1, 2), dtype=complex))
 
 
 def test_family_compatibility():
-    pt = MatrixPoint(type_ii(2), np.zeros((2, 2)))
+    spec, z = type_ii(2), np.zeros((2, 2), dtype=complex)
     u = PolyField.constant((2, 2), 1.0)
     with pytest.raises(ValueError):
-        apply(OperatorId("delta1"), u, pt)
+        apply("delta1", u, spec, z)
     with pytest.raises(ValueError):
-        apply(OperatorId("ball"), u, pt)
+        apply("ball", u, spec, z)
 
 
 def test_direction_matrix_symmetric_family():
@@ -49,7 +49,7 @@ def test_direction_matrix_antisymmetric_family():
 def test_delta1_at_origin_is_euclidean_trace():
     # at z = 0 every weight matrix collapses to the identity
     spec = type_i(2, 2)
-    pt = MatrixPoint(spec, np.zeros((2, 2)))
+    z = np.zeros((2, 2), dtype=complex)
     u = PolyField(
         (2, 2),
         {
@@ -57,7 +57,7 @@ def test_delta1_at_origin_is_euclidean_trace():
             ((0, 0, 0, 1), (0, 0, 0, 1)): 2.0,
         },
     )
-    val = apply(OperatorId("delta1"), u, pt)
+    val = apply("delta1", u, spec, z)
     assert_allclose(val, 3.0, atol=1e-14)
 
 
@@ -75,9 +75,9 @@ def test_exact_and_fd_routes_agree():
             u = u.compose_holomorphic(_symmetrize_components(spec.n), spec.shape)
         if spec.family == "III":
             u = u.compose_holomorphic(_antisymmetrize_components(spec.n), spec.shape)
-        pt = domains.sample_interior(spec, seed=1, count=1)[0]
-        exact = apply(OperatorId(kind), u, pt)
-        fd = apply(OperatorId(kind), OpaqueField(spec.shape, u), pt)
+        z = domains.sample_interior(spec, seed=1, count=1)[0]
+        exact = apply(kind, u, spec, z)
+        fd = apply(kind, OpaqueField(spec.shape, u), spec, z)
         assert_allclose(fd, exact, atol=2e-6)
 
 
@@ -101,15 +101,14 @@ def _antisymmetrize_components(n):
     return comps
 
 
-def _component_sum_gap(kind, u, point):
+def _component_sum_gap(kind, u, spec, z):
     """|full operator - sum_jk c V(z)_jk (component jk)|, c = 1 for delta1
     and 1/4 for delta2/delta3: the component decomposition of the operator."""
-    spec, z = point.spec, point.value
     Vz = np.eye(spec.m) - z @ z.conj().T
     prefactor = 1.0 if kind == "delta1" else 0.25
     H = constrained_hessian(spec, wirtinger_hessian(u, z))
     total = prefactor * np.sum(Vz * component_values(spec, z, H))
-    return abs(apply(OperatorId(kind), u, point) - total)
+    return abs(apply(kind, u, spec, z) - total)
 
 
 def _component_reference(spec, z, H):
@@ -138,7 +137,7 @@ def test_component_values_match_the_per_component_coefficients(spec):
     rng = np.random.default_rng(14)
     for seed in (15, 16):
         u = random_poly_field(spec.shape, rng, degree=3)
-        z = domains.sample_interior(spec, seed=seed, count=1)[0].value
+        z = domains.sample_interior(spec, seed=seed, count=1)[0]
         H = wirtinger_hessian(u, z)
         got = component_values(spec, z, constrained_hessian(spec, H))
         assert got.shape == (spec.m, spec.m)
@@ -160,45 +159,45 @@ def test_component_sum_reassembles_full_operator():
         (type_iii(4), "delta3"),
     ):
         u = random_poly_field(spec.shape, rng, degree=3)
-        pt = domains.sample_interior(spec, seed=3, count=1)[0]
-        gap = _component_sum_gap(kind, u, pt)
+        z = domains.sample_interior(spec, seed=3, count=1)[0]
+        gap = _component_sum_gap(kind, u, spec, z)
         assert gap < 1e-10
 
 
 def test_ball_and_tilde_differ_only_in_radial_weight():
     spec = domains.ball(3)
-    pt = domains.sample_interior(spec, seed=4, count=1)[0]
+    z = domains.sample_interior(spec, seed=4, count=1)[0]
     rng = np.random.default_rng(5)
     u = random_poly_field(spec.shape, rng, degree=3)
-    ball_val = apply(OperatorId("ball"), u, pt)
-    tilde_val = apply(OperatorId("tilde"), u, pt)
+    ball_val = apply("ball", u, spec, z)
+    tilde_val = apply("tilde", u, spec, z)
     # both annihilate pluriharmonic fields; on generic fields they differ
     assert abs(ball_val - tilde_val) > 1e-8
     v = (
         PolyField.coordinate(spec.shape, 0) * PolyField.coordinate(spec.shape, 1)
     ).real_part()
-    assert abs(apply(OperatorId("ball"), v, pt)) < 1e-14
-    assert abs(apply(OperatorId("tilde"), v, pt)) < 1e-14
+    assert abs(apply("ball", v, spec, z)) < 1e-14
+    assert abs(apply("tilde", v, spec, z)) < 1e-14
 
 
 def test_delta4_annihilates_counterexample_function():
     spec = type_iv(2)
     u = PolyField((1, 2), {((1, 0), (1, 0)): 1.0, ((0, 1), (0, 1)): -1.0})
-    for pt in domains.sample_interior(spec, seed=6, count=10):
-        assert abs(apply(OperatorId("delta4"), u, pt)) < 1e-12
+    for z in domains.sample_interior(spec, seed=6, count=10):
+        assert abs(apply("delta4", u, spec, z)) < 1e-12
 
 
 def test_delta4_does_not_annihilate_generic_quadratic():
     spec = type_iv(2)
     u = PolyField((1, 2), {((1, 0), (1, 0)): 1.0})  # |z_1|^2 alone
-    pt = domains.sample_interior(spec, seed=7, count=1)[0]
-    assert abs(apply(OperatorId("delta4"), u, pt)) > 1e-3
+    z = domains.sample_interior(spec, seed=7, count=1)[0]
+    assert abs(apply("delta4", u, spec, z)) > 1e-3
 
 
 def test_coefficients_shape_and_hermitian_symmetry():
     spec = type_ii(3)
-    pt = domains.sample_interior(spec, seed=8, count=1)[0]
-    C = coefficients(OperatorId("delta2"), pt)
+    z = domains.sample_interior(spec, seed=8, count=1)[0]
+    C = coefficients("delta2", spec, z)
     assert C.shape == (9, 9)
     # operator is real on real-valued fields: coefficient tensor is Hermitian
     assert_allclose(C, C.conj().T, atol=1e-12)
@@ -235,12 +234,10 @@ def test_stacked_delta4_coefficients_equal_the_per_point_ones(n):
     if n == 2:
         zs = _iv2_points()
     else:
-        zs = np.array([pt.value.reshape(-1) for pt in domains.sample_interior(spec, 13, 50)])
+        zs = domains.sample_interior(spec, 13, 50).reshape(50, n)
     C = delta4_coefficients(spec, zs)
     assert C.shape == (len(zs), n, n)
-    per_point = np.array(
-        [coefficients(OperatorId("delta4"), MatrixPoint(spec, z.reshape(1, n))) for z in zs]
-    )
+    per_point = np.array([coefficients("delta4", spec, z.reshape(1, n)) for z in zs])
     assert np.array_equal(_bits(C), _bits(per_point))
 
 
@@ -285,9 +282,8 @@ def test_quartic_residuals_equal_the_per_point_loop():
     ref = [[], [], [], []]
     for z in zs:
         # the per-point loop the stacked residuals replaced
-        pt = MatrixPoint(spec, z.reshape(1, 2))
         H = wirtinger_hessian(u, z)
-        ref[0].append(abs(apply(OperatorId("delta4"), u, pt)))
+        ref[0].append(abs(apply("delta4", u, spec, z.reshape(1, 2))))
         ref[1].append(float(np.linalg.norm(H)))
         ref[2].append(abs(np.trace(H)))
         ref[3].append(abs(2.0 * H[0, 1].real))
