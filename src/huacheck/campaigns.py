@@ -145,18 +145,17 @@ SINGULARITY_CASES = (
 
 def derivative_ladder_residuals(rng, count):
     """Parameter-shift 2F1 derivative against the termwise series."""
-    vals = []
+    params = []
+    for _ in range(count):
+        a = rng.uniform(0.2, 3.0)
+        b = rng.uniform(0.2, 3.0)
+        c = rng.uniform(a + b + 0.5, a + b + 4.0)
+        params.append((a, b, c, rng.uniform(0.0, 0.8)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for _ in range(count):
-            a = rng.uniform(0.2, 3.0)
-            b = rng.uniform(0.2, 3.0)
-            c = rng.uniform(a + b + 0.5, a + b + 4.0)
-            t = rng.uniform(0.0, 0.8)
-            lhs = hypergeom.gauss_2f1_derivative(a, b, c, t)
-            rhs = hypergeom.gauss_2f1_derivative_series(a, b, c, t)
-            vals.append(abs(lhs - rhs) / max(1.0, abs(rhs)))
-    return vals
+        ladder = hypergeom.gauss_2f1_derivative(*np.array(params).T)
+        series = [hypergeom.gauss_2f1_derivative_series(*p) for p in params]
+    return [abs(lhs - rhs) / max(1.0, abs(rhs)) for lhs, rhs in zip(ladder.tolist(), series)]
 
 
 def euler_residuals():
@@ -165,9 +164,9 @@ def euler_residuals():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return [
-            hypergeom.euler_identity_residual(a, b, s, t)
+            residual
             for a, b, s in ((1.0, 1.0, 0.5), (1.5, 1.5, 1.0), (2.0, 1.0, 0.5))
-            for t in grid
+            for residual in hypergeom.euler_identity_residual(a, b, s, grid).tolist()
         ]
 
 
@@ -186,7 +185,7 @@ def radial_ode_residuals():
     vals = []
     for p, q, n in ((1, 1, 2), (1, 1, 3), (2, 1, 3), (2, 2, 5)):
         profile = hypergeom.RadialProfile(p, q, n)
-        vals.extend(abs(profile.ode_residual(t)) for t in np.linspace(0.1, 0.9, 9))
+        vals.extend(np.abs(profile.ode_residual(np.linspace(0.1, 0.9, 9))).tolist())
     return vals
 
 

@@ -177,6 +177,9 @@ def sample_interior(spec, seed, count):
     one (count, 2, m, n) Gaussian block, so draw i consumes the stream
     exactly as one real (m, n) draw followed by one imaginary draw would.
     """
+    if spec.family == "III" and spec.n == 1:
+        # every antisymmetric 1 x 1 draw is 0, which has no norm to rescale
+        raise ValueError(f"{spec.label()} has no interior point but 0")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((count, 2) + spec.shape)
     v = g[:, 0] + 1j * g[:, 1]

@@ -45,7 +45,8 @@ def type_i_embedding(xi, n):
     """Rank-one embedding of B_n into I(m, n) from a unit vector xi in C^m."""
     xi = np.asarray(xi, dtype=complex).reshape(-1)
     m = xi.size
-    if abs(np.linalg.norm(xi) - 1.0) > 1e-12:
+    # fails closed: NaN <= tol is False
+    if not abs(np.linalg.norm(xi) - 1.0) <= 1e-12:
         raise ValueError("xi must be a unit vector")
     lshape = (1, n)
     comps = []
@@ -59,7 +60,7 @@ def type_ii_embedding(u_mat):
     """Embedding of B_n into II(n): lam -> (lam U)^t (lam U)."""
     u_mat = np.asarray(u_mat, dtype=complex)
     n = u_mat.shape[0]
-    if np.max(np.abs(u_mat @ u_mat.conj().T - np.eye(n))) > 1e-12:
+    if not np.max(np.abs(u_mat @ u_mat.conj().T - np.eye(n))) <= 1e-12:
         raise ValueError("U must be unitary")
     lshape = (1, n)
     mu = [

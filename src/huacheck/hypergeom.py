@@ -5,16 +5,16 @@ parameter-shift derivative ladder, the classical limit laws near t = 1 and
 one Richardson fit of the series towards them, the normalized radial profile
 h(t) with its defining ODE, and the profile's boundary singularity type.
 
-The series is summed as a short scalar prefix followed by sequential NumPy
-blocks, with results identical to the plain scalar loop (see `gauss_2f1`);
-`gauss_2f1_stack` sums one series per element of an array in the same
-blocks, bit for bit.
+All 2F1 sums go through `gauss_2f1_stack`, which broadcasts a, b, c and t
+and sums one series per element in sequential NumPy blocks, bit for bit the
+plain scalar term loop; `gauss_2f1` is its face for one scalar t.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -22,9 +22,8 @@ import numpy as np
 
 SERIES_RTOL = 1e-15
 SERIES_TERM_CAP = 1_000_000
-# gauss_2f1 sums this many terms in a scalar loop before switching to blocks,
-# so the many short series pay no NumPy call overhead
-_SCALAR_PREFIX = 64
+# the first block of terms; later blocks double up to _BLOCK_MAX
+_BLOCK_MIN = 64
 _BLOCK_MAX = 4096
 
 
@@ -43,106 +42,79 @@ class SeriesConvergenceError(RuntimeError):
     pass
 
 
-def _check_series(a, b, c, t_min, t_max):
-    """Raise ValueError unless [t_min, t_max] lies in [0, 1) and c is not a
-    non-positive integer.
+def _check_series(a, b, c, t):
+    """Raise ValueError unless every t lies in [0, 1) and no c is a
+    non-positive integer; the arguments are broadcast arrays.
 
-    Returns True when the series is trivial (a or b is 0, the sum is 1);
-    otherwise warns, naming the caller of the entry point, when it
-    converges slowly.
+    Returns the mask of the series that need summing (a and b nonzero; the
+    others sum to 1). Warns once, naming the innermost caller outside this
+    module, when one of them converges slowly.
     """
-    if not (0.0 <= t_min and t_max < 1.0):
+    # NaN fails both comparisons
+    if not np.all((0.0 <= t) & (t < 1.0)):
         raise ValueError("series evaluation needs t in [0, 1)")
-    if c <= 0.0 and c == int(c):
+    if np.any((c <= 0.0) & (c == np.floor(c))):
         raise ValueError("c must not be a non-positive integer")
-    if a == 0.0 or b == 0.0:
-        return True
-    if t_max > 0.5 and c - a - b <= 0.0:
+    live = (a != 0.0) & (b != 0.0)
+    if np.any(live & (t > 0.5) & (c - a - b <= 0.0)):
+        frame, level = sys._getframe(), 1
+        while frame is not None and frame.f_globals is globals():
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             "2F1 series converges slowly for t > 0.5 with c - a - b <= 0",
-            stacklevel=3,
+            stacklevel=level,
         )
-    return False
+    return live
 
 
-def _sum_blocks(a, b, c, ts, term, total, start):
-    """Continue one series per column t of ts from term k = start, where
-    term and total hold its last term and partial sum; returns the sums.
+def gauss_2f1_stack(a, b, c, t):
+    """The 2F1 series sum_k (a)_k (b)_k / ((c)_k k!) t^k, 0 <= t < 1, for
+    each element of the broadcast of a, b, c and t; an array of that shape.
 
-    Blocks start at _SCALAR_PREFIX terms and double up to _BLOCK_MAX. Each
-    block forms the (terms, columns) term ratios, takes the running terms
-    with `np.multiply.accumulate` along axis 0 seeded with the carried
-    terms, and the running totals with `np.add.accumulate` seeded with the
-    carried totals. A ufunc `accumulate` is a sequential loop down each
-    column, without the pairwise summation of `np.sum`, so every partial
-    product and partial sum is the same IEEE operation, in the same order,
-    as in the scalar loop. A column stops at its first term with |term| <
-    SERIES_RTOL |total| and leaves the blocks. SERIES_TERM_CAP counts terms
-    from k = 0.
+    Each series stops at its first term with |term| < SERIES_RTOL |total|
+    and may take SERIES_TERM_CAP terms from k = 0. The live series are the
+    rows of a block of _BLOCK_MIN terms, doubling up to _BLOCK_MAX: the
+    block forms the term ratios, takes the running terms with
+    `np.multiply.accumulate` along each row seeded with the row's last term,
+    and the running totals with `np.add.accumulate` seeded with its last
+    total. A ufunc `accumulate` is a sequential loop, without the pairwise
+    summation of `np.sum`, so every partial product and partial sum is the
+    same IEEE operation, in the same order, as in the scalar term loop, and
+    each sum is bit for bit that loop's. A row leaves the blocks when it
+    stops.
     """
-    cap = SERIES_TERM_CAP
-    out = np.empty(len(ts))
-    live = np.arange(len(ts))
-    size = _SCALAR_PREFIX
-    # Python floats overflow to inf silently; keep the blocks as quiet
+    a, b, c, t = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, c, t)))
+    out = np.ones(t.shape)
+    live = _check_series(a, b, c, t)
+    rows = np.flatnonzero(live)
+    a, b, c, t = (x[live][:, None] for x in (a, b, c, t))
+    term = total = np.ones((len(rows), 1))
+    start, size, cap = 0, _BLOCK_MIN, SERIES_TERM_CAP
+    # the scalar term loop overflows to inf silently; keep the blocks as quiet
     with np.errstate(all="ignore"):
-        while len(live):
+        while len(rows):
             if start >= cap:
                 raise SeriesConvergenceError(
-                    f"2F1 series did not converge within {SERIES_TERM_CAP} terms"
+                    f"2F1 series did not converge within {cap} terms"
                 )
-            k = np.arange(start, min(start + size, cap), dtype=float)[:, None]
-            ratios = (a + k) * (b + k) / ((c + k) * (k + 1.0)) * ts
-            terms = np.multiply.accumulate(np.concatenate((term[None], ratios)))[1:]
-            totals = np.add.accumulate(np.concatenate((total[None], terms)))[1:]
+            k = np.arange(start, min(start + size, cap), dtype=float)
+            ratios = (a + k) * (b + k) / ((c + k) * (k + 1.0)) * t
+            terms = np.multiply.accumulate(np.concatenate((term, ratios), 1), 1)[:, 1:]
+            totals = np.add.accumulate(np.concatenate((total, terms), 1), 1)[:, 1:]
             done = np.abs(terms) < SERIES_RTOL * np.abs(totals)
-            term, total = terms[-1], totals[-1]
-            hit = done.any(0)
-            if hit.any():
-                out[live[hit]] = totals[done[:, hit].argmax(0), hit]
-                keep = ~hit
-                live, ts, term, total = live[keep], ts[keep], term[keep], total[keep]
+            hit = done.any(1)
+            out.flat[rows[hit]] = totals[hit, done[hit].argmax(1)]
+            keep = ~hit
+            rows, a, b, c, t = rows[keep], a[keep], b[keep], c[keep], t[keep]
+            term, total = terms[keep, -1:], totals[keep, -1:]
             start += len(k)
             size = min(2 * size, _BLOCK_MAX)
     return out
 
 
 def gauss_2f1(a, b, c, t):
-    """The 2F1 series sum_k (a)_k (b)_k / ((c)_k k!) t^k for a scalar
-    0 <= t < 1.
-
-    The series stops at the first term with |term| < SERIES_RTOL |total|.
-    The first _SCALAR_PREFIX terms are summed in a scalar loop, so the many
-    short series pay no NumPy call overhead. A series that has not converged
-    by then continues in the NumPy blocks of _sum_blocks, whose result is
-    bit-identical to summing the whole series term by term.
-    """
-    if _check_series(a, b, c, t, t):
-        return 1.0
-    total = 1.0
-    term = 1.0
-    for k in range(min(_SCALAR_PREFIX, SERIES_TERM_CAP)):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * t
-        total += term
-        if abs(term) < SERIES_RTOL * abs(total):
-            return total
-    carried = np.array([t]), np.array([term]), np.array([total])
-    return float(_sum_blocks(a, b, c, *carried, _SCALAR_PREFIX)[0])
-
-
-def gauss_2f1_stack(a, b, c, ts):
-    """gauss_2f1(a, b, c, t) for each t of the 1-d array ts, bit for bit.
-
-    Every series is summed in the blocks of _sum_blocks from its first
-    term, one column per t, so a stack pays a few NumPy calls in place of
-    one Python loop per element.
-    """
-    ts = np.asarray(ts, dtype=float)
-    ones = np.ones(len(ts))
-    # a NaN t propagates through min and max and fails the range check
-    if _check_series(a, b, c, np.min(ts, initial=0.0), np.max(ts, initial=0.0)):
-        return ones
-    return _sum_blocks(a, b, c, ts, ones, ones, 0)
+    """gauss_2f1_stack for one scalar t, as a float."""
+    return float(gauss_2f1_stack(a, b, c, t))
 
 
 def gauss_2f1_at_1(a, b, c):
@@ -155,11 +127,12 @@ def gauss_2f1_at_1(a, b, c):
 
 
 def gauss_2f1_derivative(a, b, c, t, order=1):
-    """d^order/dt^order of F via the parameter-shift ladder."""
+    """d^order/dt^order of F via the parameter-shift ladder; broadcasts like
+    gauss_2f1_stack."""
     coef = 1.0
     for i in range(order):
         coef *= (a + i) * (b + i) / (c + i)
-    return coef * gauss_2f1(a + order, b + order, c + order, t)
+    return coef * gauss_2f1_stack(a + order, b + order, c + order, t)
 
 
 def gauss_2f1_derivative_series(a, b, c, t):
@@ -182,9 +155,10 @@ def gauss_2f1_derivative_series(a, b, c, t):
 
 
 def euler_identity_residual(a, b, s, t):
-    """|F(a,b,a+b-s;t) (1-t)^s - F(b-s,a-s,a+b-s;t)|."""
-    lhs = gauss_2f1(a, b, a + b - s, t) * (1.0 - t) ** s
-    rhs = gauss_2f1(b - s, a - s, a + b - s, t)
+    """|F(a,b,a+b-s;t) (1-t)^s - F(b-s,a-s,a+b-s;t)|; broadcasts like
+    gauss_2f1_stack."""
+    lhs = gauss_2f1_stack(a, b, a + b - s, t) * (1.0 - t) ** s
+    rhs = gauss_2f1_stack(b - s, a - s, a + b - s, t)
     return abs(lhs - rhs)
 
 
@@ -231,7 +205,8 @@ def blowup(a, b, c):
         raise ValueError("blowup needs a + b - c >= 0")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        held, *fitted = [gauss_2f1(a, b, c, 1 - 2.0**-j) for j in (HOLDOUT_J, *FIT_JS)]
+        js = np.array((HOLDOUT_J, *FIT_JS))
+        held, *fitted = gauss_2f1_stack(a, b, c, 1.0 - 2.0**-js)
     power_model = tuple((i / 2.0 - s, 0) for i in range(6))
     fits = []
     for kind, model in (("log-type", LOG_MODEL), ("half-power", power_model)):
@@ -271,13 +246,11 @@ class RadialProfile:
         return gauss_2f1_at_1(self.a, self.b, self.c)
 
     def value(self, t):
-        """h(t) for a scalar t, or for each t of a 1-d array (through
-        gauss_2f1_stack, bit for bit the scalar values); exactly 1 if pq = 0."""
-        series = gauss_2f1_stack if np.ndim(t) else gauss_2f1
-        return series(self.a, self.b, self.c, t) / self.normalization
+        """h(t) for each element of t; exactly 1 if pq = 0."""
+        return gauss_2f1_stack(self.a, self.b, self.c, t) / self.normalization
 
     def derivative(self, t, order=1):
-        """d^order h / dt^order; exactly 0 if pq = 0."""
+        """d^order h / dt^order for each element of t; exactly 0 if pq = 0."""
         return gauss_2f1_derivative(self.a, self.b, self.c, t, order) / (
             self.normalization
         )

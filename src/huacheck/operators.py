@@ -135,16 +135,11 @@ def _weight_tensor(kind, spec, z):
     m, n = spec.shape
     if kind == "delta4":
         return _delta4_weights(z.reshape(1, n))[0]
-    if kind == "ball":
-        zv = z.reshape(-1)
-        return (1.0 - float(np.vdot(zv, zv).real)) * (
-            np.eye(n) - np.outer(zv, zv.conj())
-        )
     if kind == "tilde":
         zv = z.reshape(-1)
         return np.eye(n) - float(np.vdot(zv, zv).real) * np.outer(zv, zv.conj())
-
-    scale = 1.0 if kind == "delta1" else 0.25
+    # "ball" is delta1 on I(1, n): (1 - |z|^2)(I - z^t zbar)
+    scale = 0.25 if kind in ("delta2", "delta3") else 1.0
     W = (v_matrix(z) * scale)[:, None, :, None] * component_weights(spec, z)
     return W.reshape(m * n, m * n)
 

@@ -135,6 +135,11 @@ def test_sample_interior_respects_family_and_margin():
                 assert_allclose(p, -p.T, atol=1e-12)
 
 
+def test_sample_interior_rejects_the_one_point_domain():
+    with pytest.raises(ValueError, match=r"III\(1\)"):
+        domains.sample_interior(type_iii(1), seed=0, count=2)
+
+
 def test_sample_interior_is_deterministic():
     a = domains.sample_interior(type_ii(2), seed=7, count=3)
     b = domains.sample_interior(type_ii(2), seed=7, count=3)

@@ -25,6 +25,16 @@ def test_type_ii_embedding_requires_unitary():
         embeddings.type_ii_embedding(np.ones((2, 2)))
 
 
+def test_type_i_embedding_rejects_nan():
+    with pytest.raises(ValueError, match="unit vector"):
+        embeddings.type_i_embedding(np.full(2, np.nan), 3)
+
+
+def test_type_ii_embedding_rejects_nan():
+    with pytest.raises(ValueError, match="unitary"):
+        embeddings.type_ii_embedding(np.full((2, 2), np.nan))
+
+
 def test_embed_lands_in_the_target_domain():
     rng = np.random.default_rng(0)
     cases = [

@@ -77,7 +77,7 @@ def _terminating(terms):
 
 
 def test_block_series_equals_scalar_reference():
-    prefix = hypergeom._SCALAR_PREFIX
+    first = hypergeom._BLOCK_MIN
     cases = []
     # the classifier and log-limit parameters approaching t = 1
     params = [
@@ -96,10 +96,10 @@ def test_block_series_equals_scalar_reference():
     ]
     fit_js = range(1, max(hypergeom.FIT_JS) + 1)
     cases += [(a, b, c, 1.0 - 2.0**-j) for a, b, c in shifted for j in fit_js]
-    # terminating series ending around the prefix and the first two blocks
+    # terminating series ending around the ends of the first three blocks
     terminating = [
         terms
-        for edge in (prefix, 2 * prefix, 4 * prefix)
+        for edge in (first, 3 * first, 7 * first)
         for terms in range(edge - 2, edge + 3)
     ]
     cases += [_terminating(terms) for terms in terminating]
@@ -116,17 +116,24 @@ def test_block_series_equals_scalar_reference():
         warnings.simplefilter("ignore")
         for terms in terminating:
             assert _reference_gauss_2f1(*_terminating(terms))[1] == terms
-        lengths = []
+        lengths, totals = [], []
         for a, b, c, t in cases:
             expected, count = _reference_gauss_2f1(a, b, c, t)
             lengths.append(count)
+            totals.append(expected)
             assert hypergeom.gauss_2f1(a, b, c, t) == expected, (a, b, c, t)
-    # the cases reach past the prefix and into the capped 4096-term blocks
-    assert min(lengths) < prefix and max(lengths) > 16 * hypergeom._BLOCK_MAX
+        # one call over every case, each series with its own a, b and c,
+        # and two trivial rows with a = 0 and b = 0
+        trivial = [(0.0, 2.0, 3.0, 0.9), (1.5, 0.0, 0.5, 0.99)]
+        a, b, c, t = np.array(cases + trivial).T
+        got = hypergeom.gauss_2f1_stack(a, b, c, t)
+    assert np.array_equal(got, totals + [1.0, 1.0])
+    # the cases reach past the first block and into the capped 4096-term blocks
+    assert min(lengths) < first and max(lengths) > 16 * hypergeom._BLOCK_MAX
 
 
 def test_stack_series_equals_scalar_reference():
-    prefix = hypergeom._SCALAR_PREFIX
+    first = hypergeom._BLOCK_MIN
     a, b, c = 1.0, 1.0, 2.5
     rng = np.random.default_rng(3)
     ts = np.concatenate(
@@ -137,9 +144,9 @@ def test_stack_series_equals_scalar_reference():
     got = hypergeom.gauss_2f1_stack(a, b, c, ts)
     assert np.array_equal(got, [total for total, _ in reference])
     # one call mixes series that stop in the first block with series that
-    # run past the prefix length and into the capped blocks
+    # run into the capped blocks
     lengths = [count for _, count in reference]
-    assert min(lengths) < prefix and max(lengths) > 2 * hypergeom._BLOCK_MAX
+    assert min(lengths) < first and max(lengths) > 2 * hypergeom._BLOCK_MAX
     assert np.array_equal(hypergeom.gauss_2f1_stack(0.0, b, c, ts), np.ones(len(ts)))
     assert hypergeom.gauss_2f1_stack(a, b, c, np.array([])).shape == (0,)
 
@@ -160,7 +167,7 @@ def test_stack_series_warns_once_per_call():
 
 
 @pytest.mark.parametrize("cap", [10, 64, 100, 1000])
-def test_term_cap_counts_both_phases(monkeypatch, cap):
+def test_term_cap_counts_terms_from_the_first(monkeypatch, cap):
     monkeypatch.setattr(hypergeom, "SERIES_TERM_CAP", cap)
     t = 1.0 - 2.0**-10
     with warnings.catch_warnings():
@@ -174,7 +181,7 @@ def test_term_cap_counts_both_phases(monkeypatch, cap):
         assert hypergeom.gauss_2f1(*_terminating(cap)) == expected
         with pytest.raises(hypergeom.SeriesConvergenceError):
             hypergeom.gauss_2f1(*_terminating(cap + 1))
-        # the stack counts its terms from k = 0 in the blocks alone
+        # a stack counts each series' terms on its own
         a, b, c, t = _terminating(cap)
         assert hypergeom.gauss_2f1_stack(a, b, c, np.array([t, 0.0])).tolist() == [
             expected,
@@ -186,8 +193,8 @@ def test_term_cap_counts_both_phases(monkeypatch, cap):
 
 
 def test_overflowing_series_fails_without_runtime_warning(monkeypatch):
-    # the terms pass 1e308 after the scalar prefix; Python floats and the
-    # blocks both overflow to inf quietly and run into the cap
+    # the terms pass 1e308 after the first block; the reference's Python
+    # floats and the blocks both overflow to inf quietly and run into the cap
     monkeypatch.setattr(hypergeom, "SERIES_TERM_CAP", 1000)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
@@ -198,9 +205,11 @@ def test_overflowing_series_fails_without_runtime_warning(monkeypatch):
 
 
 def test_slow_convergence_warning_names_the_caller():
-    with pytest.warns(UserWarning, match="converges slowly") as record:
-        hypergeom.gauss_2f1(1.0, 1.0, 2.0, 0.6)
-    assert [w.filename for w in record] == [__file__]
+    for series in (hypergeom.gauss_2f1, hypergeom.gauss_2f1_stack):
+        with pytest.warns(UserWarning, match="converges slowly") as record:
+            series(1.0, 1.0, 2.0, 0.6)
+        assert [w.filename for w in record] == [__file__]
+    assert isinstance(hypergeom.gauss_2f1(1.0, 1.0, 3.0, 0.6), float)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         hypergeom.gauss_2f1(1.0, 1.0, 2.0, 0.5)
@@ -290,6 +299,15 @@ def test_radial_profile_normalization_and_ode():
             assert abs(profile.ode_residual(t)) < 1e-8
 
 
+def test_radial_profile_stack_equals_scalar_values():
+    profile = hypergeom.RadialProfile(2, 1, 3)
+    ts = np.linspace(0.0, 0.95, 12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for method in (profile.value, profile.derivative, profile.ode_residual):
+            assert method(ts).tolist() == [method(t) for t in ts.tolist()]
+
+
 def test_radial_profile_degenerate_bidegrees_are_constant():
     profile = hypergeom.RadialProfile(0, 3, 4)
     assert profile.value(0.3) == 1.0
@@ -346,7 +364,7 @@ def _holdout_error(a, b, c, kind):
     [
         ("log_limit_value", {"log-limit", "singularity-coefficient"}),
         ("power_limit_value", {"singularity-coefficient"}),
-        ("gauss_2f1", {"log-limit", "singularity-coefficient"}),
+        ("gauss_2f1_stack", {"log-limit", "singularity-coefficient"}),
     ],
 )
 def test_limit_law_records_catch_a_scaled_route(monkeypatch, mutant, records):

@@ -180,6 +180,16 @@ def test_ball_and_tilde_differ_only_in_radial_weight():
     assert abs(apply("tilde", v, spec, z)) < 1e-14
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_ball_operator_has_the_invariant_ball_coefficients(n):
+    # (1 - |z|^2)(I - z z*), the invariant Laplacian of B_n
+    spec = domains.ball(n)
+    for z in domains.sample_interior(spec, seed=n, count=20):
+        zv = z.reshape(-1)
+        expected = (1.0 - np.vdot(zv, zv).real) * (np.eye(n) - np.outer(zv, zv.conj()))
+        assert_allclose(coefficients("ball", spec, z), expected, rtol=0.0, atol=1e-15)
+
+
 def test_delta4_annihilates_counterexample_function():
     spec = type_iv(2)
     u = PolyField((1, 2), {((1, 0), (1, 0)): 1.0, ((0, 1), (0, 1)): -1.0})
