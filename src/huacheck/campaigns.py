@@ -11,6 +11,7 @@ seeds, counts and bounds.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 
 import numpy as np
@@ -441,14 +442,12 @@ def transport_residuals(rng, count):
     c1 = PolyField.coordinate(shape2, 1)
     bidisc_map = list(domains.biholo_iv2_inverse(c0, c1))
     shape3 = (1, 3)
-    # antisymmetric 3x3 matrix built from three ball coordinates
-    ball_coords = [PolyField.coordinate(shape3, a) for a in range(3)]
-    zero3 = PolyField(shape3, {})
-    anti_map = [
-        zero3, ball_coords[0], ball_coords[1],
-        ball_coords[0] * -1.0, zero3, ball_coords[2],
-        ball_coords[1] * -1.0, ball_coords[2] * -1.0, zero3,
-    ]
+    # antisymmetric 3x3 matrix whose upper triangle holds the three ball
+    # coordinates, row-major
+    anti_map = [PolyField(shape3, {})] * 9
+    for a, (j, k) in enumerate(itertools.combinations(range(3), 2)):
+        anti_map[3 * j + k] = PolyField.coordinate(shape3, a)
+        anti_map[3 * k + j] = anti_map[3 * j + k] * -1.0
     vals = []
     for _ in range(count):
         u = random_poly_field(shape2, rng, degree=3, n_terms=6)

@@ -8,10 +8,16 @@ The central object is the determinant-power kernel
 
 (W and V live in huacheck.domains). poisson_szego is its one evaluator, at
 one boundary point for the FD stencil or over a stacked boundary sample for
-the Monte-Carlo Poisson solve of huacheck.dirichlet; over a stack, det W
-comes from the generic norm of the Jordan triple, a short signed sum of
-minor (or Pfaffian) products of z and w. The boundary identity
-is checked along two routes: direct numerical differentiation of P, and
+the Monte-Carlo Poisson solve of huacheck.dirichlet. det W comes from the
+generic norm of the Jordan triple, a short signed sum of minor (or
+Pfaffian) products of z and w: over a stack always, and at one point when
+the sum has at most ONE_POINT_TERMS = 32 cells and expansion terms, in
+Python scalars (I(2,2), I(2,3), I(3,3), II(2), II(3), III(4)); larger
+one-point tables (I(3,4), III(6), III(8)) take one LAPACK det. On III the
+Pfaffians read only the upper triangle, so off the antisymmetric slice the
+one-point expansion is another extension of P; the FD Hessian stays exact,
+as it is read only along the slice. The boundary identity is checked along
+two routes: direct numerical differentiation of P, and
 closed forms built from the log-gradient formulas (the boundary tensors for II/III, the exact
 component assembly for TypeI). Every matrix inverse goes through
 ``inverse``, which raises SingularMatrixError near singularity instead of
@@ -22,6 +28,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 
 import numpy as np
 
@@ -36,6 +44,14 @@ SINGULARITY_FLOOR = 1e-12
 # Step of the FD Hessian in check_theorem22: it balances roundoff in the
 # second difference against Richardson truncation.
 FD_STEP = 1e-3
+
+# A one-point kernel sums the generic-norm expansion in Python scalars when
+# its table's cells and expansion terms number at most this, and takes the
+# LAPACK det above it: the expansion's cost grows with the count, LAPACK's
+# barely moves. Per call on a shared 2-core x86-64 host (us, expansion /
+# LAPACK): III(4), 9 terms, 4.1 / 13.0; II(3), 30 terms, 10.7 / 10.9;
+# I(2,6), 42 terms, 15.4 / 12.2; I(3,4), 60 terms, 21.0 / 11.0.
+ONE_POINT_TERMS = 32
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -140,6 +156,64 @@ def _features(table, flat, work):
     return features
 
 
+def _point_features(table, x):
+    """The features of one matrix, from the list x of its row-major entries:
+    the one-point twin of _features, with the same expansions summed in the
+    same order in Python scalars."""
+    cells, expansions, _ = table
+    features = [x[c] for c in cells]
+    for terms in expansions:
+        total = 0.0
+        for sign, c, sub in terms:
+            if sign > 0:
+                total += features[c] * features[sub]
+            else:
+                total -= features[c] * features[sub]
+        features.append(total)
+    return features
+
+
+@functools.lru_cache(maxsize=None)
+def _one_point_route(spec):
+    """(spec.shape, kappa, whether a one-point kernel sums the expansion),
+    once per spec: it does when the table of spec has at most
+    ONE_POINT_TERMS cells and expansion terms."""
+    cells, expansions, _ = _generic_norm_table(spec)
+    terms = len(cells) + sum(map(len, expansions))
+    return spec.shape, _float_kappa(spec), terms <= ONE_POINT_TERMS
+
+
+@functools.lru_cache(maxsize=1)
+def _boundary_side(spec, w_bytes):
+    """What a one-point kernel keeps of its boundary point w, given by its
+    complex bytes: (table, signs, coefficients), with the coefficients
+    sign_F conj(f_F(w)), so that h(z, w) = 1 + sum_F coefficient_F f_F(z).
+    Cached for the last (spec, w), so the FD stencil around z, whose points
+    all share one w, makes them once."""
+    table = _generic_norm_table(spec)
+    signs = table[2].tolist()
+    w_features = _point_features(table, np.frombuffer(w_bytes, dtype=complex).tolist())
+    coefficients = [s * f.conjugate() for s, f in zip(signs, w_features)]
+    return table, signs, coefficients
+
+
+def _expanded_kernel(spec, k, side, z):
+    """P(z, w) from the generic norm in Python scalars, with w the boundary
+    point of side (_boundary_side): det V(z) = h(z, z) and det W(z, w) =
+    h(z, w), squared on III."""
+    table, signs, coefficients = side
+    features = _point_features(table, z.ravel().tolist())
+    # h(z, z) = 1 + sum_F sign_F |f_F(z)|^2
+    sizes = list(map(abs, features))
+    detv = sum(map(operator.mul, signs, map(operator.mul, sizes, sizes)), 1.0)
+    detw = abs(sum(map(operator.mul, coefficients, features), 1.0))
+    if spec.family == "III":
+        detv, detw = detv * detv, detw * detw
+    if detw < 1e-300:
+        raise SingularMatrixError("det W(z, w) vanished")
+    return math.exp(k * math.log(detv)) / detw ** (2.0 * k)
+
+
 @functools.lru_cache(maxsize=1)
 def _workspace(spec, points):
     """The buffers of _generic_norm_dets for one SILOV_CHUNK block: the
@@ -217,14 +291,32 @@ def poisson_szego(spec, z, w):
     w is one boundary point of shape (m, n), which gives a float, or a stack
     (N, m, n), which gives an array of N values. With a stack of boundary
     points, z may be a stack (Z, m, n) of interior points too, which gives a
-    (Z, N) array. Each path is the faster one at its size: LAPACK det for
-    one point, the generic-norm expansion of _generic_norm_dets for a stack,
-    whose buffers are reused from call to call.
+    (Z, N) array. Each path is the faster one at its size. A stack takes
+    the generic-norm expansion of _generic_norm_dets, whose buffers are
+    reused from call to call. One point takes the same expansion in Python
+    scalars (_expanded_kernel) when its table has at most ONE_POINT_TERMS
+    cells and expansion terms, and one stacked product and one LAPACK det
+    above that; w's side of the expansion is cached, so the FD stencil
+    around z pays for it once. On I and II the expansion is det(I - z w*)
+    at every z, by Cauchy-Binet, so also at the stencil rows off the
+    symmetric slice of II. On III its Pfaffians read only z's upper
+    triangle: off the antisymmetric slice it is another extension of P,
+    and the FD Hessian is exact all the same, as constrained_hessian reads
+    only its derivatives along the slice. A one-point z or w of another
+    shape than spec.shape raises ValueError.
     """
     if spec.family == "IV":
         raise ValueError("no determinant kernel for TypeIV")
-    k = _float_kappa(spec)
     if w.ndim == 2:
+        shape, k, expanded = _one_point_route(spec)
+        if z.shape != shape or w.shape != shape:
+            raise ValueError(
+                f"one boundary point takes z and w of shape {shape}, "
+                f"not {z.shape} and {w.shape}"
+            )
+        if expanded:
+            side = _boundary_side(spec, w.astype(complex, copy=False).tobytes())
+            return _expanded_kernel(spec, k, side, z)
         # V = W(z, z) and W(z, w) from one stacked product and one stacked det
         dets = np.linalg.det(w_matrix(z, np.array((z, w))))
         detv = dets[0].real
@@ -232,6 +324,7 @@ def poisson_szego(spec, z, w):
         if detw < 1e-300:
             raise SingularMatrixError("det W(z, w) vanished")
     else:
+        k = _float_kappa(spec)
         # one det V per point, broadcast along that point's row of weights
         detv = np.linalg.det(v_matrix(z)).real[..., None]
         detw = np.abs(_generic_norm_dets(spec, w, z))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -39,6 +41,14 @@ def _two_det_kernel(spec, z, w):
     return float(np.exp(k * np.log(detv)) / detw ** (2.0 * k))
 
 
+def _kernel_pairs(spec, margin, count=5):
+    """count (z, w) pairs, z at operator norm 1 - margin."""
+    ws = domains.sample_silov(spec, 13, count)
+    for seed, w in enumerate(ws):
+        z = domains.sample_interior(spec, seed, 1)[0]
+        yield z * ((1.0 - margin) / np.linalg.norm(z, 2)), w
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -48,16 +58,72 @@ def _two_det_kernel(spec, z, w):
         type_ii(2),
         type_ii(3),
         type_iii(4),
-        type_iii(6),
     ],
 )
 def test_stacked_kernel_equals_two_det_formula(spec):
-    ws = domains.sample_silov(spec, 13, 5)
+    # the one-point generic-norm expansion rounds differently from LAPACK
+    for margin, rtol in ((0.5, 1e-13), (1e-3, 1e-10)):
+        for z, w in _kernel_pairs(spec, margin):
+            p = kernels.poisson_szego(spec, z, w)
+            assert type(p) is float
+            assert_allclose(p, _two_det_kernel(spec, z, w), rtol=rtol)
+
+
+@pytest.mark.parametrize("spec", [type_iii(6), type_i(3, 4)])
+def test_lapack_kernel_equals_two_det_formula(spec):
+    # above ONE_POINT_TERMS the one stacked det gives the two dets' bits
     for margin in (0.5, 1e-3):
-        for seed, w in enumerate(ws):
-            z = domains.sample_interior(spec, seed, 1)[0]
-            z = z * ((1.0 - margin) / np.linalg.norm(z, 2))
+        for z, w in _kernel_pairs(spec, margin):
             assert kernels.poisson_szego(spec, z, w) == _two_det_kernel(spec, z, w)
+
+
+@pytest.mark.parametrize("domain", ["I:2,3", "II:3"])
+def test_one_point_kernel_on_the_fd_stencil(domain):
+    # the stencil rows of a II point are not symmetric; by Cauchy-Binet the
+    # expansion is det(I - z w*) there too
+    spec = domains.parse_spec(domain)
+    z, w = pair(spec, seed=16)
+    rows = []
+    field = OpaqueField(spec.shape, lambda x: rows.append(x.copy()) or 0.0)
+    wirtinger_hessian(field, z, step=kernels.FD_STEP)
+    # two Richardson levels of 1 + 2 d^2 rows, d = 2 m n real coordinates
+    assert len(rows) == 2 + 4 * (2 * spec.size) ** 2
+    if spec.family == "II":
+        assert max(np.abs(x - x.T).max() for x in rows) >= kernels.FD_STEP
+    got = [kernels.poisson_szego(spec, x, w) for x in rows]
+    assert_allclose(got, [_two_det_kernel(spec, x, w) for x in rows], rtol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "domain, expanded",
+    [
+        ("I:2,2", True), ("I:2,3", True), ("II:2", True), ("II:3", True),
+        ("III:4", True), ("I:3,3", True),
+        ("III:6", False), ("I:3,4", False), ("III:8", False),
+    ],
+)
+def test_one_point_route_follows_the_table_size(domain, expanded, monkeypatch):
+    spec = domains.parse_spec(domain)
+    z, w = pair(spec, seed=17)
+    cells, expansions, _ = kernels._generic_norm_table(spec)
+    terms = len(cells) + sum(map(len, expansions))
+    assert (terms <= kernels.ONE_POINT_TERMS) is expanded
+    calls = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(a.shape) or det(a))
+    assert kernels.poisson_szego(spec, z, w) > 0.0
+    assert calls == ([] if expanded else [(2, spec.m, spec.m)])
+
+
+@pytest.mark.parametrize("domain", ["I:2,2", "III:6"])
+def test_one_point_kernel_rejects_other_shapes(domain):
+    # without the check the expansion read any z of the right length
+    spec = domains.parse_spec(domain)
+    z, w = pair(spec, seed=18)
+    bad = [(np.stack([z, z, z]), w), (z.reshape(-1)[None, :], w), (z, w[:, :-1])]
+    for zz, ww in bad:
+        with pytest.raises(ValueError, match=re.escape(f"of shape {spec.shape}")):
+            kernels.poisson_szego(spec, zz, ww)
 
 
 STACK_DOMAINS = ["I:2,3", "I:1,3", "I:3,3", "II:3", "III:4", "III:6"]
