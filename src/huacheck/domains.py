@@ -402,14 +402,3 @@ def biholo_iv2_inverse(w1, w2):
     """
     return (w1 + 1j * w2, w1 - 1j * w2)
 
-
-# -- JSON fixtures -------------------------------------------------------
-
-
-def matrix_to_json(value):
-    v = np.atleast_2d(np.asarray(value, dtype=complex))
-    return [[[float(e.real), float(e.imag)] for e in row] for row in v]
-
-
-def matrix_from_json(data):
-    return np.array([[complex(re, im) for re, im in row] for row in data])

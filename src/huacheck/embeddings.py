@@ -25,13 +25,13 @@ from .operators import component_values, constrained_hessian
 class BallEmbedding:
     """Holomorphic polynomial map from a ball into a matrix domain.
 
-    kind "I":  z(lam) = xi^t lam, an m x n rank-one matrix (xi a unit vector),
-    kind "II": z(lam) = (lam U)^t (lam U), symmetric, U unitary,
-    kind "III": the corner map z_{0a} = lam_{a-1}, z_{a0} = -lam_{a-1} with a
+    By spec.family:
+    I:   z(lam) = xi^t lam, an m x n rank-one matrix (xi a unit vector),
+    II:  z(lam) = (lam U)^t (lam U), symmetric, U unitary,
+    III: the corner map z_{0a} = lam_{a-1}, z_{a0} = -lam_{a-1} with a
     zero lower-right block.
     """
 
-    kind: str
     spec: DomainSpec
     ball_dim: int
     components: tuple[PolyField, ...]
@@ -53,7 +53,7 @@ def type_i_embedding(xi, n):
     for j in range(m):
         for a in range(n):
             comps.append(PolyField.coordinate(lshape, a) * xi[j])
-    return BallEmbedding("I", type_i(m, n), n, tuple(comps), xi)
+    return BallEmbedding(type_i(m, n), n, tuple(comps), xi)
 
 
 def type_ii_embedding(u_mat):
@@ -74,7 +74,7 @@ def type_ii_embedding(u_mat):
     for i in range(n):
         for k in range(n):
             comps.append(mu[i] * mu[k])
-    return BallEmbedding("II", type_ii(n), n, tuple(comps), u_mat)
+    return BallEmbedding(type_ii(n), n, tuple(comps), u_mat)
 
 
 def type_iii_embedding(n):
@@ -91,7 +91,7 @@ def type_iii_embedding(n):
                 comps.append(PolyField.coordinate(lshape, j - 1) * -1.0)
             else:
                 comps.append(PolyField(lshape, {}))
-    return BallEmbedding("III", type_iii(n), n - 1, tuple(comps), None)
+    return BallEmbedding(type_iii(n), n - 1, tuple(comps), None)
 
 
 def embed(e, lam):
@@ -118,8 +118,8 @@ def gram_identity_residual(e):
     Exact polynomial identity for rank-one embeddings: both sides are
     expanded as PolyFields over the ball and compared term by term.
     """
-    if e.kind != "I":
-        raise ValueError("the rank-one identity applies to kind I only")
+    if e.spec.family != "I":
+        raise ValueError("the rank-one identity applies to type I only")
     m, n = e.spec.shape
     lshape = e.ball_shape()
     worst = 0.0
@@ -169,8 +169,8 @@ def chain_rule_residual(e, u, lam):
 def pullback_residual(e, u, lam):
     """Ball-side operator of u o z minus the domain-side component sum.
 
-    Kind I compares against sum_kl xi_k xibar_l Delta1^kl u; kind II against
-    the double sum of weighted Delta2 components conjugated by U; kind III
+    Type I compares against sum_kl xi_k xibar_l Delta1^kl u; type II against
+    the double sum of weighted Delta2 components conjugated by U; type III
     against the single corner component of Delta3. A vanishing residual for
     all u is the reduction step that transfers harmonicity through the
     embedding.
@@ -183,14 +183,14 @@ def pullback_residual(e, u, lam):
     Hu = constrained_hessian(e.spec, wirtinger_hessian(u, z))
     comps = component_values(e.spec, z, Hu)
 
-    # ball-side weight I - s lam lam*, with s = |lam|^2 for kind II, else 1
-    s = float(np.vdot(lam, lam).real) if e.kind == "II" else 1.0
+    # ball-side weight I - s lam lam*, with s = |lam|^2 for type II, else 1
+    s = float(np.vdot(lam, lam).real) if e.spec.family == "II" else 1.0
     weight = np.eye(d) - s * np.outer(lam, lam.conj())
     lhs = complex(np.einsum("ab,ab->", weight, Hg))
-    if e.kind == "I":
+    if e.spec.family == "I":
         xi = e.parameter
         rhs = complex(xi @ comps @ xi.conj())
-    elif e.kind == "II":
+    elif e.spec.family == "II":
         U = e.parameter
         rhs = complex(
             np.einsum("p,q,pi,qk,ik->", lam, lam.conj(), U, U.conj(), comps)

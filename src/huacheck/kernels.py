@@ -8,17 +8,11 @@ The central object is the determinant-power kernel
 
 (W and V live in huacheck.domains). poisson_szego is its one evaluator, at
 one boundary point for the FD stencil or over a stacked boundary sample for
-the Monte-Carlo Poisson solve of huacheck.dirichlet. det W comes from the
-generic norm of the Jordan triple, a short signed sum of minor (or
-Pfaffian) products of z and w: over a stack always, and at one point when
-the sum has at most ONE_POINT_TERMS = 32 cells and expansion terms, in
-Python scalars (I(2,2), I(2,3), I(3,3), II(2), II(3), III(4)); larger
-one-point tables (I(3,4), III(6), III(8)) take one LAPACK det. On III the
-Pfaffians read only the upper triangle, so off the antisymmetric slice the
-one-point expansion is another extension of P; the FD Hessian stays exact,
-as it is read only along the slice. The boundary identity is checked along
-two routes: direct numerical differentiation of P, and
-closed forms built from the log-gradient formulas (the boundary tensors for II/III, the exact
+the Monte-Carlo Poisson solve of huacheck.dirichlet; its docstring sets out
+the three routes by which it takes det W, from the generic norm of the
+Jordan triple or from LAPACK. The boundary identity is checked along two
+routes: direct numerical differentiation of P, and closed forms built from
+the log-gradient formulas (the boundary tensors for II/III, the exact
 component assembly for TypeI). Every matrix inverse goes through
 ``inverse``, which raises SingularMatrixError near singularity instead of
 returning an inaccurate result.
@@ -52,6 +46,8 @@ FD_STEP = 1e-3
 # LAPACK): III(4), 9 terms, 4.1 / 13.0; II(3), 30 terms, 10.7 / 10.9;
 # I(2,6), 42 terms, 15.4 / 12.2; I(3,4), 60 terms, 21.0 / 11.0.
 ONE_POINT_TERMS = 32
+
+DET_V_NOT_POSITIVE = "det V(z) <= 0: z is not interior"
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -130,45 +126,25 @@ def _generic_norm_table(spec):
     return [s * n + t for s, t in cells], tuple(expansions), np.array(signs)
 
 
-def _features(table, flat, work):
-    """The features of every column of flat, the (cells, k) array of the
-    table's cells of k matrices.
+def _features(table, flat):
+    """The features of one matrix, from the list flat of its table cells as
+    Python scalars, or of k matrices, from the (cells, k) array flat.
 
-    Returns a list of (k,) arrays in the table's order: the rows of flat,
-    then rows of work for the expansions, each made from earlier features
-    by elementwise multiply-adds. work has one row more than there are
-    expansions; the last is scratch.
+    Returns a list in the table's order: the cells, then each expansion,
+    which starts from its first product, whose sign is +1, and adds or
+    subtracts the others in table order, so a scalar and an array row take
+    the same operations.
     """
     _, expansions, _ = table
     features = list(flat)
-    scratch = work[-1]
-    for terms, out in zip(expansions, work):
-        # the first term of an expansion has sign +1
-        (_, c, sub), rest = terms[0], terms[1:]
-        np.multiply(flat[c], features[sub], out=out)
-        for sign, c, sub in rest:
-            np.multiply(flat[c], features[sub], out=scratch)
-            if sign > 0:
-                out += scratch
-            else:
-                out -= scratch
-        features.append(out)
-    return features
-
-
-def _point_features(table, x):
-    """The features of one matrix, from the list x of its row-major entries:
-    the one-point twin of _features, with the same expansions summed in the
-    same order in Python scalars."""
-    cells, expansions, _ = table
-    features = [x[c] for c in cells]
     for terms in expansions:
-        total = 0.0
-        for sign, c, sub in terms:
+        (_, c, sub), rest = terms[0], terms[1:]
+        total = flat[c] * features[sub]
+        for sign, c, sub in rest:
             if sign > 0:
-                total += features[c] * features[sub]
+                total += flat[c] * features[sub]
             else:
-                total -= features[c] * features[sub]
+                total -= flat[c] * features[sub]
         features.append(total)
     return features
 
@@ -190,9 +166,10 @@ def _boundary_side(spec, w_bytes):
     sign_F conj(f_F(w)), so that h(z, w) = 1 + sum_F coefficient_F f_F(z).
     Cached for the last (spec, w), so the FD stencil around z, whose points
     all share one w, makes them once."""
-    table = _generic_norm_table(spec)
-    signs = table[2].tolist()
-    w_features = _point_features(table, np.frombuffer(w_bytes, dtype=complex).tolist())
+    cells, _, signs = table = _generic_norm_table(spec)
+    signs = signs.tolist()
+    w = np.frombuffer(w_bytes, dtype=complex).tolist()
+    w_features = _features(table, [w[c] for c in cells])
     coefficients = [s * f.conjugate() for s, f in zip(signs, w_features)]
     return table, signs, coefficients
 
@@ -202,13 +179,16 @@ def _expanded_kernel(spec, k, side, z):
     point of side (_boundary_side): det V(z) = h(z, z) and det W(z, w) =
     h(z, w), squared on III."""
     table, signs, coefficients = side
-    features = _point_features(table, z.ravel().tolist())
+    x = z.ravel().tolist()
+    features = _features(table, [x[c] for c in table[0]])
     # h(z, z) = 1 + sum_F sign_F |f_F(z)|^2
     sizes = list(map(abs, features))
     detv = sum(map(operator.mul, signs, map(operator.mul, sizes, sizes)), 1.0)
     detw = abs(sum(map(operator.mul, coefficients, features), 1.0))
     if spec.family == "III":
         detv, detw = detv * detv, detw * detw
+    if not detv > 0.0:
+        raise ValueError(DET_V_NOT_POSITIVE)
     if detw < 1e-300:
         raise SingularMatrixError("det W(z, w) vanished")
     return math.exp(k * math.log(detv)) / detw ** (2.0 * k)
@@ -217,15 +197,13 @@ def _expanded_kernel(spec, k, side, z):
 @functools.lru_cache(maxsize=1)
 def _workspace(spec, points):
     """The buffers of _generic_norm_dets for one SILOV_CHUNK block: the
-    entry-major copy of the block's cells, the features and their scratch
-    row, and the (points, block) products. Cached for the last (spec,
-    points), so a Poisson solve that calls poisson_szego once per block
-    allocates them once; two threads must not evaluate the same (spec,
-    points) at a time."""
-    cells, expansions, _ = _generic_norm_table(spec)
+    entry-major copy of the block's cells and the (points, block) products.
+    Cached for the last (spec, points), so a Poisson solve that calls
+    poisson_szego once per block allocates them once; two threads must not
+    evaluate the same (spec, points) at a time."""
+    cells, _, _ = _generic_norm_table(spec)
     return (
         np.empty((len(cells), SILOV_CHUNK), dtype=complex),
-        np.empty((len(expansions) + 1, SILOV_CHUNK), dtype=complex),
         np.empty((points, SILOV_CHUNK), dtype=complex),
     )
 
@@ -261,13 +239,12 @@ def _generic_norm_dets(spec, ws, z):
     most 2^r eps on the distinguished boundary, where every s_j(w) = 1.
     Against it, |h(z, w)| >= prod_j (1 - s_j(z)) for ||w|| <= 1.
     """
-    cells, expansions, signs = table = _generic_norm_table(spec)
+    cells, _, signs = table = _generic_norm_table(spec)
     zs = np.reshape(z, (-1, spec.size))
     points = len(zs)
-    z_work = np.empty((len(expansions) + 1, points), dtype=complex)
-    z_features = _features(table, zs[:, cells].T, z_work)
+    z_features = _features(table, zs[:, cells].T)
     coefficients = signs[:, None] * np.conj(z_features)
-    flat, work, product = _workspace(spec, points)
+    flat, product = _workspace(spec, points)
     samples = len(ws)
     dets = np.empty((points, samples), dtype=complex)
     for start in range(0, samples, SILOV_CHUNK):
@@ -275,7 +252,7 @@ def _generic_norm_dets(spec, ws, z):
         k = len(block)
         # mode="clip" lets take write into the strided view without a copy
         np.take(block.reshape(k, -1).T, cells, axis=0, out=flat[:, :k], mode="clip")
-        features = _features(table, flat[:, :k], work[:, :k])
+        features = _features(table, flat[:, :k])
         h = dets[:, start : start + k]
         h[...] = 1.0
         for c, f in zip(coefficients, features):
@@ -291,19 +268,28 @@ def poisson_szego(spec, z, w):
     w is one boundary point of shape (m, n), which gives a float, or a stack
     (N, m, n), which gives an array of N values. With a stack of boundary
     points, z may be a stack (Z, m, n) of interior points too, which gives a
-    (Z, N) array. Each path is the faster one at its size. A stack takes
-    the generic-norm expansion of _generic_norm_dets, whose buffers are
-    reused from call to call. One point takes the same expansion in Python
-    scalars (_expanded_kernel) when its table has at most ONE_POINT_TERMS
-    cells and expansion terms, and one stacked product and one LAPACK det
-    above that; w's side of the expansion is cached, so the FD stencil
-    around z pays for it once. On I and II the expansion is det(I - z w*)
-    at every z, by Cauchy-Binet, so also at the stencil rows off the
-    symmetric slice of II. On III its Pfaffians read only z's upper
-    triangle: off the antisymmetric slice it is another extension of P,
-    and the FD Hessian is exact all the same, as constrained_hessian reads
-    only its derivatives along the slice. A one-point z or w of another
-    shape than spec.shape raises ValueError.
+    (Z, N) array. Each of the three routes is the faster one at its size:
+
+    - a stack sums the generic-norm expansion of _generic_norm_dets, whose
+      buffers are reused from call to call;
+    - one point sums the same expansion in Python scalars (_expanded_kernel)
+      when its table has at most ONE_POINT_TERMS cells and expansion terms
+      (I(2,2), I(2,3), I(3,3), II(2), II(3), III(4)); w's side is cached,
+      so the FD stencil around z pays for it once;
+    - one point of a larger table (I(3,4), III(6), III(8)) takes one
+      stacked product and one LAPACK det.
+
+    On I and II the expansion is det(I - z w*) at every z, by Cauchy-Binet,
+    so also at the stencil rows off the symmetric slice of II. On III its
+    Pfaffians read only z's upper triangle: off the antisymmetric slice it
+    is another extension of P, and the FD Hessian is exact all the same, as
+    constrained_hessian reads only its derivatives along the slice.
+
+    Membership is the caller's to check, as poisson_solve and
+    check_theorem22 do. Every route raises ValueError where det V(z) <= 0,
+    but det V > 0 holds off the domain too: at z = 1.5 w on II(2) it
+    returns 25^kappa = 125. A one-point z or w of another shape than spec.shape
+    raises ValueError.
     """
     if spec.family == "IV":
         raise ValueError("no determinant kernel for TypeIV")
@@ -321,14 +307,18 @@ def poisson_szego(spec, z, w):
         dets = np.linalg.det(w_matrix(z, np.array((z, w))))
         detv = dets[0].real
         detw = abs(dets[1])
+        if not detv > 0.0:
+            raise ValueError(DET_V_NOT_POSITIVE)
         if detw < 1e-300:
             raise SingularMatrixError("det W(z, w) vanished")
     else:
         k = _float_kappa(spec)
         # one det V per point, broadcast along that point's row of weights
         detv = np.linalg.det(v_matrix(z)).real[..., None]
+        if not np.all(detv > 0.0):
+            raise ValueError(DET_V_NOT_POSITIVE)
         detw = np.abs(_generic_norm_dets(spec, w, z))
-    # det V is real positive on the interior; exp/log handles half-integer k
+    # exp/log handles half-integer k
     p = np.exp(k * np.log(detv)) / detw ** (2.0 * k)
     return float(p) if w.ndim == 2 else p
 
@@ -417,7 +407,7 @@ def identity_tensors(spec, z, w):
     if spec.family not in ("II", "III"):
         raise ValueError("identity tensors exist for the square families only")
     n = spec.n
-    k = float(kappa(spec))
+    k = _float_kappa(spec)
     zs, ws = z.conj().T, w.conj().T
     Vi = inverse(v_matrix(z))
     Vsi = inverse(v_matrix(zs))
@@ -446,7 +436,7 @@ def component_kernel_exact(spec, z, w):
     (b - c)(bbar - cbar) in constrained coordinates and contracts with the
     component weights; returns the (j,k) matrix of operator values.
     """
-    k = float(kappa(spec))
+    k = _float_kappa(spec)
     P = poisson_szego(spec, z, w)
     H = d2_logdetv(spec, z)
     b, bbar = b_gradients(spec, z)

@@ -369,8 +369,3 @@ def test_biholo_iv2_round_trip_and_membership():
     w = np.array([c(np.array([1.2, 0.0])) for c in bidisc_map])
     assert domains.membership_margin(spec, w.reshape(1, 2)) < 0.0
 
-
-def test_json_round_trip():
-    for p in domains.sample_interior(type_ii(2), seed=9, count=2):
-        back = domains.matrix_from_json(domains.matrix_to_json(p))
-        assert_allclose(back, p, atol=1e-15)

@@ -126,6 +126,22 @@ def test_one_point_kernel_rejects_other_shapes(domain):
             kernels.poisson_szego(spec, zz, ww)
 
 
+@pytest.mark.parametrize(
+    "domain, stacked",
+    [("I:2,2", False), ("I:3,4", False), ("I:2,2", True)],
+    ids=["expansion", "lapack", "stack"],
+)
+def test_kernel_raises_where_det_v_is_not_positive(domain, stacked):
+    spec = domains.parse_spec(domain)
+    z, w = pair(spec, seed=19)
+    z *= 1.3 / np.linalg.norm(z, 2)
+    assert np.linalg.det(domains.v_matrix(z)).real < 0.0
+    if stacked:
+        w = domains.sample_silov(spec, seed=20, count=3)
+    with pytest.raises(ValueError, match=re.escape("det V(z) <= 0")):
+        kernels.poisson_szego(spec, z, w)
+
+
 STACK_DOMAINS = ["I:2,3", "I:1,3", "I:3,3", "II:3", "III:4", "III:6"]
 
 
