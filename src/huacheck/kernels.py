@@ -8,9 +8,12 @@ The central object is the determinant-power kernel
 
 (W and V live in huacheck.domains). poisson_szego is its one evaluator, at
 one boundary point for the FD stencil or over a stacked boundary sample for
-the Monte-Carlo Poisson solve of huacheck.dirichlet; its docstring sets out
-the three routes by which it takes det W, from the generic norm of the
-Jordan triple or from LAPACK. The boundary identity is checked along two
+the Monte-Carlo Poisson solve of huacheck.dirichlet. A stack sums det W
+from the generic norm of the Jordan triple in arrays. One boundary point w
+gets one cached evaluator of z, which sums the same expansion in Python
+scalars or takes a LAPACK det, on either side of ONE_POINT_TERMS; on III it
+stores its values by the upper triangle of z, the only cells its Pfaffians
+read. The boundary identity is checked along two
 routes: direct numerical differentiation of P, and closed forms built from
 the log-gradient formulas (the boundary tensors for II/III, the exact
 component assembly for TypeI). Every matrix inverse goes through
@@ -46,6 +49,12 @@ FD_STEP = 1e-3
 # LAPACK): III(4), 9 terms, 4.1 / 13.0; II(3), 30 terms, 10.7 / 10.9;
 # I(2,6), 42 terms, 15.4 / 12.2; I(3,4), 60 terms, 21.0 / 11.0.
 ONE_POINT_TERMS = 32
+
+# Values the one-point evaluator of a III boundary point stores, one per
+# upper triangle of z; a full store is emptied. One III(4) FD Hessian needs
+# 577 (poisson_szego): the bound holds one with room to spare and caps what
+# a caller that sends one w many points can pile up.
+POINT_STORE = 1024
 
 DET_V_NOT_POSITIVE = "det V(z) <= 0: z is not interior"
 
@@ -149,49 +158,73 @@ def _features(table, flat):
     return features
 
 
-@functools.lru_cache(maxsize=None)
-def _one_point_route(spec):
-    """(spec.shape, kappa, whether a one-point kernel sums the expansion),
-    once per spec: it does when the table of spec has at most
-    ONE_POINT_TERMS cells and expansion terms."""
-    cells, expansions, _ = _generic_norm_table(spec)
-    terms = len(cells) + sum(map(len, expansions))
-    return spec.shape, _float_kappa(spec), terms <= ONE_POINT_TERMS
-
-
 @functools.lru_cache(maxsize=1)
-def _boundary_side(spec, w_bytes):
-    """What a one-point kernel keeps of its boundary point w, given by its
-    complex bytes: (table, signs, coefficients), with the coefficients
-    sign_F conj(f_F(w)), so that h(z, w) = 1 + sum_F coefficient_F f_F(z).
-    Cached for the last (spec, w), so the FD stencil around z, whose points
-    all share one w, makes them once."""
-    cells, _, signs = table = _generic_norm_table(spec)
+def _point_kernel(spec, w_bytes):
+    """P(., w) as a function of one interior z, for the boundary point w
+    given by its complex bytes. Cached for the last (spec, w), so the FD
+    stencil around z, whose rows all share one w, builds w's side once.
+
+    Above ONE_POINT_TERMS it takes V = W(z, z) and W(z, w) from one stacked
+    product and one LAPACK det. At or below it, it sums the generic norm in
+    Python scalars: h(z, z) = 1 + sum_F sign_F |f_F(z)|^2 and h(z, w) =
+    1 + sum_F coefficient_F f_F(z), with coefficient_F = sign_F conj(f_F(w))
+    made once. Where the table reads fewer cells than z has (III), the
+    values are stored by the tuple of cells read: the sum reads nothing
+    else of z, so a stored value has the bits of a fresh one.
+    """
+    k = _float_kappa(spec)
+    w = np.frombuffer(w_bytes, dtype=complex).reshape(spec.shape)
+    cells, expansions, signs = table = _generic_norm_table(spec)
+    if len(cells) + sum(map(len, expansions)) > ONE_POINT_TERMS:
+
+        def lapack(z):
+            dets = np.linalg.det(w_matrix(z, np.array((z, w))))
+            detv = dets[0].real
+            detw = abs(dets[1])
+            if not detv > 0.0:
+                raise ValueError(DET_V_NOT_POSITIVE)
+            if detw < 1e-300:
+                raise SingularMatrixError("det W(z, w) vanished")
+            # exp/log handles half-integer k
+            return float(np.exp(k * np.log(detv)) / detw ** (2.0 * k))
+
+        return lapack
     signs = signs.tolist()
-    w = np.frombuffer(w_bytes, dtype=complex).tolist()
-    w_features = _features(table, [w[c] for c in cells])
+    x = w.ravel().tolist()
+    w_features = _features(table, [x[c] for c in cells])
     coefficients = [s * f.conjugate() for s, f in zip(signs, w_features)]
-    return table, signs, coefficients
+    squared = spec.family == "III"
 
+    def expanded(flat):
+        features = _features(table, flat)
+        sizes = list(map(abs, features))
+        detv = sum(map(operator.mul, signs, map(operator.mul, sizes, sizes)), 1.0)
+        detw = abs(sum(map(operator.mul, coefficients, features), 1.0))
+        if squared:
+            detv, detw = detv * detv, detw * detw
+        if not detv > 0.0:
+            raise ValueError(DET_V_NOT_POSITIVE)
+        if detw < 1e-300:
+            raise SingularMatrixError("det W(z, w) vanished")
+        return math.exp(k * math.log(detv)) / detw ** (2.0 * k)
 
-def _expanded_kernel(spec, k, side, z):
-    """P(z, w) from the generic norm in Python scalars, with w the boundary
-    point of side (_boundary_side): det V(z) = h(z, z) and det W(z, w) =
-    h(z, w), squared on III."""
-    table, signs, coefficients = side
-    x = z.ravel().tolist()
-    features = _features(table, [x[c] for c in table[0]])
-    # h(z, z) = 1 + sum_F sign_F |f_F(z)|^2
-    sizes = list(map(abs, features))
-    detv = sum(map(operator.mul, signs, map(operator.mul, sizes, sizes)), 1.0)
-    detw = abs(sum(map(operator.mul, coefficients, features), 1.0))
-    if spec.family == "III":
-        detv, detw = detv * detv, detw * detw
-    if not detv > 0.0:
-        raise ValueError(DET_V_NOT_POSITIVE)
-    if detw < 1e-300:
-        raise SingularMatrixError("det W(z, w) vanished")
-    return math.exp(k * math.log(detv)) / detw ** (2.0 * k)
+    if len(cells) == spec.size:
+        # I and II read every entry, in row-major order
+        return lambda z: expanded(z.ravel().tolist())
+    store = {}
+    # itemgetter of one cell (III(2)) gives the bare entry, not a 1-tuple
+    read = operator.itemgetter(*cells) if len(cells) > 1 else lambda x: (x[cells[0]],)
+
+    def stored(z):
+        key = read(z.ravel().tolist())
+        p = store.get(key)
+        if p is None:
+            if len(store) == POINT_STORE:
+                store.clear()
+            p = store[key] = expanded(key)
+        return p
+
+    return stored
 
 
 @functools.lru_cache(maxsize=1)
@@ -268,22 +301,24 @@ def poisson_szego(spec, z, w):
     w is one boundary point of shape (m, n), which gives a float, or a stack
     (N, m, n), which gives an array of N values. With a stack of boundary
     points, z may be a stack (Z, m, n) of interior points too, which gives a
-    (Z, N) array. Each of the three routes is the faster one at its size:
+    (Z, N) array. A stack sums the generic-norm expansion of
+    _generic_norm_dets, whose buffers are reused from call to call.
 
-    - a stack sums the generic-norm expansion of _generic_norm_dets, whose
-      buffers are reused from call to call;
-    - one point sums the same expansion in Python scalars (_expanded_kernel)
-      when its table has at most ONE_POINT_TERMS cells and expansion terms
-      (I(2,2), I(2,3), I(3,3), II(2), II(3), III(4)); w's side is cached,
-      so the FD stencil around z pays for it once;
-    - one point of a larger table (I(3,4), III(6), III(8)) takes one
-      stacked product and one LAPACK det.
+    One boundary point w is one lookup of its cached evaluator
+    (_point_kernel) and one call of it, so the FD stencil around z builds
+    w's side once. Its tables of at most ONE_POINT_TERMS cells and
+    expansion terms (I(2,2), I(2,3), I(3,3), II(2), II(3), III(4)) sum the
+    same expansion in Python scalars; larger ones (I(3,4), III(6), III(8))
+    take one stacked product and one LAPACK det.
 
     On I and II the expansion is det(I - z w*) at every z, by Cauchy-Binet,
     so also at the stencil rows off the symmetric slice of II. On III its
     Pfaffians read only z's upper triangle: off the antisymmetric slice it
     is another extension of P, and the FD Hessian is exact all the same, as
-    constrained_hessian reads only its derivatives along the slice.
+    constrained_hessian reads only its derivatives along the slice. The
+    stencil moves all 2 n^2 real coordinates and the Pfaffians read n (n - 1)
+    of them, so the 4,098 rows of a III(4) Hessian hold only 577 distinct
+    triangles; the evaluator stores one value per triangle (POINT_STORE).
 
     Membership is the caller's to check, as poisson_solve and
     check_theorem22 do. Every route raises ValueError where det V(z) <= 0,
@@ -294,33 +329,20 @@ def poisson_szego(spec, z, w):
     if spec.family == "IV":
         raise ValueError("no determinant kernel for TypeIV")
     if w.ndim == 2:
-        shape, k, expanded = _one_point_route(spec)
-        if z.shape != shape or w.shape != shape:
+        if z.shape != w.shape or w.shape != spec.shape:
             raise ValueError(
-                f"one boundary point takes z and w of shape {shape}, "
+                f"one boundary point takes z and w of shape {spec.shape}, "
                 f"not {z.shape} and {w.shape}"
             )
-        if expanded:
-            side = _boundary_side(spec, w.astype(complex, copy=False).tobytes())
-            return _expanded_kernel(spec, k, side, z)
-        # V = W(z, z) and W(z, w) from one stacked product and one stacked det
-        dets = np.linalg.det(w_matrix(z, np.array((z, w))))
-        detv = dets[0].real
-        detw = abs(dets[1])
-        if not detv > 0.0:
-            raise ValueError(DET_V_NOT_POSITIVE)
-        if detw < 1e-300:
-            raise SingularMatrixError("det W(z, w) vanished")
-    else:
-        k = _float_kappa(spec)
-        # one det V per point, broadcast along that point's row of weights
-        detv = np.linalg.det(v_matrix(z)).real[..., None]
-        if not np.all(detv > 0.0):
-            raise ValueError(DET_V_NOT_POSITIVE)
-        detw = np.abs(_generic_norm_dets(spec, w, z))
+        return _point_kernel(spec, w.astype(complex, copy=False).tobytes())(z)
+    k = _float_kappa(spec)
+    # one det V per point, broadcast along that point's row of weights
+    detv = np.linalg.det(v_matrix(z)).real[..., None]
+    if not np.all(detv > 0.0):
+        raise ValueError(DET_V_NOT_POSITIVE)
+    detw = np.abs(_generic_norm_dets(spec, w, z))
     # exp/log handles half-integer k
-    p = np.exp(k * np.log(detv)) / detw ** (2.0 * k)
-    return float(p) if w.ndim == 2 else p
+    return np.exp(k * np.log(detv)) / detw ** (2.0 * k)
 
 
 def kernel_field(spec, w):

@@ -27,8 +27,13 @@ def test_kernel_campaign_small_run(tmp_path):
     assert "gram-complement-control-III(3)" in names
 
 
-def test_kernel_campaign_is_deterministic(tmp_path):
-    argv = ["verify", "kernel", "--domain", "II:2", "--points", "2", "--seed", "4"]
+@pytest.mark.parametrize(
+    "domain, points", [("II:2", "2"), ("III:4", "1")], ids=["II:2", "III:4"]
+)
+def test_kernel_campaign_is_deterministic(tmp_path, domain, points):
+    # the second run starts from the first run's cached one-point evaluator,
+    # and on III(4) from its stored values
+    argv = ["verify", "kernel", "--domain", domain, "--points", points, "--seed", "4"]
     _, text1 = run_to_file(tmp_path, "a.json", argv)
     _, text2 = run_to_file(tmp_path, "b.json", argv)
     assert text1 == text2

@@ -58,6 +58,9 @@ def _kernel_pairs(spec, margin, count=5):
         type_ii(2),
         type_ii(3),
         type_iii(4),
+        type_i(1, 1),
+        type_ii(1),
+        type_iii(2),
     ],
 )
 def test_stacked_kernel_equals_two_det_formula(spec):
@@ -77,10 +80,12 @@ def test_lapack_kernel_equals_two_det_formula(spec):
             assert kernels.poisson_szego(spec, z, w) == _two_det_kernel(spec, z, w)
 
 
-@pytest.mark.parametrize("domain", ["I:2,3", "II:3"])
+@pytest.mark.parametrize("domain", ["I:2,3", "II:3", "III:4"])
 def test_one_point_kernel_on_the_fd_stencil(domain):
     # the stencil rows of a II point are not symmetric; by Cauchy-Binet the
-    # expansion is det(I - z w*) there too
+    # expansion is det(I - z w*) there too. On III the Pfaffians read only the
+    # upper triangle, so a row's value is the kernel at its antisymmetrized
+    # triangle, and the one evaluator of w stores it once per triangle
     spec = domains.parse_spec(domain)
     z, w = pair(spec, seed=16)
     rows = []
@@ -88,10 +93,51 @@ def test_one_point_kernel_on_the_fd_stencil(domain):
     wirtinger_hessian(field, z, step=kernels.FD_STEP)
     # two Richardson levels of 1 + 2 d^2 rows, d = 2 m n real coordinates
     assert len(rows) == 2 + 4 * (2 * spec.size) ** 2
+    kernels._point_kernel.cache_clear()
+    got = [kernels.poisson_szego(spec, x, w) for x in rows]
+    references = rows
     if spec.family == "II":
         assert max(np.abs(x - x.T).max() for x in rows) >= kernels.FD_STEP
-    got = [kernels.poisson_szego(spec, x, w) for x in rows]
-    assert_allclose(got, [_two_det_kernel(spec, x, w) for x in rows], rtol=1e-13)
+    if spec.family == "III":
+        upper = [np.triu(x, 1) for x in rows]
+        assert len({tuple(u[np.triu_indices(spec.n, 1)]) for u in upper}) == 577
+        references = [u - u.T for u in upper]
+        fresh = []
+        for x in rows:
+            kernels._point_kernel.cache_clear()
+            fresh.append(kernels.poisson_szego(spec, x, w))
+        assert got == fresh
+    assert_allclose(got, [_two_det_kernel(spec, x, w) for x in references], rtol=1e-13)
+
+
+def test_point_store_is_bounded_and_dropped_with_w(monkeypatch):
+    spec = type_iii(4)
+    z, w = pair(spec, seed=21)
+    other = domains.sample_silov(spec, seed=23, count=1)[0]
+    bound = kernels.POINT_STORE
+    # bound + 1 points of distinct upper triangles
+    zs = [z * (1.0 - i / (4.0 * bound)) for i in range(bound + 1)]
+    evaluations = []
+    features = kernels._features
+    monkeypatch.setattr(
+        kernels, "_features", lambda table, flat: evaluations.append(1) or features(table, flat)
+    )
+    kernels._point_kernel.cache_clear()
+    first = [kernels.poisson_szego(spec, x, w) for x in zs[:bound]]
+    # w's coefficients, then one evaluation per point
+    assert len(evaluations) == 1 + bound
+    assert [kernels.poisson_szego(spec, x, w) for x in zs[:bound]] == first
+    assert len(evaluations) == 1 + bound
+    kernels.poisson_szego(spec, zs[bound], w)
+    del evaluations[:]
+    assert [kernels.poisson_szego(spec, x, w) for x in zs[:bound]] == first
+    assert evaluations
+    # another w builds its own evaluator, and w's comes back with no store
+    kernels.poisson_szego(spec, z, w)
+    del evaluations[:]
+    kernels.poisson_szego(spec, z, other)
+    assert kernels.poisson_szego(spec, z, w) == first[0]
+    assert len(evaluations) == 4
 
 
 @pytest.mark.parametrize(
