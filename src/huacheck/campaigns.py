@@ -33,6 +33,12 @@ def _radial_draw(rng, n, low, high):
     return z
 
 
+def _unit(rng, k):
+    """A point of the unit sphere of C^k: a normalized Gaussian draw."""
+    v = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    return v / np.linalg.norm(v)
+
+
 # -- kernel ------------------------------------------------------------------
 
 
@@ -277,10 +283,7 @@ def radial_extension_residuals(u, rng, count):
 
 def boundary_trace_residuals(u, rng, count):
     """|u - its boundary trace| at count points of the unit sphere."""
-    zs = []
-    for _ in range(count):
-        z = rng.standard_normal(u.n) + 1j * rng.standard_normal(u.n)
-        zs.append(z / np.linalg.norm(z))
+    zs = [_unit(rng, u.n) for _ in range(count)]
     return np.abs(u.evaluate_many(zs) - u.boundary_trace(zs))
 
 
@@ -374,11 +377,6 @@ def run_dirichlet_campaign(specs, points, seed):
 
 
 # -- embeddings --------------------------------------------------------------
-
-
-def _unit(rng, k):
-    v = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    return v / np.linalg.norm(v)
 
 
 def _ball_point(rng, k):
@@ -510,18 +508,12 @@ def run_embeddings_campaign(points, seed):
 
 
 def type_iv_points(rng, count):
-    """Yield count points of IV(2), radius in [0.05, 0.55), margin above 0.05.
+    """count points of IV(2) as a (count, 2) array, radius in [0.05, 0.55).
 
-    The points are drawn from rng as they are consumed, so a caller that
-    also draws from rng consumes them first.
+    Every draw is interior with margin above 0.39: at |z| = r < 0.55 the
+    binding constraint is 1 - 2 r^2 + |z z^t|^2 >= 1 - 2 (0.55)^2 = 0.395.
     """
-    spec = domains.type_iv(2)
-    drawn = 0
-    while drawn < count:
-        z = _radial_draw(rng, 2, 0.05, 0.55)
-        if domains.membership_margin(spec, z.reshape(1, 2)) > 0.05:
-            drawn += 1
-            yield z
+    return np.array([_radial_draw(rng, 2, 0.05, 0.55) for _ in range(count)])
 
 
 def euclidean_defects(H):
@@ -544,7 +536,7 @@ def quartic_residuals(points):
     """
     spec = domains.type_iv(2)
     u = PolyField((1, 2), {((1, 0), (1, 0)): 1.0, ((0, 1), (0, 1)): -1.0})
-    zs = np.array(list(points))
+    zs = np.asarray(points)
     C = operators.delta4_coefficients(spec, zs)
     H = np.array([wirtinger_hessian(u, z) for z in zs])
     op = np.sum(C * H, axis=(1, 2))

@@ -201,17 +201,18 @@ def poisson_solve(spec, boundary_fields, zs, batch):
     merged by the pairwise update of Chan, Golub & LeVeque ("Algorithms for
     computing the sample variance", Am. Stat. 37, 1983), which, unlike
     sum |v|^2 - k |mean|^2, cannot cancel to a negative variance. A point
-    that is not interior (membership margin <= 0) raises ValueError, and so
-    does a block of the wrong shape.
+    that is not interior (membership margin <= 0 or NaN) raises ValueError,
+    and so do a point and a block of the wrong shape.
     """
-    zs = np.array([np.asarray(z, dtype=complex).reshape(spec.shape) for z in zs])
-    for i, z in enumerate(zs):
-        margin = membership_margin(spec, z)
-        if margin <= 0.0:
-            raise ValueError(
-                f"point {i} is not interior to {spec.label()} "
-                f"(membership margin {margin:.3g})"
-            )
+    zs = np.reshape(np.asarray(zs, dtype=complex), (len(zs),) + spec.shape)
+    margins = membership_margin(spec, zs)
+    outside = np.flatnonzero(~(margins > 0.0))  # a NaN margin is not > 0
+    if outside.size:
+        i = outside[0]
+        raise ValueError(
+            f"point {i} is not interior to {spec.label()} "
+            f"(membership margin {margins[i]:.3g})"
+        )
     count = 0
     mean = np.zeros((len(zs), len(boundary_fields)), dtype=complex)
     m2 = np.zeros(mean.shape)

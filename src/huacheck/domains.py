@@ -156,15 +156,20 @@ def require_family_symmetry(spec, w):
 
 
 def membership_margin(spec, value):
-    """Distance to the binding domain constraint; positive iff interior."""
-    v = np.asarray(value, dtype=complex).reshape(spec.shape)
+    """Distance to the binding domain constraint, positive iff interior: a
+    float for one point, an array of N for a stack (N, m, n)."""
+    v = np.asarray(value, dtype=complex)
+    stacked = v.ndim == 3
+    v = v.reshape((len(v) if stacked else 1,) + spec.shape)
     if spec.family == "IV":
-        z = v.reshape(-1)
-        s2 = abs(z @ z) ** 2
-        g1 = 1.0 - 2.0 * float(np.vdot(z, z).real) + s2
-        g2 = 1.0 - s2
-        return min(g1, g2)
-    return float(np.min(np.linalg.eigvalsh(v_matrix(v))))
+        z = v[:, 0]
+        s = np.sum(z * z, axis=-1)  # z z^t
+        s2 = s.real**2 + s.imag**2
+        r2 = np.sum(z.real**2 + z.imag**2, axis=-1)  # |z|^2
+        margins = np.minimum(1.0 - 2.0 * r2 + s2, 1.0 - s2)
+    else:
+        margins = np.linalg.eigvalsh(v_matrix(v)).min(-1)
+    return margins if stacked else float(margins[0])
 
 
 def sample_interior(spec, seed, count):
@@ -194,8 +199,8 @@ def sample_interior(spec, seed, count):
     # row by row: the stacked Euclidean norm rounds differently from one row's
     for row in v:
         row *= 0.7 / np.linalg.norm(row)
-        while membership_margin(spec, row) < 0.05:
-            row *= 0.9
+    while (short := membership_margin(spec, v) < 0.05).any():
+        v[short] *= 0.9
     return v
 
 

@@ -51,9 +51,10 @@ FD_STEP = 1e-3
 ONE_POINT_TERMS = 32
 
 # Values the one-point evaluator of a III boundary point stores, one per
-# upper triangle of z; a full store is emptied. One III(4) FD Hessian needs
-# 577 (poisson_szego): the bound holds one with room to spare and caps what
-# a caller that sends one w many points can pile up.
+# upper triangle of z; a full store drops its least recently used value.
+# One III(4) FD Hessian needs 577 (poisson_szego): the bound holds one with
+# room to spare and caps what a caller that sends one w many points can
+# pile up.
 POINT_STORE = 1024
 
 DET_V_NOT_POSITIVE = "det V(z) <= 0: z is not interior"
@@ -169,8 +170,9 @@ def _point_kernel(spec, w_bytes):
     Python scalars: h(z, z) = 1 + sum_F sign_F |f_F(z)|^2 and h(z, w) =
     1 + sum_F coefficient_F f_F(z), with coefficient_F = sign_F conj(f_F(w))
     made once. Where the table reads fewer cells than z has (III), the
-    values are stored by the tuple of cells read: the sum reads nothing
-    else of z, so a stored value has the bits of a fresh one.
+    values are stored by the tuple of cells read, in an LRU cache of
+    POINT_STORE values that drops the least recently used one: the sum
+    reads nothing else of z, so a stored value has the bits of a fresh one.
     """
     k = _float_kappa(spec)
     w = np.frombuffer(w_bytes, dtype=complex).reshape(spec.shape)
@@ -211,20 +213,10 @@ def _point_kernel(spec, w_bytes):
     if len(cells) == spec.size:
         # I and II read every entry, in row-major order
         return lambda z: expanded(z.ravel().tolist())
-    store = {}
+    stored = functools.lru_cache(maxsize=POINT_STORE)(expanded)
     # itemgetter of one cell (III(2)) gives the bare entry, not a 1-tuple
     read = operator.itemgetter(*cells) if len(cells) > 1 else lambda x: (x[cells[0]],)
-
-    def stored(z):
-        key = read(z.ravel().tolist())
-        p = store.get(key)
-        if p is None:
-            if len(store) == POINT_STORE:
-                store.clear()
-            p = store[key] = expanded(key)
-        return p
-
-    return stored
+    return lambda z: stored(read(z.ravel().tolist()))
 
 
 @functools.lru_cache(maxsize=1)
@@ -318,7 +310,8 @@ def poisson_szego(spec, z, w):
     constrained_hessian reads only its derivatives along the slice. The
     stencil moves all 2 n^2 real coordinates and the Pfaffians read n (n - 1)
     of them, so the 4,098 rows of a III(4) Hessian hold only 577 distinct
-    triangles; the evaluator stores one value per triangle (POINT_STORE).
+    triangles; the evaluator stores one value per triangle and drops the
+    least recently used one beyond POINT_STORE.
 
     Membership is the caller's to check, as poisson_solve and
     check_theorem22 do. Every route raises ValueError where det V(z) <= 0,

@@ -39,25 +39,15 @@ def _check_compat(kind, spec):
 
 
 def direction_matrix(spec):
-    """Rows give each constrained-coordinate direction over plain entries."""
-    m, n = spec.shape
-    size = m * n
-    D = np.zeros((size, size))
-    if spec.family == "II":
-        for j in range(n):
-            for a in range(n):
-                D[j * n + a, j * n + a] += 1.0
-                if j != a:
-                    D[j * n + a, a * n + j] += 1.0
-    elif spec.family == "III":
-        for j in range(n):
-            for a in range(n):
-                if j != a:
-                    D[j * n + a, j * n + a] += 1.0
-                    D[j * n + a, a * n + j] -= 1.0
-    else:
-        D = np.eye(size)
-    return D
+    """Rows give each constrained-coordinate direction over plain entries:
+    row j n + a is E_ja + E_aj (II; E_jj on the diagonal), E_ja - E_aj (III,
+    zero on the diagonal), or E_ja itself (I, IV)."""
+    eye = np.eye(spec.size)
+    if spec.family not in ("II", "III"):
+        return eye
+    # row j n + a of the permuted identity is E_aj
+    transposed = eye[np.arange(spec.size).reshape(spec.shape).T.ravel()]
+    return np.maximum(eye, transposed) if spec.family == "II" else eye - transposed
 
 
 def constrained_hessian(spec, H):

@@ -167,7 +167,7 @@ def test_criterion_7_pullback_polarization_transport(capsys):
 
 def test_criterion_8_vector_domain_counterexample(capsys):
     rng = np.random.default_rng(9)
-    pts = list(campaigns.type_iv_points(rng, 200))
+    pts = campaigns.type_iv_points(rng, 200)
     op_vals, hess_norms, _, _ = campaigns.quartic_residuals(pts)
     worst_op = max(op_vals)
     min_hess = min(hess_norms)

@@ -280,6 +280,27 @@ def test_poisson_solve_rejects_point_outside_the_domain():
         )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_poisson_solve_rejects_a_nan_point_before_the_kernel():
+    # NaN is not > 0: the point fails the membership check with its margin,
+    # not det V(z) after a RuntimeWarning from the kernel
+    spec = type_ii(2)
+    batch = domains.SilovSample(spec, seed=17, count=100)
+    one = PolyField.constant(spec.shape, 1.0)
+    nan_point = np.full(spec.shape, np.nan, dtype=complex)
+    message = r"point 0 is not interior to II\(2\) \(membership margin nan\)"
+    with pytest.raises(ValueError, match=message):
+        dirichlet.poisson_solve(spec, [one], [nan_point], batch=batch)
+
+
+def test_poisson_solve_rejects_a_point_of_the_wrong_size():
+    spec = type_ii(2)
+    batch = domains.SilovSample(spec, seed=17, count=100)
+    one = PolyField.constant(spec.shape, 1.0)
+    with pytest.raises(ValueError, match="reshape"):
+        dirichlet.poisson_solve(spec, [one], [np.zeros(3)], batch=batch)
+
+
 def test_poisson_solve_rejects_batch_of_wrong_shape():
     spec = type_i(2, 3)
     # rows of I(2,2), not of I(2,3)

@@ -107,6 +107,42 @@ def test_type_iv_membership():
     assert domains.membership_margin(spec, np.array([[0.9, 0.9]])) <= 0.0
 
 
+def _margin_reference(spec, v):
+    """One point's margin: the least eigenvalue of I - v v*, or on IV the
+    smaller of 1 - 2|z|^2 + |z z^t|^2 and 1 - |z z^t|^2."""
+    if spec.family != "IV":
+        return np.linalg.eigvalsh(np.eye(spec.m) - v @ v.conj().T)[0]
+    z = v.ravel()
+    s2 = abs(z @ z) ** 2
+    return min(1.0 - 2.0 * np.vdot(z, z).real + s2, 1.0 - s2)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [type_i(2, 3), type_ii(3), type_iii(4), type_iv(2), type_iv(3)],
+    ids=lambda spec: spec.label(),
+)
+def test_stacked_membership_margin_equals_the_per_point_reference(spec):
+    rng = np.random.default_rng(41)
+    g = rng.standard_normal((2, 200) + spec.shape)
+    v = g[0] + 1j * g[1]
+    if spec.family == "II":
+        v = v + v.swapaxes(1, 2)
+    elif spec.family == "III":
+        v = v - v.swapaxes(1, 2)
+    # Frobenius norms from 0.1 to 2.5: interior and exterior points alike
+    v *= (rng.uniform(0.1, 2.5, 200) / np.linalg.norm(v, axis=(1, 2)))[:, None, None]
+    margins = domains.membership_margin(spec, v)
+    assert margins.shape == (200,)
+    reference = [_margin_reference(spec, p) for p in v]
+    assert_allclose(margins, reference, rtol=1e-14, atol=1e-14)
+    assert (margins < 0.0).sum() >= 10 and (margins > 0.0).sum() >= 10
+    # one point gives a float, with the bits of its row of the stack
+    for p, margin in zip(v[:20], margins):
+        one = domains.membership_margin(spec, p)
+        assert type(one) is float and one == margin
+
+
 @pytest.mark.parametrize("shape", [(1, 3), (2, 2), (2, 3), (4, 4)])
 def test_stacked_w_and_v_equal_the_per_row_matrices(shape):
     rng = np.random.default_rng(40)
@@ -349,6 +385,14 @@ def test_pseudo_boundary_is_rank_deficient():
     assert_allclose(w, -w.T, atol=1e-12)
     gram = np.eye(3) - w.conj().T @ w
     assert np.linalg.norm(gram) > 0.5
+
+
+def test_type_iv_points_never_come_near_the_boundary():
+    # below radius 0.55 the IV(2) margin is at least 1 - 2 (0.55)^2 = 0.395
+    rng = np.random.default_rng(42)
+    draws = campaigns.type_iv_points(rng, 10_000)
+    margins = domains.membership_margin(type_iv(2), draws.reshape(-1, 1, 2))
+    assert margins.min() > 0.39
 
 
 def test_biholo_iv2_round_trip_and_membership():

@@ -46,6 +46,36 @@ def test_direction_matrix_antisymmetric_family():
     assert_allclose(D[0], np.zeros(4))
 
 
+def _direction_matrix_reference(spec):
+    """The double loop over (j, a) that the permuted identity replaced."""
+    m, n = spec.shape
+    D = np.zeros((m * n, m * n))
+    if spec.family == "II":
+        for j in range(n):
+            for a in range(n):
+                D[j * n + a, j * n + a] += 1.0
+                if j != a:
+                    D[j * n + a, a * n + j] += 1.0
+    elif spec.family == "III":
+        for j in range(n):
+            for a in range(n):
+                if j != a:
+                    D[j * n + a, j * n + a] += 1.0
+                    D[j * n + a, a * n + j] -= 1.0
+    else:
+        D = np.eye(m * n)
+    return D
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [type_i(2, 3)] + [type_ii(n) for n in range(1, 5)] + [type_iii(n) for n in range(2, 6)],
+    ids=lambda spec: spec.label(),
+)
+def test_direction_matrix_equals_the_double_loop(spec):
+    assert np.array_equal(direction_matrix(spec), _direction_matrix_reference(spec))
+
+
 def test_delta1_at_origin_is_euclidean_trace():
     # at z = 0 every weight matrix collapses to the identity
     spec = type_i(2, 2)
@@ -234,7 +264,7 @@ _SIGNED_ZERO_POINTS = np.array(
 
 def _iv2_points():
     rng = np.random.default_rng(12)
-    drawn = np.array(list(campaigns.type_iv_points(rng, 600)))
+    drawn = campaigns.type_iv_points(rng, 600)
     return np.concatenate([drawn, _SIGNED_ZERO_POINTS])
 
 
