@@ -202,8 +202,11 @@ def poisson_solve(spec, boundary_fields, zs, batch):
     computing the sample variance", Am. Stat. 37, 1983), which, unlike
     sum |v|^2 - k |mean|^2, cannot cancel to a negative variance. A point
     that is not interior (membership margin <= 0 or NaN) raises ValueError,
-    and so do a point and a block of the wrong shape.
+    and so do an empty boundary_fields and a point or a block of the wrong
+    shape.
     """
+    if not boundary_fields:
+        raise ValueError("boundary_fields is empty: give at least one field")
     zs = np.reshape(np.asarray(zs, dtype=complex), (len(zs),) + spec.shape)
     margins = membership_margin(spec, zs)
     outside = np.flatnonzero(~(margins > 0.0))  # a NaN margin is not > 0

@@ -11,9 +11,8 @@ one boundary point for the FD stencil or over a stacked boundary sample for
 the Monte-Carlo Poisson solve of huacheck.dirichlet. A stack sums det W
 from the generic norm of the Jordan triple in arrays. One boundary point w
 gets one cached evaluator of z, which sums the same expansion in Python
-scalars or takes a LAPACK det, on either side of ONE_POINT_TERMS; on III it
-stores its values by the upper triangle of z, the only cells its Pfaffians
-read. The boundary identity is checked along two
+scalars; on III it stores its values by the upper triangle of z, the only
+cells its Pfaffians read. The boundary identity is checked along two
 routes: direct numerical differentiation of P, and closed forms built from
 the log-gradient formulas (the boundary tensors for II/III, the exact
 component assembly for TypeI). Every matrix inverse goes through
@@ -42,19 +41,13 @@ SINGULARITY_FLOOR = 1e-12
 # second difference against Richardson truncation.
 FD_STEP = 1e-3
 
-# A one-point kernel sums the generic-norm expansion in Python scalars when
-# its table's cells and expansion terms number at most this, and takes the
-# LAPACK det above it: the expansion's cost grows with the count, LAPACK's
-# barely moves. Per call on a shared 2-core x86-64 host (us, expansion /
-# LAPACK): III(4), 9 terms, 4.1 / 13.0; II(3), 30 terms, 10.7 / 10.9;
-# I(2,6), 42 terms, 15.4 / 12.2; I(3,4), 60 terms, 21.0 / 11.0.
-ONE_POINT_TERMS = 32
-
 # Values the one-point evaluator of a III boundary point stores, one per
 # upper triangle of z; a full store drops its least recently used value.
 # One III(4) FD Hessian needs 577 (poisson_szego): the bound holds one with
 # room to spare and caps what a caller that sends one w many points can
-# pile up.
+# pile up. III(6) has 3,601 and III(8) 12,545, so their stores drop values
+# within a Hessian; as the stencil returns to a triangle soon after it left
+# it, III(6) still evaluates each once and III(8) 12,925 times.
 POINT_STORE = 1024
 
 DET_V_NOT_POSITIVE = "det V(z) <= 0: z is not interior"
@@ -80,12 +73,6 @@ def inverse(M):
     if sv[-1] <= SINGULARITY_FLOOR * sv[0]:
         raise SingularMatrixError("matrix is singular to working precision")
     return np.linalg.inv(M)
-
-
-@functools.lru_cache(maxsize=None)
-def _float_kappa(spec):
-    """kappa as a float, once per spec."""
-    return float(kappa(spec))
 
 
 @functools.lru_cache(maxsize=None)
@@ -165,32 +152,17 @@ def _point_kernel(spec, w_bytes):
     given by its complex bytes. Cached for the last (spec, w), so the FD
     stencil around z, whose rows all share one w, builds w's side once.
 
-    Above ONE_POINT_TERMS it takes V = W(z, z) and W(z, w) from one stacked
-    product and one LAPACK det. At or below it, it sums the generic norm in
-    Python scalars: h(z, z) = 1 + sum_F sign_F |f_F(z)|^2 and h(z, w) =
-    1 + sum_F coefficient_F f_F(z), with coefficient_F = sign_F conj(f_F(w))
-    made once. Where the table reads fewer cells than z has (III), the
-    values are stored by the tuple of cells read, in an LRU cache of
-    POINT_STORE values that drops the least recently used one: the sum
-    reads nothing else of z, so a stored value has the bits of a fresh one.
+    It sums the generic norm in Python scalars: h(z, z) = 1 + sum_F
+    sign_F |f_F(z)|^2 and h(z, w) = 1 + sum_F coefficient_F f_F(z), with
+    coefficient_F = sign_F conj(f_F(w)) made once. Where the table reads
+    fewer cells than z has (III), the values are stored by the tuple of
+    cells read, in an LRU cache of POINT_STORE values that drops the least
+    recently used one: the sum reads nothing else of z, so a stored value
+    has the bits of a fresh one.
     """
-    k = _float_kappa(spec)
+    k = float(kappa(spec))
     w = np.frombuffer(w_bytes, dtype=complex).reshape(spec.shape)
-    cells, expansions, signs = table = _generic_norm_table(spec)
-    if len(cells) + sum(map(len, expansions)) > ONE_POINT_TERMS:
-
-        def lapack(z):
-            dets = np.linalg.det(w_matrix(z, np.array((z, w))))
-            detv = dets[0].real
-            detw = abs(dets[1])
-            if not detv > 0.0:
-                raise ValueError(DET_V_NOT_POSITIVE)
-            if detw < 1e-300:
-                raise SingularMatrixError("det W(z, w) vanished")
-            # exp/log handles half-integer k
-            return float(np.exp(k * np.log(detv)) / detw ** (2.0 * k))
-
-        return lapack
+    cells, _, signs = table = _generic_norm_table(spec)
     signs = signs.tolist()
     x = w.ravel().tolist()
     w_features = _features(table, [x[c] for c in cells])
@@ -298,10 +270,8 @@ def poisson_szego(spec, z, w):
 
     One boundary point w is one lookup of its cached evaluator
     (_point_kernel) and one call of it, so the FD stencil around z builds
-    w's side once. Its tables of at most ONE_POINT_TERMS cells and
-    expansion terms (I(2,2), I(2,3), I(3,3), II(2), II(3), III(4)) sum the
-    same expansion in Python scalars; larger ones (I(3,4), III(6), III(8))
-    take one stacked product and one LAPACK det.
+    w's side once; it sums the same expansion in Python scalars on every
+    table.
 
     On I and II the expansion is det(I - z w*) at every z, by Cauchy-Binet,
     so also at the stencil rows off the symmetric slice of II. On III its
@@ -310,8 +280,8 @@ def poisson_szego(spec, z, w):
     constrained_hessian reads only its derivatives along the slice. The
     stencil moves all 2 n^2 real coordinates and the Pfaffians read n (n - 1)
     of them, so the 4,098 rows of a III(4) Hessian hold only 577 distinct
-    triangles; the evaluator stores one value per triangle and drops the
-    least recently used one beyond POINT_STORE.
+    triangles and the 20,738 of III(6) 3,601; the evaluator stores one value
+    per triangle and drops the least recently used one beyond POINT_STORE.
 
     Membership is the caller's to check, as poisson_solve and
     check_theorem22 do. Every route raises ValueError where det V(z) <= 0,
@@ -328,7 +298,7 @@ def poisson_szego(spec, z, w):
                 f"not {z.shape} and {w.shape}"
             )
         return _point_kernel(spec, w.astype(complex, copy=False).tobytes())(z)
-    k = _float_kappa(spec)
+    k = float(kappa(spec))
     # one det V per point, broadcast along that point's row of weights
     detv = np.linalg.det(v_matrix(z)).real[..., None]
     if not np.all(detv > 0.0):
@@ -422,7 +392,7 @@ def identity_tensors(spec, z, w):
     if spec.family not in ("II", "III"):
         raise ValueError("identity tensors exist for the square families only")
     n = spec.n
-    k = _float_kappa(spec)
+    k = float(kappa(spec))
     zs, ws = z.conj().T, w.conj().T
     Vi = inverse(v_matrix(z))
     Vsi = inverse(v_matrix(zs))
@@ -451,7 +421,7 @@ def component_kernel_exact(spec, z, w):
     (b - c)(bbar - cbar) in constrained coordinates and contracts with the
     component weights; returns the (j,k) matrix of operator values.
     """
-    k = _float_kappa(spec)
+    k = float(kappa(spec))
     P = poisson_szego(spec, z, w)
     H = d2_logdetv(spec, z)
     b, bbar = b_gradients(spec, z)

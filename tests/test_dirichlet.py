@@ -293,6 +293,13 @@ def test_poisson_solve_rejects_a_nan_point_before_the_kernel():
         dirichlet.poisson_solve(spec, [one], [nan_point], batch=batch)
 
 
+def test_poisson_solve_rejects_empty_boundary_fields():
+    spec = type_ii(2)
+    batch = domains.SilovSample(spec, seed=17, count=10)
+    with pytest.raises(ValueError, match="boundary_fields is empty"):
+        dirichlet.poisson_solve(spec, [], [np.zeros(spec.shape)], batch=batch)
+
+
 def test_poisson_solve_rejects_a_point_of_the_wrong_size():
     spec = type_ii(2)
     batch = domains.SilovSample(spec, seed=17, count=100)
