@@ -74,10 +74,11 @@ def gram_complement_norms(spec, pairs):
     return [float(np.linalg.norm(kernels.identity_tensors(spec, z, w)[5])) for z, w in pairs]
 
 
-def rank_deficient_pairs(seed, boundary_seeds):
-    """An interior point of III(3) paired with rank-deficient boundary points."""
+def rank_deficient_pairs(seed, count):
+    """An interior point of III(3) from seed paired with count points of the
+    rank-deficient Silov boundary of III(3), drawn from seed + 100."""
     z = domains.sample_interior(domains.type_iii(3), seed, 1)[0]
-    return [(z, domains.rank_deficient_pseudo_boundary(3, s)) for s in boundary_seeds]
+    return [(z, w) for w in domains.odd_iii_silov_points(3, seed + 100, count)]
 
 
 def run_kernel_campaign(specs, points, seed):
@@ -125,7 +126,7 @@ def run_kernel_campaign(specs, points, seed):
                 )
             )
     # negative control: odd antisymmetric boundary points are rank-deficient
-    control = rank_deficient_pairs(seed, [seed + 100 + i for i in range(points)])
+    control = rank_deficient_pairs(seed, points)
     records.append(
         (
             "gram-complement-control-III(3)",

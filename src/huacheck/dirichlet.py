@@ -202,8 +202,8 @@ def poisson_solve(spec, boundary_fields, zs, batch):
     computing the sample variance", Am. Stat. 37, 1983), which, unlike
     sum |v|^2 - k |mean|^2, cannot cancel to a negative variance. A point
     that is not interior (membership margin <= 0 or NaN) raises ValueError,
-    and so do an empty boundary_fields and a point or a block of the wrong
-    shape.
+    and so do an empty boundary_fields, a point or a block of the wrong
+    shape, an empty block and a batch with no draws.
     """
     if not boundary_fields:
         raise ValueError("boundary_fields is empty: give at least one field")
@@ -226,6 +226,8 @@ def poisson_solve(spec, boundary_fields, zs, batch):
                 f"boundary batch rows have shape {block.shape[1:]}, expected {spec.shape}"
             )
         k = len(block)
+        if not k:
+            raise ValueError("boundary batch holds an empty block")
         if products.shape[-1] < k:
             products = np.empty(mean.shape + (k,), dtype=complex)
         block_mean, block_m2 = _block_moments(
@@ -237,6 +239,8 @@ def poisson_solve(spec, boundary_fields, zs, batch):
         mean += delta * (k / total)
         m2 += block_m2 + (delta.real**2 + delta.imag**2) * (count * k / total)
         count = total
+    if not count:
+        raise ValueError("boundary batch has no draws to average")
     stderr = np.sqrt(m2 / count / count)
     return [
         [(complex(mu), float(se)) for mu, se in zip(means, errors)]

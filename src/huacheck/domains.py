@@ -274,17 +274,6 @@ def haar_unitary(rng, n):
     return _haar_stack(rng, 1, n, n)[:, :, 0]
 
 
-def _antisym_block_j(n):
-    """Block-diagonal antisymmetric unitary of 2x2 blocks [[0,1],[-1,0]]."""
-    if n % 2 != 0:
-        raise ValueError("needs even n")
-    J = np.zeros((n, n))
-    for i in range(0, n, 2):
-        J[i, i + 1] = 1.0
-        J[i + 1, i] = -1.0
-    return J
-
-
 def silov_columns(spec):
     """Columns of the Haar isometry U that sample_silov draws for spec.
 
@@ -318,7 +307,12 @@ def sample_silov(spec, seed, count):
     Generator give the rows of one call with its seed and their summed
     count; SilovSample draws its blocks that way.
     """
-    cols = silov_columns(spec)
+    return _draw_silov(spec, seed, count, silov_columns(spec))
+
+
+def _draw_silov(spec, seed, count, cols):
+    """count boundary points from n x cols Haar isometries, in blocks of
+    SILOV_CHUNK rows drawn from one Generator."""
     rng = np.random.default_rng(seed)
     out = np.empty((count,) + spec.shape, dtype=complex)
     for start in range(0, count, SILOV_CHUNK):
@@ -334,7 +328,8 @@ class SilovSample:
     yields sample_silov blocks of at most SILOV_CHUNK rows from one
     Generator, so the concatenated blocks equal sample_silov(spec, seed,
     count) bit for bit while only one block is held at a time. A family
-    without a sampler raises UnsupportedDomainError here, before any draw.
+    without a sampler raises UnsupportedDomainError here, before any draw,
+    and a negative count raises ValueError.
     """
 
     spec: DomainSpec
@@ -343,6 +338,8 @@ class SilovSample:
 
     def __post_init__(self):
         silov_columns(self.spec)
+        if self.count < 0:
+            raise ValueError(f"SilovSample count must be non-negative, got {self.count}")
 
     def __len__(self):
         return self.count
@@ -378,21 +375,13 @@ def _fill_silov_block(spec, rng, rows, cols):
     rows[...] = w.transpose(2, 0, 1)
 
 
-def rank_deficient_pseudo_boundary(n, seed):
-    """An antisymmetric boundary point of III(n), n odd, with w*w != I.
-
-    Built as U diag(J_{n-1}, 0) U^t; serves as the negative control where the
-    residual kernel tensor does not vanish.
-    """
-    if n % 2 == 0:
-        raise ValueError("pseudo-boundary construction targets odd n")
-    rng = np.random.default_rng(seed)
-    u = haar_unitary(rng, n)
-    block = np.zeros((n, n))
-    block[: n - 1, : n - 1] = _antisym_block_j(n - 1)
-    w = u @ block @ u.T
-    require_family_symmetry(type_iii(n), w)
-    return w
+def odd_iii_silov_points(n, seed, count):
+    """count Silov boundary points U' J U'^t of III(n), n odd and >= 3, for
+    n x (n - 1) Haar isometries U', drawn as sample_silov draws: rank n - 1,
+    so w*w != I, the negative control of the I - w*w correction tensor."""
+    if n % 2 == 0 or n < 3:
+        raise ValueError(f"odd_iii_silov_points needs odd n >= 3, got {n}")
+    return _draw_silov(type_iii(n), seed, count, n - 1)
 
 
 # -- the bidisc coordinates of IV(2) ----------------------------------------

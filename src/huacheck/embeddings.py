@@ -57,11 +57,11 @@ def type_i_embedding(xi, n):
 
 
 def type_ii_embedding(u_mat):
-    """Embedding of B_n into II(n): lam -> (lam U)^t (lam U)."""
+    """Embedding of B_n into II(n): lam -> (lam U)^t (lam U), U n x n unitary."""
     u_mat = np.asarray(u_mat, dtype=complex)
     n = u_mat.shape[0]
-    if not np.max(np.abs(u_mat @ u_mat.conj().T - np.eye(n))) <= 1e-12:
-        raise ValueError("U must be unitary")
+    if u_mat.shape != (n, n) or not np.abs(u_mat @ u_mat.conj().T - np.eye(n)).max() <= 1e-12:
+        raise ValueError(f"U must be square and unitary, got shape {u_mat.shape}")
     lshape = (1, n)
     mu = [
         sum(

@@ -192,7 +192,7 @@ class PolyField:
         A row's bits do not depend on the stack: numpy's in-place complex
         multiply of one element rounds unlike its array loop, so the
         products are formed out of place."""
-        zf = np.asarray(pts, dtype=complex).reshape(len(pts), -1)
+        zf = np.asarray(pts, dtype=complex).reshape(len(pts), self.size)
         out = np.zeros(len(pts), dtype=complex)
         for c, ze, we in self.monomials():
             v = np.full(len(pts), c, dtype=complex)

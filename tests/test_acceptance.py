@@ -69,7 +69,7 @@ def test_criterion_3_gram_complement_vanishing_and_control(capsys):
     )
     worst_f = max(campaigns.gram_complement_norms(spec, pairs))
     (control,) = campaigns.gram_complement_norms(
-        type_iii(3), campaigns.rank_deficient_pairs(seed=4, boundary_seeds=[5])
+        type_iii(3), campaigns.rank_deficient_pairs(seed=4, count=1)
     )
     ok = worst_gram < 1e-12 and worst_f < 1e-10 and control > 1e-3
     _verdict(capsys, 3, ok, f"gram={worst_gram:.2e} F={worst_f:.2e} control={control:.2e}")

@@ -300,6 +300,24 @@ def test_poisson_solve_rejects_empty_boundary_fields():
         dirichlet.poisson_solve(spec, [], [np.zeros(spec.shape)], batch=batch)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_poisson_solve_rejects_a_sample_without_draws():
+    spec = type_ii(2)
+    one = PolyField.constant(spec.shape, 1.0)
+    z = np.zeros(spec.shape)
+    for batch in (domains.SilovSample(spec, seed=0, count=0), []):
+        with pytest.raises(ValueError, match="boundary batch has no draws"):
+            dirichlet.poisson_solve(spec, [one], [z], batch)
+
+
+def test_poisson_solve_rejects_an_empty_block():
+    spec = type_ii(2)
+    one = PolyField.constant(spec.shape, 1.0)
+    ws = domains.sample_silov(spec, seed=0, count=10)
+    with pytest.raises(ValueError, match="boundary batch holds an empty block"):
+        dirichlet.poisson_solve(spec, [one], [np.zeros(spec.shape)], np.split(ws, [5, 5]))
+
+
 def test_poisson_solve_rejects_a_point_of_the_wrong_size():
     spec = type_ii(2)
     batch = domains.SilovSample(spec, seed=17, count=100)

@@ -61,21 +61,18 @@ def test_family_symmetry_check_fails_closed(spec, broken):
     domains.require_family_symmetry(spec, v)
 
 
-@pytest.mark.parametrize("broken", ["nan", "wrong-symmetry"])
-def test_pseudo_boundary_checks_the_family_symmetry(monkeypatch, broken):
-    if broken == "nan":
-        haar_unitary = domains.haar_unitary
+def test_odd_iii_silov_points_check_the_family_symmetry(monkeypatch):
+    haar_stack = domains._haar_stack
 
-        def nan_unitary(rng, n):
-            u = haar_unitary(rng, n)
-            u[0, 0] = np.nan
-            return u
+    def nan_isometry(rng, k, n, cols):
+        # after the orthonormality gate, so only the symmetry gate can catch it
+        u = haar_stack(rng, k, n, cols)
+        u[0, 0, -1] = np.nan
+        return u
 
-        monkeypatch.setattr(domains, "haar_unitary", nan_unitary)
-    else:
-        monkeypatch.setattr(domains, "_antisym_block_j", lambda n: np.eye(n))
+    monkeypatch.setattr(domains, "_haar_stack", nan_isometry)
     with pytest.raises(ValueError, match="breaks the family symmetry"):
-        domains.rank_deficient_pseudo_boundary(3, seed=5)
+        domains.odd_iii_silov_points(3, seed=5, count=4)
 
 
 @pytest.mark.parametrize("broken", ["nan", "wrong-symmetry"])
@@ -335,6 +332,11 @@ def test_silov_sample_blocks_equal_one_sample():
         assert np.array_equal(next(iter(sample)), blocks[0])
 
 
+def test_silov_sample_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="non-negative"):
+        domains.SilovSample(type_ii(2), seed=0, count=-5)
+
+
 def test_silov_calls_on_one_generator_continue_one_stream():
     spec = type_ii(2)
     for sizes in ((5, 5, 5), (domains.SILOV_CHUNK, 37)):
@@ -380,11 +382,23 @@ def test_silov_unsupported_families():
         domains.SilovSample(type_iii(3), seed=0, count=1)
 
 
-def test_pseudo_boundary_is_rank_deficient():
-    w = domains.rank_deficient_pseudo_boundary(3, seed=5)
-    assert_allclose(w, -w.T, atol=1e-12)
-    gram = np.eye(3) - w.conj().T @ w
-    assert np.linalg.norm(gram) > 0.5
+@pytest.mark.parametrize("n", [3, 5])
+def test_odd_iii_silov_points_are_rank_deficient(n):
+    ws = domains.odd_iii_silov_points(n, seed=5, count=200)
+    assert ws.shape == (200, n, n)
+    assert_allclose(ws, -ws.transpose(0, 2, 1), atol=1e-12)
+    assert (np.linalg.matrix_rank(ws) == n - 1).all()
+    # w w* is the projection onto the n - 1 columns of U'
+    eig = np.linalg.eigvalsh(ws @ ws.conj().transpose(0, 2, 1))
+    assert np.abs(eig - np.array([0.0] + [1.0] * (n - 1))).max() <= 1e-12
+    gram = np.eye(n) - ws.conj().transpose(0, 2, 1) @ ws
+    assert np.linalg.norm(gram, axis=(1, 2)).min() > 0.5
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_odd_iii_silov_points_need_odd_n_of_at_least_3(n):
+    with pytest.raises(ValueError, match="odd n >= 3"):
+        domains.odd_iii_silov_points(n, seed=0, count=1)
 
 
 def test_type_iv_points_never_come_near_the_boundary():

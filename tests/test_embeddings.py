@@ -35,6 +35,12 @@ def test_type_ii_embedding_rejects_nan():
         embeddings.type_ii_embedding(np.full((2, 2), np.nan))
 
 
+def test_type_ii_embedding_rejects_a_non_square_matrix():
+    # orthonormal rows, so U U* = I: only the shape gives it away
+    with pytest.raises(ValueError, match="square"):
+        embeddings.type_ii_embedding(np.eye(2, 3))
+
+
 def test_embed_lands_in_the_target_domain():
     rng = np.random.default_rng(0)
     cases = [

@@ -57,6 +57,12 @@ def test_evaluate_many_agrees_with_single_calls():
     assert_allclose(batch, singles, atol=1e-13)
 
 
+def test_evaluate_many_of_an_empty_stack_is_empty():
+    f = random_poly_field(SHAPE, np.random.default_rng(2))
+    values = f.evaluate_many(np.empty((0,) + SHAPE, dtype=complex))
+    assert values.shape == (0,) and values.dtype == complex
+
+
 def test_exact_derivatives_on_monomial():
     # f = z_0^2 zbar_1
     f = coord(0) * coord(0) * coord(1, conjugated=True)

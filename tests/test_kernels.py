@@ -354,7 +354,7 @@ def test_gram_complement_tensor_vanishes_only_on_true_boundary():
     assert float(np.linalg.norm(kernels.identity_tensors(spec, z, w)[5])) < 1e-10
     spec3 = type_iii(3)
     z3 = domains.sample_interior(spec3, 7, 1)[0]
-    w3 = domains.rank_deficient_pseudo_boundary(3, seed=8)
+    (w3,) = domains.odd_iii_silov_points(3, seed=8, count=1)
     assert float(np.linalg.norm(kernels.identity_tensors(spec3, z3, w3)[5])) > 1e-3
 
 
