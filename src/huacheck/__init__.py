@@ -19,7 +19,7 @@ from .domains import (
     type_iv,
 )
 from .fields import OpaqueField, PolyField, wirtinger_gradient, wirtinger_hessian
-from .operators import apply
+from .operators import apply, coefficients
 
 __version__ = "0.1.0"
 
@@ -30,6 +30,7 @@ __all__ = [
     "PolyField",
     "apply",
     "ball",
+    "coefficients",
     "kappa",
     "parse_spec",
     "type_i",

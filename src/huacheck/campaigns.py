@@ -277,8 +277,8 @@ def radial_extension_residuals(u, rng, count):
     field = u.as_field()
     vals = []
     for _ in range(count):
-        z = _radial_draw(rng, u.n, 0.1, 0.9)
-        vals.append(abs(operators.apply("tilde", field, spec, z.reshape(1, u.n))))
+        z = _radial_draw(rng, u.n, 0.1, 0.9).reshape(1, u.n)
+        vals.append(abs(operators.apply(operators.modified_ball_coefficients(spec, z), field, z)))
     return vals
 
 
@@ -392,8 +392,9 @@ def rank_one_residuals(rng, count):
         gram_vals.append(embeddings.gram_identity_residual(e))
         u = random_poly_field((2, 3), rng, degree=4, n_terms=8)
         lam = _ball_point(rng, 3)
-        chain_vals.append(embeddings.chain_rule_residual(e, u, lam))
-        pull_vals.append(abs(embeddings.pullback_residual(e, u, lam)))
+        g = embeddings.compose(e, u)
+        chain_vals.append(embeddings.chain_rule_residual(e, u, g, lam))
+        pull_vals.append(abs(embeddings.pullback_residual(e, u, g, lam)))
     return gram_vals, chain_vals, pull_vals
 
 
@@ -403,7 +404,8 @@ def symmetric_pullback_residuals(rng, count):
     for _ in range(count):
         e = embeddings.type_ii_embedding(domains.haar_unitary(rng, 3))
         u = random_poly_field((3, 3), rng, degree=2, n_terms=6)
-        vals.append(abs(embeddings.pullback_residual(e, u, _ball_point(rng, 3))))
+        g = embeddings.compose(e, u)
+        vals.append(abs(embeddings.pullback_residual(e, u, g, _ball_point(rng, 3))))
     return vals
 
 
@@ -413,7 +415,8 @@ def corner_pullback_residuals(rng, count):
     vals = []
     for _ in range(count):
         u = random_poly_field((4, 4), rng, degree=2, n_terms=30)
-        vals.append(abs(embeddings.pullback_residual(e, u, _ball_point(rng, 3))))
+        g = embeddings.compose(e, u)
+        vals.append(abs(embeddings.pullback_residual(e, u, g, _ball_point(rng, 3))))
     return vals
 
 

@@ -67,11 +67,20 @@ _POINTS = _checked(int, lambda v: v >= 1, "at least 1")
 _SEED = _checked(int, lambda v: v >= 0, "at least 0")
 
 
+# verify kernel's FD Hessian holds its 1 + 8 s^2 stencil points of s entries
+# at once, 128 s^3 bytes: 34 MB on III(8) (s = 64, the largest domain CI runs)
+# and 128 MB at this bound
+MAX_ENTRIES = 100
+
+
 def _domain_spec(text):
     try:
-        return parse_spec(text)
+        spec = parse_spec(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"invalid domain {text!r}: {exc}") from None
+    if spec.size > MAX_ENTRIES:
+        raise argparse.ArgumentTypeError(f"{text!r} has {spec.size} entries, over {MAX_ENTRIES}")
+    return spec
 
 
 def build_parser():

@@ -138,13 +138,13 @@ def gram_identity_residual(e):
     return worst
 
 
-def _sandwich_gap(components, in_shape, u, lam):
-    """H_{u o phi}(lam) - J H_u(phi(lam)) J* for the map phi = components.
+def _sandwich_gap(components, u, g, lam):
+    """H_g(lam) - J H_u(phi(lam)) J* for g = u o phi, phi = components.
 
     J is the holomorphic Jacobian of phi arranged rows-by-input.
     """
     lam = np.asarray(lam, dtype=complex).reshape(-1)
-    Hg = wirtinger_hessian(u.compose_holomorphic(list(components), in_shape), lam)
+    Hg = wirtinger_hessian(g, lam)
     z = np.array([c(lam) for c in components])
     Hu = wirtinger_hessian(u, z.reshape(u.shape))
     J = np.array([[comp.dz(a)(lam) for comp in components] for a in range(lam.size)])
@@ -156,18 +156,19 @@ def compose(e, u):
     return u.compose_holomorphic(list(e.components), e.ball_shape())
 
 
-def chain_rule_residual(e, u, lam):
-    """Entrywise residual of the composed-Hessian chain rule at lam.
+def chain_rule_residual(e, u, g, lam):
+    """Entrywise residual of the composed-Hessian chain rule at lam, for
+    g = compose(e, u).
 
     d^2 (u o z) / dlam_i dlambar_j must equal the embedding-Jacobian
     sandwich of the mixed Hessian of u at z(lam).
     """
-    gap = _sandwich_gap(e.components, e.ball_shape(), u, lam)
-    return float(np.max(np.abs(gap)))
+    return float(np.max(np.abs(_sandwich_gap(e.components, u, g, lam))))
 
 
-def pullback_residual(e, u, lam):
-    """Ball-side operator of u o z minus the domain-side component sum.
+def pullback_residual(e, u, g, lam):
+    """Ball-side operator of g = compose(e, u) minus the domain-side
+    component sum.
 
     Type I compares against sum_kl xi_k xibar_l Delta1^kl u; type II against
     the double sum of weighted Delta2 components conjugated by U; type III
@@ -176,7 +177,6 @@ def pullback_residual(e, u, lam):
     embedding.
     """
     lam = np.asarray(lam, dtype=complex).reshape(-1)
-    g = compose(e, u)
     Hg = wirtinger_hessian(g, lam)
     d = lam.size
     z = embed(e, lam)
@@ -239,4 +239,5 @@ def hessian_transport_check(components, in_shape, u, z0):
     Frobenius norm of H_{u o phi}(z0) - J H_u(phi(z0)) J* with J the
     Jacobian of phi arranged rows-by-input.
     """
-    return float(np.linalg.norm(_sandwich_gap(components, in_shape, u, z0)))
+    g = u.compose_holomorphic(list(components), in_shape)
+    return float(np.linalg.norm(_sandwich_gap(components, u, g, z0)))

@@ -1,5 +1,6 @@
-"""The invariant Laplacians of the four classical domains, their (j,k)
-components, the invariant ball Laplacian, and the modified ball operator.
+"""The invariant Laplacian of each classical domain, delta1 to delta4 on I to
+IV (delta1 on I(1, n) is the invariant ball Laplacian), its (j,k) components,
+and the modified ball operator.
 
 Index conventions. A field u lives on the full m x n matrix of entries.
 For the symmetric (II) and antisymmetric (III) families the displayed
@@ -23,19 +24,6 @@ import numpy as np
 
 from .domains import v_matrix
 from .fields import wirtinger_hessian
-
-_KINDS = ("delta1", "delta2", "delta3", "delta4", "ball", "tilde")
-_FAMILY_OF = {"delta1": "I", "delta2": "II", "delta3": "III", "delta4": "IV"}
-
-
-def _check_compat(kind, spec):
-    if kind not in _KINDS:
-        raise ValueError(f"unknown operator kind {kind!r}")
-    fam = _FAMILY_OF.get(kind)
-    if fam is not None and spec.family != fam:
-        raise ValueError(f"{kind} is not defined on {spec.label()}")
-    if kind in ("ball", "tilde") and not (spec.family == "I" and spec.m == 1):
-        raise ValueError(f"{kind} lives on the unit ball I(1,n)")
 
 
 def direction_matrix(spec):
@@ -91,16 +79,20 @@ def component_values(spec, z, H):
     return np.einsum("jakb,jakb->jk", weights, H.reshape(m, n, m, n))
 
 
-def _delta4_weights(zs):
-    """The delta4 coefficient tensors of a stack zs of IV(n) points, (N, n).
+def delta4_coefficients(spec, values):
+    """The delta4 coefficient tensors of IV(n) at a stack of points, (N, n, n).
 
     Each tensor is r (I - 2 z z*) + 2 (zbar - sbar z)(z - s zbar)^t with
     s = z^t z and r = 1 - 2|z|^2 + |s|^2. Its bits do not depend on the
-    stack: dot products are stacked matmuls, which take one BLAS dot per
-    point, |s| is hypot, |s|^2 is libm pow (squaring differs in the last
-    bit), and the outer products multiply length-n rows.
+    stack, so coefficients(spec, z) is a stack of one: dot products are
+    stacked matmuls, which take one BLAS dot per point, |s| is hypot, |s|^2
+    is libm pow (squaring differs in the last bit), and the outer products
+    multiply length-n rows.
     """
-    n = zs.shape[1]
+    if spec.family != "IV":
+        raise ValueError(f"delta4 is not defined on {spec.label()}")
+    n = spec.n
+    zs = np.asarray(values, dtype=complex).reshape(len(values), n)
     zc = zs.conj()
     s = np.matmul(zs[:, None, :], zs[:, :, None])[:, 0]
     norm2 = np.matmul(zc[:, None, :], zs[:, :, None])[:, 0, 0].real
@@ -112,44 +104,28 @@ def _delta4_weights(zs):
     )
 
 
-def delta4_coefficients(spec, values):
-    """coefficients("delta4", spec, z) at each point z of a stack of IV(n)
-    values, shape (N, n, n), bit for bit."""
-    _check_compat("delta4", spec)
-    values = np.asarray(values, dtype=complex)
-    return _delta4_weights(values.reshape(len(values), spec.n))
-
-
-def _weight_tensor(kind, spec, z):
-    """Coefficient over constrained-coordinate index pairs ((j,a),(k,b))."""
+def coefficients(spec, z):
+    """The tensor of spec's invariant Laplacian at z over plain flattened
+    entry pairs, so that apply(coefficients(spec, z), u, z) is delta1 to delta4
+    of u on I to IV; on I(1, n) it is (1 - |z|^2)(I - z^t zbar)."""
     m, n = spec.shape
-    if kind == "delta4":
-        return _delta4_weights(z.reshape(1, n))[0]
-    if kind == "tilde":
-        zv = z.reshape(-1)
-        return np.eye(n) - float(np.vdot(zv, zv).real) * np.outer(zv, zv.conj())
-    # "ball" is delta1 on I(1, n): (1 - |z|^2)(I - z^t zbar)
-    scale = 0.25 if kind in ("delta2", "delta3") else 1.0
-    W = (v_matrix(z) * scale)[:, None, :, None] * component_weights(spec, z)
-    return W.reshape(m * n, m * n)
+    if spec.family == "IV":
+        return delta4_coefficients(spec, z.reshape(1, n))[0]
+    if spec.family == "I":
+        return (v_matrix(z)[:, None, :, None] * component_weights(spec, z)).reshape(m * n, m * n)
+    W = (0.25 * v_matrix(z))[:, None, :, None] * component_weights(spec, z)
+    D = direction_matrix(spec)
+    return D.T @ W.reshape(m * n, m * n) @ D.conj()
 
 
-def coefficients(kind, spec, z):
-    """Effective coefficient tensor over plain flattened entry pairs.
-
-    apply(kind, u, spec, z) == sum_{a,b} coefficients(kind, spec, z)[a, b] *
-    H_plain[a, b]. kind is one of delta1-delta4, "ball" and "tilde".
-    """
-    _check_compat(kind, spec)
-    W = _weight_tensor(kind, spec, z)
-    if spec.family in ("II", "III"):
-        D = direction_matrix(spec)
-        return D.T @ W @ D.conj()
-    return W
+def modified_ball_coefficients(spec, z):
+    """I - |z|^2 z^t zbar, the modified ball operator's tensor at z in I(1, n)."""
+    if not (spec.family == "I" and spec.m == 1):
+        raise ValueError(f"the modified ball operator lives on I(1,n), not {spec.label()}")
+    zv = z.reshape(-1)
+    return np.eye(spec.n) - float(np.vdot(zv, zv).real) * np.outer(zv, zv.conj())
 
 
-def apply(kind, u, spec, z):
-    """Evaluate the operator named kind on a field u at the point z of spec."""
-    C = coefficients(kind, spec, z)
-    H = wirtinger_hessian(u, z)
-    return complex(np.sum(C * H))
+def apply(C, u, z):
+    """The operator of coefficient tensor C on the field u at the point z."""
+    return complex(np.sum(C * wirtinger_hessian(u, z)))

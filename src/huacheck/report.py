@@ -37,6 +37,8 @@ class CheckRecord:
             raise ValueError(
                 f"unknown direction {self.direction!r}, expected one of {DIRECTIONS}"
             )
+        if type(self.samples) is not int or self.samples < 0:
+            raise ValueError(f"samples must be a non-negative integer, got {self.samples!r}")
 
     @property
     def passed(self):
@@ -58,15 +60,23 @@ class CheckRecord:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
+        record = cls(
             name=str(d["name"]),
             anchor=str(d["anchor"]),
             residual_max=float(d["residual_max"]),
             residual_mean=float(d["residual_mean"]),
-            samples=int(d["samples"]),
+            samples=d["samples"],
             tolerance=float(d["tolerance"]),
             direction=d.get("direction", "max_below"),
         )
+        _require_verdict(d, record.passed, f"record {record.name!r}")
+        return record
+
+
+def _require_verdict(d, passed, what):
+    """A stored "pass" must be the verdict that the values give."""
+    if d.get("pass", passed) is not passed:
+        raise ValueError(f"{what} is stored as pass {d['pass']!r}, but its values give {passed}")
 
 
 def record_from_values(name, anchor, values, tolerance, direction="max_below"):
@@ -103,9 +113,6 @@ class VerificationReport:
     def passed(self):
         return all(r.passed for r in self.records)
 
-    def add(self, record):
-        self.records.append(record)
-
     def to_dict(self):
         return {
             "schema": SCHEMA_VERSION,
@@ -136,16 +143,12 @@ class VerificationReport:
             raise ValueError("a report must be a JSON object")
         if d.get("schema") != SCHEMA_VERSION:
             raise ValueError("unsupported report schema")
-        rep = cls(campaign=d["campaign"], environment=d.get("environment", {}))
-        for rd in d["records"]:
-            rep.add(CheckRecord.from_dict(rd))
+        rep = cls(d["campaign"], environment=d.get("environment", {}))
+        rep.records.extend(map(CheckRecord.from_dict, d["records"]))
+        _require_verdict(d, rep.passed, "the report")
         return rep
 
 
 def merge_reports(reports):
     """One report, campaign "merged", holding the records of reports in order."""
-    merged = VerificationReport(campaign="merged")
-    for rep in reports:
-        for r in rep.records:
-            merged.add(r)
-    return merged
+    return VerificationReport("merged", [r for rep in reports for r in rep.records])

@@ -359,3 +359,47 @@ def test_merge_of_a_misspelled_direction_exits_2_without_traceback(tmp_path, cap
         f"{bad} is not a report: ValueError: unknown direction 'min_abov'",
         capsys,
     )
+
+
+@pytest.mark.parametrize("suite", ["kernel", "dirichlet"])
+def test_oversized_domain_exits_2_before_any_allocation(suite, capsys):
+    # the FD stencil of I(2, 99999) (and its Silov block) is far too large
+    # to allocate, so the parser must refuse the domain before a record runs
+    argv = ["verify", suite, "--domain", "I:2,99999", "--points", "1"]
+    _assert_exits_2(argv, "--domain: 'I:2,99999' has 199998 entries, over 100", capsys)
+    _assert_exits_2(["verify", suite, "--domain", "I:1,101"], "101 entries", capsys)
+    # III(8) and I(10, 10) are within the bound
+    parser = build_parser()
+    for domain in ("III:8", "I:10,10"):
+        spec = domains.parse_spec(domain)
+        assert parser.parse_args(["verify", suite, "--domain", domain]).domain == [spec]
+
+
+def _embeddings_report(tmp_path):
+    run_to_file(tmp_path, "one.json", ["verify", "embeddings", "--points", "1"])
+    return json.loads((tmp_path / "one.json").read_text())
+
+
+@pytest.mark.parametrize("where", ["record", "report"])
+def test_merge_of_a_flipped_verdict_exits_2_without_traceback(tmp_path, capsys, where):
+    report = _embeddings_report(tmp_path)
+    stored = report["records"][0] if where == "record" else report
+    assert stored["pass"] is True
+    stored["pass"] = False
+    bad = tmp_path / "flipped.json"
+    bad.write_text(json.dumps(report))
+    capsys.readouterr()
+    what = "record 'rank-one-gram-identity'" if where == "record" else "the report"
+    message = f"ValueError: {what} is stored as pass False, but its values give True"
+    _assert_exits_2(["report", "merge", str(bad)], message, capsys)
+
+
+@pytest.mark.parametrize("samples", [-3, 1.7, "2", True])
+def test_merge_of_bad_samples_exits_2_without_traceback(tmp_path, capsys, samples):
+    report = _embeddings_report(tmp_path)
+    report["records"][0]["samples"] = samples
+    bad = tmp_path / "samples.json"
+    bad.write_text(json.dumps(report))
+    capsys.readouterr()
+    message = f"ValueError: samples must be a non-negative integer, got {samples!r}"
+    _assert_exits_2(["report", "merge", str(bad)], message, capsys)

@@ -69,7 +69,8 @@ def test_modified_laplacian_annihilates_the_extension():
     for _ in range(10):
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         z *= rng.uniform(0.1, 0.9) / np.linalg.norm(z)
-        assert abs(operators.apply("tilde", u, spec, z.reshape(1, n))) < 1e-6
+        z = z.reshape(1, n)
+        assert abs(operators.apply(operators.modified_ball_coefficients(spec, z), u, z)) < 1e-6
 
 
 def test_holomorphic_data_extends_to_itself():

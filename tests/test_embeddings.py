@@ -82,20 +82,24 @@ def test_chain_rule_residual_is_machine_zero_for_polynomials():
     rng = np.random.default_rng(3)
     e = embeddings.type_i_embedding(unit(rng, 2), 3)
     u = random_poly_field((2, 3), rng, degree=3)
-    assert embeddings.chain_rule_residual(e, u, ball_point(rng, 3)) < 1e-12
+    g = embeddings.compose(e, u)
+    assert embeddings.chain_rule_residual(e, u, g, ball_point(rng, 3)) < 1e-12
 
 
 def test_pullback_residual_all_three_kinds():
     rng = np.random.default_rng(4)
     e1 = embeddings.type_i_embedding(unit(rng, 2), 3)
     u1 = random_poly_field((2, 3), rng, degree=4, n_terms=8)
-    assert abs(embeddings.pullback_residual(e1, u1, ball_point(rng, 3))) < 1e-9
+    g1 = embeddings.compose(e1, u1)
+    assert abs(embeddings.pullback_residual(e1, u1, g1, ball_point(rng, 3))) < 1e-9
     e2 = embeddings.type_ii_embedding(domains.haar_unitary(rng, 3))
     u2 = random_poly_field((3, 3), rng, degree=2, n_terms=6)
-    assert abs(embeddings.pullback_residual(e2, u2, ball_point(rng, 3))) < 1e-9
+    g2 = embeddings.compose(e2, u2)
+    assert abs(embeddings.pullback_residual(e2, u2, g2, ball_point(rng, 3))) < 1e-9
     e3 = embeddings.type_iii_embedding(4)
     u3 = random_poly_field((4, 4), rng, degree=2, n_terms=30)
-    assert abs(embeddings.pullback_residual(e3, u3, ball_point(rng, 3))) < 1e-9
+    g3 = embeddings.compose(e3, u3)
+    assert abs(embeddings.pullback_residual(e3, u3, g3, ball_point(rng, 3))) < 1e-9
 
 
 def test_polarization_recovers_arbitrary_matrices():

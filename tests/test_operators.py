@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from huacheck import campaigns, domains
-from huacheck.domains import type_i, type_ii, type_iii, type_iv
+from huacheck.domains import type_i, type_ii, type_iii, type_iv, v_matrix
 from huacheck.fields import OpaqueField, PolyField, random_poly_field, wirtinger_hessian
 from huacheck.operators import (
     apply,
@@ -13,22 +13,8 @@ from huacheck.operators import (
     constrained_hessian,
     delta4_coefficients,
     direction_matrix,
+    modified_ball_coefficients,
 )
-
-
-def test_unknown_operator_kind_is_rejected():
-    u = PolyField.constant((1, 2), 1.0)
-    with pytest.raises(ValueError, match="unknown operator kind"):
-        apply("delta5", u, domains.ball(2), np.zeros((1, 2), dtype=complex))
-
-
-def test_family_compatibility():
-    spec, z = type_ii(2), np.zeros((2, 2), dtype=complex)
-    u = PolyField.constant((2, 2), 1.0)
-    with pytest.raises(ValueError):
-        apply("delta1", u, spec, z)
-    with pytest.raises(ValueError):
-        apply("ball", u, spec, z)
 
 
 def test_direction_matrix_symmetric_family():
@@ -87,27 +73,22 @@ def test_delta1_at_origin_is_euclidean_trace():
             ((0, 0, 0, 1), (0, 0, 0, 1)): 2.0,
         },
     )
-    val = apply("delta1", u, spec, z)
+    val = apply(coefficients(spec, z), u, z)
     assert_allclose(val, 3.0, atol=1e-14)
 
 
 def test_exact_and_fd_routes_agree():
     rng = np.random.default_rng(0)
-    cases = [
-        (type_i(2, 2), "delta1"),
-        (type_ii(2), "delta2"),
-        (type_iii(4), "delta3"),
-        (type_iv(2), "delta4"),
-    ]
-    for spec, kind in cases:
+    for spec in (type_i(2, 2), type_ii(2), type_iii(4), type_iv(2)):
         u = random_poly_field(spec.shape, rng, degree=3)
         if spec.family == "II":
             u = u.compose_holomorphic(_symmetrize_components(spec.n), spec.shape)
         if spec.family == "III":
             u = u.compose_holomorphic(_antisymmetrize_components(spec.n), spec.shape)
         z = domains.sample_interior(spec, seed=1, count=1)[0]
-        exact = apply(kind, u, spec, z)
-        fd = apply(kind, OpaqueField(spec.shape, u), spec, z)
+        C = coefficients(spec, z)
+        exact = apply(C, u, z)
+        fd = apply(C, OpaqueField(spec.shape, u), z)
         assert_allclose(fd, exact, atol=2e-6)
 
 
@@ -131,14 +112,14 @@ def _antisymmetrize_components(n):
     return comps
 
 
-def _component_sum_gap(kind, u, spec, z):
+def _component_sum_gap(u, spec, z):
     """|full operator - sum_jk c V(z)_jk (component jk)|, c = 1 for delta1
     and 1/4 for delta2/delta3: the component decomposition of the operator."""
     Vz = np.eye(spec.m) - z @ z.conj().T
-    prefactor = 1.0 if kind == "delta1" else 0.25
+    prefactor = 1.0 if spec.family == "I" else 0.25
     H = constrained_hessian(spec, wirtinger_hessian(u, z))
     total = prefactor * np.sum(Vz * component_values(spec, z, H))
-    return abs(apply(kind, u, spec, z) - total)
+    return abs(apply(coefficients(spec, z), u, z) - total)
 
 
 def _component_reference(spec, z, H):
@@ -183,14 +164,10 @@ def test_component_values_reject_type_iv():
 
 def test_component_sum_reassembles_full_operator():
     rng = np.random.default_rng(2)
-    for spec, kind in (
-        (type_i(2, 3), "delta1"),
-        (type_ii(3), "delta2"),
-        (type_iii(4), "delta3"),
-    ):
+    for spec in (type_i(2, 3), type_ii(3), type_iii(4)):
         u = random_poly_field(spec.shape, rng, degree=3)
         z = domains.sample_interior(spec, seed=3, count=1)[0]
-        gap = _component_sum_gap(kind, u, spec, z)
+        gap = _component_sum_gap(u, spec, z)
         assert gap < 1e-10
 
 
@@ -199,15 +176,17 @@ def test_ball_and_tilde_differ_only_in_radial_weight():
     z = domains.sample_interior(spec, seed=4, count=1)[0]
     rng = np.random.default_rng(5)
     u = random_poly_field(spec.shape, rng, degree=3)
-    ball_val = apply("ball", u, spec, z)
-    tilde_val = apply("tilde", u, spec, z)
+    ball = coefficients(spec, z)
+    tilde = modified_ball_coefficients(spec, z)
+    ball_val = apply(ball, u, z)
+    tilde_val = apply(tilde, u, z)
     # both annihilate pluriharmonic fields; on generic fields they differ
     assert abs(ball_val - tilde_val) > 1e-8
     v = (
         PolyField.coordinate(spec.shape, 0) * PolyField.coordinate(spec.shape, 1)
     ).real_part()
-    assert abs(apply("ball", v, spec, z)) < 1e-14
-    assert abs(apply("tilde", v, spec, z)) < 1e-14
+    assert abs(apply(ball, v, z)) < 1e-14
+    assert abs(apply(tilde, v, z)) < 1e-14
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
@@ -217,27 +196,43 @@ def test_ball_operator_has_the_invariant_ball_coefficients(n):
     for z in domains.sample_interior(spec, seed=n, count=20):
         zv = z.reshape(-1)
         expected = (1.0 - np.vdot(zv, zv).real) * (np.eye(n) - np.outer(zv, zv.conj()))
-        assert_allclose(coefficients("ball", spec, z), expected, rtol=0.0, atol=1e-15)
+        assert_allclose(coefficients(spec, z), expected, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_ball_coefficients_keep_the_ball_tensor_bits(n):
+    # the tensor of the former "ball" operator name: entry (a, b) is the
+    # product of V(z) = 1 - |z|^2 and V(z^t)_ab, the delta1 weight on I(1, n)
+    spec = domains.ball(n)
+    for z in domains.sample_interior(spec, seed=n, count=20):
+        expected = v_matrix(z)[0, 0] * v_matrix(z.T)
+        assert np.array_equal(_bits(coefficients(spec, z)), _bits(expected))
+
+
+@pytest.mark.parametrize("spec", [type_i(2, 2), type_ii(2), type_iv(2)], ids=lambda s: s.label())
+def test_modified_ball_coefficients_reject_a_point_off_the_ball(spec):
+    with pytest.raises(ValueError, match=r"lives on I\(1,n\)"):
+        modified_ball_coefficients(spec, np.zeros(spec.shape, dtype=complex))
 
 
 def test_delta4_annihilates_counterexample_function():
     spec = type_iv(2)
     u = PolyField((1, 2), {((1, 0), (1, 0)): 1.0, ((0, 1), (0, 1)): -1.0})
     for z in domains.sample_interior(spec, seed=6, count=10):
-        assert abs(apply("delta4", u, spec, z)) < 1e-12
+        assert abs(apply(coefficients(spec, z), u, z)) < 1e-12
 
 
 def test_delta4_does_not_annihilate_generic_quadratic():
     spec = type_iv(2)
     u = PolyField((1, 2), {((1, 0), (1, 0)): 1.0})  # |z_1|^2 alone
     z = domains.sample_interior(spec, seed=7, count=1)[0]
-    assert abs(apply("delta4", u, spec, z)) > 1e-3
+    assert abs(apply(coefficients(spec, z), u, z)) > 1e-3
 
 
 def test_coefficients_shape_and_hermitian_symmetry():
     spec = type_ii(3)
     z = domains.sample_interior(spec, seed=8, count=1)[0]
-    C = coefficients("delta2", spec, z)
+    C = coefficients(spec, z)
     assert C.shape == (9, 9)
     # operator is real on real-valued fields: coefficient tensor is Hermitian
     assert_allclose(C, C.conj().T, atol=1e-12)
@@ -277,7 +272,7 @@ def test_stacked_delta4_coefficients_equal_the_per_point_ones(n):
         zs = domains.sample_interior(spec, 13, 50).reshape(50, n)
     C = delta4_coefficients(spec, zs)
     assert C.shape == (len(zs), n, n)
-    per_point = np.array([coefficients("delta4", spec, z.reshape(1, n)) for z in zs])
+    per_point = np.array([coefficients(spec, z.reshape(1, n)) for z in zs])
     assert np.array_equal(_bits(C), _bits(per_point))
 
 
@@ -323,7 +318,8 @@ def test_quartic_residuals_equal_the_per_point_loop():
     for z in zs:
         # the per-point loop the stacked residuals replaced
         H = wirtinger_hessian(u, z)
-        ref[0].append(abs(apply("delta4", u, spec, z.reshape(1, 2))))
+        z = z.reshape(1, 2)
+        ref[0].append(abs(apply(coefficients(spec, z), u, z)))
         ref[1].append(float(np.linalg.norm(H)))
         ref[2].append(abs(np.trace(H)))
         ref[3].append(abs(2.0 * H[0, 1].real))

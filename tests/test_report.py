@@ -56,9 +56,7 @@ def test_record_from_values_statistics():
 
 
 def test_report_round_trip_and_determinism():
-    rep = VerificationReport(campaign="demo")
-    rep.add(make_record("a"))
-    rep.add(make_record("b", residual=1e-3))
+    rep = VerificationReport("demo", [make_record("a"), make_record("b", residual=1e-3)])
     text1 = rep.to_json()
     text2 = rep.to_json()
     assert text1 == text2
@@ -70,9 +68,7 @@ def test_report_round_trip_and_determinism():
 
 
 def test_report_text_rendering():
-    rep = VerificationReport(campaign="demo")
-    rep.add(make_record("good"))
-    rep.add(make_record("bad", residual=1.0))
+    rep = VerificationReport("demo", [make_record("good"), make_record("bad", residual=1.0)])
     text = rep.to_text()
     assert "PASS good" in text
     assert "FAIL bad" in text
@@ -85,11 +81,23 @@ def test_schema_version_is_enforced():
 
 
 def test_merge_reports_concatenates_records():
-    r1 = VerificationReport(campaign="one")
-    r1.add(make_record("a"))
-    r2 = VerificationReport(campaign="two")
-    r2.add(make_record("b"))
+    r1 = VerificationReport("one", [make_record("a")])
+    r2 = VerificationReport("two", [make_record("b")])
     merged = merge_reports([r1, r2])
     assert merged.campaign == "merged"
     assert [r.name for r in merged.records] == ["a", "b"]
     assert merged.passed
+
+
+@pytest.mark.parametrize("samples", [-1, 2.0, True, "3"])
+def test_record_rejects_samples_that_are_not_a_count(samples):
+    with pytest.raises(ValueError, match="samples must be a non-negative integer"):
+        CheckRecord("r", "a", 0.0, 0.0, samples, 1.0)
+
+
+def test_from_dict_accepts_a_missing_verdict_and_rejects_a_wrong_one():
+    d = make_record(residual=1.0, tol=2.0).to_dict()
+    del d["pass"]
+    assert CheckRecord.from_dict(d) == make_record(residual=1.0, tol=2.0)
+    with pytest.raises(ValueError, match="stored as pass False, but its values give True"):
+        CheckRecord.from_dict({**d, "pass": False})
