@@ -122,19 +122,21 @@ def gram_identity_residual(e):
         raise ValueError("the rank-one identity applies to type I only")
     m, n = e.spec.shape
     lshape = e.ball_shape()
+    comps = e.components
+    conj_comps = [comp.conjugate() for comp in comps]
+    lam = [PolyField.coordinate(lshape, i) for i in range(n)]
+    lam_bar = [coord.conjugate() for coord in lam]
     worst = 0.0
     for i in range(n):
         for j in range(n):
-            lhs = PolyField(lshape, {})
-            for p in range(m):
-                lhs = lhs + e.components[p * n + i] * e.components[
-                    p * n + j
-                ].conjugate()
-            lam_i = PolyField.coordinate(lshape, i)
-            rhs = lam_i * PolyField.coordinate(lshape, j).conjugate()
-            diff = lhs - rhs
-            if diff.terms:
-                worst = max(worst, max(abs(c) for c in diff.terms.values()))
+            # the first product stands for empty + product: its terms are
+            # already stored as 0.0 + c and kept
+            lhs = comps[i] * conj_comps[j]
+            for p in range(1, m):
+                lhs = lhs + comps[p * n + i] * conj_comps[p * n + j]
+            diff = lhs - lam[i] * lam_bar[j]
+            if diff._terms:
+                worst = max(worst, max(map(abs, diff._terms.values())))
     return worst
 
 

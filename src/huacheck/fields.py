@@ -12,9 +12,14 @@ matrix.  Two representations are supported:
   ``conjugate`` swaps the two halves, and ``dz``/``dzbar`` subtract one unit.
   Each field decodes its sparse exponent lists once; evaluation, the exact
   Hessian and composition read them.  ``terms`` is a settable view keyed by
-  (z exponents, zbar exponents) tuples.  The exact Hessian is read straight
-  from the terms, and a composition sums its terms into one dict; both are
-  bitwise what the derivative fields and the repeated ``+`` give.
+  (z exponents, zbar exponents) tuples.  One product loop over packed term
+  dicts serves ``*`` and composition; a composition multiplies term dicts,
+  not fields, stops a monomial at its first empty product, and sums its
+  terms into one dict, bitwise what repeated ``*`` and ``+`` give.  Each
+  field builds its Hessian plan once: the coefficients and lowered
+  exponents of its mixed second derivatives, so a point takes only powers
+  and products of Python complex numbers, as evaluation does; the Hessian
+  is bitwise what the derivative fields give.
 * ``OpaqueField`` -- an arbitrary evaluator, differentiated by central finite
   differences in the underlying real coordinates: the FD Hessian and
   gradient share one stencil builder and one Richardson step, and an
@@ -88,7 +93,7 @@ class PolyField:
     EXP_LIMIT.
     """
 
-    __slots__ = ("shape", "_terms", "_top", "_monomials", "_lowered_by")
+    __slots__ = ("shape", "_terms", "_top", "_monomials", "_lowered_by", "_plan")
 
     def __init__(self, shape, terms=None):
         size = shape[0] * shape[1]
@@ -107,6 +112,15 @@ class PolyField:
         self._top = top
         self._monomials = None
         self._lowered_by: dict[int, PolyField] | None = None
+        self._plan = None
+
+    @classmethod
+    def _of(cls, shape, terms, top):
+        """A field storing packed terms as they are; top bounds the
+        exponents."""
+        field = cls.__new__(cls)
+        field._store(shape, terms, top)
+        return field
 
     @classmethod
     def _canonical(cls, shape, terms, top):
@@ -116,10 +130,7 @@ class PolyField:
         Each coefficient is stored as 0.0 + c and dropped unless above
         COEFF_DROP, bitwise what __init__ stores for a key seen once.
         """
-        field = cls.__new__(cls)
-        kept = {k: c for k, v in terms.items() if abs(c := 0.0 + v) > COEFF_DROP}
-        field._store(shape, kept, top)
-        return field
+        return cls._of(shape, _kept(terms), top)
 
     @property
     def size(self):
@@ -174,15 +185,14 @@ class PolyField:
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, z):
-        zf = np.asarray(z, dtype=complex).reshape(-1)
-        zc = zf.conj()
+        zs = _point_values(self, z)
         total = 0.0 + 0.0j
         for c, ze, we in self.monomials():
             v = c
             for a, e in ze:
-                v *= zf[a] ** e
+                v *= zs[a] ** e
             for a, e in we:
-                v *= zc[a] ** e
+                v *= zs[a].conjugate() ** e
             total += v
         return total
 
@@ -192,7 +202,10 @@ class PolyField:
         A row's bits do not depend on the stack: numpy's in-place complex
         multiply of one element rounds unlike its array loop, so the
         products are formed out of place."""
-        zf = np.asarray(pts, dtype=complex).reshape(len(pts), self.size)
+        zf = np.asarray(pts, dtype=complex)
+        if zf.size != len(zf) * self.size:
+            raise ValueError("point size does not match field shape")
+        zf = zf.reshape(len(zf), self.size)
         out = np.zeros(len(pts), dtype=complex)
         for c, ze, we in self.monomials():
             v = np.full(len(pts), c, dtype=complex)
@@ -225,19 +238,9 @@ class PolyField:
             if other.shape != self.shape:
                 raise ValueError("shape mismatch")
             top = self._top + other._top
-            if top >= EXP_LIMIT:
-                # the largest exponent of an entry in the product is the sum
-                # of its largest in each factor
-                top = max(map(operator.add, _entry_tops(self), _entry_tops(other)))
-                if top >= EXP_LIMIT:
-                    raise ValueError(f"a product exponent reaches 2^{EXP_BITS}")
-            terms: dict[int, complex] = {}
-            get = terms.get
-            for k1, c1 in self._terms.items():
-                for k2, c2 in other._terms.items():
-                    k = k1 + k2
-                    terms[k] = get(k, 0.0) + c1 * c2
-            return PolyField._canonical(self.shape, terms, top)
+            return PolyField._of(
+                self.shape, *_product(self._terms, other._terms, top, self.size)
+            )
         other = complex(other)
         terms = {k: c * other for k, c in self._terms.items()}
         return PolyField._canonical(self.shape, terms, self._top)
@@ -293,26 +296,61 @@ class PolyField:
         Each component must be a holomorphic PolyField (no conjugated
         exponents) over ``out_shape``; conjugated entries of self become
         conjugates of the components.
+
+        Bitwise the fields one * c * power * ... of each monomial summed by
+        repeated ``+``: the products run through _product in that order, a
+        power is the previous power times its base, and a component is
+        conjugated only once a monomial reads its conjugate.  A monomial
+        stops at its first empty product.
         """
+        out_shape = tuple(out_shape)
         if len(components) != self.size:
             raise ValueError("need one map component per matrix entry")
+        size = out_shape[0] * out_shape[1]
         for comp in components:
-            if any(k >> EXP_BITS * comp.size for k in comp._terms):
+            if comp.shape != out_shape:
+                raise ValueError("map components must be fields over out_shape")
+            # a conjugated exponent sets a bit of the upper half of its key
+            if max(comp._terms, default=0) >> EXP_BITS * size:
                 raise ValueError("map components must be holomorphic")
-        out_shape = tuple(out_shape)
-        conj_components = [comp.conjugate() for comp in components]
-        one = PolyField.constant(out_shape, 1.0)
-        pow_cache: dict[tuple[int, int, bool], PolyField] = {}
+        # the terms of PolyField.constant(out_shape, 1.0)
+        one = {0: 1 + 0j}
+        conj_components: dict[int, PolyField] = {}
+        pow_cache: dict[tuple[int, int, bool], tuple[dict[int, complex], int]] = {}
 
         def power(a, e, conjugated):
             key = (a, e, conjugated)
             if key not in pow_cache:
-                base = conj_components[a] if conjugated else components[a]
-                acc = one
-                for _ in range(e):
-                    acc = acc * base
-                pow_cache[key] = acc
+                base = components[a]
+                if conjugated:
+                    if a not in conj_components:
+                        conj_components[a] = base.conjugate()
+                    base = conj_components[a]
+                # each power is the previous one times the base, from one;
+                # a loop, not a recursion, so that no reference cycle keeps
+                # the cache alive after the call
+                terms, top = one, 0
+                for i in range(1, e + 1):
+                    if (a, i, conjugated) not in pow_cache:
+                        pow_cache[a, i, conjugated] = _product(
+                            terms, base._terms, top + base._top, size
+                        )
+                    terms, top = pow_cache[a, i, conjugated]
             return pow_cache[key]
+
+        def monomial(c, ze, we):
+            # the terms of one * c, then times each power in turn up to the
+            # first empty product
+            term, top = _kept({0: one[0] * c}), 0
+            for exps, conjugated in ((ze, False), (we, True)):
+                for a, e in exps:
+                    if not term:
+                        return term, top
+                    factor, factor_top = power(a, e, conjugated)
+                    if not factor:
+                        return {}, top
+                    term, top = _product(term, factor, top + factor_top, size)
+            return term, top
 
         # Summing into one dict gives bitwise what repeated ``result + term``
         # gives: the same per-key update, and a key that cancels below
@@ -320,19 +358,81 @@ class PolyField:
         acc: dict[int, complex] = {}
         top = 0
         for c, ze, we in self.monomials():
-            term = one * c
-            for a, e in ze:
-                term = term * power(a, e, False)
-            for a, e in we:
-                term = term * power(a, e, True)
-            top = max(top, term._top)
-            for k, v in term._terms.items():
+            term, term_top = monomial(c, ze, we)
+            top = max(top, term_top)
+            for k, v in term.items():
                 v = 0.0 + (acc.get(k, 0.0) + v)
                 if abs(v) > COEFF_DROP:
                     acc[k] = v
                 else:
                     acc.pop(k, None)
-        return PolyField._canonical(out_shape, acc, top)
+        return PolyField._of(out_shape, acc, top)
+
+    # -- exact Hessian --------------------------------------------------------
+
+    def _hessian_plan(self):
+        """(H index, coefficient, lowered z exponents, lowered zbar
+        exponents) per term of the mixed Hessian, in the order _poly_hessian
+        sums them; built once per field.
+
+        Each coefficient is formed and dropped as dz and dzbar form and drop
+        it: c e_a, then that times f_b.
+        """
+        if self._plan is None:
+            size = self.size
+            plan = []
+            for c, ze, we in self.monomials():
+                if not (ze and we):
+                    continue
+                cols = [(b, f, _lowered(we, j)) for j, (b, f) in enumerate(we)]
+                for j, (a, e) in enumerate(ze):
+                    ca = 0.0 + c * e
+                    if not abs(ca) > COEFF_DROP:
+                        continue
+                    fa = _lowered(ze, j)
+                    for b, f, fb in cols:
+                        v = 0.0 + ca * f
+                        if abs(v) > COEFF_DROP:
+                            plan.append((a * size + b, v, fa, fb))
+            self._plan = plan
+        return self._plan
+
+
+def _kept(terms):
+    """The terms stored as 0.0 + c and kept above COEFF_DROP."""
+    return {k: c for k, v in terms.items() if abs(c := 0.0 + v) > COEFF_DROP}
+
+
+def _product(terms1, terms2, top, size):
+    """The packed terms of the product of two term dicts over size entries,
+    kept by _kept, and a bound on their exponents.
+
+    top is the sum of the factors' bounds. Only when it reaches EXP_LIMIT
+    are the exact largest exponents of each entry added up, and a product
+    exponent that reaches EXP_LIMIT raises.
+    """
+    if top >= EXP_LIMIT:
+        # the largest exponent of an entry in the product is the sum of its
+        # largest in each factor
+        top = max(map(operator.add, _entry_tops(terms1, size), _entry_tops(terms2, size)))
+        if top >= EXP_LIMIT:
+            raise ValueError(f"a product exponent reaches 2^{EXP_BITS}")
+    terms: dict[int, complex] = {}
+    get = terms.get
+    for k1, c1 in terms1.items():
+        for k2, c2 in terms2.items():
+            k = k1 + k2
+            terms[k] = get(k, 0.0) + c1 * c2
+    return _kept(terms), top
+
+
+def _point_values(field, z):
+    """The entries of the point z as a list of Python complex numbers, one
+    per entry of field."""
+    zs = np.asarray(z, dtype=complex).reshape(-1).tolist()
+    if len(zs) != field.size:
+        raise ValueError("point size does not match field shape")
+    return zs
 
 
 def _entry(a, size):
@@ -343,11 +443,11 @@ def _entry(a, size):
     return a
 
 
-def _entry_tops(field):
-    """The largest exponent of each z and zbar entry over the terms."""
-    tops = [0] * (2 * field.size)
-    for k in field._terms:
-        tops = list(map(max, tops, _exponents(k, field.size)))
+def _entry_tops(terms, size):
+    """The largest exponent of each z and zbar entry over packed terms."""
+    tops = [0] * (2 * size)
+    for k in terms:
+        tops = list(map(max, tops, _exponents(k, size)))
     return tops
 
 
@@ -445,49 +545,30 @@ def _real_hessian(u, zf, h):
 
 
 def _poly_hessian(u, zf):
-    """Exact mixed Hessian of a PolyField at the flat point zf, read
-    straight from its terms.
+    """Exact mixed Hessian of a PolyField at the flat point zf, from the
+    field's Hessian plan.
 
-    Bitwise u.dz(a).dzbar(b)(zf) for every (a, b): each coefficient is
-    formed and dropped as dz and dzbar form and drop it, each monomial is
-    multiplied up in __call__'s order from the same numpy scalar powers, and
-    H[a, b] sums from 0j in term order.
+    Bitwise u.dz(a).dzbar(b)(zf) for every (a, b): each term is multiplied
+    up in __call__'s order from the same Python complex powers, and H[a, b]
+    sums from 0j in term order.
     """
-    size = zf.size
-    if size != u.size:
-        raise ValueError("point size does not match field shape")
-    zc = zf.conj()
-    powers: dict[tuple[bool, int, int], complex] = {}
-
-    def factors(exps, conjugated):
-        base = zc if conjugated else zf
-        out = []
-        for i, e in exps:
-            key = (conjugated, i, e)
-            if key not in powers:
-                powers[key] = base[i] ** e
-            out.append(powers[key])
-        return out
-
+    zs = _point_values(u, zf)
+    powers: dict[tuple[int, int], complex] = {}
+    conj_powers: dict[tuple[int, int], complex] = {}
+    size = u.size
     H = [0j] * (size * size)
-    for c, ze, we in u.monomials():
-        rows = []
-        for j, (a, e) in enumerate(ze):
-            ca = 0.0 + c * e
-            if abs(ca) > COEFF_DROP:
-                rows.append((a * size, ca, factors(_lowered(ze, j), False)))
-        if not rows:
-            continue
-        cols = [(b, e, factors(_lowered(we, j), True)) for j, (b, e) in enumerate(we)]
-        for row, ca, fa in rows:
-            for b, e, fb in cols:
-                v = 0.0 + ca * e
-                if abs(v) > COEFF_DROP:
-                    for f in fa:
-                        v *= f
-                    for f in fb:
-                        v *= f
-                    H[row + b] += v
+    for i, v, fa, fb in u._hessian_plan():
+        for key in fa:
+            p = powers.get(key)
+            if p is None:
+                p = powers[key] = zs[key[0]] ** key[1]
+            v *= p
+        for key in fb:
+            p = conj_powers.get(key)
+            if p is None:
+                p = conj_powers[key] = zs[key[0]].conjugate() ** key[1]
+            v *= p
+        H[i] += v
     return np.array(H, dtype=complex).reshape(size, size)
 
 
@@ -531,7 +612,7 @@ def _gradient(u, z, sign):
     size = zf.size
     if isinstance(u, PolyField):
         deriv = u.dz if sign < 0 else u.dzbar
-        return np.array([deriv(a)(zf) for a in range(size)], dtype=complex)
+        return np.array([deriv(a)(zf) for a in range(u.size)], dtype=complex)
 
     def level(h):
         f = _stencil_values(u, zf, h, pairs=False).reshape(2 * size, 2, 2)

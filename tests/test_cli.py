@@ -39,6 +39,19 @@ def test_kernel_campaign_is_deterministic(tmp_path, domain, points):
     assert text1 == text2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "embeddings", "--points", "10"], ["demo", "counterexample", "--points", "50"]],
+    ids=["embeddings", "counterexample"],
+)
+def test_exact_campaign_is_deterministic(tmp_path, argv):
+    # each PolyField caches its decoded monomials, derivative fields and
+    # Hessian plan; none of them may carry over into the second run
+    _, text1 = run_to_file(tmp_path, "a.json", argv)
+    _, text2 = run_to_file(tmp_path, "b.json", argv)
+    assert text1 == text2
+
+
 def test_hypergeom_campaign_small_run(tmp_path):
     # the radial-ode record sums a series with c - a - b = 0 up to t = 0.9
     with pytest.warns(UserWarning, match="converges slowly"):

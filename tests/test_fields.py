@@ -370,6 +370,26 @@ def test_exact_hessian_rejects_point_of_wrong_size():
         wirtinger_hessian(coord(0), np.zeros((1, 5)))
 
 
+@pytest.mark.parametrize("point_shape", [(1, 3), (1, 1)], ids=["more", "fewer"])
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda u, z: u(z),
+        lambda u, z: u.evaluate_many(z[np.newaxis]),
+        wirtinger_gradient,
+        wirtinger_gradient_bar,
+    ],
+    ids=["call", "evaluate_many", "gradient", "gradient_bar"],
+)
+def test_poly_evaluators_reject_point_of_wrong_size(evaluate, point_shape):
+    # z_0 zbar_1 over (1, 2): neither the leading entries of a longer point
+    # nor a shorter point give a value
+    u = PolyField((1, 2), {((1, 0), (0, 1)): 1.0})
+    z = np.full(point_shape, 0.1 + 0.2j)
+    with pytest.raises(ValueError, match="point size does not match field shape"):
+        evaluate(u, z)
+
+
 def _bits(a):
     """The IEEE bit patterns of a complex array, sign bits included."""
     return np.ascontiguousarray(a, dtype=complex).view(np.uint64)
@@ -419,6 +439,55 @@ def test_exact_hessian_equals_derivative_field_loop(shape):
     z.reshape(-1)[0] = 0.3 - 0.0j
     H = wirtinger_hessian(u, z)
     assert np.array_equal(_bits(H), _bits(_reference_poly_hessian(u, z)))
+
+
+def test_exact_hessian_plan_serves_many_points():
+    rng = np.random.default_rng(16)
+    shape = (2, 3)
+    u = random_poly_field(shape, rng, degree=5, n_terms=12)
+    pts = 0.5 * (rng.standard_normal((200,) + shape) + 1j * rng.standard_normal((200,) + shape))
+    # signed zeros in either part, and whole zero entries
+    pts[::5, 0, 0] = complex(-0.0, 0.3)
+    pts[1::5, 0, 1] = complex(0.2, -0.0)
+    pts[2::5, 1, 2] = complex(-0.0, -0.0)
+    for z in pts:
+        H = wirtinger_hessian(u, z)
+        assert np.array_equal(_bits(H), _bits(_reference_poly_hessian(u, z)))
+
+
+def test_exact_hessian_follows_a_terms_update():
+    rng = np.random.default_rng(17)
+    shape = (2, 3)
+    u = random_poly_field(shape, rng, degree=4, n_terms=10)
+    z = 0.5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    before = wirtinger_hessian(u, z)
+    terms = random_poly_field(shape, rng, degree=4, n_terms=10).terms
+    u.terms = terms
+    fresh = PolyField(shape)
+    fresh.terms = terms
+    H = wirtinger_hessian(u, z)
+    assert np.array_equal(_bits(H), _bits(_reference_poly_hessian(fresh, z)))
+    assert not np.array_equal(H, before)
+
+
+def test_exact_hessian_plan_is_built_once_per_field(monkeypatch):
+    lowered = []
+    reference = fields._lowered
+    monkeypatch.setattr(
+        fields, "_lowered", lambda exps, j: lowered.append(j) or reference(exps, j)
+    )
+    rng = np.random.default_rng(18)
+    u = random_poly_field(SHAPE, rng, degree=4, n_terms=10)
+    zs = 0.5 * (rng.standard_normal((3,) + SHAPE) + 1j * rng.standard_normal((3,) + SHAPE))
+    wirtinger_hessian(u, zs[0])
+    built = len(lowered)
+    assert built > 0
+    wirtinger_hessian(u, zs[1])
+    assert len(lowered) == built
+    # setting the terms drops the plan
+    u.terms = u.terms
+    wirtinger_hessian(u, zs[2])
+    assert len(lowered) == 2 * built
 
 
 def test_exact_hessian_drops_what_the_derivative_fields_drop():
@@ -472,10 +541,18 @@ def _embedding_cases():
     e1 = embeddings.type_i_embedding(xi / np.linalg.norm(xi), 3)
     e2 = embeddings.type_ii_embedding(domains.haar_unitary(rng, 3))
     e3 = embeddings.type_iii_embedding(4)
+    # entry 5 is a zero component of the corner map: its conjugate ends a
+    # monomial first, after a nonzero factor, or alone
+    z = [PolyField.coordinate((4, 4), a) for a in range(16)]
+    zb = [PolyField.coordinate((4, 4), a, conjugated=True) for a in range(16)]
+    conj_zero = (
+        zb[5] * zb[2] + z[1] * zb[5] + zb[5] * 2.0 + z[3] * zb[1] + zb[2] * zb[4] * 0.5j
+    )
     return [
         (e1, random_poly_field((2, 3), rng, degree=4, n_terms=8)),
         (e2, random_poly_field((3, 3), rng, degree=2, n_terms=6)),
         (e3, random_poly_field((4, 4), rng, degree=2, n_terms=30)),
+        (e3, conj_zero),
     ]
 
 
@@ -486,6 +563,16 @@ def test_compose_equals_repeated_addition_on_the_embeddings():
         ref = _reference_compose(u, components, e.ball_shape())
         assert len(g.terms) > 1
         assert _term_bits(g) == _term_bits(ref)
+
+
+def test_compose_rejects_components_over_another_shape():
+    out_shape = (1, 2)
+    components = [PolyField.coordinate(out_shape, 0), PolyField.coordinate((1, 3), 2)]
+    # z_1 reads the mis-shaped component, z_0 never does
+    for a in (1, 0):
+        u = PolyField.coordinate((1, 2), a)
+        with pytest.raises(ValueError, match="fields over out_shape"):
+            u.compose_holomorphic(components, out_shape)
 
 
 def test_compose_cancelled_key_reenters_at_the_end():
