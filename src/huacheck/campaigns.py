@@ -274,11 +274,10 @@ def run_hypergeom_campaign(points, seed):
 def radial_extension_residuals(u, rng, count):
     """|modified Laplacian of u| at count ball points of radius in [0.1, 0.9)."""
     spec = domains.ball(u.n)
-    field = u.as_field()
     vals = []
     for _ in range(count):
         z = _radial_draw(rng, u.n, 0.1, 0.9).reshape(1, u.n)
-        vals.append(abs(operators.apply(operators.modified_ball_coefficients(spec, z), field, z)))
+        vals.append(abs(operators.apply(operators.modified_ball_coefficients(spec, z), u, z)))
     return vals
 
 

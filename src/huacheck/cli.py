@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import campaigns, domains
@@ -67,10 +68,25 @@ _POINTS = _checked(int, lambda v: v >= 1, "at least 1")
 _SEED = _checked(int, lambda v: v >= 0, "at least 0")
 
 
-# verify kernel's FD Hessian holds its 1 + 8 s^2 stencil points of s entries
-# at once, 128 s^3 bytes: 34 MB on III(8) (s = 64, the largest domain CI runs)
-# and 128 MB at this bound
-MAX_ENTRIES = 100
+# The size of a domain of s entries whose generic norm has F features (the
+# minors of I and II, the Pfaffians of III: kernels._generic_norm_table) is
+# s^2 F. verify kernel's FD Hessian sums the F-feature expansion at each of
+# its 1 + 8 s^2 stencil points, about 6 us per unit of s^2 F on I and II, so
+# MAX_WORK bounds its time: I(5,7) (0.97e6), the slowest domain accepted,
+# takes 5.7 s per point on one thread, and III(8) (0.52e6) is the largest
+# domain CI runs. Since F >= s past III(6), it also bounds the stencil's
+# 128 s^3 bytes by 128 MB, and verify dirichlet's workspace of 64 KB per
+# feature by 50 MB. I(6,6) (1.2e6), II(6) and III(10) (5.1e6) are refused.
+MAX_WORK = 10**6
+
+
+def _feature_count(spec):
+    """F by formula: C(m + n, m) - 1 minors on I(m, n) and II(n), 2^(n-1) - 1
+    Pfaffians on III(n); IV(n), never sampled, as its 1 x n storage."""
+    m, n = spec.shape
+    if spec.family == "III":
+        return 2 ** (n - 1) - 1
+    return math.comb(m + n, m) - 1
 
 
 def _domain_spec(text):
@@ -78,8 +94,14 @@ def _domain_spec(text):
         spec = parse_spec(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"invalid domain {text!r}: {exc}") from None
-    if spec.size > MAX_ENTRIES:
-        raise argparse.ArgumentTypeError(f"{text!r} has {spec.size} entries, over {MAX_ENTRIES}")
+    # F >= 1 wherever s > 1, so an s^2 over the bound refuses the domain
+    # before F, which grows like 4^n, is computed
+    s2 = spec.size**2
+    if s2 > MAX_WORK or s2 * _feature_count(spec) > MAX_WORK:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is too large: its {spec.size} entries and their generic-norm "
+            f"features F give s^2 F over {MAX_WORK:,}"
+        )
     return spec
 
 

@@ -20,7 +20,7 @@ from .domains import membership_margin
 # The benchmark's tracer test checks that tracing patches this module's
 # bindings of sample_silov and wirtinger_hessian, so they stay bound here.
 from .domains import sample_silov  # noqa: F401
-from .fields import OpaqueField, PolyField
+from .fields import PolyField
 from .fields import wirtinger_hessian  # noqa: F401
 from .hypergeom import RadialProfile
 from .kernels import poisson_szego
@@ -156,9 +156,6 @@ class DirichletSolution:
     def boundary_trace(self, zs):
         """The data sum_k f_k at each row of a stack zs."""
         return sum(f.field.evaluate_many(zs) for f, _ in self.parts)
-
-    def as_field(self):
-        return OpaqueField(self.shape, self.__call__, self.evaluate_many)
 
 
 def solve_tilde(fs, n):

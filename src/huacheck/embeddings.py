@@ -17,7 +17,7 @@ import numpy as np
 
 from .domains import DomainSpec, membership_margin, require_family_symmetry
 from .domains import type_i, type_ii, type_iii
-from .fields import PolyField, wirtinger_hessian
+from .fields import PolyField, wirtinger_gradient, wirtinger_hessian
 from .operators import component_values, constrained_hessian
 
 
@@ -143,13 +143,14 @@ def gram_identity_residual(e):
 def _sandwich_gap(components, u, g, lam):
     """H_g(lam) - J H_u(phi(lam)) J* for g = u o phi, phi = components.
 
-    J is the holomorphic Jacobian of phi arranged rows-by-input.
+    J is the holomorphic Jacobian of phi arranged rows-by-input: column c
+    is the gradient of component c.
     """
     lam = np.asarray(lam, dtype=complex).reshape(-1)
     Hg = wirtinger_hessian(g, lam)
     z = np.array([c(lam) for c in components])
     Hu = wirtinger_hessian(u, z.reshape(u.shape))
-    J = np.array([[comp.dz(a)(lam) for comp in components] for a in range(lam.size)])
+    J = np.stack([wirtinger_gradient(comp, lam) for comp in components], axis=1)
     return Hg - J @ Hu @ J.conj().T
 
 

@@ -10,16 +10,17 @@ matrix.  Two representations are supported:
   exponent, the z entries first and then their conjugates, so an exponent
   must stay below 2^16: a product of monomials is an integer sum,
   ``conjugate`` swaps the two halves, and ``dz``/``dzbar`` subtract one unit.
-  Each field decodes its sparse exponent lists once; evaluation, the exact
-  Hessian and composition read them.  ``terms`` is a settable view keyed by
-  (z exponents, zbar exponents) tuples.  One product loop over packed term
-  dicts serves ``*`` and composition; a composition multiplies term dicts,
-  not fields, stops a monomial at its first empty product, and sums its
-  terms into one dict, bitwise what repeated ``*`` and ``+`` give.  Each
-  field builds its Hessian plan once: the coefficients and lowered
-  exponents of its mixed second derivatives, so a point takes only powers
-  and products of Python complex numbers, as evaluation does; the Hessian
-  is bitwise what the derivative fields give.
+  A field is immutable: ``terms`` is a read-only view keyed by
+  (z exponents, zbar exponents) tuples.  Each field decodes its sparse
+  exponent lists once; its plans and composition read them.  One product
+  loop over packed term dicts serves ``*`` and composition; a composition
+  multiplies term dicts, not fields, stops a monomial at its first empty
+  product, and sums its terms into one dict, bitwise what repeated ``*``
+  and ``+`` give.  One plan evaluator serves the value, both Wirtinger
+  gradients and the mixed Hessian: a field builds one plan per kind, the
+  coefficients and lowered exponents of its derivative terms, so a point
+  takes only powers and products of Python complex numbers, bitwise what
+  the derivative fields ``dz``/``dzbar`` give.
 * ``OpaqueField`` -- an arbitrary evaluator, differentiated by central finite
   differences in the underlying real coordinates: the FD Hessian and
   gradient share one stencil builder and one Richardson step, and an
@@ -79,12 +80,6 @@ def _sparse(packed):
     return tuple(out)
 
 
-def _lowered(exps, j):
-    """Sparse exponents with the j-th listed one lowered by one."""
-    a, e = exps[j]
-    return exps[:j] + (((a, e - 1),) if e > 1 else ()) + exps[j + 1 :]
-
-
 class PolyField:
     """Polynomial in the entries z_a and conjugates zbar_a of a fixed shape.
 
@@ -93,7 +88,7 @@ class PolyField:
     EXP_LIMIT.
     """
 
-    __slots__ = ("shape", "_terms", "_top", "_monomials", "_lowered_by", "_plan")
+    __slots__ = ("shape", "_terms", "_top", "_monomials", "_plans")
 
     def __init__(self, shape, terms=None):
         size = shape[0] * shape[1]
@@ -111,8 +106,7 @@ class PolyField:
         self._terms = terms
         self._top = top
         self._monomials = None
-        self._lowered_by: dict[int, PolyField] | None = None
-        self._plan = None
+        self._plans: dict[tuple[bool, bool], list] = {}
 
     @classmethod
     def _of(cls, shape, terms, top):
@@ -146,17 +140,6 @@ class PolyField:
             out[tuple(exps[:size]), tuple(exps[size:])] = c
         return out
 
-    @terms.setter
-    def terms(self, terms):
-        # stored as given: no merge and no drop
-        packed: dict[int, complex] = {}
-        top = 0
-        for key, c in terms.items():
-            k, e = _pack(key, self.size)
-            packed[k] = c
-            top = max(top, e)
-        self._store(self.shape, packed, top)
-
     def monomials(self):
         """(c, z exponents, zbar exponents) per term, each exponent list
         sparse ((a, e), ...) in entry order; decoded once per field."""
@@ -185,16 +168,16 @@ class PolyField:
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, z):
-        zs = _point_values(self, z)
-        total = 0.0 + 0.0j
-        for c, ze, we in self.monomials():
-            v = c
-            for a, e in ze:
-                v *= zs[a] ** e
-            for a, e in we:
-                v *= zs[a].conjugate() ** e
-            total += v
-        return total
+        return self._sums(False, False, z, 1)[0]
+
+    def _sums(self, by_z, by_zbar, z, n):
+        """The n sums of the field's plan of one kind (see _build_plan),
+        built once, at the point z."""
+        plan = self._plans.get((by_z, by_zbar))
+        if plan is None:
+            plan = _build_plan(self.monomials(), self.size, by_z, by_zbar)
+            self._plans[by_z, by_zbar] = plan
+        return _evaluate(plan, _point_values(self, z), n)
 
     def evaluate_many(self, pts):
         """Evaluate at an array of points with shape (npts,) + self.shape.
@@ -269,18 +252,14 @@ class PolyField:
 
     def _lower(self, slot):
         """The derivative in the z (slot < size) or zbar exponent of slot."""
-        if self._lowered_by is None:
-            self._lowered_by = {}
-        if slot not in self._lowered_by:
-            shift = EXP_BITS * slot
-            unit = 1 << shift
-            terms = {}
-            for k, c in self._terms.items():
-                e = k >> shift & _EXP_MASK
-                if e:
-                    terms[k - unit] = c * e
-            self._lowered_by[slot] = PolyField._canonical(self.shape, terms, self._top)
-        return self._lowered_by[slot]
+        shift = EXP_BITS * slot
+        unit = 1 << shift
+        terms = {}
+        for k, c in self._terms.items():
+            e = k >> shift & _EXP_MASK
+            if e:
+                terms[k - unit] = c * e
+        return PolyField._canonical(self.shape, terms, self._top)
 
     def dz(self, a):
         return self._lower(_entry(a, self.size))
@@ -368,35 +347,6 @@ class PolyField:
                     acc.pop(k, None)
         return PolyField._of(out_shape, acc, top)
 
-    # -- exact Hessian --------------------------------------------------------
-
-    def _hessian_plan(self):
-        """(H index, coefficient, lowered z exponents, lowered zbar
-        exponents) per term of the mixed Hessian, in the order _poly_hessian
-        sums them; built once per field.
-
-        Each coefficient is formed and dropped as dz and dzbar form and drop
-        it: c e_a, then that times f_b.
-        """
-        if self._plan is None:
-            size = self.size
-            plan = []
-            for c, ze, we in self.monomials():
-                if not (ze and we):
-                    continue
-                cols = [(b, f, _lowered(we, j)) for j, (b, f) in enumerate(we)]
-                for j, (a, e) in enumerate(ze):
-                    ca = 0.0 + c * e
-                    if not abs(ca) > COEFF_DROP:
-                        continue
-                    fa = _lowered(ze, j)
-                    for b, f, fb in cols:
-                        v = 0.0 + ca * f
-                        if abs(v) > COEFF_DROP:
-                            plan.append((a * size + b, v, fa, fb))
-            self._plan = plan
-        return self._plan
-
 
 def _kept(terms):
     """The terms stored as 0.0 + c and kept above COEFF_DROP."""
@@ -424,6 +374,60 @@ def _product(terms1, terms2, top, size):
             k = k1 + k2
             terms[k] = get(k, 0.0) + c1 * c2
     return _kept(terms), top
+
+
+def _lowerings(c, exps):
+    """(entry, coefficient, lowered sparse exponents) per derivative of the
+    term c * exps in one of its entries, the coefficient formed and dropped
+    as dz and dzbar do: 0.0 + c e, kept above COEFF_DROP."""
+    out = []
+    for j, (a, e) in enumerate(exps):
+        v = 0.0 + c * e
+        if abs(v) > COEFF_DROP:
+            out.append((a, v, exps[:j] + (((a, e - 1),) if e > 1 else ()) + exps[j + 1 :]))
+    return out
+
+
+def _build_plan(monomials, size, by_z, by_zbar):
+    """(output index, terms) per sum with terms, of the value (neither flag),
+    d/dz or d/dzbar (one flag) or the mixed Hessian (both): d/dz_a and
+    d/dzbar_b sum into index a and b, H[a, b] into a * size + b, and the
+    value, whose terms are the monomials, into 0. Each term is (coefficient,
+    z exponents, zbar exponents), in term order.
+
+    Each coefficient is c e_a, then that times f_b, so a plan's sums are
+    bitwise the values of u.dz(a), u.dzbar(b) and u.dz(a).dzbar(b).
+    """
+    if not (by_z or by_zbar):
+        return [(0, monomials)]
+    stride = size if by_zbar else 1
+    sums: dict[int, list] = {}
+    for c, ze, we in monomials:
+        if by_zbar and not we:
+            # no d/dzbar part, so its z side needs no lowering
+            continue
+        for a, ca, fa in _lowerings(c, ze) if by_z else ((0, c, ze),):
+            for b, v, fb in _lowerings(ca, we) if by_zbar else ((0, ca, we),):
+                sums.setdefault(a * stride + b, []).append((v, fa, fb))
+    return list(sums.items())
+
+
+def _evaluate(plan, zs, n):
+    """The n sums of a plan at the point entries zs, Python complex numbers:
+    each term is multiplied up from its coefficient by its z powers in entry
+    order and then its conjugate powers, and each sum runs from 0j in term
+    order."""
+    out = [0j] * n
+    for i, terms in plan:
+        total = 0j
+        for v, ze, we in terms:
+            for a, e in ze:
+                v *= zs[a] ** e
+            for a, e in we:
+                v *= zs[a].conjugate() ** e
+            total += v
+        out[i] = total
+    return out
 
 
 def _point_values(field, z):
@@ -544,34 +548,6 @@ def _real_hessian(u, zf, h):
     return R.view(complex)[..., 0]
 
 
-def _poly_hessian(u, zf):
-    """Exact mixed Hessian of a PolyField at the flat point zf, from the
-    field's Hessian plan.
-
-    Bitwise u.dz(a).dzbar(b)(zf) for every (a, b): each term is multiplied
-    up in __call__'s order from the same Python complex powers, and H[a, b]
-    sums from 0j in term order.
-    """
-    zs = _point_values(u, zf)
-    powers: dict[tuple[int, int], complex] = {}
-    conj_powers: dict[tuple[int, int], complex] = {}
-    size = u.size
-    H = [0j] * (size * size)
-    for i, v, fa, fb in u._hessian_plan():
-        for key in fa:
-            p = powers.get(key)
-            if p is None:
-                p = powers[key] = zs[key[0]] ** key[1]
-            v *= p
-        for key in fb:
-            p = conj_powers.get(key)
-            if p is None:
-                p = conj_powers[key] = zs[key[0]].conjugate() ** key[1]
-            v *= p
-        H[i] += v
-    return np.array(H, dtype=complex).reshape(size, size)
-
-
 def wirtinger_hessian(u, z, step=None):
     """Mixed Wirtinger Hessian H[a, b] = d^2 u / dz_a dzbar_b, flattened
     row-major, as an (m*n) x (m*n) complex array.
@@ -586,7 +562,7 @@ def wirtinger_hessian(u, z, step=None):
     zf = np.asarray(z, dtype=complex).reshape(-1)
     size = zf.size
     if isinstance(u, PolyField):
-        return _poly_hessian(u, zf)
+        return np.array(u._sums(True, True, zf, size * size), dtype=complex).reshape(size, size)
 
     h = step if step is not None else 1e-4 * max(1.0, float(np.linalg.norm(zf)))
     if h < 1e-7:
@@ -611,8 +587,7 @@ def _gradient(u, z, sign):
     zf = np.asarray(z, dtype=complex).reshape(-1)
     size = zf.size
     if isinstance(u, PolyField):
-        deriv = u.dz if sign < 0 else u.dzbar
-        return np.array([deriv(a)(zf) for a in range(u.size)], dtype=complex)
+        return np.array(u._sums(sign < 0, sign > 0, zf, size), dtype=complex)
 
     def level(h):
         f = _stencil_values(u, zf, h, pairs=False).reshape(2 * size, 2, 2)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from huacheck import campaigns, domains
+from huacheck import campaigns, cli, domains, kernels
 from huacheck.cli import CAMPAIGNS, build_parser, main
 from huacheck.report import VerificationReport
 
@@ -45,8 +45,8 @@ def test_kernel_campaign_is_deterministic(tmp_path, domain, points):
     ids=["embeddings", "counterexample"],
 )
 def test_exact_campaign_is_deterministic(tmp_path, argv):
-    # each PolyField caches its decoded monomials, derivative fields and
-    # Hessian plan; none of them may carry over into the second run
+    # each PolyField caches its decoded monomials and its evaluation plans;
+    # none of them may carry over into the second run
     _, text1 = run_to_file(tmp_path, "a.json", argv)
     _, text2 = run_to_file(tmp_path, "b.json", argv)
     assert text1 == text2
@@ -175,7 +175,8 @@ def test_unsupported_kernel_domain_exits_2_without_traceback(suite, domain, caps
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize(
+# each domain campaign with the record functions it calls
+EVERY_RECORD = pytest.mark.parametrize(
     "suite, records",
     [
         (
@@ -200,12 +201,19 @@ def test_unsupported_kernel_domain_exits_2_without_traceback(suite, domain, caps
     ],
     ids=["kernel", "dirichlet"],
 )
-def test_unsupported_domain_is_rejected_before_any_record(suite, records, monkeypatch, capsys):
+
+
+def _patch_records(records, monkeypatch):
     def record(*args):
         raise AssertionError("a record ran before the domains were checked")
 
     for name in records:
         monkeypatch.setattr(campaigns, name, record)
+
+
+@EVERY_RECORD
+def test_unsupported_domain_is_rejected_before_any_record(suite, records, monkeypatch, capsys):
+    _patch_records(records, monkeypatch)
     with pytest.raises(SystemExit) as exc:
         main(["verify", suite, "--domain", "II:2", "--domain", "III:3", "--points", "1"])
     assert exc.value.code == 2
@@ -379,13 +387,42 @@ def test_oversized_domain_exits_2_before_any_allocation(suite, capsys):
     # the FD stencil of I(2, 99999) (and its Silov block) is far too large
     # to allocate, so the parser must refuse the domain before a record runs
     argv = ["verify", suite, "--domain", "I:2,99999", "--points", "1"]
-    _assert_exits_2(argv, "--domain: 'I:2,99999' has 199998 entries, over 100", capsys)
+    _assert_exits_2(argv, "--domain: 'I:2,99999' is too large: its 199998 entries", capsys)
     _assert_exits_2(["verify", suite, "--domain", "I:1,101"], "101 entries", capsys)
-    # III(8) and I(10, 10) are within the bound
+    # III(8), the largest domain CI runs, I(5, 7), the slowest accepted,
+    # and I(1, 100), where s^2 F is the bound itself, are within it
     parser = build_parser()
-    for domain in ("III:8", "I:10,10"):
+    for domain in ("III:8", "I:5,7", "I:1,100"):
         spec = domains.parse_spec(domain)
         assert parser.parse_args(["verify", suite, "--domain", domain]).domain == [spec]
+
+
+@EVERY_RECORD
+@pytest.mark.parametrize("domain", ["I:8,8", "I:6,6", "II:6", "III:10"])
+def test_slow_domain_is_refused_before_any_record(suite, records, domain, monkeypatch, capsys):
+    # within 100 entries, but minutes per point on I(8, 8): s^2 F is over
+    # the bound, so no record may start
+    _patch_records(records, monkeypatch)
+    argv = ["verify", suite, "--domain", domain, "--points", "1"]
+    _assert_exits_2(argv, f"--domain: {domain!r} is too large", capsys)
+
+
+@pytest.mark.parametrize(
+    "domain, features",
+    [
+        ("I:1,1", 1),
+        ("I:2,3", 9),
+        ("I:3,4", 34),
+        ("II:3", 19),
+        ("III:2", 1),
+        ("III:3", 3),
+        ("III:6", 31),
+    ],
+)
+def test_feature_count_is_the_generic_norm_table_length(domain, features):
+    spec = domains.parse_spec(domain)
+    assert cli._feature_count(spec) == features
+    assert len(kernels._generic_norm_table(spec)[2]) == features
 
 
 def _embeddings_report(tmp_path):

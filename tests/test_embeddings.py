@@ -1,9 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from huacheck import domains, embeddings
-from huacheck.fields import PolyField, random_poly_field
+from huacheck.fields import (
+    PolyField,
+    random_poly_field,
+    wirtinger_gradient,
+    wirtinger_hessian,
+)
 
 
 def unit(rng, k):
@@ -125,3 +132,42 @@ def test_hessian_transport_under_a_linear_map():
     u = random_poly_field(shape, rng, degree=3)
     z0 = ball_point(rng, 2, radius=0.4)
     assert embeddings.hessian_transport_check(comps, shape, u, z0) < 1e-12
+
+
+def _map_cases():
+    """(components, ball shape, u, lam) for the rank-one, symmetric and
+    corner embeddings and the two transport maps of the embeddings
+    campaign."""
+    rng = np.random.default_rng(9)
+    e1 = embeddings.type_i_embedding(unit(rng, 2), 3)
+    e2 = embeddings.type_ii_embedding(domains.haar_unitary(rng, 3))
+    e3 = embeddings.type_iii_embedding(4)
+    c0, c1 = (PolyField.coordinate((1, 2), a) for a in range(2))
+    bidisc = list(domains.biholo_iv2_inverse(c0, c1))
+    # an antisymmetric 3 x 3 matrix of the three ball coordinates, with
+    # empty fields on the diagonal
+    anti = [PolyField((1, 3), {})] * 9
+    for a, (j, k) in enumerate(itertools.combinations(range(3), 2)):
+        anti[3 * j + k] = PolyField.coordinate((1, 3), a)
+        anti[3 * k + j] = anti[3 * j + k] * -1.0
+    return [
+        (e1.components, (1, 3), random_poly_field((2, 3), rng, 4, 8), ball_point(rng, 3)),
+        (e2.components, (1, 3), random_poly_field((3, 3), rng, 2, 6), ball_point(rng, 3)),
+        (e3.components, (1, 3), random_poly_field((4, 4), rng, 2, 30), ball_point(rng, 3)),
+        (bidisc, (1, 2), random_poly_field((1, 2), rng, 3, 6), ball_point(rng, 2, 0.35)),
+        (anti, (1, 3), random_poly_field((3, 3), rng, 3, 6), ball_point(rng, 3, 0.35)),
+    ]
+
+
+def test_sandwich_jacobian_equals_the_derivative_field_loop():
+    for components, shape, u, lam in _map_cases():
+        g = u.compose_holomorphic(list(components), shape)
+        # the per-(component, entry) derivative fields J was built from
+        J = np.array([[c.dz(a)(lam) for c in components] for a in range(lam.size)])
+        grads = np.stack([wirtinger_gradient(c, lam) for c in components], axis=1)
+        assert np.array_equal(grads.view(np.uint64), J.view(np.uint64))
+        z = np.array([c(lam) for c in components]).reshape(u.shape)
+        gap = wirtinger_hessian(g, lam) - J @ wirtinger_hessian(u, z) @ J.conj().T
+        got = embeddings._sandwich_gap(components, u, g, lam)
+        assert np.array_equal(got.view(np.uint64), gap.view(np.uint64))
+        assert np.max(np.abs(gap)) < 1e-12

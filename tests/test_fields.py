@@ -408,18 +408,97 @@ def _reference_poly_hessian(u, z):
     return H
 
 
+def _raw_field(shape, terms):
+    """A field storing tuple-key terms as given: no merge and no drop."""
+    packed = [fields._pack(key, shape[0] * shape[1]) for key in terms]
+    return PolyField._of(
+        shape, {k: c for (k, _), c in zip(packed, terms.values())}, max(e for _, e in packed)
+    )
+
+
 def _near_drop_field():
     """z_0^2 zbar_0^2 zbar_1 and z_1^2 zbar_1^2 with coefficients 6e-16 and
     4e-16, next to an O(1) term: the first derivative keeps 1.2e-15 and
     drops 8e-16. The constructor would drop both small terms, so the terms
-    are set directly."""
-    u = PolyField((1, 2))
-    u.terms = {
-        ((2, 0), (2, 1)): 6e-16 + 0j,
-        ((0, 2), (0, 2)): 4e-16 + 0j,
-        ((1, 1), (1, 0)): -0.5 + 0.25j,
-    }
-    return u
+    are stored directly."""
+    return _raw_field(
+        (1, 2),
+        {
+            ((2, 0), (2, 1)): 6e-16 + 0j,
+            ((0, 2), (0, 2)): 4e-16 + 0j,
+            ((1, 1), (1, 0)): -0.5 + 0.25j,
+        },
+    )
+
+
+def _inf_field():
+    """(1 + inf i) z_0 zbar_0 + 2 z_1 zbar_1: d/dz_0 keeps (nan + inf i),
+    whose magnitude is inf, and d/dzbar_0 of that drops (nan + nan i)."""
+    return PolyField(
+        (1, 2), {((1, 0), (1, 0)): complex(1.0, np.inf), ((0, 1), (0, 1)): 2.0}
+    )
+
+
+def _reference_call(u, z):
+    """The scalar loop of __call__ before the plans, over the tuple-key
+    terms; kept as the bit-for-bit reference."""
+    zs = np.asarray(z, dtype=complex).reshape(-1).tolist()
+    total = 0.0 + 0.0j
+    for (ze, we), c in u.terms.items():
+        v = c
+        for a, e in enumerate(ze):
+            if e:
+                v *= zs[a] ** e
+        for a, e in enumerate(we):
+            if e:
+                v *= zs[a].conjugate() ** e
+        total += v
+    return total
+
+
+def _exact_cases():
+    """(field, point) pairs: random fields, real parts, points with signed
+    zeros, and the near-drop and infinite-coefficient fields."""
+    rng = np.random.default_rng(19)
+    cases = []
+    for shape in [(1, 2), (2, 3), (3, 3)]:
+        for real_valued in (False, True):
+            for _ in range(3):
+                u = random_poly_field(shape, rng, degree=5, n_terms=12)
+                if real_valued:
+                    u = u.real_part()
+                z = 0.5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                cases.append((u, z))
+        # zero entries keep their sign bits: -0.0 parts of z
+        z = np.full(shape, -0.0 - 0.0j)
+        z.reshape(-1)[0] = 0.3 - 0.0j
+        z.reshape(-1)[1] = complex(-0.0, 0.4)
+        cases.append((random_poly_field(shape, rng, degree=3, n_terms=6), z))
+    z = np.array([[0.7 - 0.2j, -0.4 + 0.9j]])
+    cases += [(_near_drop_field(), z), (_inf_field(), z)]
+    return cases
+
+
+def test_call_equals_the_scalar_loop():
+    for u, z in _exact_cases():
+        for f in (u, u.conjugate(), u.dz(0), u.dzbar(1)):
+            assert np.array_equal(_bits(f(z)), _bits(_reference_call(f, z)))
+
+
+def test_exact_gradients_equal_the_derivative_fields():
+    for u, z in _exact_cases():
+        size = u.size
+        dz = np.array([u.dz(a)(z) for a in range(size)], dtype=complex)
+        dzbar = np.array([u.dzbar(a)(z) for a in range(size)], dtype=complex)
+        assert np.array_equal(_bits(wirtinger_gradient(u, z)), _bits(dz))
+        assert np.array_equal(_bits(wirtinger_gradient_bar(u, z)), _bits(dzbar))
+
+
+def test_terms_are_read_only():
+    u = PolyField((1, 2), {((1, 0), (0, 1)): 2.0})
+    with pytest.raises(AttributeError):
+        u.terms = {((0, 1), (0, 0)): 1.0}
+    assert u.terms == {((1, 0), (0, 1)): 2.0}
 
 
 @pytest.mark.parametrize("shape", [(1, 2), (1, 3), (2, 3), (3, 3), (4, 4)])
@@ -455,39 +534,30 @@ def test_exact_hessian_plan_serves_many_points():
         assert np.array_equal(_bits(H), _bits(_reference_poly_hessian(u, z)))
 
 
-def test_exact_hessian_follows_a_terms_update():
-    rng = np.random.default_rng(17)
-    shape = (2, 3)
-    u = random_poly_field(shape, rng, degree=4, n_terms=10)
-    z = 0.5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    before = wirtinger_hessian(u, z)
-    terms = random_poly_field(shape, rng, degree=4, n_terms=10).terms
-    u.terms = terms
-    fresh = PolyField(shape)
-    fresh.terms = terms
-    H = wirtinger_hessian(u, z)
-    assert np.array_equal(_bits(H), _bits(_reference_poly_hessian(fresh, z)))
-    assert not np.array_equal(H, before)
-
-
 def test_exact_hessian_plan_is_built_once_per_field(monkeypatch):
-    lowered = []
-    reference = fields._lowered
-    monkeypatch.setattr(
-        fields, "_lowered", lambda exps, j: lowered.append(j) or reference(exps, j)
-    )
+    built = []
+    reference = fields._build_plan
+
+    def build(monomials, size, by_z, by_zbar):
+        built.append((by_z, by_zbar))
+        return reference(monomials, size, by_z, by_zbar)
+
+    monkeypatch.setattr(fields, "_build_plan", build)
     rng = np.random.default_rng(18)
     u = random_poly_field(SHAPE, rng, degree=4, n_terms=10)
     zs = 0.5 * (rng.standard_normal((3,) + SHAPE) + 1j * rng.standard_normal((3,) + SHAPE))
-    wirtinger_hessian(u, zs[0])
-    built = len(lowered)
-    assert built > 0
-    wirtinger_hessian(u, zs[1])
-    assert len(lowered) == built
-    # setting the terms drops the plan
-    u.terms = u.terms
-    wirtinger_hessian(u, zs[2])
-    assert len(lowered) == 2 * built
+    # value, d/dz, d/dzbar and the mixed Hessian: one plan each, at the
+    # first point
+    kinds = [
+        ((False, False), u),
+        ((True, False), lambda z: wirtinger_gradient(u, z)),
+        ((False, True), lambda z: wirtinger_gradient_bar(u, z)),
+        ((True, True), lambda z: wirtinger_hessian(u, z)),
+    ]
+    for i, (kind, evaluate) in enumerate(kinds):
+        for z in zs:
+            evaluate(z)
+        assert built == [k for k, _ in kinds[: i + 1]]
 
 
 def test_exact_hessian_drops_what_the_derivative_fields_drop():
@@ -496,11 +566,7 @@ def test_exact_hessian_drops_what_the_derivative_fields_drop():
     H = wirtinger_hessian(u, z)
     assert np.array_equal(_bits(H), _bits(_reference_poly_hessian(u, z)))
     assert H[0, 0] != 0 and H[1, 1] == 0
-    # (1 + inf i) z_0 zbar_0: d/dz_0 keeps (nan + inf i), whose magnitude is
-    # inf, and d/dzbar_0 of that drops (nan + nan i)
-    u = PolyField(
-        (1, 2), {((1, 0), (1, 0)): complex(1.0, np.inf), ((0, 1), (0, 1)): 2.0}
-    )
+    u = _inf_field()
     H = wirtinger_hessian(u, z)
     assert np.array_equal(_bits(H), _bits(_reference_poly_hessian(u, z)))
     assert H[0, 0] == 0 and H[1, 1] == 2.0
@@ -613,9 +679,6 @@ def test_exponent_outside_the_packed_range_raises(exponent):
     key = ((exponent, 0), (0, 0))
     with pytest.raises(ValueError, match="exponent"):
         PolyField((1, 2), {key: 1.0})
-    u = PolyField((1, 2))
-    with pytest.raises(ValueError, match="exponent"):
-        u.terms = {key: 1.0}
 
 
 def test_product_whose_exponent_would_overflow_raises():
@@ -641,9 +704,7 @@ def test_terms_read_back_as_set():
         key = tuple(tuple(int(e) for e in rng.integers(0, 4, 6)) for _ in range(2))
         terms[key] = complex(rng.standard_normal(), rng.standard_normal())
     terms[((0,) * 6, (0,) * 6)] = complex(-0.0, 5e-17)  # kept as set, not dropped
-    u = PolyField((2, 3))
-    u.terms = terms
-    back = u.terms
+    back = _raw_field((2, 3), terms).terms
     assert list(back) == list(terms)
     assert [(c.real.hex(), c.imag.hex()) for c in back.values()] == [
         (c.real.hex(), c.imag.hex()) for c in terms.values()
