@@ -388,6 +388,14 @@ def _lowerings(c, exps):
     return out
 
 
+def _lowered(exps):
+    """(entry, exponent, lowered sparse exponents) per entry of exps."""
+    out = []
+    for j, (a, e) in enumerate(exps):
+        out.append((a, e, exps[:j] + (((a, e - 1),) if e > 1 else ()) + exps[j + 1 :]))
+    return out
+
+
 def _build_plan(monomials, size, by_z, by_zbar):
     """(output index, terms) per sum with terms, of the value (neither flag),
     d/dz or d/dzbar (one flag) or the mixed Hessian (both): d/dz_a and
@@ -400,15 +408,21 @@ def _build_plan(monomials, size, by_z, by_zbar):
     """
     if not (by_z or by_zbar):
         return [(0, monomials)]
-    stride = size if by_zbar else 1
     sums: dict[int, list] = {}
     for c, ze, we in monomials:
         if by_zbar and not we:
             # no d/dzbar part, so its z side needs no lowering
             continue
-        for a, ca, fa in _lowerings(c, ze) if by_z else ((0, c, ze),):
-            for b, v, fb in _lowerings(ca, we) if by_zbar else ((0, ca, we),):
-                sums.setdefault(a * stride + b, []).append((v, fa, fb))
+        zs = _lowerings(c, ze) if by_z else ((0, c, ze),)
+        if not by_zbar:
+            for a, v, fa in zs:
+                sums.setdefault(a, []).append((v, fa, we))
+        elif zs:
+            sides = _lowered(we)
+            for a, ca, fa in zs:
+                for b, f, fb in sides:
+                    if abs(v := 0.0 + ca * f) > COEFF_DROP:
+                        sums.setdefault(a * size + b, []).append((v, fa, fb))
     return list(sums.items())
 
 
@@ -471,7 +485,8 @@ class OpaqueField:
         self.many = many
 
     def __call__(self, z):
-        return complex(self.fn(np.asarray(z, dtype=complex).reshape(self.shape)))
+        z = np.asarray(z, dtype=complex)
+        return complex(self.fn(z if z.shape == self.shape else z.reshape(self.shape)))
 
     def evaluate_many(self, pts):
         """Evaluate at an array of points with shape (npts,) + self.shape:

@@ -8,16 +8,16 @@ The central object is the determinant-power kernel
 
 (W and V live in huacheck.domains). poisson_szego is its one evaluator, at
 one boundary point for the FD stencil or over a stacked boundary sample for
-the Monte-Carlo Poisson solve of huacheck.dirichlet. A stack sums det W
-from the generic norm of the Jordan triple in arrays. One boundary point w
-gets one cached evaluator of z, which sums the same expansion in Python
-scalars; on III it stores its values by the upper triangle of z, the only
-cells its Pfaffians read. The boundary identity is checked along two
-routes: direct numerical differentiation of P, and closed forms built from
-the log-gradient formulas (the boundary tensors for II/III, the exact
-component assembly for TypeI). Every matrix inverse goes through
-``inverse``, which raises SingularMatrixError near singularity instead of
-returning an inaccurate result.
+the Monte-Carlo Poisson solve of huacheck.dirichlet. Both sum det W from
+the generic norm of the Jordan triple, compiled once per table into
+straight-line Python: on arrays for a stack, on Python scalars in the one
+cached evaluator of z per boundary point w, which on III stores its values
+by the upper triangle of z, the only cells its Pfaffians read. The
+boundary identity is checked along two routes: direct numerical
+differentiation of P, and closed forms built from the log-gradient formulas
+(the boundary tensors for II/III, the exact component assembly for TypeI).
+Every matrix inverse goes through ``inverse``, which raises SingularMatrixError
+near singularity instead of returning an inaccurate result.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import operator
 
 import numpy as np
 
-from .domains import SILOV_CHUNK, kappa, v_matrix, w_matrix
+from .domains import SILOV_CHUNK, DomainSpec, kappa, v_matrix, w_matrix
 from .fields import OpaqueField, wirtinger_gradient, wirtinger_gradient_bar
 from .fields import wirtinger_hessian
 from .operators import component_values, constrained_hessian, direction_matrix
@@ -123,57 +123,62 @@ def _generic_norm_table(spec):
     return [s * n + t for s, t in cells], tuple(expansions), np.array(signs)
 
 
-def _features(table, flat):
-    """The features of one matrix, from the list flat of its table cells as
-    Python scalars, or of k matrices, from the (cells, k) array flat.
+@functools.lru_cache(maxsize=None)
+def _expansion(spec):
+    """spec's generic-norm expansion compiled into straight-line Python,
+    once per spec: (features, point).
 
-    Returns a list in the table's order: the cells, then each expansion,
-    which starts from its first product, whose sign is +1, and adds or
-    subtracts the others in table order, so a scalar and an array row take
-    the same operations.
+    features(x) maps the table cells of one matrix (Python scalars) or of
+    k matrices (a (cells, k) array) to the features in table order: the
+    cells, then each expansion from its first product, whose sign is +1,
+    adding or subtracting the others in table order. point(x, c) returns
+    (h(z, z), |h(z, w)|) for c_F = sign_F conj(f_F(w)), each sum adding its
+    terms to 1.0 in table order. One statement per operation: no expression
+    nests deeper as the table grows, and only table indices enter the source.
     """
-    _, expansions, _ = table
-    features = list(flat)
-    for terms in expansions:
-        (_, c, sub), rest = terms[0], terms[1:]
-        total = flat[c] * features[sub]
-        for sign, c, sub in rest:
-            if sign > 0:
-                total += flat[c] * features[sub]
-            else:
-                total -= flat[c] * features[sub]
-        features.append(total)
-    return features
+    cells, expansions, signs = _generic_norm_table(spec)
+    features = [f"f{i}" for i in range(len(signs))]
+    body = [f"    {', '.join(features[: len(cells)])}, = x"]
+    for i, terms in enumerate(expansions, len(cells)):
+        for j, (sign, c, sub) in enumerate(terms):
+            op = "=" if j == 0 else "+=" if sign > 0 else "-="
+            body.append(f"    f{i} {op} f{c} * f{sub}")
+    coefficients = ", ".join(f"c{i}" for i in range(len(signs)))
+    sums = [f"    {coefficients}, = coefficients", "    v = w = 1.0"]
+    for i, sign in enumerate(signs):
+        op = "+=" if sign > 0 else "-="
+        sums += [f"    a = abs(f{i})", f"    v {op} a * a", f"    w += c{i} * f{i}"]
+    source = ["def features(x):", *body, f"    return [{', '.join(features)}]"]
+    source += ["def point(x, coefficients):", *body, *sums, "    return v, abs(w)"]
+    namespace = {}
+    exec("\n".join(source), namespace)
+    return namespace["features"], namespace["point"]
 
 
 @functools.lru_cache(maxsize=1)
-def _point_kernel(spec, w_bytes):
+def _point_kernel(family, shape, w_bytes):
     """P(., w) as a function of one interior z, for the boundary point w
-    given by its complex bytes. Cached for the last (spec, w), so the FD
-    stencil around z, whose rows all share one w, builds w's side once.
+    given by its complex bytes on the I-III domain of family and shape.
+    Cached for the last key, which holds no DomainSpec (its hash is a Python
+    call), so the FD stencil around z, whose rows share w, builds w once.
 
-    It sums the generic norm in Python scalars: h(z, z) = 1 + sum_F
-    sign_F |f_F(z)|^2 and h(z, w) = 1 + sum_F coefficient_F f_F(z), with
-    coefficient_F = sign_F conj(f_F(w)) made once. Where the table reads
-    fewer cells than z has (III), the values are stored by the tuple of
-    cells read, in an LRU cache of POINT_STORE values that drops the least
-    recently used one: the sum reads nothing else of z, so a stored value
-    has the bits of a fresh one.
+    Each z is one call of the compiled point (_expansion). Where the table
+    reads fewer cells than z has (III), the values are stored by the tuple
+    of cells read, in an LRU cache of POINT_STORE values that drops the
+    least recently used one: the sum reads nothing else of z, so a stored
+    value has the bits of a fresh one.
     """
+    spec = DomainSpec(family, *shape)
     k = float(kappa(spec))
-    w = np.frombuffer(w_bytes, dtype=complex).reshape(spec.shape)
-    cells, _, signs = table = _generic_norm_table(spec)
-    signs = signs.tolist()
-    x = w.ravel().tolist()
-    w_features = _features(table, [x[c] for c in cells])
-    coefficients = [s * f.conjugate() for s, f in zip(signs, w_features)]
-    squared = spec.family == "III"
+    cells, _, signs = _generic_norm_table(spec)
+    features, point = _expansion(spec)
+    x = np.frombuffer(w_bytes, dtype=complex).tolist()
+    w_features = features([x[c] for c in cells])
+    coefficients = [s * f.conjugate() for s, f in zip(signs.tolist(), w_features)]
+    squared = family == "III"
 
     def expanded(flat):
-        features = _features(table, flat)
-        sizes = list(map(abs, features))
-        detv = sum(map(operator.mul, signs, map(operator.mul, sizes, sizes)), 1.0)
-        detw = abs(sum(map(operator.mul, coefficients, features), 1.0))
+        detv, detw = point(flat, coefficients)
         if squared:
             detv, detw = detv * detv, detw * detw
         if not detv > 0.0:
@@ -236,10 +241,11 @@ def _generic_norm_dets(spec, ws, z):
     most 2^r eps on the distinguished boundary, where every s_j(w) = 1.
     Against it, |h(z, w)| >= prod_j (1 - s_j(z)) for ||w|| <= 1.
     """
-    cells, _, signs = table = _generic_norm_table(spec)
+    cells, _, signs = _generic_norm_table(spec)
+    features, _ = _expansion(spec)
     zs = np.reshape(z, (-1, spec.size))
     points = len(zs)
-    z_features = _features(table, zs[:, cells].T)
+    z_features = features(zs[:, cells].T)
     coefficients = signs[:, None] * np.conj(z_features)
     flat, product = _workspace(spec, points)
     samples = len(ws)
@@ -249,10 +255,9 @@ def _generic_norm_dets(spec, ws, z):
         k = len(block)
         # mode="clip" lets take write into the strided view without a copy
         np.take(block.reshape(k, -1).T, cells, axis=0, out=flat[:, :k], mode="clip")
-        features = _features(table, flat[:, :k])
         h = dets[:, start : start + k]
         h[...] = 1.0
-        for c, f in zip(coefficients, features):
+        for c, f in zip(coefficients, features(flat[:, :k])):
             h += np.multiply(c[:, None], f, out=product[:, :k])
         if spec.family == "III":
             h *= h
@@ -270,8 +275,8 @@ def poisson_szego(spec, z, w):
 
     One boundary point w is one lookup of its cached evaluator
     (_point_kernel) and one call of it, so the FD stencil around z builds
-    w's side once; it sums the same expansion in Python scalars on every
-    table.
+    w's side once; each call runs the same compiled expansion on Python
+    scalars, on every table.
 
     On I and II the expansion is det(I - z w*) at every z, by Cauchy-Binet,
     so also at the stencil rows off the symmetric slice of II. On III its
@@ -297,7 +302,7 @@ def poisson_szego(spec, z, w):
                 f"one boundary point takes z and w of shape {spec.shape}, "
                 f"not {z.shape} and {w.shape}"
             )
-        return _point_kernel(spec, w.astype(complex, copy=False).tobytes())(z)
+        return _point_kernel(spec.family, w.shape, w.astype(complex, copy=False).tobytes())(z)
     k = float(kappa(spec))
     # one det V per point, broadcast along that point's row of weights
     detv = np.linalg.det(v_matrix(z)).real[..., None]

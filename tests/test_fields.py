@@ -248,6 +248,20 @@ def test_fd_hessian_evaluates_once_per_stencil_point(shape):
     assert set(calls) == {shape}
 
 
+def test_opaque_field_passes_shaped_complex_rows_through():
+    # a row of evaluate_many reaches fn as it is; other input is converted
+    # and reshaped, and the value is a complex either way
+    seen = []
+    u = OpaqueField((2, 2), lambda z: seen.append(z) or 1)
+    row = np.full((2, 2), 0.5 + 0.1j)
+    assert type(u(row)) is complex
+    assert seen[-1] is row
+    assert u([0.5, 1, 2, 3]) == 1
+    assert seen[-1].shape == (2, 2) and seen[-1].dtype == complex
+    assert type(u(np.ones((1, 4)))) is complex
+    assert seen[-1].shape == (2, 2) and seen[-1].dtype == complex
+
+
 @pytest.mark.parametrize(
     "case",
     [

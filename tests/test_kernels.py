@@ -1,4 +1,7 @@
+import operator
+import pickle
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -117,10 +120,16 @@ def test_point_store_is_bounded_and_dropped_with_w(monkeypatch):
     # bound + 1 points of distinct upper triangles
     zs = [z * (1.0 - i / (4.0 * bound)) for i in range(bound + 1)]
     evaluations = []
-    features = kernels._features
-    monkeypatch.setattr(
-        kernels, "_features", lambda table, flat: evaluations.append(1) or features(table, flat)
-    )
+    expansion = kernels._expansion
+
+    def counted(spec):
+        features, point = expansion(spec)
+        return (
+            lambda x: evaluations.append(1) or features(x),
+            lambda x, coefficients: evaluations.append(1) or point(x, coefficients),
+        )
+
+    monkeypatch.setattr(kernels, "_expansion", counted)
     kernels._point_kernel.cache_clear()
     first = [kernels.poisson_szego(spec, x, w) for x in zs[:bound]]
     # w's coefficients, then one evaluation per point
@@ -257,6 +266,116 @@ def test_generic_norm_equals_det(domain):
             wh = ws.conj().transpose(0, 2, 1)
             expected = np.linalg.det(np.eye(spec.m) - point @ wh)
             assert_allclose(row, expected.conj(), rtol=1e-12)
+
+
+def _reference_features(table, flat):
+    """The interpreted feature loop the compiled expansion replaced: the
+    cells, then each expansion from its first product, adding or
+    subtracting the others in table order."""
+    _, expansions, _ = table
+    features = list(flat)
+    for terms in expansions:
+        (_, c, sub), rest = terms[0], terms[1:]
+        total = flat[c] * features[sub]
+        for sign, c, sub in rest:
+            if sign > 0:
+                total += flat[c] * features[sub]
+            else:
+                total -= flat[c] * features[sub]
+        features.append(total)
+    return features
+
+
+def _running_sum(items):
+    """1.0 plus the items, added one at a time in order."""
+    total = 1.0
+    for item in items:
+        total += item
+    return total
+
+
+def _reference_point(table, flat, coefficients):
+    """(h(z, z), |h(z, w)|) as the interpreted one-point evaluator summed
+    them, with map and sum from 1.0. sum adds one at a time on CPython 3.10
+    and 3.11, the versions CI runs, and compensates float sums from 3.12."""
+    signs = table[2].tolist()
+    features = _reference_features(table, flat)
+    sizes = list(map(abs, features))
+    squares = list(map(operator.mul, signs, map(operator.mul, sizes, sizes)))
+    products = list(map(operator.mul, coefficients, features))
+    if sys.version_info < (3, 12):
+        assert repr(sum(squares, 1.0)) == repr(_running_sum(squares))
+        assert repr(sum(products, 1.0)) == repr(_running_sum(products))
+    return _running_sum(squares), abs(_running_sum(products))
+
+
+@pytest.mark.parametrize("domain", GENERIC_NORM_DOMAINS + ["I:3,4", "III:8", "I:5,7"])
+def test_compiled_expansion_is_the_interpreted_one_bit_for_bit(domain):
+    # repr tells Python floats apart bit for bit, -0.0 from 0.0 included, and
+    # tobytes does the same for arrays
+    spec = domains.parse_spec(domain)
+    cells, _, signs = table = kernels._generic_norm_table(spec)
+    features, point = kernels._expansion(spec)
+
+    def read(x):
+        flat = np.asarray(x).reshape(-1).tolist()
+        return [flat[c] for c in cells]
+
+    w = domains.sample_silov(spec, seed=30, count=1)[0]
+    w_features = features(read(w))
+    assert repr(w_features) == repr(_reference_features(table, read(w)))
+    coefficients = [s * f.conjugate() for s, f in zip(signs.tolist(), w_features)]
+    # Python-scalar points: interior points near the origin and near the
+    # boundary, and family matrices off the domain
+    z = domains.sample_interior(spec, seed=31, count=1)[0]
+    z = z / np.linalg.norm(z, 2)
+    points = [z * np.sqrt(1.0 - margin) for margin in (0.5, 1e-3)]
+    points += list(_family_matrices(spec, np.random.default_rng(32), 3))
+    # the stencil rows of one FD Hessian: all of them, but an evenly spaced
+    # 400 of the 39,204 of I(5,7) and the 131,076 of III(8)
+    stencils = []
+    field = OpaqueField(
+        spec.shape, None, many=lambda pts: stencils.append(pts.copy()) or np.zeros(len(pts))
+    )
+    wirtinger_hessian(field, points[0], step=kernels.FD_STEP)
+    rows = np.concatenate(stencils)
+    points += list(rows[:: len(rows) // 400 if len(signs) > 100 else 1])
+    for x in points:
+        got = point(read(x), coefficients)
+        assert repr(got) == repr(_reference_point(table, read(x), coefficients))
+    # a (cells, k) block, a strided view as in the stack route
+    k = min(57, len(rows))
+    block = np.empty((len(cells), 64), dtype=complex)
+    block[:, :k] = rows[:k].reshape(k, -1)[:, cells].T
+    compiled = features(block[:, :k])
+    reference = _reference_features(table, block[:, :k])
+    assert len(compiled) == len(reference) == len(signs)
+    for a, b in zip(compiled, reference):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_equal_specs_built_apart_are_one_cache_key(monkeypatch):
+    # the one-point lookup keys on the family and the shape, so a stencil row
+    # hashes no DomainSpec (whose hash is a Python call), and an equal spec
+    # built apart or unpickled reuses the evaluator
+    spec = type_iii(4)
+    same = (domains.DomainSpec("III", 4, 4), pickle.loads(pickle.dumps(spec)))
+    assert all(other is not spec and other == spec for other in same)
+    z, w = pair(spec, seed=33)
+    kernels._point_kernel.cache_clear()
+    first = kernels.poisson_szego(spec, z, w)
+    hashes = []
+    spec_hash = domains.DomainSpec.__hash__
+    monkeypatch.setattr(
+        domains.DomainSpec, "__hash__", lambda self: hashes.append(1) or spec_hash(self)
+    )
+    for other in same:
+        assert kernels.poisson_szego(other, z, w) == first
+        assert kernels.poisson_szego(other, 0.5 * z, w) == kernels.poisson_szego(spec, 0.5 * z, w)
+    info = kernels._point_kernel.cache_info()
+    assert (info.misses, info.hits) == (1, 6)
+    assert hashes == []
+    assert kernels._expansion(same[0]) is kernels._expansion(same[1]) is kernels._expansion(spec)
 
 
 def test_kernel_rejects_type_iv():
