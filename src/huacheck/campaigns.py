@@ -26,17 +26,20 @@ def _report(campaign, records):
     return VerificationReport(campaign, [record_from_values(*r) for r in records])
 
 
-def _radial_draw(rng, n, low, high):
-    """A point of C^n: Gaussian direction, radius uniform in [low, high)."""
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    z *= rng.uniform(low, high) / np.linalg.norm(z)
-    return z
+def _units(rng, count, k):
+    """count points of the unit sphere of C^k, (count, k): normalized Gaussians.
+
+    One (count, 2, k) draw: point i takes its real, then its imaginary part.
+    """
+    g = rng.standard_normal((count, 2, k))
+    v = g[:, 0] + 1j * g[:, 1]
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _unit(rng, k):
-    """A point of the unit sphere of C^k: a normalized Gaussian draw."""
-    v = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    return v / np.linalg.norm(v)
+def _radial_draws(rng, count, n, low, high):
+    """count points of C^n, (count, n): uniform directions, radii uniform in
+    [low, high)."""
+    return _units(rng, count, n) * rng.uniform(low, high, (count, 1))
 
 
 # -- kernel ------------------------------------------------------------------
@@ -153,15 +156,14 @@ SINGULARITY_CASES = (
 
 def derivative_ladder_residuals(rng, count):
     """Parameter-shift 2F1 derivative against the termwise series."""
-    params = []
-    for _ in range(count):
-        a = rng.uniform(0.2, 3.0)
-        b = rng.uniform(0.2, 3.0)
-        c = rng.uniform(a + b + 0.5, a + b + 4.0)
-        params.append((a, b, c, rng.uniform(0.0, 0.8)))
+    a = rng.uniform(0.2, 3.0, count)
+    b = rng.uniform(0.2, 3.0, count)
+    c = rng.uniform(a + b + 0.5, a + b + 4.0)
+    t = rng.uniform(0.0, 0.8, count)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ladder = hypergeom.gauss_2f1_derivative(*np.array(params).T)
+        ladder = hypergeom.gauss_2f1_derivative(a, b, c, t)
+        params = zip(a.tolist(), b.tolist(), c.tolist(), t.tolist())
         series = [hypergeom.gauss_2f1_derivative_series(*p) for p in params]
     return [abs(lhs - rhs) / max(1.0, abs(rhs)) for lhs, rhs in zip(ladder.tolist(), series)]
 
@@ -275,22 +277,22 @@ def radial_extension_residuals(u, rng, count):
     """|modified Laplacian of u| at count ball points of radius in [0.1, 0.9)."""
     spec = domains.ball(u.n)
     vals = []
-    for _ in range(count):
-        z = _radial_draw(rng, u.n, 0.1, 0.9).reshape(1, u.n)
+    for z in _radial_draws(rng, count, u.n, 0.1, 0.9):
+        z = z.reshape(1, u.n)
         vals.append(abs(operators.apply(operators.modified_ball_coefficients(spec, z), u, z)))
     return vals
 
 
 def boundary_trace_residuals(u, rng, count):
     """|u - its boundary trace| at count points of the unit sphere."""
-    zs = [_unit(rng, u.n) for _ in range(count)]
+    zs = _units(rng, count, u.n)
     return np.abs(u.evaluate_many(zs) - u.boundary_trace(zs))
 
 
 def holomorphic_passthrough_residuals(f, rng, count):
     """|extension - data| of holomorphic data f at count interior points."""
     u = dirichlet.solve_tilde([f], f.n)
-    zs = [_radial_draw(rng, f.n, 0.1, 0.9) for _ in range(count)]
+    zs = _radial_draws(rng, count, f.n, 0.1, 0.9)
     return np.abs(u.evaluate_many(zs) - f.field.evaluate_many(zs))
 
 
@@ -379,18 +381,15 @@ def run_dirichlet_campaign(specs, points, seed):
 # -- embeddings --------------------------------------------------------------
 
 
-def _ball_point(rng, k):
-    return _unit(rng, k) * rng.uniform(0.1, 0.7)
-
-
 def rank_one_residuals(rng, count):
     """Gram, chain-rule and pullback residuals of rank-one B_3 -> I(2,3) maps."""
     gram_vals, chain_vals, pull_vals = [], [], []
-    for _ in range(count):
-        e = embeddings.type_i_embedding(_unit(rng, 2), 3)
+    xis = _units(rng, count, 2)
+    lams = _radial_draws(rng, count, 3, 0.1, 0.7)
+    for xi, lam in zip(xis, lams):
+        e = embeddings.type_i_embedding(xi, 3)
         gram_vals.append(embeddings.gram_identity_residual(e))
         u = random_poly_field((2, 3), rng, degree=4, n_terms=8)
-        lam = _ball_point(rng, 3)
         g = embeddings.compose(e, u)
         chain_vals.append(embeddings.chain_rule_residual(e, u, g, lam))
         pull_vals.append(abs(embeddings.pullback_residual(e, u, g, lam)))
@@ -399,12 +398,14 @@ def rank_one_residuals(rng, count):
 
 def symmetric_pullback_residuals(rng, count):
     """Pullback residuals of Haar-random symmetric-square B_3 -> II(3) maps."""
+    unitaries = np.moveaxis(domains._haar_stack(rng, count, 3, 3), -1, 0)
+    lams = _radial_draws(rng, count, 3, 0.1, 0.7)
     vals = []
-    for _ in range(count):
-        e = embeddings.type_ii_embedding(domains.haar_unitary(rng, 3))
+    for U, lam in zip(unitaries, lams):
+        e = embeddings.type_ii_embedding(U)
         u = random_poly_field((3, 3), rng, degree=2, n_terms=6)
         g = embeddings.compose(e, u)
-        vals.append(abs(embeddings.pullback_residual(e, u, g, _ball_point(rng, 3))))
+        vals.append(abs(embeddings.pullback_residual(e, u, g, lam)))
     return vals
 
 
@@ -412,18 +413,18 @@ def corner_pullback_residuals(rng, count):
     """Pullback residuals of the corner map B_3 -> III(4)."""
     e = embeddings.type_iii_embedding(4)
     vals = []
-    for _ in range(count):
+    for lam in _radial_draws(rng, count, 3, 0.1, 0.7):
         u = random_poly_field((4, 4), rng, degree=2, n_terms=30)
         g = embeddings.compose(e, u)
-        vals.append(abs(embeddings.pullback_residual(e, u, g, _ball_point(rng, 3))))
+        vals.append(abs(embeddings.pullback_residual(e, u, g, lam)))
     return vals
 
 
 def polarization_errors(rng, count):
     """Entrywise error of random 4 x 4 forms recovered by polarization."""
+    g = rng.standard_normal((count, 2, 4, 4))
     vals = []
-    for _ in range(count):
-        M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    for M in g[:, 0] + 1j * g[:, 1]:
         rec = embeddings.polarization_recover(
             lambda xi: complex(np.asarray(xi) @ M @ np.conj(np.asarray(xi))), 4
         )
@@ -450,19 +451,13 @@ def transport_residuals(rng, count):
         anti_map[3 * j + k] = PolyField.coordinate(shape3, a)
         anti_map[3 * k + j] = anti_map[3 * j + k] * -1.0
     vals = []
-    for _ in range(count):
+    lams2 = _radial_draws(rng, count, 2, 0.05, 0.35)
+    lams3 = _radial_draws(rng, count, 3, 0.05, 0.35)
+    for lam2, lam3 in zip(lams2, lams3):
         u = random_poly_field(shape2, rng, degree=3, n_terms=6)
-        vals.append(
-            embeddings.hessian_transport_check(
-                bidisc_map, shape2, u, _ball_point(rng, 2) * 0.5
-            )
-        )
+        vals.append(embeddings.hessian_transport_check(bidisc_map, shape2, u, lam2))
         u = random_poly_field((3, 3), rng, degree=3, n_terms=6)
-        vals.append(
-            embeddings.hessian_transport_check(
-                anti_map, shape3, u, _ball_point(rng, 3) * 0.5
-            )
-        )
+        vals.append(embeddings.hessian_transport_check(anti_map, shape3, u, lam3))
     return vals
 
 
@@ -516,7 +511,7 @@ def type_iv_points(rng, count):
     Every draw is interior with margin above 0.39: at |z| = r < 0.55 the
     binding constraint is 1 - 2 r^2 + |z z^t|^2 >= 1 - 2 (0.55)^2 = 0.395.
     """
-    return np.array([_radial_draw(rng, 2, 0.05, 0.55) for _ in range(count)])
+    return _radial_draws(rng, count, 2, 0.05, 0.55)
 
 
 def euclidean_defects(H):
@@ -556,14 +551,11 @@ def coordinatewise_harmonic(rng):
     d^2/dz_k dzbar_k kills each term for k = 1, 2.
     """
     terms = {}
-    for _ in range(6):
-        a = int(rng.integers(0, 3))
-        b = int(rng.integers(0, 3))
-        c = 0 if a else int(rng.integers(0, 3))
-        d = 0 if b else int(rng.integers(0, 3))
-        coef = complex(rng.standard_normal(), rng.standard_normal())
-        key = ((a, b), (c, d))
-        terms[key] = terms.get(key, 0.0) + coef
+    exponents = rng.integers(0, 3, (6, 4)).tolist()
+    coefs = rng.standard_normal((6, 2)).tolist()
+    for (a, b, c, d), (re, im) in zip(exponents, coefs):
+        key = ((a, b), (0 if a else c, 0 if b else d))
+        terms[key] = terms.get(key, 0.0) + complex(re, im)
     return PolyField((1, 2), terms)
 
 
@@ -588,11 +580,9 @@ def bidisc_transfer_residuals(rng, count):
     """
     inverse_map = bidisc_inverse_map()
     id_vals, harm_vals, cross_vals = [], [], []
-    for _ in range(count):
+    for z0 in 0.3 * _units(rng, count, 2):
         v = coordinatewise_harmonic(rng)
         u = v.compose_holomorphic(inverse_map, (1, 2))
-        z0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        z0 *= 0.3 / np.linalg.norm(z0)
         w0 = np.array(domains.biholo_iv2_inverse(z0[0], z0[1]))
         Hv = wirtinger_hessian(v, z0)
         Hu = wirtinger_hessian(u, w0)

@@ -243,7 +243,7 @@ def _require_orthonormal(q):
     for i in range(q.shape[1]):
         gram = (q[:, i, None].conj() * q[:, i:]).sum(0)
         gram[0] -= 1.0
-        defects.append(np.abs(gram).max())
+        defects.append(np.abs(gram).max(initial=0.0))
     worst = np.max(defects)
     # fail closed: nan <= tol is False, so a NaN entry raises too
     if not worst <= SYMMETRY_TOL:

@@ -12,11 +12,12 @@ holomorphic maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .domains import DomainSpec, membership_margin, require_family_symmetry
-from .domains import type_i, type_ii, type_iii
+from .domains import type_i, type_ii, type_iii, v_matrix
 from .fields import PolyField, wirtinger_gradient, wirtinger_hessian
 from .operators import component_values, constrained_hessian
 
@@ -181,14 +182,14 @@ def pullback_residual(e, u, g, lam):
     """
     lam = np.asarray(lam, dtype=complex).reshape(-1)
     Hg = wirtinger_hessian(g, lam)
-    d = lam.size
     z = embed(e, lam)
     Hu = constrained_hessian(e.spec, wirtinger_hessian(u, z))
     comps = component_values(e.spec, z, Hu)
 
-    # ball-side weight I - s lam lam*, with s = |lam|^2 for type II, else 1
-    s = float(np.vdot(lam, lam).real) if e.spec.family == "II" else 1.0
-    weight = np.eye(d) - s * np.outer(lam, lam.conj())
+    # ball-side weight I - r^2 lam lam* = V(r lam) of the column r lam, with
+    # r = |lam| for type II, else 1
+    r = np.linalg.norm(lam) if e.spec.family == "II" else 1.0
+    weight = v_matrix((r * lam)[:, None])
     lhs = complex(np.einsum("ab,ab->", weight, Hg))
     if e.spec.family == "I":
         xi = e.parameter
@@ -201,6 +202,17 @@ def pullback_residual(e, u, g, lam):
     else:
         rhs = complex(comps[0, 0])
     return lhs - rhs
+
+
+@cache
+def _probes(n):
+    """Three random unit vectors of C^n drawn from seed 0, a read-only (3, n)
+    array made once per n."""
+    g = np.random.default_rng(0).standard_normal((3, 2, n))
+    xi = g[:, 0] + 1j * g[:, 1]
+    xi /= np.linalg.norm(xi, axis=1, keepdims=True)
+    xi.flags.writeable = False
+    return xi
 
 
 def polarization_recover(form, n):
@@ -224,10 +236,7 @@ def polarization_recover(form, n):
             t = 2.0 * form(root * (eye[j] + 1j * eye[k])) - base
             M[j, k] = (s + 1j * t) / 2.0
             M[k, j] = (s - 1j * t) / 2.0
-    rng = np.random.default_rng(0)
-    for _ in range(3):
-        xi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        xi /= np.linalg.norm(xi)
+    for xi in _probes(n):
         predicted = complex(xi @ M @ xi.conj())
         if abs(predicted - complex(form(xi))) > 1e-9 * max(1.0, np.linalg.norm(M)):
             raise ValueError("form is not sesquilinear-quadratic")

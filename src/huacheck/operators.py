@@ -122,8 +122,8 @@ def modified_ball_coefficients(spec, z):
     """I - |z|^2 z^t zbar, the modified ball operator's tensor at z in I(1, n)."""
     if not (spec.family == "I" and spec.m == 1):
         raise ValueError(f"the modified ball operator lives on I(1,n), not {spec.label()}")
-    zv = z.reshape(-1)
-    return np.eye(spec.n) - float(np.vdot(zv, zv).real) * np.outer(zv, zv.conj())
+    # V of the column |z| z^t
+    return v_matrix(np.linalg.norm(z) * z.reshape(-1, 1))
 
 
 def apply(C, u, z):

@@ -41,14 +41,26 @@ def test_kernel_campaign_is_deterministic(tmp_path, domain, points):
 
 @pytest.mark.parametrize(
     "argv",
-    [["verify", "embeddings", "--points", "10"], ["demo", "counterexample", "--points", "50"]],
-    ids=["embeddings", "counterexample"],
+    [
+        ["verify", "embeddings", "--points", "10"],
+        ["demo", "counterexample", "--points", "50"],
+        ["verify", "hypergeom", "--points", "50"],
+    ],
+    ids=["embeddings", "counterexample", "hypergeom"],
 )
 def test_exact_campaign_is_deterministic(tmp_path, argv):
     # each PolyField caches its decoded monomials and its evaluation plans;
     # none of them may carry over into the second run
-    _, text1 = run_to_file(tmp_path, "a.json", argv)
-    _, text2 = run_to_file(tmp_path, "b.json", argv)
+
+    def run(name):
+        if argv[1] != "hypergeom":
+            return run_to_file(tmp_path, name, argv)
+        # the radial-ode record's series converges slowly, as in the small run
+        with pytest.warns(UserWarning, match="converges slowly"):
+            return run_to_file(tmp_path, name, argv)
+
+    _, text1 = run("a.json")
+    _, text2 = run("b.json")
     assert text1 == text2
 
 
