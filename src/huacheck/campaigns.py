@@ -398,7 +398,7 @@ def rank_one_residuals(rng, count):
 
 def symmetric_pullback_residuals(rng, count):
     """Pullback residuals of Haar-random symmetric-square B_3 -> II(3) maps."""
-    unitaries = np.moveaxis(domains._haar_stack(rng, count, 3, 3), -1, 0)
+    unitaries = domains.haar_unitaries(rng, count, 3)
     lams = _radial_draws(rng, count, 3, 0.1, 0.7)
     vals = []
     for U, lam in zip(unitaries, lams):

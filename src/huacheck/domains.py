@@ -269,9 +269,10 @@ def _haar_stack(rng, k, n, cols):
     return a
 
 
-def haar_unitary(rng, n):
-    """Haar-distributed n x n unitary, a block of one draw of _haar_stack."""
-    return _haar_stack(rng, 1, n, n)[:, :, 0]
+def haar_unitaries(rng, count, n):
+    """count Haar-distributed n x n unitaries, point-major: shape
+    (count, n, n), one draw of _haar_stack."""
+    return np.moveaxis(_haar_stack(rng, count, n, n), -1, 0)
 
 
 def silov_columns(spec):

@@ -136,8 +136,8 @@ def gram_identity_residual(e):
             for p in range(1, m):
                 lhs = lhs + comps[p * n + i] * conj_comps[p * n + j]
             diff = lhs - lam[i] * lam_bar[j]
-            if diff._terms:
-                worst = max(worst, max(map(abs, diff._terms.values())))
+            if not diff.is_zero():
+                worst = max(worst, max(abs(c) for c, _, _ in diff.monomials()))
     return worst
 
 

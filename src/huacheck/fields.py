@@ -16,11 +16,12 @@ matrix.  Two representations are supported:
   loop over packed term dicts serves ``*`` and composition; a composition
   multiplies term dicts, not fields, stops a monomial at its first empty
   product, and sums its terms into one dict, bitwise what repeated ``*``
-  and ``+`` give.  One plan evaluator serves the value, both Wirtinger
-  gradients and the mixed Hessian: a field builds one plan per kind, the
-  coefficients and lowered exponents of its derivative terms, so a point
-  takes only powers and products of Python complex numbers, bitwise what
-  the derivative fields ``dz``/``dzbar`` give.
+  and ``+`` give.  One plan evaluator for a point and a stack serves the
+  value, both Wirtinger gradients and the mixed Hessian: a field builds one
+  plan per kind, the coefficients and lowered exponents of its derivative
+  terms, so a point takes only powers and products of Python complex
+  numbers, bitwise what the derivative fields ``dz``/``dzbar`` give, and a
+  stack the same products of its columns.
 * ``OpaqueField`` -- an arbitrary evaluator, differentiated by central finite
   differences in the underlying real coordinates: the FD Hessian and
   gradient share one stencil builder and one Richardson step, and an
@@ -168,36 +169,27 @@ class PolyField:
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, z):
-        return self._sums(False, False, z, 1)[0]
+        return self._sums(False, False, _point_values(self, z), 1)[0]
 
-    def _sums(self, by_z, by_zbar, z, n):
+    def _sums(self, by_z, by_zbar, entries, n):
         """The n sums of the field's plan of one kind (see _build_plan),
-        built once, at the point z."""
+        built once, over the entries of a point or a stack (see _evaluate)."""
         plan = self._plans.get((by_z, by_zbar))
         if plan is None:
             plan = _build_plan(self.monomials(), self.size, by_z, by_zbar)
             self._plans[by_z, by_zbar] = plan
-        return _evaluate(plan, _point_values(self, z), n)
+        return _evaluate(plan, entries, n)
 
     def evaluate_many(self, pts):
-        """Evaluate at an array of points with shape (npts,) + self.shape.
-
-        A row's bits do not depend on the stack: numpy's in-place complex
-        multiply of one element rounds unlike its array loop, so the
-        products are formed out of place."""
+        """Evaluate at an array of points with shape (npts,) + self.shape:
+        the value plan on the stack's columns."""
         zf = np.asarray(pts, dtype=complex)
         if zf.size != len(zf) * self.size:
             raise ValueError("point size does not match field shape")
         zf = zf.reshape(len(zf), self.size)
-        out = np.zeros(len(pts), dtype=complex)
-        for c, ze, we in self.monomials():
-            v = np.full(len(pts), c, dtype=complex)
-            for a, e in ze:
-                v = v * zf[:, a] ** e
-            for a, e in we:
-                v = v * zf[:, a].conj() ** e
-            out += v
-        return out
+        value = self._sums(False, False, list(zf.T), 1)[0]
+        # a sum whose terms keep no entry is one Python complex
+        return value if isinstance(value, np.ndarray) else np.full(len(zf), value, complex)
 
     # -- algebra ------------------------------------------------------------
 
@@ -376,18 +368,6 @@ def _product(terms1, terms2, top, size):
     return _kept(terms), top
 
 
-def _lowerings(c, exps):
-    """(entry, coefficient, lowered sparse exponents) per derivative of the
-    term c * exps in one of its entries, the coefficient formed and dropped
-    as dz and dzbar do: 0.0 + c e, kept above COEFF_DROP."""
-    out = []
-    for j, (a, e) in enumerate(exps):
-        v = 0.0 + c * e
-        if abs(v) > COEFF_DROP:
-            out.append((a, v, exps[:j] + (((a, e - 1),) if e > 1 else ()) + exps[j + 1 :]))
-    return out
-
-
 def _lowered(exps):
     """(entry, exponent, lowered sparse exponents) per entry of exps."""
     out = []
@@ -413,7 +393,11 @@ def _build_plan(monomials, size, by_z, by_zbar):
         if by_zbar and not we:
             # no d/dzbar part, so its z side needs no lowering
             continue
-        zs = _lowerings(c, ze) if by_z else ((0, c, ze),)
+        if by_z:
+            # each coefficient formed and dropped as dz does
+            zs = [(a, v, fa) for a, e, fa in _lowered(ze) if abs(v := 0.0 + c * e) > COEFF_DROP]
+        else:
+            zs = ((0, c, ze),)
         if not by_zbar:
             for a, v, fa in zs:
                 sums.setdefault(a, []).append((v, fa, we))
@@ -426,20 +410,21 @@ def _build_plan(monomials, size, by_z, by_zbar):
     return list(sums.items())
 
 
-def _evaluate(plan, zs, n):
-    """The n sums of a plan at the point entries zs, Python complex numbers:
-    each term is multiplied up from its coefficient by its z powers in entry
-    order and then its conjugate powers, and each sum runs from 0j in term
-    order."""
+def _evaluate(plan, entries, n):
+    """The n sums of a plan over entries, one per field entry: the Python
+    complex entries of a point, or the (N,) columns of a stack, whose rows'
+    bits do not depend on N because the products are formed out of place.
+    Each term is multiplied up from its coefficient by its z powers in entry
+    order and then its conjugate powers; each sum runs from 0j in term order."""
     out = [0j] * n
     for i, terms in plan:
         total = 0j
         for v, ze, we in terms:
             for a, e in ze:
-                v *= zs[a] ** e
+                v = v * entries[a] ** e
             for a, e in we:
-                v *= zs[a].conjugate() ** e
-            total += v
+                v = v * entries[a].conjugate() ** e
+            total = total + v
         out[i] = total
     return out
 
@@ -577,7 +562,8 @@ def wirtinger_hessian(u, z, step=None):
     zf = np.asarray(z, dtype=complex).reshape(-1)
     size = zf.size
     if isinstance(u, PolyField):
-        return np.array(u._sums(True, True, zf, size * size), dtype=complex).reshape(size, size)
+        H = u._sums(True, True, _point_values(u, zf), size * size)
+        return np.array(H, dtype=complex).reshape(size, size)
 
     h = step if step is not None else 1e-4 * max(1.0, float(np.linalg.norm(zf)))
     if h < 1e-7:
@@ -602,7 +588,7 @@ def _gradient(u, z, sign):
     zf = np.asarray(z, dtype=complex).reshape(-1)
     size = zf.size
     if isinstance(u, PolyField):
-        return np.array(u._sums(sign < 0, sign > 0, zf, size), dtype=complex)
+        return np.array(u._sums(sign < 0, sign > 0, _point_values(u, zf), size), dtype=complex)
 
     def level(h):
         f = _stencil_values(u, zf, h, pairs=False).reshape(2 * size, 2, 2)

@@ -79,7 +79,8 @@ def test_odd_iii_silov_points_check_the_family_symmetry(monkeypatch):
 @pytest.mark.parametrize("family", ["II", "III"])
 def test_embed_checks_the_family_symmetry(family, broken):
     if family == "II":
-        e = embeddings.type_ii_embedding(domains.haar_unitary(np.random.default_rng(41), 3))
+        u = domains.haar_unitaries(np.random.default_rng(41), 1, 3)[0]
+        e = embeddings.type_ii_embedding(u)
     else:
         e = embeddings.type_iii_embedding(3)
     lam = np.full(e.ball_dim, 0.3 + 0.1j)
@@ -222,7 +223,7 @@ def test_interior_stack_equals_per_draw_reference(spec):
 
 def test_haar_unitary_is_unitary():
     rng = np.random.default_rng(3)
-    u = domains.haar_unitary(rng, 4)
+    u = domains.haar_unitaries(rng, 1, 4)[0]
     assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
 
 

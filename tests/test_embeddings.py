@@ -52,7 +52,7 @@ def test_embed_lands_in_the_target_domain():
     rng = np.random.default_rng(0)
     cases = [
         embeddings.type_i_embedding(unit(rng, 2), 3),
-        embeddings.type_ii_embedding(domains.haar_unitary(rng, 3)),
+        embeddings.type_ii_embedding(domains.haar_unitaries(rng, 1, 3)[0]),
         embeddings.type_iii_embedding(4),
     ]
     for e in cases:
@@ -77,7 +77,7 @@ def test_rank_one_gram_identity_is_exact():
 
 def test_compose_matches_pointwise_evaluation():
     rng = np.random.default_rng(2)
-    e = embeddings.type_ii_embedding(domains.haar_unitary(rng, 2))
+    e = embeddings.type_ii_embedding(domains.haar_unitaries(rng, 1, 2)[0])
     u = random_poly_field((2, 2), rng, degree=2)
     g = embeddings.compose(e, u)
     lam = ball_point(rng, 2)
@@ -99,7 +99,7 @@ def test_pullback_residual_all_three_kinds():
     u1 = random_poly_field((2, 3), rng, degree=4, n_terms=8)
     g1 = embeddings.compose(e1, u1)
     assert abs(embeddings.pullback_residual(e1, u1, g1, ball_point(rng, 3))) < 1e-9
-    e2 = embeddings.type_ii_embedding(domains.haar_unitary(rng, 3))
+    e2 = embeddings.type_ii_embedding(domains.haar_unitaries(rng, 1, 3)[0])
     u2 = random_poly_field((3, 3), rng, degree=2, n_terms=6)
     g2 = embeddings.compose(e2, u2)
     assert abs(embeddings.pullback_residual(e2, u2, g2, ball_point(rng, 3))) < 1e-9
@@ -140,7 +140,7 @@ def _map_cases():
     campaign."""
     rng = np.random.default_rng(9)
     e1 = embeddings.type_i_embedding(unit(rng, 2), 3)
-    e2 = embeddings.type_ii_embedding(domains.haar_unitary(rng, 3))
+    e2 = embeddings.type_ii_embedding(domains.haar_unitaries(rng, 1, 3)[0])
     e3 = embeddings.type_iii_embedding(4)
     c0, c1 = (PolyField.coordinate((1, 2), a) for a in range(2))
     bidisc = list(domains.biholo_iv2_inverse(c0, c1))

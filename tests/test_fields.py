@@ -499,6 +499,52 @@ def test_call_equals_the_scalar_loop():
             assert np.array_equal(_bits(f(z)), _bits(_reference_call(f, z)))
 
 
+def _reference_many(u, pts):
+    """The array loop of evaluate_many before it ran the value plan; kept
+    as the bit-for-bit reference."""
+    zf = np.asarray(pts, dtype=complex).reshape(len(pts), u.size)
+    out = np.zeros(len(pts), dtype=complex)
+    for c, ze, we in u.monomials():
+        v = np.full(len(pts), c, dtype=complex)
+        for a, e in ze:
+            v = v * zf[:, a] ** e
+        for a, e in we:
+            v = v * zf[:, a].conj() ** e
+        out += v
+    return out
+
+
+def _assert_stack_bits(fields_, z, rng):
+    """evaluate_many equals _reference_many bit for bit on stacks of 0, 1
+    and 7 rows, the point z and its sign flips and conjugates first, and a
+    row of the 7-row stack equals that row as a stack of one."""
+    re, im = rng.standard_normal((2, 3) + z.shape)
+    stack = np.concatenate([np.stack([z, -z, z.conj(), -z.conj()]), 0.5 * (re + 1j * im)])
+    for f in fields_:
+        for rows in (stack[:0], stack[:1], stack):
+            values = f.evaluate_many(rows)
+            assert values.shape == (len(rows),) and values.dtype == complex
+            assert np.array_equal(_bits(values), _bits(_reference_many(f, rows)))
+        for i, row in enumerate(stack):
+            assert np.array_equal(_bits(values[i]), _bits(f.evaluate_many(row[np.newaxis])))
+
+
+def test_evaluate_many_equals_the_array_loop():
+    rng = np.random.default_rng(23)
+    for u, z in _exact_cases():
+        fields_ = (u, u.conjugate(), u.dz(0), u.dzbar(1))
+        if any(np.isinf(c) for c, _, _ in u.monomials()):
+            # inf times an entry gives inf - inf in numpy's array multiply,
+            # which warns; the Python complex product of a point does not
+            with pytest.warns(RuntimeWarning, match="invalid value encountered in multiply"):
+                _assert_stack_bits(fields_, z, rng)
+        else:
+            _assert_stack_bits(fields_, z, rng)
+    shape = (2, 3)
+    z = 0.5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    _assert_stack_bits((PolyField.constant(shape, 0.3 - 0.7j), PolyField(shape)), z, rng)
+
+
 def test_exact_gradients_equal_the_derivative_fields():
     for u, z in _exact_cases():
         size = u.size
@@ -619,7 +665,7 @@ def _embedding_cases():
     rng = np.random.default_rng(8)
     xi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     e1 = embeddings.type_i_embedding(xi / np.linalg.norm(xi), 3)
-    e2 = embeddings.type_ii_embedding(domains.haar_unitary(rng, 3))
+    e2 = embeddings.type_ii_embedding(domains.haar_unitaries(rng, 1, 3)[0])
     e3 = embeddings.type_iii_embedding(4)
     # entry 5 is a zero component of the corner map: its conjugate ends a
     # monomial first, after a nonzero factor, or alone
