@@ -48,9 +48,10 @@ class DomainSpec:
         if self.n < 1:
             raise ValueError("n must be positive")
 
-    @property
+    @functools.cached_property
     def shape(self):
-        """Ambient matrix shape; TypeIV vectors are stored as 1 x n."""
+        """Ambient matrix shape, computed once per spec; TypeIV vectors are
+        stored as 1 x n."""
         if self.family == "IV":
             return (1, self.n)
         return (self.m, self.n)

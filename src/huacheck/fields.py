@@ -24,12 +24,14 @@ matrix.  Two representations are supported:
   stack the same products of its columns.
 * ``OpaqueField`` -- an arbitrary evaluator, differentiated by central finite
   differences in the underlying real coordinates: the FD Hessian and
-  gradient share one stencil builder and one Richardson step, and an
-  optional stack evaluator takes each level's stencil in one call.
+  gradient share one stencil layout, built once per size, and one
+  Richardson step, and an optional stack evaluator takes each level's
+  stencil in one call.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 import warnings
 
@@ -499,28 +501,54 @@ def random_poly_field(shape, rng, degree=4, n_terms=8):
     return PolyField._canonical(tuple(shape), terms, degree)
 
 
-def _stencil_values(u, zf, h, pairs):
-    """(re, im) float pairs of u at the central-difference stencil of step h
-    around the flat complex point zf, from one evaluate_many call.
+@functools.lru_cache(maxsize=None)
+def _stencil_layout(size, pairs):
+    """Where the stencil of _stencil_values moves a flat point of size
+    complex entries, built once per (size, pairs) as read-only arrays:
+    (rows, index, sign, iu, ju).
 
-    Real coordinate i of d = 2 zf.size is Re zf, then Im zf; the 2d axis
-    rows move one of them by +h, then -h. With pairs, the centre comes first
-    and the four rows ++, +-, -+, -- of each pair i < j follow, in
-    np.triu_indices order.
+    Real coordinate i of d = 2 size is Re z_i for i < size, else
+    Im z_(i - size), float column col[i] of a row's interleaved view. The
+    2d axis rows move coordinate i by +h, then -h; with pairs, the centre
+    comes first and the four rows ++, +-, -+, -- of each pair i < j follow,
+    the pairs (iu, ju) in np.triu_indices order, which without pairs are
+    empty. index holds the flat float positions the rows move, each once,
+    and sign the +-1.0 that multiplies h there.
     """
-    d = 2 * zf.size
-    # real coordinate i is column col[i] of the interleaved float view
+    d = 2 * size
     col = np.concatenate([np.arange(0, d, 2), np.arange(1, d, 2)])
     # without pairs, an offset of d leaves the upper triangle empty
     iu, ju = np.triu_indices(d, 1 if pairs else d)
     lead = int(pairs)
-    rows = np.tile(zf, (lead + 2 * d + 4 * len(iu), 1))
-    X = rows.view(np.float64)
-    X[lead + np.arange(2 * d), np.repeat(col, 2)] += np.tile([h, -h], d)
-    quad = np.arange(lead + 2 * d, len(rows))
-    X[quad, np.repeat(col[iu], 4)] += np.tile([h, h, -h, -h], len(iu))
-    X[quad, np.repeat(col[ju], 4)] += np.tile([h, -h, h, -h], len(iu))
-    v = u.evaluate_many(rows)
+    rows = lead + 2 * d + 4 * len(iu)
+    quad = np.arange(lead + 2 * d, rows)
+    index = np.concatenate([
+        (lead + np.arange(2 * d)) * d + np.repeat(col, 2),
+        quad * d + np.repeat(col[iu], 4),
+        quad * d + np.repeat(col[ju], 4),
+    ])
+    sign = np.concatenate([
+        np.tile([1.0, -1.0], d),
+        np.tile([1.0, 1.0, -1.0, -1.0], len(iu)),
+        np.tile([1.0, -1.0, 1.0, -1.0], len(iu)),
+    ])
+    for a in (index, sign, iu, ju):
+        a.flags.writeable = False
+    return rows, index, sign, iu, ju
+
+
+def _stencil_values(u, zf, h, pairs):
+    """(re, im) float pairs of u at the central-difference stencil of step h
+    around the flat complex point zf, from one evaluate_many call.
+
+    The rows are zf tiled, plus sign * h, which is exactly +-h, at the
+    positions of the cached _stencil_layout(zf.size, pairs); only the tile
+    and that one scatter are made per call.
+    """
+    rows, index, sign, _, _ = _stencil_layout(zf.size, pairs)
+    points = np.tile(zf, (rows, 1))
+    points.view(np.float64).reshape(-1)[index] += sign * h
+    v = u.evaluate_many(points)
     return np.stack((v.real, v.imag), axis=-1)
 
 
@@ -537,7 +565,7 @@ def _real_hessian(u, zf, h):
     pairs gives bitwise the complex arithmetic of the per-pair loop.
     """
     d = 2 * zf.size
-    iu, ju = np.triu_indices(d, 1)
+    _, _, _, iu, ju = _stencil_layout(zf.size, True)
     f = _stencil_values(u, zf, h, pairs=True)
     fa = f[1 : 1 + 2 * d].reshape(d, 2, 2)
     fq = f[1 + 2 * d :].reshape(len(iu), 4, 2)

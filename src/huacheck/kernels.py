@@ -11,11 +11,13 @@ one boundary point for the FD stencil or over a stacked boundary sample for
 the Monte-Carlo Poisson solve of huacheck.dirichlet. Both sum det W from
 the generic norm of the Jordan triple, compiled once per table into
 straight-line Python: on arrays for a stack, on Python scalars in the one
-cached evaluator of z per boundary point w, which on III stores its values
-by the upper triangle of z, the only cells its Pfaffians read. The
-boundary identity is checked along two routes: direct numerical
-differentiation of P, and closed forms built from the log-gradient formulas
-(the boundary tensors for II/III, the exact component assembly for TypeI).
+cached evaluator of z per boundary point w, the last one built, keyed by
+the family, the shape and w's complex bytes. On III that evaluator stores
+its values keyed by the complex bytes of z's upper triangle, the only cells
+its Pfaffians read. The boundary identity is checked along two routes:
+direct numerical differentiation of P, and closed forms built from the
+log-gradient formulas (the boundary tensors for II/III, the exact component
+assembly for TypeI).
 Every matrix inverse goes through ``inverse``, which raises SingularMatrixError
 near singularity instead of returning an inaccurate result.
 """
@@ -25,7 +27,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 
 import numpy as np
 
@@ -42,10 +43,10 @@ SINGULARITY_FLOOR = 1e-12
 FD_STEP = 1e-3
 
 # Values the one-point evaluator of a III boundary point stores, one per
-# upper triangle of z; a full store drops its least recently used value.
-# One III(4) FD Hessian needs 577 (poisson_szego): the bound holds one with
-# room to spare and caps what a caller that sends one w many points can
-# pile up. III(6) has 3,601 and III(8) 12,545, so their stores drop values
+# upper triangle of z, keyed by the complex bytes of its cells; a full
+# store drops its least recently used value. One III(4) FD Hessian needs
+# 577 (poisson_szego): the bound holds one with room to spare and caps what
+# a caller that sends one w many points can pile up. III(6) has 3,601 and III(8) 12,545, so their stores drop values
 # within a Hessian; as the stencil returns to a triangle soon after it left
 # it, III(6) still evaluates each once and III(8) 12,925 times.
 POINT_STORE = 1024
@@ -163,10 +164,12 @@ def _point_kernel(family, shape, w_bytes):
     call), so the FD stencil around z, whose rows share w, builds w once.
 
     Each z is one call of the compiled point (_expansion). Where the table
-    reads fewer cells than z has (III), the values are stored by the tuple
-    of cells read, in an LRU cache of POINT_STORE values that drops the
-    least recently used one: the sum reads nothing else of z, so a stored
-    value has the bits of a fresh one.
+    reads fewer cells than z has (III), the values are stored in an LRU
+    cache of POINT_STORE values that drops the least recently used one,
+    keyed by the bytes of the cells read, taken as complex (a real z keys
+    as z + 0j); a miss decodes the key into the Python complex entries the
+    sum reads. The sum reads nothing else of z, so a stored value has the
+    bits of a fresh one.
     """
     spec = DomainSpec(family, *shape)
     k = float(kappa(spec))
@@ -190,10 +193,14 @@ def _point_kernel(family, shape, w_bytes):
     if len(cells) == spec.size:
         # I and II read every entry, in row-major order
         return lambda z: expanded(z.ravel().tolist())
-    stored = functools.lru_cache(maxsize=POINT_STORE)(expanded)
-    # itemgetter of one cell (III(2)) gives the bare entry, not a 1-tuple
-    read = operator.itemgetter(*cells) if len(cells) > 1 else lambda x: (x[cells[0]],)
-    return lambda z: stored(read(z.ravel().tolist()))
+
+    @functools.lru_cache(maxsize=POINT_STORE)
+    def stored(key):
+        return expanded(np.frombuffer(key, dtype=complex).tolist())
+
+    read = np.array(cells)
+    # the cells as complex: a real z keys, and decodes, as the same z + 0j
+    return lambda z: stored(z.ravel()[read].astype(complex, copy=False).tobytes())
 
 
 @functools.lru_cache(maxsize=1)
@@ -274,9 +281,9 @@ def poisson_szego(spec, z, w):
     _generic_norm_dets, whose buffers are reused from call to call.
 
     One boundary point w is one lookup of its cached evaluator
-    (_point_kernel) and one call of it, so the FD stencil around z builds
-    w's side once; each call runs the same compiled expansion on Python
-    scalars, on every table.
+    (_point_kernel, keyed by w's complex bytes) and one call of it, so the
+    FD stencil around z builds w's side once; each call runs the same
+    compiled expansion on Python scalars, on every table.
 
     On I and II the expansion is det(I - z w*) at every z, by Cauchy-Binet,
     so also at the stencil rows off the symmetric slice of II. On III its
@@ -286,7 +293,8 @@ def poisson_szego(spec, z, w):
     stencil moves all 2 n^2 real coordinates and the Pfaffians read n (n - 1)
     of them, so the 4,098 rows of a III(4) Hessian hold only 577 distinct
     triangles and the 20,738 of III(6) 3,601; the evaluator stores one value
-    per triangle and drops the least recently used one beyond POINT_STORE.
+    per triangle, keyed by the complex bytes of its cells, and drops the
+    least recently used one beyond POINT_STORE.
 
     Membership is the caller's to check, as poisson_solve and
     check_theorem22 do. Every route raises ValueError where det V(z) <= 0,

@@ -248,6 +248,48 @@ def test_fd_hessian_evaluates_once_per_stencil_point(shape):
     assert set(calls) == {shape}
 
 
+def _inline_stencil_rows(zf, h, pairs):
+    """The stencil rows as _stencil_values built them before the layout was
+    cached: every index and sign array made afresh at each level."""
+    d = 2 * zf.size
+    col = np.concatenate([np.arange(0, d, 2), np.arange(1, d, 2)])
+    iu, ju = np.triu_indices(d, 1 if pairs else d)
+    lead = int(pairs)
+    rows = np.tile(zf, (lead + 2 * d + 4 * len(iu), 1))
+    X = rows.view(np.float64)
+    X[lead + np.arange(2 * d), np.repeat(col, 2)] += np.tile([h, -h], d)
+    quad = np.arange(lead + 2 * d, len(rows))
+    X[quad, np.repeat(col[iu], 4)] += np.tile([h, h, -h, -h], len(iu))
+    X[quad, np.repeat(col[ju], 4)] += np.tile([h, -h, h, -h], len(iu))
+    return rows
+
+
+@pytest.mark.parametrize("size", [1, 4, 6, 9, 16])
+@pytest.mark.parametrize("pairs", [False, True])
+def test_stencil_rows_from_the_cached_layout_equal_the_inline_rows(size, pairs):
+    rng = np.random.default_rng(size)
+    zf = 0.3 * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    seen = []
+
+    def many(pts):
+        seen.append(pts.reshape(len(pts), -1).copy())
+        return np.sum(pts * pts.conj(), axis=(1, 2)) + pts[:, 0, 0]
+
+    u = OpaqueField((1, size), None, many)
+    for h in (1e-3, 5e-4):
+        values = fields._stencil_values(u, zf, h, pairs)
+        rows = _inline_stencil_rows(zf, h, pairs)
+        assert seen[-1].tobytes() == rows.tobytes()
+        v = many(rows.reshape(-1, 1, size))
+        assert values.tobytes() == np.stack((v.real, v.imag), axis=-1).tobytes()
+    layout = fields._stencil_layout(size, pairs)
+    assert layout is fields._stencil_layout(size, pairs)
+    for array in layout[1:]:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 0
+
+
 def test_opaque_field_passes_shaped_complex_rows_through():
     # a row of evaluate_many reaches fn as it is; other input is converted
     # and reshaped, and the value is a complex either way

@@ -112,13 +112,9 @@ def test_one_point_kernel_on_the_fd_stencil(domain):
     assert_allclose(got, [_two_det_kernel(spec, x, w) for x in references], rtol=1e-13)
 
 
-def test_point_store_is_bounded_and_dropped_with_w(monkeypatch):
-    spec = type_iii(4)
-    z, w = pair(spec, seed=21)
-    other = domains.sample_silov(spec, seed=23, count=1)[0]
-    bound = kernels.POINT_STORE
-    # bound + 1 points of distinct upper triangles
-    zs = [z * (1.0 - i / (4.0 * bound)) for i in range(bound + 1)]
+def _counted_evaluations(monkeypatch):
+    """A list that grows by one at each call of a compiled expansion made
+    from here on: w's features or one point evaluation of z."""
     evaluations = []
     expansion = kernels._expansion
 
@@ -131,6 +127,17 @@ def test_point_store_is_bounded_and_dropped_with_w(monkeypatch):
 
     monkeypatch.setattr(kernels, "_expansion", counted)
     kernels._point_kernel.cache_clear()
+    return evaluations
+
+
+def test_point_store_is_bounded_and_dropped_with_w(monkeypatch):
+    spec = type_iii(4)
+    z, w = pair(spec, seed=21)
+    other = domains.sample_silov(spec, seed=23, count=1)[0]
+    bound = kernels.POINT_STORE
+    # bound + 1 points of distinct upper triangles
+    zs = [z * (1.0 - i / (4.0 * bound)) for i in range(bound + 1)]
+    evaluations = _counted_evaluations(monkeypatch)
     first = [kernels.poisson_szego(spec, x, w) for x in zs[:bound]]
     # w's coefficients, then one evaluation per point
     assert len(evaluations) == 1 + bound
@@ -146,6 +153,40 @@ def test_point_store_is_bounded_and_dropped_with_w(monkeypatch):
     kernels.poisson_szego(spec, z, other)
     assert kernels.poisson_szego(spec, z, w) == first[0]
     assert len(evaluations) == 4
+
+
+def test_iii_rows_off_the_upper_triangle_share_one_evaluation(monkeypatch):
+    # the III store is keyed by the upper triangle alone: moving entries on
+    # or below the diagonal finds the stored value, moving one above it
+    # evaluates again
+    spec = type_iii(4)
+    z, w = pair(spec, seed=29)
+    evaluations = _counted_evaluations(monkeypatch)
+    value = kernels.poisson_szego(spec, z, w)
+    assert len(evaluations) == 2
+    for i, j in ((0, 0), (2, 2), (1, 0), (3, 1), (3, 2)):
+        moved = z.copy()
+        moved[i, j] += 0.01 - 0.02j
+        assert kernels.poisson_szego(spec, moved, w) == value
+    assert len(evaluations) == 2
+    moved = z.copy()
+    moved[1, 3] += 0.01 - 0.02j
+    assert kernels.poisson_szego(spec, moved, w) != value
+    assert len(evaluations) == 3
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_real_and_complex_z_give_one_iii_value(n):
+    # a real z keys the III store as z + 0j: the two agree fresh and stored
+    spec = type_iii(n)
+    z, w = pair(spec, seed=31)
+    real = np.ascontiguousarray(z.real)
+    kernels._point_kernel.cache_clear()
+    fresh_real = kernels.poisson_szego(spec, real, w)
+    kernels._point_kernel.cache_clear()
+    fresh_complex = kernels.poisson_szego(spec, real.astype(complex), w)
+    assert fresh_real == fresh_complex == kernels.poisson_szego(spec, real, w)
+    assert_allclose(fresh_real, _two_det_kernel(spec, real, w), rtol=1e-13)
 
 
 # the ids keep the suite's names for these cases: True marks the tables of
