@@ -7,6 +7,8 @@ A point is an (m, n) complex array of spec.shape (1 x n for TypeIV), and a
 set of points is an (N, m, n) stack; both samplers return stacks. Where a
 TypeII or TypeIII point is made from a product that is (anti)symmetric only
 up to rounding, require_family_symmetry checks it, failing closed on NaN.
+III(4) is the image of IV(6) under a complex-linear isometry (so(6,2) =
+so*(8)), and its distinguished-boundary points are drawn through it.
 
 Families:
   I(m,n)  : m x n complex matrices z with I - zz* > 0, m <= n
@@ -238,7 +240,8 @@ def _gram_schmidt(a):
 
 def _require_orthonormal(q):
     """Raise ValueError unless every draw of the entry-major block q has
-    orthonormal columns, Q*Q = I to SYMMETRY_TOL entrywise."""
+    orthonormal columns, Q*Q = I to SYMMETRY_TOL entrywise. For q = w^t, a
+    swapped-axes view, that is w w* = I: (Q*Q)_ij is the conjugate of (ww*)_ij."""
     defects = []
     # Q*Q is Hermitian, so its upper triangle (row i from column i on) will do
     for i in range(q.shape[1]):
@@ -248,7 +251,7 @@ def _require_orthonormal(q):
     worst = np.max(defects)
     # fail closed: nan <= tol is False, so a NaN entry raises too
     if not worst <= SYMMETRY_TOL:
-        raise ValueError(f"Haar draw is not orthonormal (Q*Q - I reaches {worst:.3g})")
+        raise ValueError(f"draw is not orthonormal (Q*Q - I reaches {worst:.3g})")
 
 
 def _haar_stack(rng, k, n, cols):
@@ -304,6 +307,15 @@ def sample_silov(spec, seed, count):
     drawn; row i depends only on the seed and i, so a shorter sample is a
     prefix.
 
+    III(4) is drawn through the isometry L: IV(6) -> III(4) instead, as
+    L(e^{i theta} x) for theta uniform and x uniform on the real unit sphere
+    S^5, eight normals per draw. L intertwines U(4): V L(z) V^t =
+    L(sqrt(det V) R z) with R in SO(6), so U(4) acts on C^6 through
+    S^1 x SO(6), which keeps the uniform law on S^1 x S^5. Its image under L
+    is therefore the U(4)-invariant law on the distinguished boundary, the law
+    of U J U^t with J = L(e_1). Each block is checked for w w* = I and for
+    antisymmetry.
+
     seed may also be a numpy Generator, which is used as it stands. Each
     draw takes the next values of the stream, so successive calls on one
     Generator give the rows of one call with its seed and their summed
@@ -358,23 +370,67 @@ def _fill_silov_block(spec, rng, rows, cols):
     The products are formed entry-major, one vector over the block's draws
     per matrix entry, and transposed into rows once at the end.
     """
-    u = _haar_stack(rng, len(rows), spec.n, cols)
-    if spec.family == "I":
-        rows[...] = u.transpose(2, 1, 0)
-        return
-    w = np.zeros((spec.n, spec.n, len(rows)), dtype=complex)
-    if spec.family == "II":
-        # (U U^t)_ab = sum_c U_ac U_bc
-        for c in range(cols):
-            w += u[:, None, c] * u[None, :, c]
+    if spec == type_iii(4):
+        w = _iii4_silov_stack(rng, len(rows))
     else:
-        # (U J U^t)_ab = sum_i U_a,2i U_b,2i+1 - U_a,2i+1 U_b,2i
-        for c in range(0, cols, 2):
-            w += u[:, None, c] * u[None, :, c + 1]
-            w -= u[:, None, c + 1] * u[None, :, c]
-    del u
+        u = _haar_stack(rng, len(rows), spec.n, cols)
+        if spec.family == "I":
+            rows[...] = u.transpose(2, 1, 0)
+            return
+        w = np.zeros((spec.n, spec.n, len(rows)), dtype=complex)
+        if spec.family == "II":
+            # (U U^t)_ab = sum_c U_ac U_bc
+            for c in range(cols):
+                w += u[:, None, c] * u[None, :, c]
+        else:
+            # (U J U^t)_ab = sum_i U_a,2i U_b,2i+1 - U_a,2i+1 U_b,2i
+            for c in range(0, cols, 2):
+                w += u[:, None, c] * u[None, :, c + 1]
+                w -= u[:, None, c + 1] * u[None, :, c]
+        del u
     require_family_symmetry(spec, w)
     rows[...] = w.transpose(2, 0, 1)
+
+
+def _iv6_to_iii4(z):
+    """The isometry L: IV(6) -> III(4), z -> sum_k z_k E_k, of an axis-first
+    stack: z has shape (6, k) and L(z) shape (4, 4, k).
+
+    With A_ab = e_ab - e_ba (0-based), E_1 = A_01 + A_23, E_2 = i(A_01 - A_23),
+    E_3 = A_02 - A_13, E_4 = i(A_02 + A_13), E_5 = A_03 + A_12 and
+    E_6 = i(A_03 - A_12): antisymmetric, Frobenius-orthogonal, each of norm^2
+    4, and Pf L(z) = z.z (Helgason, Differential Geometry, Lie Groups, and
+    Symmetric Spaces, 1978, ch. X section 6). Entries are written one by one,
+    with no BLAS call, so the bits do not depend on the BLAS build.
+    """
+    z1, z2, z3, z4, z5, z6 = z
+    w = np.zeros((4, 4) + z.shape[1:], dtype=complex)
+    w[0, 1] = z1 + 1j * z2
+    w[2, 3] = z1 - 1j * z2
+    w[0, 2] = z3 + 1j * z4
+    w[1, 3] = -z3 + 1j * z4
+    w[0, 3] = z5 + 1j * z6
+    w[1, 2] = z5 - 1j * z6
+    for a, b in ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)):
+        w[b, a] = -w[a, b]
+    return w
+
+
+def _iii4_silov_stack(rng, k):
+    """k Silov points L(e^{i theta} x) of III(4), entry-major: shape (4, 4, k).
+
+    Draws a (k, 8) Gaussian block, so draw i takes the stream's next eight
+    normals: x is the first six over their length, uniform on S^5, and
+    e^{i theta} = (g_6 + i g_7)/|g_6 + i g_7| is uniform on S^1. Every block
+    is checked for w w* = I before it is returned.
+    """
+    g = rng.standard_normal((k, 8)).T
+    x = g[:6] / np.sqrt((g[:6] ** 2).sum(0))
+    phase = g[6] + 1j * g[7]
+    phase /= np.abs(phase)
+    w = _iv6_to_iii4(phase * x)
+    _require_orthonormal(w.swapaxes(0, 1))
+    return w
 
 
 def odd_iii_silov_points(n, seed, count):

@@ -185,11 +185,11 @@ def test_poisson_solve_of_one_at_the_origin_has_zero_stderr():
 
 
 def test_poisson_solve_streams_the_sample():
-    # the 100,000 draws of III(4) alone take 24.4 MB; the solve peaks while
-    # it draws a block of 4096 (the sampler's working set, 4.2 MB with the
-    # new block), holding the kernel's generic-norm buffers for the 10
-    # points (1.2 MB) and the (point, field, draw) products (0.7 MB) but not
-    # the last block, which it drops first: 6.0 MB
+    # the 100,000 draws of III(4) alone take 25.6 MB; the solve peaks at
+    # 5.7 MB while it draws a block of 4096 (the sampler's working set, 3.9 MB
+    # with the new block), holding the kernel's generic-norm buffers for the
+    # 10 points and the (point, field, draw) products (1.7 MB together) but
+    # not the last block, which it drops first (bytes / 1e6, tracemalloc)
     spec = type_iii(4)
     zs = domains.sample_interior(spec, seed=23, count=10)
     one = PolyField.constant(spec.shape, 1.0)

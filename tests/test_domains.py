@@ -247,11 +247,22 @@ def _lapack_haar(rng, n, cols):
 
 def _silov_reference(spec, seed, count):
     """The boundary sample from one phase-corrected LAPACK QR per draw, a
-    route independent of the sampler's blockwise Gram-Schmidt."""
+    route independent of the sampler's blockwise Gram-Schmidt; on III(4),
+    e^{i theta} x in C^6 per draw from eight normals, mapped to III(4) entry
+    by entry."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
-        if spec.family == "I":
+        if spec == type_iii(4):
+            g = rng.standard_normal(8)
+            phase = complex(g[6], g[7])
+            xi = phase / abs(phase) * g[:6] / np.linalg.norm(g[:6])
+            w = np.zeros((4, 4), dtype=complex)
+            w[0, 1], w[2, 3] = xi[0] + 1j * xi[1], xi[0] - 1j * xi[1]
+            w[0, 2], w[1, 3] = xi[2] + 1j * xi[3], -xi[2] + 1j * xi[3]
+            w[0, 3], w[1, 2] = xi[4] + 1j * xi[5], xi[4] - 1j * xi[5]
+            out.append(w - w.T)
+        elif spec.family == "I":
             out.append(_lapack_haar(rng, spec.n, spec.m).T)
         elif spec.family == "II":
             u = _lapack_haar(rng, spec.n, spec.n)
@@ -264,10 +275,11 @@ def _silov_reference(spec, seed, count):
 
 
 def test_silov_stack_equals_per_draw_reference():
-    # Gram-Schmidt and Householder QR round differently, so the draws agree
-    # to roundoff, not bit for bit
+    # Gram-Schmidt and Householder QR round differently, and so do a stacked
+    # and a one-vector norm, so the draws agree to roundoff, not bit for bit;
+    # III(6) is drawn as U J U^t, III(4) through IV(6)
     count = domains.SILOV_CHUNK + 37
-    for spec in (type_i(2, 3), type_ii(3), type_iii(4)):
+    for spec in (type_i(2, 3), type_ii(3), type_iii(4), type_iii(6)):
         ws = domains.sample_silov(spec, seed=5, count=count)
         assert ws.shape == (count,) + spec.shape
         assert ws.dtype == np.complex128
@@ -347,31 +359,70 @@ def test_silov_calls_on_one_generator_continue_one_stream():
         assert np.array_equal(np.concatenate(parts), full)
 
 
-def test_silov_symmetry_check_fails_closed_on_nan_in_last_block(monkeypatch):
-    haar_stack = domains._haar_stack
+def _nan_in_partial_block(draw):
+    """draw, with a NaN put into its entry-major (..., k) result when k is
+    shorter than SILOV_CHUNK."""
 
-    def nan_in_partial_block(rng, k, *args):
-        u = haar_stack(rng, k, *args)
-        if k < domains.SILOV_CHUNK:
+    def drawn(*args):
+        u = draw(*args)
+        if u.shape[-1] < domains.SILOV_CHUNK:
             u[-1, 0, 0] = np.nan
         return u
 
-    monkeypatch.setattr(domains, "_haar_stack", nan_in_partial_block)
-    for spec in (type_ii(3), type_iii(4)):
-        with pytest.raises(ValueError, match="breaks the family symmetry"):
-            domains.sample_silov(spec, seed=6, count=domains.SILOV_CHUNK + 37)
+    return drawn
+
+
+def test_silov_symmetry_check_fails_closed_on_nan_in_last_block(monkeypatch):
+    cases = [
+        (type_ii(3), "_haar_stack", "breaks the family symmetry"),
+        (type_iii(6), "_haar_stack", "breaks the family symmetry"),
+        (type_iii(4), "_iii4_silov_stack", "breaks the family symmetry"),
+        # a NaN before the w w* = I gate, which must catch it
+        (type_iii(4), "_iv6_to_iii4", "not orthonormal"),
+    ]
+    for spec, draw, match in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(domains, draw, _nan_in_partial_block(getattr(domains, draw)))
+            with pytest.raises(ValueError, match=match):
+                domains.sample_silov(spec, seed=6, count=domains.SILOV_CHUNK + 37)
 
 
 def test_silov_working_set_is_one_block():
     # tracemalloc sees numpy's buffers; 8 blocks make one block's temporaries
     # a small share of the output
-    tracemalloc.start()
-    try:
-        out = domains.sample_silov(type_iii(4), seed=7, count=8 * domains.SILOV_CHUNK)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - out.nbytes < out.nbytes / 2
+    for spec in (type_iii(4), type_iii(6)):
+        tracemalloc.start()
+        try:
+            out = domains.sample_silov(spec, seed=7, count=8 * domains.SILOV_CHUNK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < out.nbytes / 2
+
+
+def test_iii4_frames_intertwine_u4():
+    # the frames E_l = L(e_l) of IV(6) -> III(4), exactly: antisymmetric,
+    # Frobenius-orthogonal, each of norm^2 4
+    frames = domains._iv6_to_iii4(np.eye(6, dtype=complex)).transpose(2, 0, 1)
+    assert np.array_equal(frames, -frames.swapaxes(1, 2))
+    gram = np.einsum("kab,lab->kl", frames.conj(), frames)
+    assert np.array_equal(gram, 4.0 * np.eye(6))
+    # L(e^{i theta} x) is unitary for real unit x
+    rng = np.random.default_rng(43)
+    x = rng.standard_normal((200, 6))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    xi = np.exp(2j * np.pi * rng.uniform(size=200))[:, None] * x
+    w = domains._iv6_to_iii4(xi.T).transpose(2, 0, 1)
+    assert np.abs(w @ w.conj().transpose(0, 2, 1) - np.eye(4)).max() <= 1e-14
+    # V E_l V^t = sqrt(det V) sum_k R_kl E_k with R real orthogonal: U(4)
+    # acts on C^6 through S^1 x SO(6), so the push-forward of the uniform law
+    # on S^1 x S^5 is the U(4)-invariant law of U J U^t, J = E_1
+    assert np.array_equal(frames[0], np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]]))
+    for v in domains.haar_unitaries(rng, 50, 4):
+        moved = v @ frames @ v.T
+        r = np.einsum("kab,lab->kl", frames.conj(), moved) / 4.0 / np.sqrt(np.linalg.det(v))
+        assert np.abs(r.imag).max() <= 1e-13
+        assert np.abs(r.real.T @ r.real - np.eye(6)).max() <= 1e-13
 
 
 def test_silov_unsupported_families():
