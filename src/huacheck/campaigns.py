@@ -26,20 +26,10 @@ def _report(campaign, records):
     return VerificationReport(campaign, [record_from_values(*r) for r in records])
 
 
-def _units(rng, count, k):
-    """count points of the unit sphere of C^k, (count, k): normalized Gaussians.
-
-    One (count, 2, k) draw: point i takes its real, then its imaginary part.
-    """
-    g = rng.standard_normal((count, 2, k))
-    v = g[:, 0] + 1j * g[:, 1]
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
 def _radial_draws(rng, count, n, low, high):
     """count points of C^n, (count, n): uniform directions, radii uniform in
     [low, high)."""
-    return _units(rng, count, n) * rng.uniform(low, high, (count, 1))
+    return domains.unit_vectors(rng, count, n) * rng.uniform(low, high, (count, 1))
 
 
 # -- kernel ------------------------------------------------------------------
@@ -119,7 +109,7 @@ def run_kernel_campaign(specs, points, seed):
                 1e-12,
             ),
         ]
-        if spec.family == "III" and spec.n % 2 == 0:
+        if spec.family == "III":
             records.append(
                 (
                     f"gram-complement-tensor-{label}",
@@ -285,15 +275,8 @@ def radial_extension_residuals(u, rng, count):
 
 def boundary_trace_residuals(u, rng, count):
     """|u - its boundary trace| at count points of the unit sphere."""
-    zs = _units(rng, count, u.n)
+    zs = domains.unit_vectors(rng, count, u.n)
     return np.abs(u.evaluate_many(zs) - u.boundary_trace(zs))
-
-
-def holomorphic_passthrough_residuals(f, rng, count):
-    """|extension - data| of holomorphic data f at count interior points."""
-    u = dirichlet.solve_tilde([f], f.n)
-    zs = _radial_draws(rng, count, f.n, 0.1, 0.9)
-    return np.abs(u.evaluate_many(zs) - f.field.evaluate_many(zs))
 
 
 def poisson_z_scores(spec, zs, batch):
@@ -343,14 +326,6 @@ def run_dirichlet_campaign(specs, points, seed):
             boundary_trace_residuals(u, rng, 1000),
             1e-8,
         ),
-        (
-            "holomorphic-passthrough",
-            "pure-holomorphic data extends to itself",
-            holomorphic_passthrough_residuals(
-                dirichlet.make_bidegree(2, 0, n, seed), rng, 50
-            ),
-            1e-12,
-        ),
     ]
     for spec in specs:
         # the 100k draws are made one SILOV_CHUNK block at a time inside the
@@ -384,7 +359,7 @@ def run_dirichlet_campaign(specs, points, seed):
 def rank_one_residuals(rng, count):
     """Gram, chain-rule and pullback residuals of rank-one B_3 -> I(2,3) maps."""
     gram_vals, chain_vals, pull_vals = [], [], []
-    xis = _units(rng, count, 2)
+    xis = domains.unit_vectors(rng, count, 2)
     lams = _radial_draws(rng, count, 3, 0.1, 0.7)
     for xi, lam in zip(xis, lams):
         e = embeddings.type_i_embedding(xi, 3)
@@ -580,7 +555,7 @@ def bidisc_transfer_residuals(rng, count):
     """
     inverse_map = bidisc_inverse_map()
     id_vals, harm_vals, cross_vals = [], [], []
-    for z0 in 0.3 * _units(rng, count, 2):
+    for z0 in 0.3 * domains.unit_vectors(rng, count, 2):
         v = coordinatewise_harmonic(rng)
         u = v.compose_holomorphic(inverse_map, (1, 2))
         w0 = np.array(domains.biholo_iv2_inverse(z0[0], z0[1]))

@@ -8,7 +8,8 @@ set of points is an (N, m, n) stack; both samplers return stacks. Where a
 TypeII or TypeIII point is made from a product that is (anti)symmetric only
 up to rounding, require_family_symmetry checks it, failing closed on NaN.
 III(4) is the image of IV(6) under a complex-linear isometry (so(6,2) =
-so*(8)), and its distinguished-boundary points are drawn through it.
+so*(8)), and its distinguished-boundary points are drawn through it:
+antisymmetric by construction, they are checked for w w* = I only.
 
 Families:
   I(m,n)  : m x n complex matrices z with I - zz* > 0, m <= n
@@ -207,6 +208,17 @@ def sample_interior(spec, seed, count):
     return v
 
 
+def unit_vectors(rng, count, k):
+    """count points of the unit sphere of C^k, (count, k): normalized Gaussians.
+
+    One (count, 2, k) draw from the Generator rng: point i takes its real,
+    then its imaginary part.
+    """
+    g = rng.standard_normal((count, 2, k))
+    v = g[:, 0] + 1j * g[:, 1]
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
 # Draws per Gram-Schmidt block in sample_silov, per block of a SilovSample
 # and per generic-norm block in kernels._generic_norm_dets: large enough to
 # amortize the Python overhead over the block's arrays, small enough that a
@@ -313,8 +325,8 @@ def sample_silov(spec, seed, count):
     L(sqrt(det V) R z) with R in SO(6), so U(4) acts on C^6 through
     S^1 x SO(6), which keeps the uniform law on S^1 x S^5. Its image under L
     is therefore the U(4)-invariant law on the distinguished boundary, the law
-    of U J U^t with J = L(e_1). Each block is checked for w w* = I and for
-    antisymmetry.
+    of U J U^t with J = L(e_1). Each block is checked for w w* = I; L writes
+    w_ba = -w_ab entry by entry, so the points are exactly antisymmetric.
 
     seed may also be a numpy Generator, which is used as it stands. Each
     draw takes the next values of the stream, so successive calls on one
@@ -368,26 +380,28 @@ def _fill_silov_block(spec, rng, rows, cols):
     """Draw len(rows) boundary points into rows and check the family symmetry.
 
     The products are formed entry-major, one vector over the block's draws
-    per matrix entry, and transposed into rows once at the end.
+    per matrix entry, and transposed into rows once at the end. III(4)
+    points are antisymmetric by construction (_iv6_to_iii4), so their
+    blocks skip the symmetry check, as TypeI blocks do.
     """
     if spec == type_iii(4):
-        w = _iii4_silov_stack(rng, len(rows))
+        rows[...] = _iii4_silov_stack(rng, len(rows)).transpose(2, 0, 1)
+        return
+    u = _haar_stack(rng, len(rows), spec.n, cols)
+    if spec.family == "I":
+        rows[...] = u.transpose(2, 1, 0)
+        return
+    w = np.zeros((spec.n, spec.n, len(rows)), dtype=complex)
+    if spec.family == "II":
+        # (U U^t)_ab = sum_c U_ac U_bc
+        for c in range(cols):
+            w += u[:, None, c] * u[None, :, c]
     else:
-        u = _haar_stack(rng, len(rows), spec.n, cols)
-        if spec.family == "I":
-            rows[...] = u.transpose(2, 1, 0)
-            return
-        w = np.zeros((spec.n, spec.n, len(rows)), dtype=complex)
-        if spec.family == "II":
-            # (U U^t)_ab = sum_c U_ac U_bc
-            for c in range(cols):
-                w += u[:, None, c] * u[None, :, c]
-        else:
-            # (U J U^t)_ab = sum_i U_a,2i U_b,2i+1 - U_a,2i+1 U_b,2i
-            for c in range(0, cols, 2):
-                w += u[:, None, c] * u[None, :, c + 1]
-                w -= u[:, None, c + 1] * u[None, :, c]
-        del u
+        # (U J U^t)_ab = sum_i U_a,2i U_b,2i+1 - U_a,2i+1 U_b,2i
+        for c in range(0, cols, 2):
+            w += u[:, None, c] * u[None, :, c + 1]
+            w -= u[:, None, c + 1] * u[None, :, c]
+    del u
     require_family_symmetry(spec, w)
     rows[...] = w.transpose(2, 0, 1)
 

@@ -17,7 +17,7 @@ from functools import cache
 import numpy as np
 
 from .domains import DomainSpec, membership_margin, require_family_symmetry
-from .domains import type_i, type_ii, type_iii, v_matrix
+from .domains import type_i, type_ii, type_iii, unit_vectors, v_matrix
 from .fields import PolyField, wirtinger_gradient, wirtinger_hessian
 from .operators import component_values, constrained_hessian
 
@@ -208,9 +208,7 @@ def pullback_residual(e, u, g, lam):
 def _probes(n):
     """Three random unit vectors of C^n drawn from seed 0, a read-only (3, n)
     array made once per n."""
-    g = np.random.default_rng(0).standard_normal((3, 2, n))
-    xi = g[:, 0] + 1j * g[:, 1]
-    xi /= np.linalg.norm(xi, axis=1, keepdims=True)
+    xi = unit_vectors(np.random.default_rng(0), 3, n)
     xi.flags.writeable = False
     return xi
 

@@ -397,30 +397,26 @@ def d2_logdetv(spec, z):
 
 
 def identity_tensors(spec, z, w):
-    """Closed-form boundary tensors (A, B, C, D, E, F) for II/III.
+    """Closed-form boundary tensors (A, B, C, D, E, F) for II/III, at any
+    interior z and any w.
 
-    The boundary identity is A + B + C - D - E = 0 entrywise on the
-    distinguished boundary; F is the I - w*w correction tensor, zero there.
+    A to E are the component-weight contractions of (1/kappa) d^2 log det V,
+    b bbar, c cbar, b cbar and c bbar; A = -4 V(z)^-t takes kappa = (n + 1)/2
+    on II and (n - 1)/2 on III with even n (odd III reads only F). So
+    A + B + C - D - E = -4F entrywise, where F is the I - w*w correction
+    tensor, zero on the distinguished boundary.
     """
     if spec.family not in ("II", "III"):
         raise ValueError("identity tensors exist for the square families only")
-    n = spec.n
-    k = float(kappa(spec))
+    eye = np.eye(spec.n)
     zs, ws = z.conj().T, w.conj().T
     Vi = inverse(v_matrix(z))
     Vsi = inverse(v_matrix(zs))
     Wi_zs_ws = inverse(w_matrix(zs, ws))
     Wi_ws_zs = inverse(w_matrix(ws, zs))
-    eye = np.eye(n)
-
-    if spec.family == "II":
-        A = -4.0 * Vi.T
-        F = np.zeros((n, n), dtype=complex)
-        C = 4.0 * (Wi_zs_ws + Wi_ws_zs - eye)
-    else:
-        A = -(2.0 / k) * (n - 1.0) * Vi.T
-        F = Wi_ws_zs @ v_matrix(ws) @ Wi_zs_ws
-        C = 4.0 * (Wi_zs_ws + Wi_ws_zs - eye - F)
+    A = -4.0 * Vi.T
+    F = Wi_ws_zs @ v_matrix(ws) @ Wi_zs_ws
+    C = 4.0 * (Wi_zs_ws + Wi_ws_zs - eye - F)
     B = 4.0 * (Vsi - eye)
     D = 4.0 * (Wi_zs_ws - eye)
     E = 4.0 * (Wi_ws_zs - eye)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from huacheck import campaigns
+from huacheck import campaigns, domains
 from huacheck.fields import random_poly_field
 
 
@@ -56,7 +56,7 @@ def test_stacked_draws_make_the_same_calls_at_any_count(monkeypatch, site):
 @pytest.mark.parametrize("n", [1, 3])
 def test_units_and_radial_draws_keep_their_contract(count, n):
     rng = np.random.default_rng(count + n)
-    units = campaigns._units(rng, count, n)
+    units = domains.unit_vectors(rng, count, n)
     assert units.shape == (count, n)
     assert np.all(np.abs(np.linalg.norm(units, axis=1) - 1.0) <= 1e-15)
     points = campaigns._radial_draws(rng, count, n, 0.1, 0.7)

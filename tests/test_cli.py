@@ -206,7 +206,6 @@ EVERY_RECORD = pytest.mark.parametrize(
             (
                 "radial_extension_residuals",
                 "boundary_trace_residuals",
-                "holomorphic_passthrough_residuals",
                 "poisson_z_scores",
             ),
         ),

@@ -489,16 +489,43 @@ def _direct_tensors(spec, z, w):
     return A, contract(b, bbar), contract(c, cbar), contract(b, cbar), contract(c, bbar)
 
 
-@pytest.mark.parametrize("spec", [type_ii(2), type_ii(3), type_iii(4)])
-def test_identity_tensors_residual_and_dual_paths(spec):
-    z, w = pair(spec, seed=5)
-    closed = kernels.identity_tensors(spec, z, w)[:5]
-    A, B, C, D, E = closed
-    assert float(np.max(np.abs(A + B + C - D - E))) < 1e-10
+def interior_pair(spec):
+    """An interior z (seed 5) and an interior w (seed 7), which is no Šilov
+    point: w*w != I."""
+    z = domains.sample_interior(spec, 5, 1)[0]
+    w = domains.sample_interior(spec, 7, 1)[0]
+    return z, w
+
+
+# the Šilov cases are spec0 to spec2, so their test ids stay stable
+TENSOR_SPECS = [type_ii(2), type_ii(3), type_iii(4)]
+
+
+@pytest.mark.parametrize(
+    "spec, where",
+    [pytest.param(s, "silov", id=f"spec{i}") for i, s in enumerate(TENSOR_SPECS)]
+    + [pytest.param(s, "interior", id=f"spec{i}-interior") for i, s in enumerate(TENSOR_SPECS)],
+)
+def test_identity_tensors_residual_and_dual_paths(spec, where):
+    z, w = pair(spec, seed=5) if where == "silov" else interior_pair(spec)
+    A, B, C, D, E, F = kernels.identity_tensors(spec, z, w)
+    closed = A, B, C, D, E
+    # the sum is -4F at any w, and F vanishes only on the Šilov boundary
+    assert float(np.max(np.abs(A + B + C - D - E + 4.0 * F))) < 1e-10
+    assert (float(np.max(np.abs(F))) < 1e-10) == (where == "silov")
     scale = max(float(np.max(np.abs(t))) for t in (A, B, C))
     direct = _direct_tensors(spec, z, w)
     for x, y in zip(closed, direct):
         assert float(np.max(np.abs(x - y))) < 1e-10 * max(1.0, scale)
+
+
+@pytest.mark.parametrize("spec", [type_ii(2), type_ii(3)], ids=lambda spec: spec.label())
+def test_closed_route_fails_off_the_silov_boundary(spec):
+    # the closed sum reads -4F, so an interior w fails the 1e-9 gate of
+    # boundary-identity-exact-II(n)
+    z, w = interior_pair(spec)
+    _, r_exact = kernels.check_theorem22(spec, z, w)
+    assert r_exact > 1e-9
 
 
 def test_identity_tensors_reject_type_i():
