@@ -104,7 +104,7 @@ def run_kernel_campaign(specs, points, seed):
             ),
             (
                 f"boundary-gram-{label}",
-                "distinguished boundary points satisfy w*w = I",
+                "distinguished boundary points satisfy w w* = I",
                 [kernels.silov_gram_defect(w) for _, w in pairs],
                 1e-12,
             ),

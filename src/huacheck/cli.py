@@ -151,6 +151,12 @@ def main(argv=None):
                 parser.error(f"{path} is not a report: {type(exc).__name__}: {exc}")
         report = merge_reports(reports)
     else:
+        # records are named by domain, so a repeated one would write its
+        # records twice under the same names
+        given = getattr(args, "domain", None) or []
+        for i, spec in enumerate(given):
+            if spec in given[:i]:
+                parser.error(f"argument --domain: {spec.label()} is given more than once")
         try:
             report = _dispatch(args)
         except domains.UnsupportedDomainError as exc:

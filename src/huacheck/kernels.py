@@ -11,10 +11,12 @@ one boundary point for the FD stencil or over a stacked boundary sample for
 the Monte-Carlo Poisson solve of huacheck.dirichlet. Both sum det W from
 the generic norm of the Jordan triple, compiled once per table into
 straight-line Python: on arrays for a stack, on Python scalars in the one
-cached evaluator of z per boundary point w, the last one built, keyed by
-the family, the shape and w's complex bytes. On III that evaluator stores
-its values keyed by the complex bytes of z's upper triangle, the only cells
-its Pfaffians read. The boundary identity is checked along two routes:
+evaluator of z per boundary point w. kernel_field builds that evaluator
+once, and each of its FD stencil rows calls it; a bare one-point call
+finds it in a cache of the last one built, keyed by the family, the shape
+and w's complex bytes. On III that evaluator stores its values keyed by
+the complex bytes of z's upper triangle, the only cells its Pfaffians
+read. The boundary identity is checked along two routes:
 direct numerical differentiation of P, and closed forms built from the
 log-gradient formulas (the boundary tensors for II/III, the exact component
 assembly for TypeI).
@@ -44,14 +46,17 @@ FD_STEP = 1e-3
 
 # Values the one-point evaluator of a III boundary point stores, one per
 # upper triangle of z, keyed by the complex bytes of its cells; a full
-# store drops its least recently used value. One III(4) FD Hessian needs
-# 577 (poisson_szego): the bound holds one with room to spare and caps what
-# a caller that sends one w many points can pile up. III(6) has 3,601 and III(8) 12,545, so their stores drop values
-# within a Hessian; as the stencil returns to a triangle soon after it left
-# it, III(6) still evaluates each once and III(8) 12,925 times.
+# store drops its least recently used value. kernel_field's rows call one
+# evaluator, so one III(4) FD Hessian fills its store with 577 values
+# (poisson_szego): the bound holds one with room to spare and caps what a
+# caller that sends one w many points can pile up. III(6) has 3,601 and
+# III(8) 12,545, so their stores drop values within a Hessian; as the
+# stencil returns to a triangle soon after it left it, III(6) still
+# evaluates each once and III(8) 12,925 times.
 POINT_STORE = 1024
 
 DET_V_NOT_POSITIVE = "det V(z) <= 0: z is not interior"
+NO_TYPE_IV_KERNEL = "no determinant kernel for TypeIV"
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -160,8 +165,10 @@ def _expansion(spec):
 def _point_kernel(family, shape, w_bytes):
     """P(., w) as a function of one interior z, for the boundary point w
     given by its complex bytes on the I-III domain of family and shape.
-    Cached for the last key, which holds no DomainSpec (its hash is a Python
-    call), so the FD stencil around z, whose rows share w, builds w once.
+    kernel_field calls it once per field and hands the evaluator to each of
+    its rows. It is cached for the last key, which holds no DomainSpec (its
+    hash is a Python call), so bare one-point calls of poisson_szego at one
+    w build it once.
 
     Each z is one call of the compiled point (_expansion). Where the table
     reads fewer cells than z has (III), the values are stored in an LRU
@@ -271,7 +278,7 @@ def _generic_norm_dets(spec, ws, z):
     return dets if z.ndim == 3 else dets[0]
 
 
-def poisson_szego(spec, z, w):
+def poisson_szego(spec, z, w, *, _point=None):
     """P(z, w) for z interior and w on the distinguished boundary.
 
     w is one boundary point of shape (m, n), which gives a float, or a stack
@@ -280,10 +287,11 @@ def poisson_szego(spec, z, w):
     (Z, N) array. A stack sums the generic-norm expansion of
     _generic_norm_dets, whose buffers are reused from call to call.
 
-    One boundary point w is one lookup of its cached evaluator
-    (_point_kernel, keyed by w's complex bytes) and one call of it, so the
-    FD stencil around z builds w's side once; each call runs the same
-    compiled expansion on Python scalars, on every table.
+    One boundary point w is one call of its evaluator (_point_kernel), which
+    runs the same compiled expansion on Python scalars, on every table.
+    A stencil row of kernel_field passes the evaluator its field built once
+    from w as _point; a bare call looks it up in _point_kernel's cache,
+    keyed by w's complex bytes.
 
     On I and II the expansion is det(I - z w*) at every z, by Cauchy-Binet,
     so also at the stencil rows off the symmetric slice of II. On III its
@@ -302,15 +310,16 @@ def poisson_szego(spec, z, w):
     returns 25^kappa = 125. A one-point z or w of another shape than spec.shape
     raises ValueError.
     """
-    if spec.family == "IV":
-        raise ValueError("no determinant kernel for TypeIV")
     if w.ndim == 2:
-        if z.shape != w.shape or w.shape != spec.shape:
-            raise ValueError(
-                f"one boundary point takes z and w of shape {spec.shape}, "
-                f"not {z.shape} and {w.shape}"
-            )
-        return _point_kernel(spec.family, w.shape, w.astype(complex, copy=False).tobytes())(z)
+        if _point is None:
+            _check_one_point(spec, z, w)
+            _point = _point_kernel(spec.family, w.shape, w.astype(complex, copy=False).tobytes())
+        elif z.shape != w.shape:
+            # kernel_field checked the family and w when it built _point
+            _check_one_point(spec, z, w)
+        return _point(z)
+    if spec.family == "IV":
+        raise ValueError(NO_TYPE_IV_KERNEL)
     k = float(kappa(spec))
     # one det V per point, broadcast along that point's row of weights
     detv = np.linalg.det(v_matrix(z)).real[..., None]
@@ -321,9 +330,29 @@ def poisson_szego(spec, z, w):
     return np.exp(k * np.log(detv)) / detw ** (2.0 * k)
 
 
+def _check_one_point(spec, z, w):
+    """Raise ValueError unless spec has a determinant kernel and z and w
+    are one point each, of shape spec.shape."""
+    if spec.family == "IV":
+        raise ValueError(NO_TYPE_IV_KERNEL)
+    if z.shape != w.shape or w.shape != spec.shape:
+        raise ValueError(
+            f"one boundary point takes z and w of shape {spec.shape}, "
+            f"not {z.shape} and {w.shape}"
+        )
+
+
 def kernel_field(spec, w):
-    """P(., w) as an opaque field over the ambient matrix shape."""
-    return OpaqueField(spec.shape, lambda z: poisson_szego(spec, z, w))
+    """P(., w) as an opaque field over the ambient matrix shape, for w as
+    it is when the field is made.
+
+    w is checked and its evaluator (_point_kernel) built here, once; each
+    call of the field is one poisson_szego call that checks z's shape and
+    runs that evaluator.
+    """
+    _check_one_point(spec, w, w)
+    point = _point_kernel(spec.family, w.shape, w.astype(complex, copy=False).tobytes())
+    return OpaqueField(spec.shape, lambda z: poisson_szego(spec, z, w, _point=point))
 
 
 # -- log gradients ---------------------------------------------------------

@@ -233,6 +233,15 @@ def test_unsupported_domain_is_rejected_before_any_record(suite, records, monkey
     assert "Traceback" not in err
 
 
+@EVERY_RECORD
+@pytest.mark.parametrize("repeat", ["I:2,2", "I:2, 2"])
+def test_repeated_domain_is_rejected_before_any_record(suite, records, repeat, monkeypatch, capsys):
+    # records are named by domain: a repeat wrote 9 records under 5 names
+    _patch_records(records, monkeypatch)
+    argv = ["verify", suite, "--domain", "I:2,2", "--domain", "II:2", "--domain", repeat]
+    _assert_exits_2(argv + ["--points", "1"], "--domain: I(2,2) is given more than once", capsys)
+
+
 def _assert_domain_rejected(domain, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "kernel", "--domain", domain, "--points", "1"])

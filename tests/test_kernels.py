@@ -112,6 +112,50 @@ def test_one_point_kernel_on_the_fd_stencil(domain):
     assert_allclose(got, [_two_det_kernel(spec, x, w) for x in references], rtol=1e-13)
 
 
+@pytest.mark.parametrize("domain", ["I:2,3", "II:3", "III:4", "III:6"])
+def test_kernel_field_rows_equal_bare_calls(domain, monkeypatch):
+    # the field builds w's evaluator once and hands it to each row's
+    # poisson_szego; a bare call with a fresh cache builds its own, and the
+    # 3,601 triangles of III(6) overflow its store, so it evaluates again
+    spec = domains.parse_spec(domain)
+    z, w = pair(spec, seed=16)
+    bare = kernels.poisson_szego
+    rows, values = [], []
+
+    def recorded(spec_, x, w_, **kwargs):
+        rows.append(x.copy())
+        values.append(bare(spec_, x, w_, **kwargs))
+        return values[-1]
+
+    monkeypatch.setattr(kernels, "poisson_szego", recorded)
+    wirtinger_hessian(kernels.kernel_field(spec, w), z, step=kernels.FD_STEP)
+    monkeypatch.undo()
+    assert len(rows) == 2 + 4 * (2 * spec.size) ** 2
+    kernels._point_kernel.cache_clear()
+    assert [bare(spec, x, w) for x in rows] == values
+
+
+def test_kernel_field_keeps_the_w_it_was_made_from():
+    spec = type_iii(4)
+    z, w = pair(spec, seed=34)
+    original = w.copy()
+    field = kernels.kernel_field(spec, w)
+    value = field(z)
+    w[...] = domains.sample_silov(spec, 36, 1)[0]
+    assert field(z) == value == kernels.poisson_szego(spec, z, original)
+    assert kernels.poisson_szego(spec, z, w) != value
+
+
+def test_kernel_field_checks_w_when_made():
+    with pytest.raises(ValueError, match="no determinant kernel for TypeIV"):
+        kernels.kernel_field(type_iv(3), np.zeros((1, 3)))
+    spec = type_i(2, 2)
+    _, w = pair(spec, seed=18)
+    for bad in (w[:, :-1], np.stack([w, w, w])):
+        with pytest.raises(ValueError, match=re.escape(f"of shape {spec.shape}")):
+            kernels.kernel_field(spec, bad)
+
+
 def _counted_evaluations(monkeypatch):
     """A list that grows by one at each call of a compiled expansion made
     from here on: w's features or one point evaluation of z."""
