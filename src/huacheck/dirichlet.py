@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import membership_margin
-
 # The benchmark's tracer test checks that tracing patches this module's
 # bindings of sample_silov and wirtinger_hessian, so they stay bound here.
 from .domains import sample_silov  # noqa: F401
@@ -102,7 +100,11 @@ def harmonic_projection(f, p, q, n):
 
 
 def make_bidegree(p, q, n, seed):
-    """A nonzero random harmonic bidegree-(p,q) polynomial on C^n, n >= 2."""
+    """A nonzero random harmonic bidegree-(p,q) polynomial on C^n, n >= 2.
+
+    No campaign calls it: it draws the boundary data of the ball Dirichlet
+    tests (tests/test_dirichlet.py), whose solutions solve_tilde builds.
+    """
     if n < 2:
         raise ValueError("ball dimension must be at least 2")
     if p < 0 or q < 0:
@@ -198,21 +200,14 @@ def poisson_solve(spec, boundary_fields, zs, batch):
     merged by the pairwise update of Chan, Golub & LeVeque ("Algorithms for
     computing the sample variance", Am. Stat. 37, 1983), which, unlike
     sum |v|^2 - k |mean|^2, cannot cancel to a negative variance. A point
-    that is not interior (membership margin <= 0 or NaN) raises ValueError,
-    and so do an empty boundary_fields, a point or a block of the wrong
-    shape, an empty block and a batch with no draws.
+    that is not interior (membership margin <= 0 or NaN) raises ValueError
+    from poisson_szego at the first block, and so do an empty
+    boundary_fields, a point or a block of the wrong shape, an empty block
+    and a batch with no draws.
     """
     if not boundary_fields:
         raise ValueError("boundary_fields is empty: give at least one field")
     zs = np.reshape(np.asarray(zs, dtype=complex), (len(zs),) + spec.shape)
-    margins = membership_margin(spec, zs)
-    outside = np.flatnonzero(~(margins > 0.0))  # a NaN margin is not > 0
-    if outside.size:
-        i = outside[0]
-        raise ValueError(
-            f"point {i} is not interior to {spec.label()} "
-            f"(membership margin {margins[i]:.3g})"
-        )
     count = 0
     mean = np.zeros((len(zs), len(boundary_fields)), dtype=complex)
     m2 = np.zeros(mean.shape)

@@ -234,6 +234,9 @@ class PolyField:
         )
 
     def real_part(self):
+        """(f + conj f) / 2. No campaign calls it: the tests use it to make
+        real pluriharmonic and coordinatewise harmonic data (test_fields,
+        test_operators and the acceptance test of criterion 8)."""
         return (self + self.conjugate()) * 0.5
 
     def is_zero(self):

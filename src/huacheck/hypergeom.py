@@ -7,7 +7,7 @@ h(t) with its defining ODE, and the profile's boundary singularity type.
 
 All 2F1 sums go through `gauss_2f1_stack`, which broadcasts a, b, c and t
 and sums one series per element in sequential NumPy blocks, bit for bit the
-plain scalar term loop; `gauss_2f1` is its face for one scalar t.
+plain scalar term loop; a scalar t gives a 0-d array.
 """
 
 from __future__ import annotations
@@ -110,11 +110,6 @@ def gauss_2f1_stack(a, b, c, t):
             start += len(k)
             size = min(2 * size, _BLOCK_MAX)
     return out
-
-
-def gauss_2f1(a, b, c, t):
-    """gauss_2f1_stack for one scalar t, as a float."""
-    return float(gauss_2f1_stack(a, b, c, t))
 
 
 def gauss_2f1_at_1(a, b, c):

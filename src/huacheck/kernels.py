@@ -13,10 +13,9 @@ the generic norm of the Jordan triple, compiled once per table into
 straight-line Python: on arrays for a stack, on Python scalars in the one
 evaluator of z per boundary point w. kernel_field builds that evaluator
 once, and each of its FD stencil rows calls it; a bare one-point call
-finds it in a cache of the last one built, keyed by the family, the shape
-and w's complex bytes. On III that evaluator stores its values keyed by
-the complex bytes of z's upper triangle, the only cells its Pfaffians
-read. The boundary identity is checked along two routes:
+builds a throwaway one. On III the evaluator stores its values, one per
+upper triangle of z (the only cells its Pfaffians read), for as long as
+it lives. The boundary identity is checked along two routes:
 direct numerical differentiation of P, and closed forms built from the
 log-gradient formulas (the boundary tensors for II/III, the exact component
 assembly for TypeI).
@@ -32,7 +31,7 @@ import math
 
 import numpy as np
 
-from .domains import SILOV_CHUNK, DomainSpec, kappa, v_matrix, w_matrix
+from .domains import SILOV_CHUNK, kappa, membership_margin, v_matrix, w_matrix
 from .fields import OpaqueField, wirtinger_gradient, wirtinger_gradient_bar
 from .fields import wirtinger_hessian
 from .operators import component_values, constrained_hessian, direction_matrix
@@ -43,17 +42,6 @@ SINGULARITY_FLOOR = 1e-12
 # Step of the FD Hessian in check_theorem22: it balances roundoff in the
 # second difference against Richardson truncation.
 FD_STEP = 1e-3
-
-# Values the one-point evaluator of a III boundary point stores, one per
-# upper triangle of z, keyed by the complex bytes of its cells; a full
-# store drops its least recently used value. kernel_field's rows call one
-# evaluator, so one III(4) FD Hessian fills its store with 577 values
-# (poisson_szego): the bound holds one with room to spare and caps what a
-# caller that sends one w many points can pile up. III(6) has 3,601 and
-# III(8) 12,545, so their stores drop values within a Hessian; as the
-# stencil returns to a triangle soon after it left it, III(6) still
-# evaluates each once and III(8) 12,925 times.
-POINT_STORE = 1024
 
 DET_V_NOT_POSITIVE = "det V(z) <= 0: z is not interior"
 NO_TYPE_IV_KERNEL = "no determinant kernel for TypeIV"
@@ -161,31 +149,27 @@ def _expansion(spec):
     return namespace["features"], namespace["point"]
 
 
-@functools.lru_cache(maxsize=1)
-def _point_kernel(family, shape, w_bytes):
-    """P(., w) as a function of one interior z, for the boundary point w
-    given by its complex bytes on the I-III domain of family and shape.
-    kernel_field calls it once per field and hands the evaluator to each of
-    its rows. It is cached for the last key, which holds no DomainSpec (its
-    hash is a Python call), so bare one-point calls of poisson_szego at one
-    w build it once.
+def _point_kernel(spec, w):
+    """P(., w) as a function of one interior z, for one boundary point w
+    of an I-III domain. kernel_field builds it once per field and hands it
+    to each of its rows; a bare one-point call of poisson_szego builds a
+    throwaway one.
 
     Each z is one call of the compiled point (_expansion). Where the table
-    reads fewer cells than z has (III), the values are stored in an LRU
-    cache of POINT_STORE values that drops the least recently used one,
-    keyed by the bytes of the cells read, taken as complex (a real z keys
-    as z + 0j); a miss decodes the key into the Python complex entries the
-    sum reads. The sum reads nothing else of z, so a stored value has the
-    bits of a fresh one.
+    reads fewer cells than z has (III), the values are stored, one per
+    upper triangle of z, in a functools.cache that lives and dies with the
+    evaluator. It is keyed by the bytes of the cells read, taken as complex
+    (a real z keys as z + 0j), and a miss decodes the key into the Python
+    complex entries the sum reads. The sum reads nothing else of z, so a
+    stored value has the bits of a fresh one.
     """
-    spec = DomainSpec(family, *shape)
     k = float(kappa(spec))
     cells, _, signs = _generic_norm_table(spec)
     features, point = _expansion(spec)
-    x = np.frombuffer(w_bytes, dtype=complex).tolist()
+    x = w.astype(complex, copy=False).ravel().tolist()
     w_features = features([x[c] for c in cells])
     coefficients = [s * f.conjugate() for s, f in zip(signs.tolist(), w_features)]
-    squared = family == "III"
+    squared = spec.family == "III"
 
     def expanded(flat):
         detv, detw = point(flat, coefficients)
@@ -201,7 +185,7 @@ def _point_kernel(family, shape, w_bytes):
         # I and II read every entry, in row-major order
         return lambda z: expanded(z.ravel().tolist())
 
-    @functools.lru_cache(maxsize=POINT_STORE)
+    @functools.cache
     def stored(key):
         return expanded(np.frombuffer(key, dtype=complex).tolist())
 
@@ -216,7 +200,10 @@ def _workspace(spec, points):
     entry-major copy of the block's cells and the (points, block) products.
     Cached for the last (spec, points), so a Poisson solve that calls
     poisson_szego once per block allocates them once; two threads must not
-    evaluate the same (spec, points) at a time."""
+    evaluate the same (spec, points) at a time. Allocating them in each
+    call instead made a dirichlet-mc benchmark pass about 25% slower
+    (0.417-0.427 s against 0.321-0.350 s in 3 of 3 alternating pairs, one
+    BLAS thread, x86-64) for 1.6 MB less peak memory."""
     cells, _, _ = _generic_norm_table(spec)
     return (
         np.empty((len(cells), SILOV_CHUNK), dtype=complex),
@@ -290,8 +277,7 @@ def poisson_szego(spec, z, w, *, _point=None):
     One boundary point w is one call of its evaluator (_point_kernel), which
     runs the same compiled expansion on Python scalars, on every table.
     A stencil row of kernel_field passes the evaluator its field built once
-    from w as _point; a bare call looks it up in _point_kernel's cache,
-    keyed by w's complex bytes.
+    from w as _point; a bare call builds a throwaway one.
 
     On I and II the expansion is det(I - z w*) at every z, by Cauchy-Binet,
     so also at the stencil rows off the symmetric slice of II. On III its
@@ -300,31 +286,31 @@ def poisson_szego(spec, z, w, *, _point=None):
     constrained_hessian reads only its derivatives along the slice. The
     stencil moves all 2 n^2 real coordinates and the Pfaffians read n (n - 1)
     of them, so the 4,098 rows of a III(4) Hessian hold only 577 distinct
-    triangles and the 20,738 of III(6) 3,601; the evaluator stores one value
-    per triangle, keyed by the complex bytes of its cells, and drops the
-    least recently used one beyond POINT_STORE.
+    triangles, the 20,738 of III(6) 3,601 and the 131,076 of III(8) 12,545;
+    a field's evaluator evaluates each triangle once.
 
-    Membership is the caller's to check, as poisson_solve and
-    check_theorem22 do. Every route raises ValueError where det V(z) <= 0,
-    but det V > 0 holds off the domain too: at z = 1.5 w on II(2) it
-    returns 25^kappa = 125. A one-point z or w of another shape than spec.shape
-    raises ValueError.
+    A one-point z or w of another shape than spec.shape, and a TypeIV spec,
+    raise ValueError. So does a z that is not interior (membership margin
+    <= 0 or NaN), checked once per call of a stack or a bare one-point call:
+    det V > 0 holds off the domain too, as at z = 1.5 w on II(2). The rows
+    of kernel_field are not checked (see there); they raise ValueError only
+    where det V(z) <= 0.
     """
     if w.ndim == 2:
         if _point is None:
             _check_one_point(spec, z, w)
-            _point = _point_kernel(spec.family, w.shape, w.astype(complex, copy=False).tobytes())
+            _check_interior(spec, z)
+            _point = _point_kernel(spec, w)
         elif z.shape != w.shape:
             # kernel_field checked the family and w when it built _point
             _check_one_point(spec, z, w)
         return _point(z)
     if spec.family == "IV":
         raise ValueError(NO_TYPE_IV_KERNEL)
+    _check_interior(spec, z)
     k = float(kappa(spec))
     # one det V per point, broadcast along that point's row of weights
     detv = np.linalg.det(v_matrix(z)).real[..., None]
-    if not np.all(detv > 0.0):
-        raise ValueError(DET_V_NOT_POSITIVE)
     detw = np.abs(_generic_norm_dets(spec, w, z))
     # exp/log handles half-integer k
     return np.exp(k * np.log(detv)) / detw ** (2.0 * k)
@@ -342,16 +328,32 @@ def _check_one_point(spec, z, w):
         )
 
 
+def _check_interior(spec, z):
+    """Raise ValueError at the first point of z, one point or a stack,
+    whose membership margin is not > 0 (NaN included)."""
+    margins = np.atleast_1d(membership_margin(spec, z))
+    outside = np.flatnonzero(~(margins > 0.0))
+    if outside.size:
+        i = outside[0]
+        raise ValueError(
+            f"point {i} is not interior to {spec.label()} "
+            f"(membership margin {margins[i]:.3g})"
+        )
+
+
 def kernel_field(spec, w):
     """P(., w) as an opaque field over the ambient matrix shape, for w as
     it is when the field is made.
 
-    w is checked and its evaluator (_point_kernel) built here, once; each
-    call of the field is one poisson_szego call that checks z's shape and
-    runs that evaluator.
+    w is checked and its evaluator (_point_kernel) built here, once, so the
+    III values the evaluator stores live as long as the field. Each call
+    of the field is one poisson_szego call that checks z's shape and runs
+    that evaluator; it does not check that z is interior, since its caller
+    check_theorem22 keeps the whole FD stencil inside the domain
+    (||z||_2 + sqrt(2) FD_STEP < 1).
     """
     _check_one_point(spec, w, w)
-    point = _point_kernel(spec.family, w.shape, w.astype(complex, copy=False).tobytes())
+    point = _point_kernel(spec, w)
     return OpaqueField(spec.shape, lambda z: poisson_szego(spec, z, w, _point=point))
 
 
@@ -409,11 +411,6 @@ def log_gradients_fd(spec, z, w):
     return D @ g_plain, D.conj() @ gbar_plain
 
 
-def b_gradients(spec, z):
-    """b = d log det V / dz in constrained coordinates (c at w = z)."""
-    return log_gradients_closed(spec, z, z)
-
-
 def d2_logdetv(spec, z):
     """Mixed second derivatives of log det V in constrained coordinates.
 
@@ -462,7 +459,8 @@ def component_kernel_exact(spec, z, w):
     k = float(kappa(spec))
     P = poisson_szego(spec, z, w)
     H = d2_logdetv(spec, z)
-    b, bbar = b_gradients(spec, z)
+    # b = d log det V / dz is c at w = z
+    b, bbar = log_gradients_closed(spec, z, z)
     c, cbar = log_gradients_closed(spec, z, w)
     T = H / k + np.outer(b - c, bbar - cbar)
     return component_values(spec, z, (k * k * P) * T)

@@ -282,8 +282,8 @@ def test_poisson_solve_rejects_point_outside_the_domain():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_poisson_solve_rejects_a_nan_point_before_the_kernel():
-    # NaN is not > 0: the point fails the membership check with its margin,
-    # not det V(z) after a RuntimeWarning from the kernel
+    # NaN is not > 0: the point fails the kernel's membership check with its
+    # margin, before det V(z) can raise a RuntimeWarning
     spec = type_ii(2)
     batch = domains.SilovSample(spec, seed=17, count=100)
     one = PolyField.constant(spec.shape, 1.0)

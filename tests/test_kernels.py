@@ -1,7 +1,9 @@
+import gc
 import operator
 import pickle
 import re
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -84,9 +86,8 @@ def test_one_point_kernel_on_the_fd_stencil(domain):
     # the stencil rows of a II point are not symmetric; by Cauchy-Binet the
     # expansion is det(I - z w*) there too. On III the Pfaffians read only the
     # upper triangle, so a row's value is the kernel at its antisymmetrized
-    # triangle, and the one evaluator of w stores it once per triangle; the
-    # 3,601 triangles of III(6) overflow the store, which drops values while
-    # it serves the stencil
+    # triangle, and a field's one evaluator stores it once per triangle: its
+    # rows have the bits of bare calls, each of which builds a fresh evaluator
     spec = domains.parse_spec(domain)
     z, w = pair(spec, seed=16)
     rows = []
@@ -94,7 +95,6 @@ def test_one_point_kernel_on_the_fd_stencil(domain):
     wirtinger_hessian(field, z, step=kernels.FD_STEP)
     # two Richardson levels of 1 + 2 d^2 rows, d = 2 m n real coordinates
     assert len(rows) == 2 + 4 * (2 * spec.size) ** 2
-    kernels._point_kernel.cache_clear()
     got = [kernels.poisson_szego(spec, x, w) for x in rows]
     references = rows
     if spec.family == "II":
@@ -104,19 +104,15 @@ def test_one_point_kernel_on_the_fd_stencil(domain):
         triangles = len({tuple(u[np.triu_indices(spec.n, 1)]) for u in upper})
         assert triangles == {4: 577, 6: 3601}[spec.n]
         references = [u - u.T for u in upper]
-        fresh = []
-        for x in rows:
-            kernels._point_kernel.cache_clear()
-            fresh.append(kernels.poisson_szego(spec, x, w))
-        assert got == fresh
+        field = kernels.kernel_field(spec, w)
+        assert [field(x).real for x in rows] == got
     assert_allclose(got, [_two_det_kernel(spec, x, w) for x in references], rtol=1e-13)
 
 
 @pytest.mark.parametrize("domain", ["I:2,3", "II:3", "III:4", "III:6"])
 def test_kernel_field_rows_equal_bare_calls(domain, monkeypatch):
     # the field builds w's evaluator once and hands it to each row's
-    # poisson_szego; a bare call with a fresh cache builds its own, and the
-    # 3,601 triangles of III(6) overflow its store, so it evaluates again
+    # poisson_szego; a bare call builds a fresh evaluator for its one row
     spec = domains.parse_spec(domain)
     z, w = pair(spec, seed=16)
     bare = kernels.poisson_szego
@@ -131,7 +127,6 @@ def test_kernel_field_rows_equal_bare_calls(domain, monkeypatch):
     wirtinger_hessian(kernels.kernel_field(spec, w), z, step=kernels.FD_STEP)
     monkeypatch.undo()
     assert len(rows) == 2 + 4 * (2 * spec.size) ** 2
-    kernels._point_kernel.cache_clear()
     assert [bare(spec, x, w) for x in rows] == values
 
 
@@ -170,33 +165,39 @@ def _counted_evaluations(monkeypatch):
         )
 
     monkeypatch.setattr(kernels, "_expansion", counted)
-    kernels._point_kernel.cache_clear()
     return evaluations
 
 
-def test_point_store_is_bounded_and_dropped_with_w(monkeypatch):
+def test_point_store_lives_with_its_field(monkeypatch):
+    # a III(4) Hessian evaluates each of its 577 triangles once, a second
+    # field at the same w evaluates afresh, and a field's evaluator, with its
+    # store, goes when the field does
     spec = type_iii(4)
     z, w = pair(spec, seed=21)
-    other = domains.sample_silov(spec, seed=23, count=1)[0]
-    bound = kernels.POINT_STORE
-    # bound + 1 points of distinct upper triangles
-    zs = [z * (1.0 - i / (4.0 * bound)) for i in range(bound + 1)]
+    evaluators = []
+    point_kernel = kernels._point_kernel
+
+    def recorded(spec_, w_):
+        evaluator = point_kernel(spec_, w_)
+        evaluators.append(weakref.ref(evaluator))
+        return evaluator
+
+    monkeypatch.setattr(kernels, "_point_kernel", recorded)
     evaluations = _counted_evaluations(monkeypatch)
-    first = [kernels.poisson_szego(spec, x, w) for x in zs[:bound]]
-    # w's coefficients, then one evaluation per point
-    assert len(evaluations) == 1 + bound
-    assert [kernels.poisson_szego(spec, x, w) for x in zs[:bound]] == first
-    assert len(evaluations) == 1 + bound
-    kernels.poisson_szego(spec, zs[bound], w)
+    field = kernels.kernel_field(spec, w)
+    wirtinger_hessian(field, z, step=kernels.FD_STEP)
+    # w's coefficients, then one evaluation per triangle
+    assert len(evaluations) == 1 + 577
+    value = field(z)
+    assert len(evaluations) == 1 + 577
     del evaluations[:]
-    assert [kernels.poisson_szego(spec, x, w) for x in zs[:bound]] == first
-    assert evaluations
-    # another w builds its own evaluator, and w's comes back with no store
-    kernels.poisson_szego(spec, z, w)
-    del evaluations[:]
-    kernels.poisson_szego(spec, z, other)
-    assert kernels.poisson_szego(spec, z, w) == first[0]
-    assert len(evaluations) == 4
+    second = kernels.kernel_field(spec, w)
+    assert second(z) == value
+    assert len(evaluations) == 2
+    assert all(ref() is not None for ref in evaluators)
+    del field
+    gc.collect()
+    assert evaluators[0]() is None and evaluators[1]() is not None
 
 
 def test_iii_rows_off_the_upper_triangle_share_one_evaluation(monkeypatch):
@@ -206,30 +207,34 @@ def test_iii_rows_off_the_upper_triangle_share_one_evaluation(monkeypatch):
     spec = type_iii(4)
     z, w = pair(spec, seed=29)
     evaluations = _counted_evaluations(monkeypatch)
-    value = kernels.poisson_szego(spec, z, w)
+    field = kernels.kernel_field(spec, w)
+    value = field(z)
     assert len(evaluations) == 2
     for i, j in ((0, 0), (2, 2), (1, 0), (3, 1), (3, 2)):
         moved = z.copy()
         moved[i, j] += 0.01 - 0.02j
-        assert kernels.poisson_szego(spec, moved, w) == value
+        assert field(moved) == value
     assert len(evaluations) == 2
     moved = z.copy()
     moved[1, 3] += 0.01 - 0.02j
-    assert kernels.poisson_szego(spec, moved, w) != value
+    assert field(moved) != value
     assert len(evaluations) == 3
 
 
 @pytest.mark.parametrize("n", [2, 4])
-def test_real_and_complex_z_give_one_iii_value(n):
-    # a real z keys the III store as z + 0j: the two agree fresh and stored
+def test_real_and_complex_z_give_one_iii_value(n, monkeypatch):
+    # a real z keys the III store as z + 0j: fresh evaluators give one value
+    # for both, and one evaluator stores it once for both
     spec = type_iii(n)
     z, w = pair(spec, seed=31)
     real = np.ascontiguousarray(z.real)
-    kernels._point_kernel.cache_clear()
     fresh_real = kernels.poisson_szego(spec, real, w)
-    kernels._point_kernel.cache_clear()
     fresh_complex = kernels.poisson_szego(spec, real.astype(complex), w)
-    assert fresh_real == fresh_complex == kernels.poisson_szego(spec, real, w)
+    evaluations = _counted_evaluations(monkeypatch)
+    point = kernels._point_kernel(spec, w)
+    stored = [point(real), point(real.astype(complex)), point(real)]
+    assert len(evaluations) == 2
+    assert fresh_real == fresh_complex == stored[0] == stored[1] == stored[2]
     assert_allclose(fresh_real, _two_det_kernel(spec, real, w), rtol=1e-13)
 
 
@@ -269,14 +274,44 @@ def test_one_point_kernel_rejects_other_shapes(domain):
     ids=["expansion", "expansion-60-terms", "stack"],
 )
 def test_kernel_raises_where_det_v_is_not_positive(domain, stacked):
+    # a stack and a bare call check membership first; a field's row, which
+    # is not checked, still meets det V(z) <= 0 in its evaluator
     spec = domains.parse_spec(domain)
     z, w = pair(spec, seed=19)
     z *= 1.3 / np.linalg.norm(z, 2)
     assert np.linalg.det(domains.v_matrix(z)).real < 0.0
     if stacked:
-        w = domains.sample_silov(spec, seed=20, count=3)
-    with pytest.raises(ValueError, match=re.escape("det V(z) <= 0")):
+        ws = domains.sample_silov(spec, seed=20, count=3)
+        with pytest.raises(ValueError, match="point 0 is not interior"):
+            kernels.poisson_szego(spec, z, ws)
+        return
+    with pytest.raises(ValueError, match="point 0 is not interior"):
         kernels.poisson_szego(spec, z, w)
+    with pytest.raises(ValueError, match=re.escape("det V(z) <= 0")):
+        kernels.kernel_field(spec, w)(z)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("stacked", [False, True], ids=["one-point", "stack"])
+def test_kernel_rejects_points_outside_the_domain(stacked):
+    # det V(1.5 w) = (1 - 2.25)^2 > 0 on II(2), where both routes returned
+    # 25^kappa = 125; a NaN margin is not > 0 either
+    spec = type_ii(2)
+    w = domains.sample_silov(spec, seed=22, count=1)[0]
+    z = 1.5 * w
+    assert np.linalg.det(domains.v_matrix(z)).real > 0.0
+    assert domains.membership_margin(spec, z) == pytest.approx(-1.25)
+    nan = np.full(spec.shape, np.nan, dtype=complex)
+    if stacked:
+        ws = domains.sample_silov(spec, seed=23, count=3)
+        cases = [(z, ws, 0, "-1.25"), (np.stack([0.5 * w, z]), ws, 1, "-1.25")]
+        cases.append((np.stack([0.5 * w, nan]), ws, 1, "nan"))
+    else:
+        cases = [(z, w, 0, "-1.25"), (nan, w, 0, "nan")]
+    for zz, ww, i, margin in cases:
+        message = rf"point {i} is not interior to II\(2\) \(membership margin {margin}\)"
+        with pytest.raises(ValueError, match=message):
+            kernels.poisson_szego(spec, zz, ww)
 
 
 STACK_DOMAINS = ["I:2,3", "I:1,3", "I:3,3", "II:3", "III:4", "III:6"]
@@ -439,27 +474,26 @@ def test_compiled_expansion_is_the_interpreted_one_bit_for_bit(domain):
         assert a.tobytes() == b.tobytes()
 
 
-def test_equal_specs_built_apart_are_one_cache_key(monkeypatch):
-    # the one-point lookup keys on the family and the shape, so a stencil row
-    # hashes no DomainSpec (whose hash is a Python call), and an equal spec
-    # built apart or unpickled reuses the evaluator
+def test_kernel_field_rows_hash_no_domain_spec(monkeypatch):
+    # a row runs the evaluator its field built, so a full FD Hessian hashes no
+    # DomainSpec (whose hash is a Python call); an equal spec built apart or
+    # unpickled gives the same values
     spec = type_iii(4)
     same = (domains.DomainSpec("III", 4, 4), pickle.loads(pickle.dumps(spec)))
     assert all(other is not spec and other == spec for other in same)
     z, w = pair(spec, seed=33)
-    kernels._point_kernel.cache_clear()
-    first = kernels.poisson_szego(spec, z, w)
+    fields = [kernels.kernel_field(s, w) for s in (spec, *same)]
     hashes = []
     spec_hash = domains.DomainSpec.__hash__
     monkeypatch.setattr(
         domains.DomainSpec, "__hash__", lambda self: hashes.append(1) or spec_hash(self)
     )
-    for other in same:
-        assert kernels.poisson_szego(other, z, w) == first
-        assert kernels.poisson_szego(other, 0.5 * z, w) == kernels.poisson_szego(spec, 0.5 * z, w)
-    info = kernels._point_kernel.cache_info()
-    assert (info.misses, info.hits) == (1, 6)
+    hessians = [wirtinger_hessian(field, z, step=kernels.FD_STEP) for field in fields]
     assert hashes == []
+    monkeypatch.undo()
+    assert all(np.array_equal(h, hessians[0]) for h in hessians[1:])
+    for other in same:
+        assert kernels.poisson_szego(other, 0.5 * z, w) == kernels.poisson_szego(spec, 0.5 * z, w)
     assert kernels._expansion(same[0]) is kernels._expansion(same[1]) is kernels._expansion(spec)
 
 
@@ -495,15 +529,6 @@ def test_log_gradients_fd_equal_the_one_point_route(spec):
     assert np.array_equal(cbf, D.conj() @ wirtinger_gradient_bar(wz, z))
 
 
-def test_b_gradients_are_diagonal_log_gradients():
-    spec = type_ii(3)
-    z, _ = pair(spec, seed=3)
-    b, bb = kernels.b_gradients(spec, z)
-    c, cb = kernels.log_gradients_closed(spec, z, z)
-    assert_allclose(b, c, atol=1e-14)
-    assert_allclose(bb, cb, atol=1e-14)
-
-
 def test_d2_logdetv_against_numerical_hessian():
     spec = type_i(2, 2)
     z, _ = pair(spec, seed=4)
@@ -522,7 +547,7 @@ def _direct_tensors(spec, z, w):
     n = spec.n
     k = float(domains.kappa(spec))
     weights = operators.component_weights(spec, z)
-    b, bbar = (x.reshape(n, n) for x in kernels.b_gradients(spec, z))
+    b, bbar = (x.reshape(n, n) for x in kernels.log_gradients_closed(spec, z, z))
     c, cbar = (x.reshape(n, n) for x in kernels.log_gradients_closed(spec, z, w))
     H = kernels.d2_logdetv(spec, z).reshape(n, n, n, n)
 
