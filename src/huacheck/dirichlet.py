@@ -5,12 +5,14 @@ given as a finite sum of bidegree-(p,q) harmonics extends to the interior by
 attaching the normalized radial hypergeometric profile h_{p,q}(|z|^4) to each
 term; the extension evaluates a stack of points, one point being a stack of
 one row. For the matrix domains the Poisson integral against the
-determinant kernel (kernels.poisson_szego, over a stacked boundary sample)
-is approximated by Monte-Carlo averaging over the distinguished boundary.
+determinant kernel (kernels.poisson_points once per solve, then
+kernels.poisson_block once per block of a stacked boundary sample) is
+approximated by Monte-Carlo averaging over the distinguished boundary.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +23,7 @@ from .domains import sample_silov  # noqa: F401
 from .fields import PolyField
 from .fields import wirtinger_hessian  # noqa: F401
 from .hypergeom import RadialProfile
-from .kernels import poisson_szego
+from .kernels import poisson_block, poisson_points
 
 
 def _mixed_laplacian(f):
@@ -125,7 +127,8 @@ def make_bidegree(p, q, n, seed):
 class DirichletSolution:
     """u(z) = sum_k h_{p_k, q_k}(|z|^4) f_k(z); boundary trace sum_k f_k.
 
-    evaluate_many is the one evaluator; a single point is a stack of one.
+    evaluate_many is the one evaluator, and hessian_many the exact mixed
+    Hessian; a single point is a stack of one.
     """
 
     n: int
@@ -138,15 +141,31 @@ class DirichletSolution:
     def __call__(self, z):
         return self.evaluate_many(np.reshape(z, (1, self.n)))[0]
 
+    def _stack(self, zs):
+        """zs as an (N, n) stack, with s = |z|^2 and t = |z|^4 per row.
+
+        Raises ValueError for a row outside the closed ball, |z|^4 > 1 +
+        1e-12 (NaN included): the data extend inwards only.
+        """
+        zs = np.asarray(zs, dtype=complex).reshape(len(zs), self.n)
+        s = (zs.real**2 + zs.imag**2).sum(axis=1)
+        t = s**2
+        outside = np.flatnonzero(~(t <= 1.0 + 1e-12))
+        if outside.size:
+            i = outside[0]
+            raise ValueError(f"row {i} is outside the closed ball (|z|^4 = {t[i]:.6g})")
+        return zs, s, t
+
     def evaluate_many(self, zs):
         """u at each row of a stack zs of shape (N, 1, n) or (N, n).
 
         The profile, normalized to 1 at the boundary, is clamped to 1 where
-        |z|^4 >= 1 - 1e-12; on the other rows it comes from one stacked 2F1
-        series. The data come from PolyField.evaluate_many.
+        |z|^4 >= 1 - 1e-12, which takes in the sphere's rounding; on the
+        other rows it comes from one stacked 2F1 series. The data come from
+        PolyField.evaluate_many. A row outside the closed ball raises
+        ValueError.
         """
-        zs = np.asarray(zs, dtype=complex).reshape(len(zs), self.n)
-        t = (zs.real**2 + zs.imag**2).sum(axis=1) ** 2
+        zs, _, t = self._stack(zs)
         inside = t < 1.0 - 1e-12
         total = np.zeros(len(zs), dtype=complex)
         for f, h in self.parts:
@@ -154,6 +173,50 @@ class DirichletSolution:
             ht[inside] = h.value(t[inside])
             total += ht * f.field.evaluate_many(zs)
         return total
+
+    def hessian_many(self, zs):
+        """The mixed Hessian d^2 u / dz_a dzbar_b at each row of a stack zs
+        of shape (N, 1, n) or (N, n), as an (N, n, n) array, exact by the
+        chain rule through t = |z|^4 = s^2:
+
+            h'' f t_a t_b~ + h' (f t_ab~ + t_a f_b~ + f_a t_b~) + h f_ab~
+
+        summed over the parts, with t_a = 2 s zbar_a, t_b~ = 2 s z_b and
+        t_ab~ = 2 (zbar_a z_b + s delta_ab). h, h' and h'' come from the
+        profile's stacked series and its parameter-shift ladder, and f and
+        its derivatives from its PolyField. The series need t < 1, so a row
+        with |z|^4 >= 1 - 1e-12 raises ValueError, and so does a row outside
+        the closed ball.
+        """
+        zs, s, t = self._stack(zs)
+        if not np.all(t < 1.0 - 1e-12):
+            raise ValueError("the Hessian needs every row inside the ball, |z|^4 < 1 - 1e-12")
+        n = self.n
+        # t_a as columns and t_b~ as rows of each point's (n, n) block
+        ta = (2.0 * s[:, None] * zs.conj())[:, :, None]
+        tb = (2.0 * s[:, None] * zs)[:, None, :]
+        tab = 2.0 * (zs.conj()[:, :, None] * zs[:, None, :] + s[:, None, None] * np.eye(n))
+        hessians = np.zeros((len(zs), n, n), dtype=complex)
+        for f, h in self.parts:
+            dz = [f.field.dz(a) for a in range(n)]
+            value = f.field.evaluate_many(zs)[:, None, None]
+            fa = np.stack([g.evaluate_many(zs) for g in dz], axis=1)[:, :, None]
+            fb = np.stack([f.field.dzbar(b).evaluate_many(zs) for b in range(n)], axis=1)[:, None, :]
+            fab = np.array([[g.dzbar(b).evaluate_many(zs) for b in range(n)] for g in dz])
+            with warnings.catch_warnings():
+                # h'' sums F(a+2, b+2, c+2), whose c - a - b = (n - 3)/2 is
+                # at most 0 on B_2 and B_3, so the series warns that it
+                # converges slowly past t = 0.5; it converges all the same
+                warnings.filterwarnings("ignore", "2F1 series converges slowly")
+                h2 = h.derivative(t, 2)[:, None, None]
+            h1 = h.derivative(t, 1)[:, None, None]
+            h0 = h.value(t)[:, None, None]
+            hessians += (
+                h2 * value * ta * tb
+                + h1 * (value * tab + ta * fb + fa * tb)
+                + h0 * fab.transpose(2, 0, 1)
+            )
+        return hessians
 
     def boundary_trace(self, zs):
         """The data sum_k f_k at each row of a stack zs."""
@@ -170,12 +233,13 @@ def solve_tilde(fs, n):
     return DirichletSolution(n, tuple(parts))
 
 
-def _block_moments(spec, boundary_fields, zs, block, v):
+def _block_moments(points, boundary_fields, block, v):
     """Mean and sum of |v - mean|^2 of v = P(z, w) phi(w) over the draws w
-    of one boundary block, per (point, field), in two passes. v is a
-    (points, fields, k) buffer for the products, reused across blocks."""
+    of one boundary block, per (point, field), in two passes. points are
+    the prepared points (kernels.poisson_points), and v is a (points,
+    fields, k) buffer for the products, reused across blocks."""
     phis = np.array([field.evaluate_many(block) for field in boundary_fields])
-    np.multiply(poisson_szego(spec, zs, block)[:, None], phis, out=v)
+    np.multiply(poisson_block(points, block)[:, None], phis, out=v)
     mean = v.mean(axis=-1)
     v -= mean[..., None]
     return mean, (v.real**2 + v.imag**2).sum(axis=-1)
@@ -190,24 +254,27 @@ def poisson_solve(spec, boundary_fields, zs, batch):
     any iterable of (k, m, n) boundary blocks whose len is the number of
     draws; the caller makes it, so one sample can serve several calls.
 
-    The sample is streamed one block at a time, so no array of its length
-    is held, and each block is dropped before the next one is drawn. On
-    each block every phi is evaluated once (a PolyField over the block),
-    the kernel weights of all points come from one poisson_szego call,
-    their products with the phis go to one (point, field, draw)
-    buffer that the blocks share, and the block's mean and sum of
-    |v - mean|^2 per (point, field) are taken in two passes. Blocks are
-    merged by the pairwise update of Chan, Golub & LeVeque ("Algorithms for
-    computing the sample variance", Am. Stat. 37, 1983), which, unlike
-    sum |v|^2 - k |mean|^2, cannot cancel to a negative variance. A point
-    that is not interior (membership margin <= 0 or NaN) raises ValueError
-    from poisson_szego at the first block, and so do an empty
-    boundary_fields, a point or a block of the wrong shape, an empty block
-    and a batch with no draws.
+    The points are checked and prepared once (kernels.poisson_points:
+    membership, det V^kappa and the generic-norm coefficients), before the
+    first block is drawn. The sample is streamed one block at a time, so
+    no array of its length is held, and each block is dropped before the
+    next one is drawn. On each block every phi is evaluated once (a
+    PolyField over the block), the kernel weights of all points come from
+    one kernels.poisson_block call, their products with the phis go to one
+    (point, field, draw) buffer that the blocks share, and the block's mean
+    and sum of |v - mean|^2 per (point, field) are taken in two passes.
+    Blocks are merged by the pairwise update of Chan, Golub & LeVeque
+    ("Algorithms for computing the sample variance", Am. Stat. 37, 1983),
+    which, unlike sum |v|^2 - k |mean|^2, cannot cancel to a negative
+    variance. A point that is not interior (membership margin <= 0 or NaN)
+    raises ValueError before any block is drawn, and so do an empty
+    boundary_fields and a point of the wrong shape; a block of the wrong
+    shape, an empty block and a batch with no draws raise it too.
     """
     if not boundary_fields:
         raise ValueError("boundary_fields is empty: give at least one field")
     zs = np.reshape(np.asarray(zs, dtype=complex), (len(zs),) + spec.shape)
+    points = poisson_points(spec, zs)
     count = 0
     mean = np.zeros((len(zs), len(boundary_fields)), dtype=complex)
     m2 = np.zeros(mean.shape)
@@ -223,7 +290,7 @@ def poisson_solve(spec, boundary_fields, zs, batch):
         if products.shape[-1] < k:
             products = np.empty(mean.shape + (k,), dtype=complex)
         block_mean, block_m2 = _block_moments(
-            spec, boundary_fields, zs, block, products[..., :k]
+            points, boundary_fields, block, products[..., :k]
         )
         del block  # before the sample draws the next one
         delta = block_mean - mean

@@ -6,9 +6,11 @@ The central object is the determinant-power kernel
     P(z, w) = det(V(z))^kappa / |det W(z, w)|^(2 kappa),
     W(z, w) = I - z w*,   V(z) = W(z, z)
 
-(W and V live in huacheck.domains). poisson_szego is its one evaluator, at
-one boundary point for the FD stencil or over a stacked boundary sample for
-the Monte-Carlo Poisson solve of huacheck.dirichlet. Both sum det W from
+(W and V live in huacheck.domains). poisson_szego evaluates it at one
+boundary point for the FD stencil, or over a stacked boundary sample as
+poisson_points, made once per stack of interior points, and poisson_block;
+the Monte-Carlo Poisson solve of huacheck.dirichlet calls those two itself,
+poisson_block once per block of its sample. Both routes sum det W from
 the generic norm of the Jordan triple, compiled once per table into
 straight-line Python: on arrays for a stack, on Python scalars in the one
 evaluator of z per boundary point w. kernel_field builds that evaluator
@@ -28,10 +30,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .domains import SILOV_CHUNK, kappa, membership_margin, v_matrix, w_matrix
+from .domains import SILOV_CHUNK, DomainSpec, kappa, membership_margin, v_matrix, w_matrix
 from .fields import OpaqueField, wirtinger_gradient, wirtinger_gradient_bar
 from .fields import wirtinger_hessian
 from .operators import component_values, constrained_hessian, direction_matrix
@@ -199,7 +202,7 @@ def _workspace(spec, points):
     """The buffers of _generic_norm_dets for one SILOV_CHUNK block: the
     entry-major copy of the block's cells and the (points, block) products.
     Cached for the last (spec, points), so a Poisson solve that calls
-    poisson_szego once per block allocates them once; two threads must not
+    poisson_block once per block allocates them once; two threads must not
     evaluate the same (spec, points) at a time. Allocating them in each
     call instead made a dirichlet-mc benchmark pass about 25% slower
     (0.417-0.427 s against 0.321-0.350 s in 3 of 3 alternating pairs, one
@@ -211,11 +214,11 @@ def _workspace(spec, points):
     )
 
 
-def _generic_norm_dets(spec, ws, z):
+def _generic_norm_dets(spec, ws, coefficients):
     """det(I - w z*) for every row w of the boundary batch ws.
 
-    z is one interior point (m, n), which gives N values, or a stack
-    (Z, m, n), which gives a (Z, N) array. det(I - w z*) is the conjugate of
+    coefficients holds one column per interior point z (poisson_points),
+    which gives a (Z, N) array. det(I - w z*) is the conjugate of
     det(I - z w*), so it has the same modulus (also for m < n). It comes
     from the generic norm of the Jordan triple (Faraut & Koranyi, "Function
     spaces and reproducing kernels on bounded symmetric domains", J. Funct.
@@ -229,7 +232,7 @@ def _generic_norm_dets(spec, ws, z):
     sum of (draw feature) x (point coefficient) products: the features of
     _generic_norm_table, 6 for I(2,2) and II(2), 8 for III(4), 20 for
     I(3,3) and 32 for III(6), counting the constant 1. The points'
-    coefficients sign_F conj(f_F(z)) are made once per call; the draws'
+    coefficients sign_F conj(f_F(z)) come from poisson_points; the draws'
     features once per SILOV_CHUNK block, on an entry-major copy of the
     block. The sum runs feature by feature in elementwise multiply-adds,
     not one matrix product, so a point's values do not depend on the other
@@ -242,12 +245,9 @@ def _generic_norm_dets(spec, ws, z):
     most 2^r eps on the distinguished boundary, where every s_j(w) = 1.
     Against it, |h(z, w)| >= prod_j (1 - s_j(z)) for ||w|| <= 1.
     """
-    cells, _, signs = _generic_norm_table(spec)
+    cells, _, _ = _generic_norm_table(spec)
     features, _ = _expansion(spec)
-    zs = np.reshape(z, (-1, spec.size))
-    points = len(zs)
-    z_features = features(zs[:, cells].T)
-    coefficients = signs[:, None] * np.conj(z_features)
+    points = coefficients.shape[1]
     flat, product = _workspace(spec, points)
     samples = len(ws)
     dets = np.empty((points, samples), dtype=complex)
@@ -262,7 +262,48 @@ def _generic_norm_dets(spec, ws, z):
             h += np.multiply(c[:, None], f, out=product[:, :k])
         if spec.family == "III":
             h *= h
-    return dets if z.ndim == 3 else dets[0]
+    return dets
+
+
+class PoissonPoints(NamedTuple):
+    """The points' side of the stacked kernel, made by poisson_points."""
+
+    spec: DomainSpec
+    kappa: float
+    # det V(z)^kappa, one row per point: (Z, 1)
+    numerators: np.ndarray
+    # sign_F conj(f_F(z)), one column per point: (features, Z)
+    coefficients: np.ndarray
+
+
+def poisson_points(spec, z):
+    """Prepare interior points z, one (m, n) or a stack (Z, m, n), for
+    poisson_block: check that each is interior, and make det V(z)^kappa
+    and the generic-norm coefficients sign_F conj(f_F(z)) once, for every
+    block of boundary points the kernel is then summed over.
+
+    A TypeIV spec, and a z that is not interior (membership margin <= 0 or
+    NaN), raise ValueError.
+    """
+    if spec.family == "IV":
+        raise ValueError(NO_TYPE_IV_KERNEL)
+    _check_interior(spec, z)
+    k = float(kappa(spec))
+    cells, _, signs = _generic_norm_table(spec)
+    features, _ = _expansion(spec)
+    zs = np.reshape(z, (-1, spec.size))
+    coefficients = signs[:, None] * np.conj(features(zs[:, cells].T))
+    detv = np.linalg.det(v_matrix(z)).real.reshape(-1, 1)
+    # exp/log handles half-integer k
+    return PoissonPoints(spec, k, np.exp(k * np.log(detv)), coefficients)
+
+
+def poisson_block(points, ws):
+    """P(z, w) for the prepared points (poisson_points) and every row w of a
+    stack ws of boundary points: a (Z, N) array, summed by
+    _generic_norm_dets, whose buffers are reused from call to call."""
+    detw = np.abs(_generic_norm_dets(points.spec, ws, points.coefficients))
+    return points.numerators / detw ** (2.0 * points.kappa)
 
 
 def poisson_szego(spec, z, w, *, _point=None):
@@ -271,8 +312,9 @@ def poisson_szego(spec, z, w, *, _point=None):
     w is one boundary point of shape (m, n), which gives a float, or a stack
     (N, m, n), which gives an array of N values. With a stack of boundary
     points, z may be a stack (Z, m, n) of interior points too, which gives a
-    (Z, N) array. A stack sums the generic-norm expansion of
-    _generic_norm_dets, whose buffers are reused from call to call.
+    (Z, N) array. A stack is poisson_points, then poisson_block: a caller
+    that sums over many blocks of boundary points, as the Monte-Carlo
+    Poisson solve does, calls the two itself and prepares its points once.
 
     One boundary point w is one call of its evaluator (_point_kernel), which
     runs the same compiled expansion on Python scalars, on every table.
@@ -291,7 +333,8 @@ def poisson_szego(spec, z, w, *, _point=None):
 
     A one-point z or w of another shape than spec.shape, and a TypeIV spec,
     raise ValueError. So does a z that is not interior (membership margin
-    <= 0 or NaN), checked once per call of a stack or a bare one-point call:
+    <= 0 or NaN), checked once per call of a stack (by poisson_points) or
+    a bare one-point call:
     det V > 0 holds off the domain too, as at z = 1.5 w on II(2). The rows
     of kernel_field are not checked (see there); they raise ValueError only
     where det V(z) <= 0.
@@ -305,15 +348,8 @@ def poisson_szego(spec, z, w, *, _point=None):
             # kernel_field checked the family and w when it built _point
             _check_one_point(spec, z, w)
         return _point(z)
-    if spec.family == "IV":
-        raise ValueError(NO_TYPE_IV_KERNEL)
-    _check_interior(spec, z)
-    k = float(kappa(spec))
-    # one det V per point, broadcast along that point's row of weights
-    detv = np.linalg.det(v_matrix(z)).real[..., None]
-    detw = np.abs(_generic_norm_dets(spec, w, z))
-    # exp/log handles half-integer k
-    return np.exp(k * np.log(detv)) / detw ** (2.0 * k)
+    weights = poisson_block(poisson_points(spec, z), w)
+    return weights if z.ndim == 3 else weights[0]
 
 
 def _check_one_point(spec, z, w):

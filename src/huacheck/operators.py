@@ -127,5 +127,11 @@ def modified_ball_coefficients(spec, z):
 
 
 def apply(C, u, z):
-    """The operator of coefficient tensor C on the field u at the point z."""
+    """The operator of coefficient tensor C on the field u at the point z.
+
+    No campaign calls it: radial_extension_residuals contracts the exact
+    Hessians of the Dirichlet extension itself. tests/test_operators.py
+    applies the invariant operators with it, and tests/test_dirichlet.py
+    its FD oracle of the modified Laplacian of the extension.
+    """
     return complex(np.sum(C * wirtinger_hessian(u, z)))

@@ -137,9 +137,9 @@ def test_criterion_6_radial_extension_dirichlet(capsys):
     )
     worst_interior = worst["radial-extension-annihilated"]
     worst_boundary = worst["boundary-trace"]
-    ok = worst_interior < 1e-6 and worst_boundary < 1e-8
+    ok = worst_interior < 1e-14 and worst_boundary < 1e-8
     _verdict(capsys, 6, ok, f"interior={worst_interior:.2e} boundary={worst_boundary:.2e}")
-    assert worst_interior < 1e-6
+    assert worst_interior < 1e-14
     assert worst_boundary < 1e-8
 
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from huacheck import dirichlet, domains, kernels, operators
+from huacheck import campaigns, dirichlet, domains, hypergeom, kernels, operators
 from huacheck.domains import type_i, type_ii, type_iii
-from huacheck.fields import PolyField
+from huacheck.fields import PolyField, wirtinger_hessian
 
 
 def test_bidegree_harmonic_rejects_non_harmonic_data():
@@ -58,12 +58,19 @@ def test_dirichlet_solution_matches_data_on_sphere():
     assert np.max(np.abs(u.evaluate_many(zs) - u.boundary_trace(zs))) < 1e-8
 
 
-def test_modified_laplacian_annihilates_the_extension():
+def _campaign_extension():
+    """The extension of z_1 zbar_2 on B_3 that verify dirichlet checks."""
     n = 3
     f = dirichlet.BidegreeHarmonic(
         1, 1, n, PolyField((1, n), {((1, 0, 0), (0, 1, 0)): 1.0})
     )
-    u = dirichlet.solve_tilde([f], n)
+    return dirichlet.solve_tilde([f], n)
+
+
+def test_modified_laplacian_annihilates_the_extension():
+    # the FD oracle of the record's exact route
+    n = 3
+    u = _campaign_extension()
     spec = domains.ball(n)
     rng = np.random.default_rng(4)
     for _ in range(10):
@@ -71,6 +78,77 @@ def test_modified_laplacian_annihilates_the_extension():
         z *= rng.uniform(0.1, 0.9) / np.linalg.norm(z)
         z = z.reshape(1, n)
         assert abs(operators.apply(operators.modified_ball_coefficients(spec, z), u, z)) < 1e-6
+
+
+def _ball_points(rng, count, n, low, high):
+    zs = rng.standard_normal((count, 1, n)) + 1j * rng.standard_normal((count, 1, n))
+    zs /= np.linalg.norm(zs, axis=2, keepdims=True)
+    return zs * rng.uniform(low, high, (count, 1, 1))
+
+
+def test_exact_hessian_agrees_with_the_fd_hessian():
+    # one harmonic per bidegree kind, pq = 0 included, at radii up to 0.9
+    n = 3
+    parts = [
+        dirichlet.make_bidegree(1, 1, n, seed=2),
+        dirichlet.make_bidegree(2, 1, n, seed=3),
+        dirichlet.make_bidegree(2, 0, n, seed=4),
+    ]
+    for u in (_campaign_extension(), dirichlet.solve_tilde(parts, n)):
+        zs = _ball_points(np.random.default_rng(40), 8, n, 0.1, 0.9)
+        exact = u.hessian_many(zs)
+        fd = np.array([wirtinger_hessian(u, z) for z in zs])
+        # FD accuracy relative to the largest entry: about 9e-8 here
+        assert np.max(np.abs(exact - fd)) < 1e-6 * np.max(np.abs(exact))
+        # a single point is a stack of one
+        assert np.array_equal(u.hessian_many(zs[:1])[0], exact[0])
+
+
+def test_solution_rejects_points_outside_the_closed_ball():
+    u = _campaign_extension()
+    zs = _ball_points(np.random.default_rng(42), 4, 3, 0.2, 0.8)
+    zs[2] *= 1.5 / np.linalg.norm(zs[2])
+    for method in (u.evaluate_many, u.hessian_many):
+        with pytest.raises(ValueError, match="row 2 is outside the closed ball"):
+            method(zs)
+    with pytest.raises(ValueError, match="outside the closed ball"):
+        u(np.full(3, np.nan))
+
+
+def test_exact_hessian_needs_points_inside_the_ball():
+    # h'' is a 2F1 series on [0, 1): the sphere has no Hessian from it
+    u = _campaign_extension()
+    zs = _ball_points(np.random.default_rng(43), 3, 3, 0.2, 0.8)
+    zs[1] /= np.linalg.norm(zs[1])
+    with pytest.raises(ValueError, match="inside the ball"):
+        u.hessian_many(zs)
+
+
+@pytest.mark.parametrize("mutant", [None, "h", "h'", "coefficients"])
+def test_radial_extension_record_fails_under_each_mutant(monkeypatch, mutant):
+    # the exact record reads 1.5e-16 at seed 0; h or h' scaled by 1 + 1e-6
+    # reads 2.9e-7, and the operator tensor taken at z (1 + 1e-3) 2.2e-3
+    value, derivative = hypergeom.RadialProfile.value, hypergeom.RadialProfile.derivative
+    coefficients = operators.modified_ball_coefficients
+    if mutant == "h":
+        monkeypatch.setattr(
+            hypergeom.RadialProfile, "value", lambda self, t: value(self, t) * (1.0 + 1e-6)
+        )
+    elif mutant == "h'":
+
+        def scaled(self, t, order=1):
+            return derivative(self, t, order) * (1.0 + 1e-6 if order == 1 else 1.0)
+
+        monkeypatch.setattr(hypergeom.RadialProfile, "derivative", scaled)
+    elif mutant == "coefficients":
+        monkeypatch.setattr(
+            operators,
+            "modified_ball_coefficients",
+            lambda spec, z: coefficients(spec, z * (1.0 + 1e-3)),
+        )
+    report = campaigns.run_dirichlet_campaign((), points=50, seed=0)
+    [record] = [r for r in report.records if r.name == "radial-extension-annihilated"]
+    assert record.passed == (mutant is None)
 
 
 def test_holomorphic_data_extends_to_itself():
@@ -240,17 +318,18 @@ def test_kernel_dets_across_block_boundaries(domain, margin):
     z *= np.sqrt(1.0 - margin) / np.linalg.norm(z, 2)
     assert domains.membership_margin(spec, z) == pytest.approx(margin)
     expected = np.linalg.det(np.eye(spec.m) - z @ ws.conj().transpose(0, 2, 1))
-    dets = kernels._generic_norm_dets(spec, ws, z)
+    points = kernels.poisson_points(spec, z)
+    [dets] = kernels._generic_norm_dets(spec, ws, points.coefficients)
     assert_allclose(np.abs(dets), np.abs(expected), rtol=1e-12)
 
 
 def test_kernel_dets_working_set_is_one_block():
     spec = type_iii(4)
     ws = domains.sample_silov(spec, seed=20, count=8 * domains.SILOV_CHUNK)
-    z = domains.sample_interior(spec, seed=21, count=1)[0]
+    points = kernels.poisson_points(spec, domains.sample_interior(spec, seed=21, count=1)[0])
     tracemalloc.start()
     try:
-        kernels._generic_norm_dets(spec, ws, z)
+        kernels._generic_norm_dets(spec, ws, points.coefficients)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -275,6 +354,48 @@ def test_poisson_solve_rejects_point_outside_the_domain():
     batch = domains.SilovSample(spec, seed=17, count=100)
     one = PolyField.constant(spec.shape, 1.0)
     with pytest.raises(ValueError, match="not interior"):
+        dirichlet.poisson_solve(
+            spec, [one], [np.zeros(spec.shape), 1.5 * np.eye(2)], batch=batch
+        )
+
+
+def test_poisson_solve_checks_and_prepares_its_points_once(monkeypatch):
+    # one membership check and one preparation per solve, one block sum per
+    # block: a sample of four blocks
+    spec = type_ii(2)
+    zs = domains.sample_interior(spec, seed=9, count=3)
+    batch = domains.SilovSample(spec, seed=8, count=3 * domains.SILOV_CHUNK + 5)
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def spy(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, spy)
+
+    counted(kernels, "membership_margin")
+    counted(dirichlet, "poisson_points")
+    counted(dirichlet, "poisson_block")
+    one = PolyField.constant(spec.shape, 1.0)
+    dirichlet.poisson_solve(spec, [one], zs, batch)
+    assert calls.count("membership_margin") == 1
+    assert calls.count("poisson_points") == 1
+    assert calls.count("poisson_block") == 4
+
+
+def test_poisson_solve_rejects_a_point_before_drawing_a_block(monkeypatch):
+    spec = type_ii(2)
+    batch = domains.SilovSample(spec, seed=17, count=100)
+
+    def sample_silov(*args):
+        raise AssertionError("a Silov block was drawn")
+
+    monkeypatch.setattr(domains, "sample_silov", sample_silov)
+    one = PolyField.constant(spec.shape, 1.0)
+    with pytest.raises(ValueError, match="point 1 is not interior"):
         dirichlet.poisson_solve(
             spec, [one], [np.zeros(spec.shape), 1.5 * np.eye(2)], batch=batch
         )

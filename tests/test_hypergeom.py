@@ -306,6 +306,25 @@ def test_radial_profile_stack_equals_scalar_values():
             assert method(ts).tolist() == [method(t) for t in ts.tolist()]
 
 
+def test_radial_profile_second_derivative_against_mpmath():
+    # the second rung of the ladder, which the Dirichlet extension's exact
+    # Hessian reads, against mpmath's numerical derivative of its own 2F1
+    mpmath = pytest.importorskip("mpmath")
+    profile = hypergeom.RadialProfile(1, 1, 3)
+    ts = np.array([0.3, 0.5, 0.6561, 0.8])
+    # F(a+2, b+2, c+2; t) has c - a - b = 0 on B_3
+    with pytest.warns(UserWarning, match="converges slowly"):
+        ladder = profile.derivative(ts, 2)
+    a, b, c = profile.a, profile.b, profile.c
+    with mpmath.workdps(40):
+        norm = mpmath.hyp2f1(a, b, c, 1)
+        expected = [
+            float(mpmath.diff(lambda x: mpmath.hyp2f1(a, b, c, x), mpmath.mpf(t), 2) / norm)
+            for t in ts.tolist()
+        ]
+    assert_allclose(ladder, expected, rtol=2e-14)
+
+
 def test_radial_profile_degenerate_bidegrees_are_constant():
     profile = hypergeom.RadialProfile(0, 3, 4)
     assert profile.value(0.3) == 1.0

@@ -379,7 +379,7 @@ def test_generic_norm_equals_det(domain):
         domains.sample_silov(spec, seed=28, count=500),
         _family_matrices(spec, np.random.default_rng(29), 500),
     ):
-        dets = kernels._generic_norm_dets(spec, ws, zs)
+        dets = kernels._generic_norm_dets(spec, ws, kernels.poisson_points(spec, zs).coefficients)
         assert dets.shape == (2, len(ws))
         for point, row in zip(zs, dets):
             # det(I - w z*) is the conjugate of det(I - z w*)
