@@ -64,7 +64,9 @@ def _random_bihomogeneous(shape, p, q, rng):
 
 @dataclass(frozen=True)
 class BidegreeHarmonic:
-    """A bidegree-(p,q) polynomial with vanishing mixed Laplacian."""
+    """A bidegree-(p,q) polynomial on C^n with vanishing mixed Laplacian;
+    any other field raises ValueError, so solve_tilde pairs it with its own
+    profile."""
 
     p: int
     q: int
@@ -72,6 +74,13 @@ class BidegreeHarmonic:
     field: PolyField
 
     def __post_init__(self):
+        if self.p < 0 or self.q < 0:
+            raise ValueError("bidegrees must be non-negative")
+        if not isinstance(self.field, PolyField) or self.field.shape != (1, self.n):
+            raise ValueError(f"the field must be a PolyField over (1, {self.n})")
+        for _, ze, we in self.field.monomials():
+            if (sum(e for _, e in ze), sum(e for _, e in we)) != (self.p, self.q):
+                raise ValueError(f"a term of the field is not of bidegree ({self.p}, {self.q})")
         if not _mixed_laplacian(self.field).is_zero():
             raise ValueError("field is not harmonic")
 

@@ -1,5 +1,5 @@
-"""Exact polynomial fields in complex matrix entries and finite-difference
-Wirtinger calculus for opaque evaluators.
+"""Exact polynomial fields in complex matrix entries and the finite-difference
+Wirtinger Hessian of opaque evaluators.
 
 A field is a twice-differentiable complex-valued function of an m x n complex
 matrix.  Two representations are supported:
@@ -22,11 +22,10 @@ matrix.  Two representations are supported:
   terms, so a point takes only powers and products of Python complex
   numbers, bitwise what the derivative fields ``dz``/``dzbar`` give, and a
   stack the same products of its columns.
-* ``OpaqueField`` -- an arbitrary evaluator, differentiated by central finite
-  differences in the underlying real coordinates: the FD Hessian and
-  gradient share one stencil layout, built once per size, and one
-  Richardson step, and an optional stack evaluator takes each level's
-  stencil in one call.
+* ``OpaqueField`` -- an arbitrary evaluator of one point, whose mixed
+  Hessian is a central finite difference in the real coordinates: one call
+  per row of a stencil layout built once per size, and one Richardson step.
+  The Wirtinger gradients take a PolyField only; another field raises TypeError.
 """
 
 from __future__ import annotations
@@ -462,17 +461,14 @@ def _entry_tops(terms, size):
 class OpaqueField:
     """Field backed by an arbitrary evaluator; differentiated numerically.
 
-    fn maps one point of the field's shape to a number. The optional many
-    maps a stack of points, shape (N,) + shape, to N values at once; it
-    must agree with fn row by row, and it is what evaluate_many calls.
+    fn maps one point of the field's shape to a number.
     """
 
-    __slots__ = ("shape", "fn", "many")
+    __slots__ = ("shape", "fn")
 
-    def __init__(self, shape, fn, many=None):
+    def __init__(self, shape, fn):
         self.shape = tuple(shape)
         self.fn = fn
-        self.many = many
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -480,10 +476,8 @@ class OpaqueField:
 
     def evaluate_many(self, pts):
         """Evaluate at an array of points with shape (npts,) + self.shape:
-        one call of many if it is set, else one call of self per point."""
+        one call of self per point."""
         pts = np.asarray(pts, dtype=complex).reshape((len(pts),) + self.shape)
-        if self.many is not None:
-            return np.asarray(self.many(pts), dtype=complex)
         return np.fromiter(map(self, pts), dtype=complex, count=len(pts))
 
 
@@ -505,28 +499,25 @@ def random_poly_field(shape, rng, degree=4, n_terms=8):
 
 
 @functools.lru_cache(maxsize=None)
-def _stencil_layout(size, pairs):
+def _stencil_layout(size):
     """Where the stencil of _stencil_values moves a flat point of size
-    complex entries, built once per (size, pairs) as read-only arrays:
+    complex entries, built once per size as read-only arrays:
     (rows, index, sign, iu, ju).
 
     Real coordinate i of d = 2 size is Re z_i for i < size, else
     Im z_(i - size), float column col[i] of a row's interleaved view. The
-    2d axis rows move coordinate i by +h, then -h; with pairs, the centre
-    comes first and the four rows ++, +-, -+, -- of each pair i < j follow,
-    the pairs (iu, ju) in np.triu_indices order, which without pairs are
-    empty. index holds the flat float positions the rows move, each once,
-    and sign the +-1.0 that multiplies h there.
+    centre comes first; the 2d axis rows move coordinate i by +h, then -h;
+    the four rows ++, +-, -+, -- of each pair i < j follow, the pairs
+    (iu, ju) in np.triu_indices order. index holds the flat float positions
+    the rows move, each once, and sign the +-1.0 that multiplies h there.
     """
     d = 2 * size
     col = np.concatenate([np.arange(0, d, 2), np.arange(1, d, 2)])
-    # without pairs, an offset of d leaves the upper triangle empty
-    iu, ju = np.triu_indices(d, 1 if pairs else d)
-    lead = int(pairs)
-    rows = lead + 2 * d + 4 * len(iu)
-    quad = np.arange(lead + 2 * d, rows)
+    iu, ju = np.triu_indices(d, 1)
+    rows = 1 + 2 * d + 4 * len(iu)
+    quad = np.arange(1 + 2 * d, rows)
     index = np.concatenate([
-        (lead + np.arange(2 * d)) * d + np.repeat(col, 2),
+        (1 + np.arange(2 * d)) * d + np.repeat(col, 2),
         quad * d + np.repeat(col[iu], 4),
         quad * d + np.repeat(col[ju], 4),
     ])
@@ -540,25 +531,19 @@ def _stencil_layout(size, pairs):
     return rows, index, sign, iu, ju
 
 
-def _stencil_values(u, zf, h, pairs):
+def _stencil_values(u, zf, h):
     """(re, im) float pairs of u at the central-difference stencil of step h
     around the flat complex point zf, from one evaluate_many call.
 
     The rows are zf tiled, plus sign * h, which is exactly +-h, at the
-    positions of the cached _stencil_layout(zf.size, pairs); only the tile
-    and that one scatter are made per call.
+    positions of the cached _stencil_layout(zf.size); only the tile and that
+    one scatter are made per call.
     """
-    rows, index, sign, _, _ = _stencil_layout(zf.size, pairs)
+    rows, index, sign, _, _ = _stencil_layout(zf.size)
     points = np.tile(zf, (rows, 1))
     points.view(np.float64).reshape(-1)[index] += sign * h
     v = u.evaluate_many(points)
     return np.stack((v.real, v.imag), axis=-1)
-
-
-def _richardson(level, h):
-    """(4 level(h/2) - level(h)) / 3: one Richardson step, O(h^2) error."""
-    coarse = level(h)
-    return (4.0 * level(h / 2.0) - coarse) / 3.0
 
 
 def _real_hessian(u, zf, h):
@@ -568,8 +553,8 @@ def _real_hessian(u, zf, h):
     pairs gives bitwise the complex arithmetic of the per-pair loop.
     """
     d = 2 * zf.size
-    _, _, _, iu, ju = _stencil_layout(zf.size, True)
-    f = _stencil_values(u, zf, h, pairs=True)
+    _, _, _, iu, ju = _stencil_layout(zf.size)
+    f = _stencil_values(u, zf, h)
     fa = f[1 : 1 + 2 * d].reshape(d, 2, 2)
     fq = f[1 + 2 * d :].reshape(len(iu), 4, 2)
     R = np.empty((d, d, 2))
@@ -599,7 +584,9 @@ def wirtinger_hessian(u, z, step=None):
     h = step if step is not None else 1e-4 * max(1.0, float(np.linalg.norm(zf)))
     if h < 1e-7:
         warnings.warn("finite-difference step below 1e-7; expect cancellation")
-    R = _richardson(lambda h_: _real_hessian(u, zf, h_), h)
+    # one Richardson step, O(h^2) error
+    coarse = _real_hessian(u, zf, h)
+    R = (4.0 * _real_hessian(u, zf, h / 2.0) - coarse) / 3.0
     Hxx = R[:size, :size]
     Hyy = R[size:, size:]
     Hxy = R[:size, size:]
@@ -607,35 +594,19 @@ def wirtinger_hessian(u, z, step=None):
     return 0.25 * (Hxx + Hyy) + 0.25j * (Hxy - Hyx)
 
 
-def _gradient(u, z, sign):
-    """Wirtinger gradient, entry a being 1/2 (d_x + sign i d_y): sign -1
-    gives d/dz_a, sign +1 gives d/dzbar_a.
-
-    Exact for PolyField. An opaque u gets central differences of step 1e-6
-    and one Richardson step, each level one evaluate_many call on the 2d
-    axis rows of the stencil; differencing the (re, im) float pairs gives
-    bitwise the complex arithmetic of the per-entry loop.
-    """
-    zf = np.asarray(z, dtype=complex).reshape(-1)
-    size = zf.size
-    if isinstance(u, PolyField):
-        return np.array(u._sums(sign < 0, sign > 0, _point_values(u, zf), size), dtype=complex)
-
-    def level(h):
-        f = _stencil_values(u, zf, h, pairs=False).reshape(2 * size, 2, 2)
-        df = (f[:, 0] - f[:, 1]) / (2.0 * h)
-        dx, dy = df[:size], df[size:]
-        g = np.stack((dx[:, 0] - sign * dy[:, 1], dx[:, 1] + sign * dy[:, 0]), axis=-1)
-        return (0.5 * g).view(complex)[:, 0]
-
-    return _richardson(level, 1e-6)
+def _gradient(u, z, by_z):
+    """Exact Wirtinger gradient of a PolyField: d/dz_a with by_z, else
+    d/dzbar_a."""
+    if not isinstance(u, PolyField):
+        raise TypeError(f"Wirtinger gradients take a PolyField, not {type(u).__name__}")
+    return np.array(u._sums(by_z, not by_z, _point_values(u, z), u.size), dtype=complex)
 
 
 def wirtinger_gradient(u, z):
-    """Holomorphic Wirtinger gradient d u / dz_a as a flat complex array."""
-    return _gradient(u, z, -1.0)
+    """Exact holomorphic Wirtinger gradient d u / dz_a as a flat array."""
+    return _gradient(u, z, True)
 
 
 def wirtinger_gradient_bar(u, z):
-    """Antiholomorphic Wirtinger gradient d u / dzbar_a as a flat array."""
-    return _gradient(u, z, 1.0)
+    """Exact antiholomorphic Wirtinger gradient d u / dzbar_a as a flat array."""
+    return _gradient(u, z, False)

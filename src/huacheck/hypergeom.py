@@ -31,9 +31,9 @@ def lgamma(x):
     """log Gamma(x) for x > 0.
 
     math.lgamma returns log|Gamma(x)| for x <= 0, which drops the sign, so
-    that range raises.
+    that range raises, and so does NaN.
     """
-    if x <= 0.0:
+    if not x > 0.0:
         raise ValueError("lgamma requires x > 0")
     return math.lgamma(x)
 
@@ -43,8 +43,8 @@ class SeriesConvergenceError(RuntimeError):
 
 
 def _check_series(a, b, c, t):
-    """Raise ValueError unless every t lies in [0, 1) and no c is a
-    non-positive integer; the arguments are broadcast arrays.
+    """Raise ValueError unless every t lies in [0, 1), no a, b or c is NaN
+    and no c is a non-positive integer; the arguments are broadcast arrays.
 
     Returns the mask of the series that need summing (a and b nonzero; the
     others sum to 1). Warns once, naming the innermost caller outside this
@@ -53,6 +53,9 @@ def _check_series(a, b, c, t):
     # NaN fails both comparisons
     if not np.all((0.0 <= t) & (t < 1.0)):
         raise ValueError("series evaluation needs t in [0, 1)")
+    # a series with a NaN parameter would never stop
+    if np.isnan(a).any() or np.isnan(b).any() or np.isnan(c).any():
+        raise ValueError("2F1 parameters must not be NaN")
     if np.any((c <= 0.0) & (c == np.floor(c))):
         raise ValueError("c must not be a non-positive integer")
     live = (a != 0.0) & (b != 0.0)
@@ -113,10 +116,10 @@ def gauss_2f1_stack(a, b, c, t):
 
 
 def gauss_2f1_at_1(a, b, c):
-    """F(a,b,c;1) by Gauss summation; requires c - a - b > 0."""
+    """F(a,b,c;1) by Gauss summation; requires c - a - b > 0 (not NaN)."""
     if a == 0.0 or b == 0.0:
         return 1.0
-    if c - a - b <= 0.0:
+    if not c - a - b > 0.0:
         raise ValueError("Gauss summation needs c - a - b > 0")
     return math.exp(lgamma(c) + lgamma(c - a - b) - lgamma(c - a) - lgamma(c - b))
 

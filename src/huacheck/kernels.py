@@ -20,7 +20,8 @@ upper triangle of z (the only cells its Pfaffians read), for as long as
 it lives. The boundary identity is checked along two routes:
 direct numerical differentiation of P, and closed forms built from the
 log-gradient formulas (the boundary tensors for II/III, the exact component
-assembly for TypeI).
+assembly for TypeI). The closed log-gradients are checked against the
+exact calculus of the generic norm (log_gradients_generic).
 Every matrix inverse goes through ``inverse``, which raises SingularMatrixError
 near singularity instead of returning an inaccurate result.
 """
@@ -35,8 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .domains import SILOV_CHUNK, DomainSpec, kappa, membership_margin, v_matrix, w_matrix
-from .fields import OpaqueField, wirtinger_gradient, wirtinger_gradient_bar
-from .fields import wirtinger_hessian
+from .fields import OpaqueField, PolyField, wirtinger_gradient, wirtinger_hessian
 from .operators import component_values, constrained_hessian, direction_matrix
 
 
@@ -425,26 +425,36 @@ def log_gradients_closed(spec, z, w):
     return c.reshape(-1), cbar.reshape(-1)
 
 
-def log_gradients_fd(spec, z, w):
-    """Finite-difference oracle for log_gradients_closed.
+@functools.lru_cache(maxsize=None)
+def _feature_fields(spec):
+    """spec's generic-norm features as holomorphic PolyFields over
+    spec.shape, in table order, once per spec: the compiled features
+    (_expansion) run on the coordinate fields of the table's cells."""
+    cells, _, _ = _generic_norm_table(spec)
+    features, _ = _expansion(spec)
+    return features([PolyField.coordinate(spec.shape, c) for c in cells])
 
-    Differentiates log det W entrywise on the unconstrained matrix, with step
-    1e-6 and Richardson extrapolation, then maps the plain gradient to
-    constrained coordinates with the direction matrix. Each log det W
-    takes a point or a stack, so an FD level is one stacked det.
+
+def log_gradients_generic(spec, z, w):
+    """c and cbar of log_gradients_closed by the exact calculus of the
+    generic norm: det W(z, w) = h^k' (k' = 2 on III, else 1) with h = 1 +
+    sum_F c_F f_F(z) and c_F = sign_F conj(f_F(w)) (_generic_norm_dets), so
+    the plain gradient is k' sum_F c_F grad f_F(z) / h, each grad f_F exact
+    from _feature_fields. cbar is conj(c), as det W(w, z) = conj det W(z, w).
+    On III the direction matrix differentiates only along the antisymmetric
+    slice, where det W = h^2. Reads no inverse, W or determinant, so it
+    shares nothing with the closed route; TypeIV raises ValueError.
     """
-    shape = spec.shape
-
-    def logdetw_zw(zz):
-        return np.log(np.linalg.det(w_matrix(zz, w)))
-
-    def logdetw_wz(zz):
-        return np.log(np.linalg.det(w_matrix(w, zz)))
-
-    g_plain = wirtinger_gradient(OpaqueField(shape, logdetw_zw, logdetw_zw), z)
-    gbar_plain = wirtinger_gradient_bar(OpaqueField(shape, logdetw_wz, logdetw_wz), z)
-    D = direction_matrix(spec)
-    return D @ g_plain, D.conj() @ gbar_plain
+    if spec.family == "IV":
+        raise ValueError("no kernel log-gradients for TypeIV")
+    cells, _, signs = _generic_norm_table(spec)
+    features, _ = _expansion(spec)
+    coefficients = signs * np.conj(features(w.ravel()[cells].tolist()))
+    h = 1.0 + coefficients @ features(z.ravel()[cells].tolist())
+    J = np.array([wirtinger_gradient(f, z) for f in _feature_fields(spec)])
+    g = (2.0 if spec.family == "III" else 1.0) * (coefficients @ J) / h
+    c = direction_matrix(spec) @ g
+    return c, c.conj()
 
 
 def d2_logdetv(spec, z):

@@ -55,7 +55,7 @@ def test_criterion_2_log_gradient_closed_forms(capsys):
         spec = parse_spec(name)
         pairs = campaigns.interior_boundary_pairs(spec, seed=1, count=100)
         worst = max(worst, *campaigns.log_gradient_residuals(spec, pairs))
-    ok = worst < 1e-6
+    ok = worst < 1e-13
     _verdict(capsys, 2, ok, f"rel={worst:.2e}")
     assert ok
 
@@ -92,7 +92,7 @@ def test_criterion_4_hypergeometric_suite(capsys):
         worst_ladder < 1e-10
         and worst_euler < 1e-10
         and worst_log < 1e-6
-        and worst_ode < 1e-8
+        and worst_ode < 1e-12
     )
     _verdict(
         capsys,
@@ -104,7 +104,7 @@ def test_criterion_4_hypergeometric_suite(capsys):
     assert worst_ladder < 1e-10
     assert worst_euler < 1e-10
     assert worst_log < 1e-6
-    assert worst_ode < 1e-8
+    assert worst_ode < 1e-12
 
 
 def test_criterion_5_singularity_dichotomy(capsys):

@@ -15,6 +15,24 @@ def test_bidegree_harmonic_rejects_non_harmonic_data():
         dirichlet.BidegreeHarmonic(1, 1, 2, bad)
 
 
+@pytest.mark.parametrize(
+    "p, q, n, field, match",
+    [
+        # z_1^2 is harmonic, but of bidegree (2, 0)
+        (1, 1, 3, PolyField((1, 3), {((2, 0, 0), (0, 0, 0)): 1.0}), "bidegree"),
+        # a bidegree-(1, 1) harmonic on C^2 handed to the ball B_3
+        (1, 1, 3, PolyField((1, 2), {((1, 0), (0, 1)): 1.0}), r"over \(1, 3\)"),
+        (-1, 0, 3, PolyField.constant((1, 3), 1.0), "non-negative"),
+        (0, -1, 3, PolyField.constant((1, 3), 1.0), "non-negative"),
+        (0, 0, 3, 1.0, "PolyField"),
+    ],
+    ids=["bidegree", "shape", "p", "q", "not-a-field"],
+)
+def test_bidegree_harmonic_rejects_data_it_cannot_carry(p, q, n, field, match):
+    with pytest.raises(ValueError, match=match):
+        dirichlet.BidegreeHarmonic(p, q, n, field)
+
+
 def test_harmonic_projection_of_modulus_term():
     # the harmonic part of z_1 zbar_1 on C^n is z_1 zbar_1 - |z|^2 / n
     n = 3

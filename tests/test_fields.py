@@ -82,16 +82,42 @@ def test_hessian_exact_vs_finite_difference():
     assert_allclose(H_fd, H_exact, atol=1e-7)
 
 
+def _fd_gradient(u, z, sign):
+    """Central-difference oracle of the Wirtinger gradient, entry a being
+    1/2 (d_x + sign i d_y): sign -1 gives d/dz_a, sign +1 d/dzbar_a. Step
+    1e-6 and one Richardson step, four one-point calls per entry and
+    level."""
+    zf = np.asarray(z, dtype=complex).reshape(-1)
+    size = zf.size
+
+    def diff(h):
+        g = np.empty(size, dtype=complex)
+        for a in range(size):
+            ex = np.zeros(size, dtype=complex)
+            ex[a] = h
+            dfx = (u(zf + ex) - u(zf - ex)) / (2.0 * h)
+            dfy = (u(zf + 1j * ex) - u(zf - 1j * ex)) / (2.0 * h)
+            g[a] = 0.5 * (dfx + sign * (1j * dfy))
+        return g
+
+    g = diff(1e-6)
+    return (4.0 * diff(0.5e-6) - g) / 3.0
+
+
 def test_gradients_exact_vs_finite_difference():
     rng = np.random.default_rng(4)
     f = random_poly_field(SHAPE, rng, degree=3)
     z = 0.3 * (rng.standard_normal(SHAPE) + 1j * rng.standard_normal(SHAPE))
-    g_exact = wirtinger_gradient(f, z)
-    g_fd = wirtinger_gradient(OpaqueField(SHAPE, f), z)
-    assert_allclose(g_fd, g_exact, atol=1e-9)
-    gb_exact = wirtinger_gradient_bar(f, z)
-    gb_fd = wirtinger_gradient_bar(OpaqueField(SHAPE, f), z)
-    assert_allclose(gb_fd, gb_exact, atol=1e-9)
+    assert_allclose(_fd_gradient(f, z, -1.0), wirtinger_gradient(f, z), atol=1e-9)
+    assert_allclose(_fd_gradient(f, z, 1.0), wirtinger_gradient_bar(f, z), atol=1e-9)
+
+
+@pytest.mark.parametrize("gradient", [wirtinger_gradient, wirtinger_gradient_bar])
+def test_gradients_are_exact_only(gradient):
+    # an opaque field has no gradient: the FD route is the Hessian's alone
+    u = OpaqueField(SHAPE, lambda z: complex(np.sum(z)))
+    with pytest.raises(TypeError, match="PolyField"):
+        gradient(u, np.zeros(SHAPE))
 
 
 def test_hessian_of_modulus_squared_is_identity_block():
@@ -248,42 +274,41 @@ def test_fd_hessian_evaluates_once_per_stencil_point(shape):
     assert set(calls) == {shape}
 
 
-def _inline_stencil_rows(zf, h, pairs):
+def _inline_stencil_rows(zf, h):
     """The stencil rows as _stencil_values built them before the layout was
     cached: every index and sign array made afresh at each level."""
     d = 2 * zf.size
     col = np.concatenate([np.arange(0, d, 2), np.arange(1, d, 2)])
-    iu, ju = np.triu_indices(d, 1 if pairs else d)
-    lead = int(pairs)
-    rows = np.tile(zf, (lead + 2 * d + 4 * len(iu), 1))
+    iu, ju = np.triu_indices(d, 1)
+    rows = np.tile(zf, (1 + 2 * d + 4 * len(iu), 1))
     X = rows.view(np.float64)
-    X[lead + np.arange(2 * d), np.repeat(col, 2)] += np.tile([h, -h], d)
-    quad = np.arange(lead + 2 * d, len(rows))
+    X[1 + np.arange(2 * d), np.repeat(col, 2)] += np.tile([h, -h], d)
+    quad = np.arange(1 + 2 * d, len(rows))
     X[quad, np.repeat(col[iu], 4)] += np.tile([h, h, -h, -h], len(iu))
     X[quad, np.repeat(col[ju], 4)] += np.tile([h, -h, h, -h], len(iu))
     return rows
 
 
 @pytest.mark.parametrize("size", [1, 4, 6, 9, 16])
-@pytest.mark.parametrize("pairs", [False, True])
-def test_stencil_rows_from_the_cached_layout_equal_the_inline_rows(size, pairs):
+def test_stencil_rows_from_the_cached_layout_equal_the_inline_rows(size):
     rng = np.random.default_rng(size)
     zf = 0.3 * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
     seen = []
 
-    def many(pts):
-        seen.append(pts.reshape(len(pts), -1).copy())
-        return np.sum(pts * pts.conj(), axis=(1, 2)) + pts[:, 0, 0]
+    def fn(z):
+        seen.append(z.reshape(-1).copy())
+        return np.sum(z * z.conj()) + z[0, 0]
 
-    u = OpaqueField((1, size), None, many)
+    u = OpaqueField((1, size), fn)
     for h in (1e-3, 5e-4):
-        values = fields._stencil_values(u, zf, h, pairs)
-        rows = _inline_stencil_rows(zf, h, pairs)
-        assert seen[-1].tobytes() == rows.tobytes()
-        v = many(rows.reshape(-1, 1, size))
+        seen.clear()
+        values = fields._stencil_values(u, zf, h)
+        rows = _inline_stencil_rows(zf, h)
+        assert np.array(seen).tobytes() == rows.tobytes()
+        v = np.array([complex(fn(row.reshape(1, size))) for row in rows])
         assert values.tobytes() == np.stack((v.real, v.imag), axis=-1).tobytes()
-    layout = fields._stencil_layout(size, pairs)
-    assert layout is fields._stencil_layout(size, pairs)
+    layout = fields._stencil_layout(size)
+    assert layout is fields._stencil_layout(size)
     for array in layout[1:]:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
@@ -302,116 +327,6 @@ def test_opaque_field_passes_shaped_complex_rows_through():
     assert seen[-1].shape == (2, 2) and seen[-1].dtype == complex
     assert type(u(np.ones((1, 4)))) is complex
     assert seen[-1].shape == (2, 2) and seen[-1].dtype == complex
-
-
-@pytest.mark.parametrize(
-    "case",
-    [
-        lambda: _kernel_case(type_i(2, 3)),
-        lambda: _kernel_case(type_ii(3)),
-        lambda: _kernel_case(type_iii(4)),
-        _poly_case,
-    ],
-    ids=["kernel-I(2,3)", "kernel-II(3)", "kernel-III(4)", "poly"],
-)
-def test_stack_evaluator_gives_the_scalar_path_hessian(case):
-    u, z, step = case()
-    stacks = []
-
-    def many(pts):
-        stacks.append(pts.shape)
-        return [u(p) for p in pts]
-
-    H = wirtinger_hessian(OpaqueField(u.shape, u.fn, many), z, step=step)
-    assert np.array_equal(H, wirtinger_hessian(u, z, step=step))
-    # one call per Richardson level, on the whole 1 + 2 d^2 point stencil
-    d = 2 * z.size
-    assert stacks == [(1 + 2 * d * d,) + u.shape] * 2
-
-
-def _reference_fd_gradient(u, z, sign):
-    """The per-entry loop of four one-point calls per entry and level that
-    the stacked gradient stencil replaced; kept as the bit-for-bit
-    reference."""
-    z = np.asarray(z, dtype=complex)
-    size = z.size
-    h = 1e-6
-    zf = z.reshape(-1)
-
-    def diff(h_):
-        g = np.empty(size, dtype=complex)
-        for a in range(size):
-            ex = np.zeros(size, dtype=complex)
-            ex[a] = h_
-            dfx = (u(zf + ex) - u(zf - ex)) / (2.0 * h_)
-            dfy = (u(zf + 1j * ex) - u(zf - 1j * ex)) / (2.0 * h_)
-            g[a] = 0.5 * (dfx + sign * (1j * dfy))
-        return g
-
-    g = diff(h)
-    return (4.0 * diff(h / 2.0) - g) / 3.0
-
-
-def _logdetw_case(spec, boundary_first):
-    """log det W(z, w) (or of W(w, z)) at an interior z for a Šilov w, as one
-    function of a point or a stack of points."""
-    z = domains.sample_interior(spec, 0, 1)[0]
-    w = domains.sample_silov(spec, 1, 1)[0]
-
-    def fn(zz):
-        W = domains.w_matrix(w, zz) if boundary_first else domains.w_matrix(zz, w)
-        return np.log(np.linalg.det(W))
-
-    return spec.shape, fn, z
-
-
-def _poly_gradient_case():
-    rng = np.random.default_rng(7)
-    f = random_poly_field(SHAPE, rng, degree=4)
-    z = 0.3 * (rng.standard_normal(SHAPE) + 1j * rng.standard_normal(SHAPE))
-
-    # PolyField.evaluate_many may round a product differently from the
-    # scalar __call__, so the stack goes point by point
-    def fn(zz):
-        return f(zz) if zz.ndim == 2 else [f(p) for p in zz]
-
-    return SHAPE, fn, z
-
-
-@pytest.mark.parametrize(
-    "case",
-    [
-        lambda: _logdetw_case(type_i(2, 3), False),
-        lambda: _logdetw_case(type_i(2, 3), True),
-        lambda: _logdetw_case(type_ii(3), False),
-        lambda: _logdetw_case(type_ii(3), True),
-        lambda: _logdetw_case(type_iii(4), False),
-        lambda: _logdetw_case(type_iii(4), True),
-        _poly_gradient_case,
-    ],
-    ids=[
-        "zw-I(2,3)", "wz-I(2,3)", "zw-II(3)", "wz-II(3)", "zw-III(4)", "wz-III(4)", "poly"
-    ],
-)
-def test_fd_gradient_stencil_equals_per_entry_reference(case):
-    shape, fn, z = case()
-    stacks = []
-
-    def many(pts):
-        stacks.append(pts.shape)
-        return fn(pts)
-
-    u = OpaqueField(shape, fn, many)
-    scalar = OpaqueField(shape, fn)
-    d = 2 * z.size
-    for gradient, sign in ((wirtinger_gradient, -1.0), (wirtinger_gradient_bar, 1.0)):
-        stacks.clear()
-        g = gradient(u, z)
-        assert np.array_equal(g, _reference_fd_gradient(scalar, z, sign))
-        # one stacked call per Richardson level, on the 2d axis rows
-        assert stacks == [(2 * d,) + shape] * 2
-        # without a stack evaluator, the stencil goes point by point
-        assert np.array_equal(gradient(scalar, z), g)
 
 
 def test_constructor_rejects_exponents_of_wrong_length():

@@ -9,8 +9,9 @@ from huacheck import campaigns, hypergeom
 
 
 def test_lgamma_rejects_non_positive_arguments():
-    # math.lgamma(-0.5) is log|Gamma(-0.5)| = 1.2655..., without the sign
-    for x in (0.0, -0.5):
+    # math.lgamma(-0.5) is log|Gamma(-0.5)| = 1.2655..., without the sign,
+    # and math.lgamma(nan) is nan
+    for x in (0.0, -0.5, math.nan):
         with pytest.raises(ValueError):
             hypergeom.lgamma(x)
 
@@ -51,6 +52,24 @@ def test_gauss_2f1_input_validation():
         hypergeom.gauss_2f1_stack(1.0, 1.0, 3.0, 1.0)
     with pytest.raises(ValueError):
         hypergeom.gauss_2f1_stack(1.0, 1.0, -2.0, 0.5)
+
+
+@pytest.mark.parametrize("slot", range(3))
+def test_nan_parameters_raise_at_once(monkeypatch, slot):
+    # a series with a NaN parameter never stops: it used to end in a
+    # SeriesConvergenceError at the term cap, lowered here to keep that quick
+    monkeypatch.setattr(hypergeom, "SERIES_TERM_CAP", 10)
+    abc = [1.0, 1.0, 3.0]
+    abc[slot] = math.nan
+    with pytest.raises(ValueError, match="NaN"):
+        hypergeom.gauss_2f1_stack(*abc, np.array([0.2, 0.4]))
+    with pytest.raises(ValueError):
+        hypergeom.gauss_2f1_at_1(*abc)
+    # one NaN among the broadcast parameters of a stack
+    stacked = [np.array([x, 1.0]) if i == slot else x for i, x in enumerate((1.0, 1.0, 3.0))]
+    stacked[slot][0] = math.nan
+    with pytest.raises(ValueError, match="NaN"):
+        hypergeom.gauss_2f1_stack(*stacked, 0.3)
 
 
 def _reference_gauss_2f1(a, b, c, t):
@@ -393,6 +412,18 @@ def test_limit_law_records_catch_a_scaled_route(monkeypatch, mutant, records):
         report = campaigns.run_hypergeom_campaign(points=1, seed=0)
     failed = {record.name for record in report.records if not record.passed}
     assert records <= failed
+
+
+def test_radial_ode_record_catches_a_series_stopped_early(monkeypatch):
+    # the record draws nothing and reads 1.55e-15; a series stopped at a
+    # relative term of 1e-9 reads 1.22e-9, which the old 1e-8 gate let through
+    monkeypatch.setattr(hypergeom, "SERIES_RTOL", 1e-9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = campaigns.run_hypergeom_campaign(points=1, seed=0)
+    (record,) = [r for r in report.records if r.name == "radial-ode"]
+    assert record.passed is False
+    assert record.residual_max < 1e-8
 
 
 def test_classify_singularity_needs_large_enough_dimension():

@@ -9,14 +9,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from huacheck import domains, kernels, operators
+from huacheck import campaigns, domains, kernels, operators
 from huacheck.domains import type_i, type_ii, type_iii, type_iv
-from huacheck.fields import (
-    OpaqueField,
-    wirtinger_gradient,
-    wirtinger_gradient_bar,
-    wirtinger_hessian,
-)
+from huacheck.fields import OpaqueField, wirtinger_hessian
 
 
 def pair(spec, seed=0):
@@ -454,11 +449,9 @@ def test_compiled_expansion_is_the_interpreted_one_bit_for_bit(domain):
     # the stencil rows of one FD Hessian: all of them, but an evenly spaced
     # 400 of the 39,204 of I(5,7) and the 131,076 of III(8)
     stencils = []
-    field = OpaqueField(
-        spec.shape, None, many=lambda pts: stencils.append(pts.copy()) or np.zeros(len(pts))
-    )
+    field = OpaqueField(spec.shape, lambda x: stencils.append(x.copy()) or 0.0)
     wirtinger_hessian(field, points[0], step=kernels.FD_STEP)
-    rows = np.concatenate(stencils)
+    rows = np.array(stencils)
     points += list(rows[:: len(rows) // 400 if len(signs) > 100 else 1])
     for x in points:
         got = point(read(x), coefficients)
@@ -504,29 +497,93 @@ def test_kernel_rejects_type_iv():
             kernels.poisson_szego(type_iv(2), np.zeros((1, 2)), w)
 
 
+def _fd_log_gradient(spec, z, logdet, sign):
+    """Central-difference oracle of a log-gradient in constrained
+    coordinates: 1/2 (d_x + sign i d_y) of logdet along each row of the
+    direction matrix, step 1e-6; sign -1 differentiates in z, +1 in zbar."""
+    g = []
+    for row in operators.direction_matrix(spec):
+        e = 1e-6 * row.reshape(spec.shape)
+        dx = (logdet(z + e) - logdet(z - e)) / 2e-6
+        dy = (logdet(z + 1j * e) - logdet(z - 1j * e)) / 2e-6
+        g.append(0.5 * (dx + sign * 1j * dy))
+    return np.array(g)
+
+
 @pytest.mark.parametrize("spec", [type_i(2, 3), type_ii(2), type_ii(3), type_iii(4)])
 def test_log_gradients_closed_match_finite_differences(spec):
+    # both routes against differences of LAPACK's log det W(z, w) and
+    # log det W(w, z)
     z, w = pair(spec, seed=2)
-    c, cb = kernels.log_gradients_closed(spec, z, w)
-    cf, cbf = kernels.log_gradients_fd(spec, z, w)
-    assert_allclose(c, cf, atol=1e-7)
-    assert_allclose(cb, cbf, atol=1e-7)
 
-
-@pytest.mark.parametrize("spec", [type_i(2, 3), type_ii(3), type_iii(4)])
-def test_log_gradients_fd_equal_the_one_point_route(spec):
-    # each log det W is one stacked det per Richardson level; the same
-    # function differentiated one stencil point at a time gives the same bits
-    z, w = pair(spec, seed=3)
-    cf, cbf = kernels.log_gradients_fd(spec, z, w)
     def logdet(W):
         return np.log(np.linalg.det(W))
 
-    zw = OpaqueField(spec.shape, lambda zz: logdet(domains.w_matrix(zz, w)))
-    wz = OpaqueField(spec.shape, lambda zz: logdet(domains.w_matrix(w, zz)))
-    D = operators.direction_matrix(spec)
-    assert np.array_equal(cf, D @ wirtinger_gradient(zw, z))
-    assert np.array_equal(cbf, D.conj() @ wirtinger_gradient_bar(wz, z))
+    cf = _fd_log_gradient(spec, z, lambda x: logdet(domains.w_matrix(x, w)), -1.0)
+    cbf = _fd_log_gradient(spec, z, lambda x: logdet(domains.w_matrix(w, x)), 1.0)
+    for route in (kernels.log_gradients_closed, kernels.log_gradients_generic):
+        c, cb = route(spec, z, w)
+        assert_allclose(c, cf, atol=1e-7)
+        assert_allclose(cb, cbf, atol=1e-7)
+
+
+@pytest.mark.parametrize("domain", GENERIC_NORM_DOMAINS + ["I:3,4", "III:8"])
+def test_log_gradients_generic_equal_the_closed_route_to_rounding(domain):
+    # the record's gate is 1e-13; on the small and large tables too the two
+    # exact routes part by rounding alone
+    spec = domains.parse_spec(domain)
+    pairs = campaigns.interior_boundary_pairs(spec, seed=40, count=3)
+    assert max(campaigns.log_gradient_residuals(spec, pairs)) < 1e-14
+
+
+def _log_gradient_record(spec, monkeypatch):
+    """The log-gradient-dual-route record of verify kernel on spec at two
+    points, with the FD and closed boundary-identity routes stubbed out."""
+    monkeypatch.setattr(kernels, "check_theorem22", lambda spec, z, w: (0.0, 0.0))
+    report = campaigns.run_kernel_campaign([spec], points=2, seed=0)
+    (record,) = [r for r in report.records if r.name.startswith("log-gradient-dual-route-")]
+    return record
+
+
+DEFAULT_KERNEL_SPECS = [type_i(2, 2), type_i(2, 3), type_ii(2), type_ii(3), type_iii(4)]
+
+
+@pytest.mark.parametrize("spec", DEFAULT_KERNEL_SPECS, ids=lambda spec: spec.label())
+def test_log_gradient_record_catches_a_closed_route_off_by_1e_9(monkeypatch, spec):
+    closed = kernels.log_gradients_closed
+
+    def scaled(spec, z, w):
+        c, cb = closed(spec, z, w)
+        return c * (1.0 + 1e-9), cb * (1.0 + 1e-9)
+
+    monkeypatch.setattr(kernels, "log_gradients_closed", scaled)
+    record = _log_gradient_record(spec, monkeypatch)
+    assert record.passed is False
+    # the finite-difference route's gate of 1e-6 let it through
+    assert record.residual_max < 1e-6
+
+
+@pytest.mark.parametrize("spec", DEFAULT_KERNEL_SPECS, ids=lambda spec: spec.label())
+def test_log_gradient_record_catches_a_sign_flipped_in_the_generic_norm(monkeypatch, spec):
+    table = kernels._generic_norm_table
+    # compiled before the patch, so the cached expansion keeps the true signs
+    kernels._expansion(spec)
+
+    def flipped(spec):
+        cells, expansions, signs = table(spec)
+        signs = signs.copy()
+        signs[-1] = -signs[-1]
+        return cells, expansions, signs
+
+    monkeypatch.setattr(kernels, "_generic_norm_table", flipped)
+    assert _log_gradient_record(spec, monkeypatch).passed is False
+
+
+def test_log_gradients_reject_type_iv():
+    z = np.zeros((1, 6))
+    for route in (kernels.log_gradients_closed, kernels.log_gradients_generic):
+        with pytest.raises(ValueError, match="TypeIV"):
+            route(type_iv(6), z, z)
 
 
 def test_d2_logdetv_against_numerical_hessian():
