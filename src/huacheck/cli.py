@@ -72,12 +72,13 @@ _SEED = _checked(int, lambda v: v >= 0, "at least 0")
 # minors of I and II, the Pfaffians of III: kernels._generic_norm_table) is
 # s^2 F. verify kernel's FD Hessian sums the F-feature expansion at each of
 # its 1 + 8 s^2 stencil points, so MAX_WORK bounds its time: a whole run of
-# I(5,7) (0.97e6), the slowest domain accepted, took 5.8 s at --points 1
-# (about 6 us per unit of s^2 F), and of III(8) (0.52e6), the largest domain
-# CI runs, 1.8 s at --points 2 (best of 3 processes, one BLAS thread, a
-# shared 2-core x86-64 host). Since F >= s past III(6), it also bounds the
-# stencil's 128 s^3 bytes by 128 MB, and verify dirichlet's workspace of
-# 64 KB per feature by 50 MB. I(6,6) (1.2e6), II(6) and III(10) (5.1e6) are refused.
+# I(5,7) (0.97e6), the slowest domain accepted, took 5.2 s at --points 1
+# (about 5 us per unit of s^2 F), and of III(8) (0.52e6), the largest domain
+# CI runs, 1.4 s at --points 2 (best of 3 processes, one BLAS thread, a
+# shared 2-core x86-64 host; runs spread over 5.2-6.6 s and 1.4-2.0 s).
+# Since F >= s past III(6), it also bounds the stencil's 128 s^3 bytes by
+# 128 MB, and verify dirichlet's workspace of 64 KB per feature by 50 MB.
+# I(6,6) (1.2e6), II(6) and III(10) (5.1e6) are refused.
 MAX_WORK = 10**6
 
 

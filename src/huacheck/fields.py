@@ -24,15 +24,16 @@ matrix.  Two representations are supported:
   stack the same products of its columns.
 * ``OpaqueField`` -- an arbitrary evaluator of one point, whose mixed
   Hessian is a central finite difference in the real coordinates: one call
-  per row of a stencil layout built once per size, and one Richardson step.
+  per row of a stencil layout built once per size, at FD_STEP and FD_STEP / 2,
+  and one Richardson step.
   The Wirtinger gradients take a PolyField only; another field raises TypeError.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
-import warnings
 
 import numpy as np
 
@@ -44,6 +45,11 @@ COEFF_DROP = 1e-15
 EXP_BITS = 16
 EXP_LIMIT = 1 << EXP_BITS
 _EXP_MASK = EXP_LIMIT - 1
+
+# The one FD step, balancing roundoff against Richardson truncation; a stencil
+# row moves at most two real coordinates by it, so FD_REACH in operator norm.
+FD_STEP = 1e-3
+FD_REACH = math.sqrt(2.0) * FD_STEP
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -564,16 +570,16 @@ def _real_hessian(u, zf, h):
     return R.view(complex)[..., 0]
 
 
-def wirtinger_hessian(u, z, step=None):
+def wirtinger_hessian(u, z):
     """Mixed Wirtinger Hessian H[a, b] = d^2 u / dz_a dzbar_b, flattened
     row-major, as an (m*n) x (m*n) complex array.
 
     Exact for PolyField; central finite differences with one level of
     Richardson extrapolation for opaque fields, via
     d^2/dz dzbar = 1/4 (d_xx + d_yy) + i/4 (d_xy - d_yx). An opaque u is
-    evaluated with evaluate_many, once per Richardson level on the whole
-    1 + 2 d^2 point stencil (d = 2 m n real coordinates); the step defaults
-    to 1e-4 max(1, |z|).
+    evaluated with evaluate_many, once per Richardson level, FD_STEP and
+    FD_STEP / 2, on the whole 1 + 2 d^2 point stencil (d = 2 m n real
+    coordinates).
     """
     zf = np.asarray(z, dtype=complex).reshape(-1)
     size = zf.size
@@ -581,17 +587,11 @@ def wirtinger_hessian(u, z, step=None):
         H = u._sums(True, True, _point_values(u, zf), size * size)
         return np.array(H, dtype=complex).reshape(size, size)
 
-    h = step if step is not None else 1e-4 * max(1.0, float(np.linalg.norm(zf)))
-    if h < 1e-7:
-        warnings.warn("finite-difference step below 1e-7; expect cancellation")
     # one Richardson step, O(h^2) error
-    coarse = _real_hessian(u, zf, h)
-    R = (4.0 * _real_hessian(u, zf, h / 2.0) - coarse) / 3.0
-    Hxx = R[:size, :size]
-    Hyy = R[size:, size:]
-    Hxy = R[:size, size:]
-    Hyx = R[size:, :size]
-    return 0.25 * (Hxx + Hyy) + 0.25j * (Hxy - Hyx)
+    coarse = _real_hessian(u, zf, FD_STEP)
+    R = (4.0 * _real_hessian(u, zf, FD_STEP / 2.0) - coarse) / 3.0
+    x, y = slice(None, size), slice(size, None)
+    return 0.25 * (R[x, x] + R[y, y]) + 0.25j * (R[x, y] - R[y, x])
 
 
 def _gradient(u, z, by_z):

@@ -44,7 +44,7 @@ class SeriesConvergenceError(RuntimeError):
 
 def _check_series(a, b, c, t):
     """Raise ValueError unless every t lies in [0, 1), no a, b or c is NaN
-    and no c is a non-positive integer; the arguments are broadcast arrays.
+    and no c is a non-positive integer, for scalars or broadcast arrays.
 
     Returns the mask of the series that need summing (a and b nonzero; the
     others sum to 1). Warns once, naming the innermost caller outside this
@@ -116,7 +116,9 @@ def gauss_2f1_stack(a, b, c, t):
 
 
 def gauss_2f1_at_1(a, b, c):
-    """F(a,b,c;1) by Gauss summation; requires c - a - b > 0 (not NaN)."""
+    """F(a,b,c;1) by Gauss summation; requires c - a - b > 0. a, b and c
+    are checked as a series' are, before the a = 0 or b = 0 exit."""
+    _check_series(a, b, c, 0.0)
     if a == 0.0 or b == 0.0:
         return 1.0
     if not c - a - b > 0.0:
@@ -134,9 +136,9 @@ def gauss_2f1_derivative(a, b, c, t, order=1):
 
 
 def gauss_2f1_derivative_series(a, b, c, t):
-    """dF/dt by differentiating the series term by term; ladder oracle."""
-    if not (0.0 <= t < 1.0):
-        raise ValueError("series evaluation needs t in [0, 1)")
+    """dF/dt by differentiating the series term by term; ladder oracle.
+    The arguments are checked as a series' are, before any term."""
+    _check_series(a, b, c, t)
     total = 0.0
     term = a * b / c  # k = 1 term of F contributes its derivative
     for k in range(1, SERIES_TERM_CAP):

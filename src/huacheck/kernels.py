@@ -11,13 +11,14 @@ boundary point for the FD stencil, or over a stacked boundary sample as
 poisson_points, made once per stack of interior points, and poisson_block;
 the Monte-Carlo Poisson solve of huacheck.dirichlet calls those two itself,
 poisson_block once per block of its sample. Both routes sum det W from
-the generic norm of the Jordan triple, compiled once per table into
-straight-line Python: on arrays for a stack, on Python scalars in the one
-evaluator of z per boundary point w. kernel_field builds that evaluator
-once, and each of its FD stencil rows calls it; a bare one-point call
-builds a throwaway one. On III the evaluator stores its values, one per
-upper triangle of z (the only cells its Pfaffians read), for as long as
-it lives. The boundary identity is checked along two routes:
+the generic norm of the Jordan triple, whose table is their one family
+switch, compiled once into straight-line Python: on arrays for a stack, on
+Python scalars in the one evaluator of z per boundary point w.
+kernel_field builds that evaluator once, and each of its FD stencil rows
+calls it; a bare one-point call builds a throwaway one. On III the
+evaluator stores its values, one per upper triangle of z (the only cells
+its Pfaffians read), for as long as it lives. The boundary identity is
+checked along two routes:
 direct numerical differentiation of P, and closed forms built from the
 log-gradient formulas (the boundary tensors for II/III, the exact component
 assembly for TypeI). The closed log-gradients are checked against the
@@ -36,15 +37,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .domains import SILOV_CHUNK, DomainSpec, kappa, membership_margin, v_matrix, w_matrix
-from .fields import OpaqueField, PolyField, wirtinger_gradient, wirtinger_hessian
+from .fields import FD_REACH, OpaqueField, PolyField, wirtinger_gradient, wirtinger_hessian
 from .operators import component_values, constrained_hessian, direction_matrix
 
 
 SINGULARITY_FLOOR = 1e-12
-
-# Step of the FD Hessian in check_theorem22: it balances roundoff in the
-# second difference against Richardson truncation.
-FD_STEP = 1e-3
 
 DET_V_NOT_POSITIVE = "det V(z) <= 0: z is not interior"
 NO_TYPE_IV_KERNEL = "no determinant kernel for TypeIV"
@@ -74,17 +71,20 @@ def inverse(M):
 
 @functools.lru_cache(maxsize=None)
 def _generic_norm_table(spec):
-    """The signed minor table of spec's generic norm, once per spec.
+    """The signed minor table of spec's generic norm, once per spec; TypeIV
+    raises ValueError. The one family switch of the generic-norm routes.
 
     The features f_F of a matrix x are its minors det x[S, T] over row sets
     S and column sets T of one size (I and II), or its Pfaffians Pf x[S]
     over even sets S (III), ordered by size, without the empty set, whose
-    feature is 1. Returns (cells, expansions, signs). The first features
-    are the 1 x 1 minors, or the Pfaffians of pairs: the entries of x at
-    the flattened indices cells. Every later feature has a tuple of (sign,
-    cell, earlier feature) terms, its expansion along its first row. signs
-    holds each feature's sign in the generic norm.
+    feature is 1. Returns (cells, expansions, signs, power). The first
+    features are the 1 x 1 minors, or the Pfaffians of pairs: the entries
+    of x at the flattened indices cells. Every later feature has a tuple of
+    (sign, cell, earlier feature) terms, its expansion along its first row.
+    signs holds each feature's sign in the generic norm h; det W = h^power.
     """
+    if spec.family == "IV":
+        raise ValueError(NO_TYPE_IV_KERNEL)
     m, n = spec.shape
     keys = []
     if spec.family == "III":
@@ -117,7 +117,8 @@ def _generic_norm_table(spec):
             ))
         index[key] = len(index)
         signs.append((-1.0) ** degree)
-    return [s * n + t for s, t in cells], tuple(expansions), np.array(signs)
+    power = 2 if spec.family == "III" else 1
+    return [s * n + t for s, t in cells], tuple(expansions), np.array(signs), power
 
 
 @functools.lru_cache(maxsize=None)
@@ -133,7 +134,7 @@ def _expansion(spec):
     terms to 1.0 in table order. One statement per operation: no expression
     nests deeper as the table grows, and only table indices enter the source.
     """
-    cells, expansions, signs = _generic_norm_table(spec)
+    cells, expansions, signs, _ = _generic_norm_table(spec)
     features = [f"f{i}" for i in range(len(signs))]
     body = [f"    {', '.join(features[: len(cells)])}, = x"]
     for i, terms in enumerate(expansions, len(cells)):
@@ -166,13 +167,13 @@ def _point_kernel(spec, w):
     complex entries the sum reads. The sum reads nothing else of z, so a
     stored value has the bits of a fresh one.
     """
+    cells, _, signs, power = _generic_norm_table(spec)
     k = float(kappa(spec))
-    cells, _, signs = _generic_norm_table(spec)
     features, point = _expansion(spec)
     x = w.astype(complex, copy=False).ravel().tolist()
     w_features = features([x[c] for c in cells])
     coefficients = [s * f.conjugate() for s, f in zip(signs.tolist(), w_features)]
-    squared = spec.family == "III"
+    squared = power == 2
 
     def expanded(flat):
         detv, detw = point(flat, coefficients)
@@ -207,7 +208,7 @@ def _workspace(spec, points):
     call instead made a dirichlet-mc benchmark pass about 25% slower
     (0.417-0.427 s against 0.321-0.350 s in 3 of 3 alternating pairs, one
     BLAS thread, x86-64) for 1.6 MB less peak memory."""
-    cells, _, _ = _generic_norm_table(spec)
+    cells = _generic_norm_table(spec)[0]
     return (
         np.empty((len(cells), SILOV_CHUNK), dtype=complex),
         np.empty((points, SILOV_CHUNK), dtype=complex),
@@ -245,7 +246,7 @@ def _generic_norm_dets(spec, ws, coefficients):
     most 2^r eps on the distinguished boundary, where every s_j(w) = 1.
     Against it, |h(z, w)| >= prod_j (1 - s_j(z)) for ||w|| <= 1.
     """
-    cells, _, _ = _generic_norm_table(spec)
+    cells, _, _, power = _generic_norm_table(spec)
     features, _ = _expansion(spec)
     points = coefficients.shape[1]
     flat, product = _workspace(spec, points)
@@ -260,7 +261,7 @@ def _generic_norm_dets(spec, ws, coefficients):
         h[...] = 1.0
         for c, f in zip(coefficients, features(flat[:, :k])):
             h += np.multiply(c[:, None], f, out=product[:, :k])
-        if spec.family == "III":
+        if power == 2:
             h *= h
     return dets
 
@@ -285,11 +286,9 @@ def poisson_points(spec, z):
     A TypeIV spec, and a z that is not interior (membership margin <= 0 or
     NaN), raise ValueError.
     """
-    if spec.family == "IV":
-        raise ValueError(NO_TYPE_IV_KERNEL)
+    cells, _, signs, _ = _generic_norm_table(spec)
     _check_interior(spec, z)
     k = float(kappa(spec))
-    cells, _, signs = _generic_norm_table(spec)
     features, _ = _expansion(spec)
     zs = np.reshape(z, (-1, spec.size))
     coefficients = signs[:, None] * np.conj(features(zs[:, cells].T))
@@ -353,10 +352,9 @@ def poisson_szego(spec, z, w, *, _point=None):
 
 
 def _check_one_point(spec, z, w):
-    """Raise ValueError unless spec has a determinant kernel and z and w
-    are one point each, of shape spec.shape."""
-    if spec.family == "IV":
-        raise ValueError(NO_TYPE_IV_KERNEL)
+    """Raise ValueError on TypeIV (by the table), or unless z and w are one
+    point each, of shape spec.shape."""
+    _generic_norm_table(spec)
     if z.shape != w.shape or w.shape != spec.shape:
         raise ValueError(
             f"one boundary point takes z and w of shape {spec.shape}, "
@@ -386,7 +384,7 @@ def kernel_field(spec, w):
     of the field is one poisson_szego call that checks z's shape and runs
     that evaluator; it does not check that z is interior, since its caller
     check_theorem22 keeps the whole FD stencil inside the domain
-    (||z||_2 + sqrt(2) FD_STEP < 1).
+    (||z||_2 + FD_REACH < 1).
     """
     _check_one_point(spec, w, w)
     point = _point_kernel(spec, w)
@@ -430,14 +428,14 @@ def _feature_fields(spec):
     """spec's generic-norm features as holomorphic PolyFields over
     spec.shape, in table order, once per spec: the compiled features
     (_expansion) run on the coordinate fields of the table's cells."""
-    cells, _, _ = _generic_norm_table(spec)
+    cells = _generic_norm_table(spec)[0]
     features, _ = _expansion(spec)
     return features([PolyField.coordinate(spec.shape, c) for c in cells])
 
 
 def log_gradients_generic(spec, z, w):
     """c and cbar of log_gradients_closed by the exact calculus of the
-    generic norm: det W(z, w) = h^k' (k' = 2 on III, else 1) with h = 1 +
+    generic norm: det W(z, w) = h^k' (k', the table's power) with h = 1 +
     sum_F c_F f_F(z) and c_F = sign_F conj(f_F(w)) (_generic_norm_dets), so
     the plain gradient is k' sum_F c_F grad f_F(z) / h, each grad f_F exact
     from _feature_fields. cbar is conj(c), as det W(w, z) = conj det W(z, w).
@@ -445,14 +443,12 @@ def log_gradients_generic(spec, z, w):
     slice, where det W = h^2. Reads no inverse, W or determinant, so it
     shares nothing with the closed route; TypeIV raises ValueError.
     """
-    if spec.family == "IV":
-        raise ValueError("no kernel log-gradients for TypeIV")
-    cells, _, signs = _generic_norm_table(spec)
+    cells, _, signs, power = _generic_norm_table(spec)
     features, _ = _expansion(spec)
     coefficients = signs * np.conj(features(w.ravel()[cells].tolist()))
     h = 1.0 + coefficients @ features(z.ravel()[cells].tolist())
     J = np.array([wirtinger_gradient(f, z) for f in _feature_fields(spec)])
-    g = (2.0 if spec.family == "III" else 1.0) * (coefficients @ J) / h
+    g = power * (coefficients @ J) / h
     c = direction_matrix(spec) @ g
     return c, c.conj()
 
@@ -520,15 +516,14 @@ def check_theorem22(spec, z, w):
     residual (closed tensor sum for II/III, exact assembly for TypeI).
     Raises ValueError when the FD stencil around z can leave the domain.
     """
-    # a stencil point moves at most two real coordinates by FD_STEP, so its
-    # operator norm is at most ||z||_2 + sqrt(2) FD_STEP
-    if np.linalg.norm(z, 2) + np.sqrt(2.0) * FD_STEP >= 1.0:
+    # a stencil point lies within FD_REACH of z in operator norm
+    if np.linalg.norm(z, 2) + FD_REACH >= 1.0:
         raise ValueError(
             "the FD stencil around z can leave the domain: "
             "||z||_2 + sqrt(2) * FD_STEP >= 1"
         )
     # one Hessian evaluation serves every component
-    H = wirtinger_hessian(kernel_field(spec, w), z, step=FD_STEP)
+    H = wirtinger_hessian(kernel_field(spec, w), z)
     values = component_values(spec, z, constrained_hessian(spec, H))
     r_fd = float(np.max(np.abs(values)))
     if spec.family == "I":

@@ -240,6 +240,45 @@ def test_gauss_summation_at_one():
         hypergeom.gauss_2f1_at_1(1.0, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("slot", range(3))
+def test_termwise_derivative_rejects_a_nan_parameter_before_any_term(monkeypatch, slot):
+    # it used to run its whole term loop and end in SeriesConvergenceError,
+    # at once here, where the cap is lowered to 0 terms
+    monkeypatch.setattr(hypergeom, "SERIES_TERM_CAP", 0)
+    abc = [1.0, 1.0, 3.0]
+    abc[slot] = math.nan
+    with pytest.raises(ValueError, match="NaN"):
+        hypergeom.gauss_2f1_derivative_series(*abc, 0.3)
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0])
+def test_termwise_derivative_rejects_a_non_positive_integer_c(c):
+    # it used to divide by zero in its first term or ratio
+    with pytest.raises(ValueError, match="non-positive integer"):
+        hypergeom.gauss_2f1_derivative_series(1.0, 1.0, c, 0.3)
+
+
+@pytest.mark.parametrize("t", [-0.1, 1.0, math.nan])
+def test_termwise_derivative_rejects_t_outside_the_unit_interval(t):
+    with pytest.raises(ValueError, match=r"t in \[0, 1\)"):
+        hypergeom.gauss_2f1_derivative_series(1.0, 1.0, 3.0, t)
+
+
+@pytest.mark.parametrize("ab", [(0.0, math.nan), (math.nan, 0.0)], ids=["a=0", "b=0"])
+def test_gauss_summation_rejects_nan_before_the_zero_shortcut(ab):
+    # the a = 0 or b = 0 shortcut used to return 1.0 for a NaN partner
+    with pytest.raises(ValueError, match="NaN"):
+        hypergeom.gauss_2f1_at_1(*ab, 3.0)
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0])
+def test_gauss_summation_rejects_a_non_positive_integer_c(c):
+    # also where the a = 0 shortcut would return 1.0
+    for a in (0.0, -3.0):
+        with pytest.raises(ValueError, match="non-positive integer"):
+            hypergeom.gauss_2f1_at_1(a, 1.0, c)
+
+
 def test_derivative_ladder_against_termwise_series():
     for a, b, c, t in ((0.5, 1.5, 3.0, 0.3), (2.0, 1.0, 4.5, 0.7)):
         lhs = hypergeom.gauss_2f1_derivative(a, b, c, t)

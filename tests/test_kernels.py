@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 
 from huacheck import campaigns, domains, kernels, operators
 from huacheck.domains import type_i, type_ii, type_iii, type_iv
-from huacheck.fields import OpaqueField, wirtinger_hessian
+from huacheck.fields import FD_STEP, OpaqueField, wirtinger_hessian
 
 
 def pair(spec, seed=0):
@@ -87,13 +87,13 @@ def test_one_point_kernel_on_the_fd_stencil(domain):
     z, w = pair(spec, seed=16)
     rows = []
     field = OpaqueField(spec.shape, lambda x: rows.append(x.copy()) or 0.0)
-    wirtinger_hessian(field, z, step=kernels.FD_STEP)
+    wirtinger_hessian(field, z)
     # two Richardson levels of 1 + 2 d^2 rows, d = 2 m n real coordinates
     assert len(rows) == 2 + 4 * (2 * spec.size) ** 2
     got = [kernels.poisson_szego(spec, x, w) for x in rows]
     references = rows
     if spec.family == "II":
-        assert max(np.abs(x - x.T).max() for x in rows) >= kernels.FD_STEP
+        assert max(np.abs(x - x.T).max() for x in rows) >= FD_STEP
     if spec.family == "III":
         upper = [np.triu(x, 1) for x in rows]
         triangles = len({tuple(u[np.triu_indices(spec.n, 1)]) for u in upper})
@@ -119,7 +119,7 @@ def test_kernel_field_rows_equal_bare_calls(domain, monkeypatch):
         return values[-1]
 
     monkeypatch.setattr(kernels, "poisson_szego", recorded)
-    wirtinger_hessian(kernels.kernel_field(spec, w), z, step=kernels.FD_STEP)
+    wirtinger_hessian(kernels.kernel_field(spec, w), z)
     monkeypatch.undo()
     assert len(rows) == 2 + 4 * (2 * spec.size) ** 2
     assert [bare(spec, x, w) for x in rows] == values
@@ -180,7 +180,7 @@ def test_point_store_lives_with_its_field(monkeypatch):
     monkeypatch.setattr(kernels, "_point_kernel", recorded)
     evaluations = _counted_evaluations(monkeypatch)
     field = kernels.kernel_field(spec, w)
-    wirtinger_hessian(field, z, step=kernels.FD_STEP)
+    wirtinger_hessian(field, z)
     # w's coefficients, then one evaluation per triangle
     assert len(evaluations) == 1 + 577
     value = field(z)
@@ -387,7 +387,7 @@ def _reference_features(table, flat):
     """The interpreted feature loop the compiled expansion replaced: the
     cells, then each expansion from its first product, adding or
     subtracting the others in table order."""
-    _, expansions, _ = table
+    expansions = table[1]
     features = list(flat)
     for terms in expansions:
         (_, c, sub), rest = terms[0], terms[1:]
@@ -429,7 +429,7 @@ def test_compiled_expansion_is_the_interpreted_one_bit_for_bit(domain):
     # repr tells Python floats apart bit for bit, -0.0 from 0.0 included, and
     # tobytes does the same for arrays
     spec = domains.parse_spec(domain)
-    cells, _, signs = table = kernels._generic_norm_table(spec)
+    cells, _, signs, _ = table = kernels._generic_norm_table(spec)
     features, point = kernels._expansion(spec)
 
     def read(x):
@@ -450,7 +450,7 @@ def test_compiled_expansion_is_the_interpreted_one_bit_for_bit(domain):
     # 400 of the 39,204 of I(5,7) and the 131,076 of III(8)
     stencils = []
     field = OpaqueField(spec.shape, lambda x: stencils.append(x.copy()) or 0.0)
-    wirtinger_hessian(field, points[0], step=kernels.FD_STEP)
+    wirtinger_hessian(field, points[0])
     rows = np.array(stencils)
     points += list(rows[:: len(rows) // 400 if len(signs) > 100 else 1])
     for x in points:
@@ -481,7 +481,7 @@ def test_kernel_field_rows_hash_no_domain_spec(monkeypatch):
     monkeypatch.setattr(
         domains.DomainSpec, "__hash__", lambda self: hashes.append(1) or spec_hash(self)
     )
-    hessians = [wirtinger_hessian(field, z, step=kernels.FD_STEP) for field in fields]
+    hessians = [wirtinger_hessian(field, z) for field in fields]
     assert hashes == []
     monkeypatch.undo()
     assert all(np.array_equal(h, hessians[0]) for h in hessians[1:])
@@ -491,10 +491,24 @@ def test_kernel_field_rows_hash_no_domain_spec(monkeypatch):
 
 
 def test_kernel_rejects_type_iv():
-    # one boundary point and a stack of three
-    for w in (np.zeros((1, 2)), np.zeros((3, 1, 2))):
-        with pytest.raises(ValueError):
-            kernels.poisson_szego(type_iv(2), np.zeros((1, 2)), w)
+    # IV's generic norm 1 - 2 z.w* + (z.z)(w.w)* has no minor table; the
+    # table used to return I(1,3)'s for IV(3). Every generic-norm route reads
+    # the table before kappa and the membership check, so a z off the domain
+    # gets the TypeIV message too
+    spec = type_iv(3)
+    w = np.array([[1.0, 0.0, 0.0]], dtype=complex)
+    routes = [
+        lambda z: kernels._generic_norm_table(spec),
+        lambda z: kernels.kernel_field(spec, w),
+        lambda z: kernels.poisson_szego(spec, z, w),
+        lambda z: kernels.poisson_szego(spec, z, np.stack([w, w, w])),
+        lambda z: kernels.poisson_points(spec, z),
+        lambda z: kernels.log_gradients_generic(spec, z, w),
+    ]
+    for z in (np.full((1, 3), 0.1 + 0j), np.full((1, 3), 2.0 + 0j)):
+        for route in routes:
+            with pytest.raises(ValueError, match=kernels.NO_TYPE_IV_KERNEL):
+                route(z)
 
 
 def _fd_log_gradient(spec, z, logdet, sign):
@@ -570,13 +584,28 @@ def test_log_gradient_record_catches_a_sign_flipped_in_the_generic_norm(monkeypa
     kernels._expansion(spec)
 
     def flipped(spec):
-        cells, expansions, signs = table(spec)
+        cells, expansions, signs, power = table(spec)
         signs = signs.copy()
         signs[-1] = -signs[-1]
-        return cells, expansions, signs
+        return cells, expansions, signs, power
 
     monkeypatch.setattr(kernels, "_generic_norm_table", flipped)
     assert _log_gradient_record(spec, monkeypatch).passed is False
+
+
+@pytest.mark.parametrize(
+    "spec, power", [(type_i(2, 3), 1), (type_ii(3), 1), (type_iii(4), 2)],
+    ids=lambda x: x.label() if isinstance(x, domains.DomainSpec) else str(x),
+)
+def test_generic_norm_table_gives_the_power_of_det_w(spec, power):
+    # det W(z, w) = h(z, w)^power: h on I and II, h^2 on III
+    cells, _, signs, table_power = kernels._generic_norm_table(spec)
+    assert table_power == power
+    z, w = pair(spec, seed=40)
+    features, _ = kernels._expansion(spec)
+    c = signs * np.conj(features(w.ravel()[cells].tolist()))
+    h = 1.0 + c @ features(z.ravel()[cells].tolist())
+    assert_allclose(h**power, np.linalg.det(kernels.w_matrix(z, w)), rtol=1e-12)
 
 
 def test_log_gradients_reject_type_iv():
@@ -593,7 +622,7 @@ def test_d2_logdetv_against_numerical_hessian():
         spec.shape,
         lambda z: float(np.log(np.linalg.det(kernels.v_matrix(z)).real)),
     )
-    H_fd = wirtinger_hessian(field, z, step=1e-3)
+    H_fd = wirtinger_hessian(field, z)
     H = kernels.d2_logdetv(spec, z)
     assert_allclose(H, H_fd, atol=1e-8)
 
@@ -694,7 +723,7 @@ def test_check_theorem22_both_routes(spec):
 def test_check_theorem22_rejects_a_stencil_leaving_the_domain():
     spec = type_ii(2)
     w = domains.sample_silov(spec, 14, 1)[0]
-    step = kernels.FD_STEP
+    step = FD_STEP
     z = domains.sample_interior(spec, 15, 1)[0]
     z = z / np.linalg.norm(z, 2)
     for value in (1.5 * np.eye(2), (1.0 - step) * z):
