@@ -100,8 +100,8 @@ def run_kernel_campaign(specs, points, seed):
                 f"log-gradient-dual-route-{label}",
                 "closed log-determinant gradients against the generic-norm calculus",
                 log_gradient_residuals(spec, pairs),
-                # rounding alone: at most 2.1e-15 (II(3)) over seeds 0-199 at
-                # 10 points on the five default domains, 48x below the gate
+                # rounding alone: at most 2.7e-15 (II(3)) over seeds 0-199 at
+                # 10 points on the five default domains, 37x below the gate
                 1e-13,
             ),
             (

@@ -18,11 +18,11 @@ kernel_field builds that evaluator once, and each of its FD stencil rows
 calls it; a bare one-point call builds a throwaway one. On III the
 evaluator stores its values, one per upper triangle of z (the only cells
 its Pfaffians read), for as long as it lives. The boundary identity is
-checked along two routes:
-direct numerical differentiation of P, and closed forms built from the
-log-gradient formulas (the boundary tensors for II/III, the exact component
-assembly for TypeI). The closed log-gradients are checked against the
-exact calculus of the generic norm (log_gradients_generic).
+checked along two routes: direct numerical differentiation of P, and closed
+forms built from the log-gradient formulas (the boundary tensors for II/III,
+the exact component assembly for TypeI). The closed log-gradients are
+checked against the generic norm's features and their Jacobian, both from
+one call of its compiled expansion (log_gradients_generic).
 Every matrix inverse goes through ``inverse``, which raises SingularMatrixError
 near singularity instead of returning an inaccurate result.
 """
@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .domains import SILOV_CHUNK, DomainSpec, kappa, membership_margin, v_matrix, w_matrix
-from .fields import FD_REACH, OpaqueField, PolyField, wirtinger_gradient, wirtinger_hessian
+from .fields import FD_REACH, OpaqueField, wirtinger_hessian
 from .operators import component_values, constrained_hessian, direction_matrix
 
 
@@ -423,22 +423,15 @@ def log_gradients_closed(spec, z, w):
     return c.reshape(-1), cbar.reshape(-1)
 
 
-@functools.lru_cache(maxsize=None)
-def _feature_fields(spec):
-    """spec's generic-norm features as holomorphic PolyFields over
-    spec.shape, in table order, once per spec: the compiled features
-    (_expansion) run on the coordinate fields of the table's cells."""
-    cells = _generic_norm_table(spec)[0]
-    features, _ = _expansion(spec)
-    return features([PolyField.coordinate(spec.shape, c) for c in cells])
-
-
 def log_gradients_generic(spec, z, w):
     """c and cbar of log_gradients_closed by the exact calculus of the
     generic norm: det W(z, w) = h^k' (k', the table's power) with h = 1 +
     sum_F c_F f_F(z) and c_F = sign_F conj(f_F(w)) (_generic_norm_dets), so
-    the plain gradient is k' sum_F c_F grad f_F(z) / h, each grad f_F exact
-    from _feature_fields. cbar is conj(c), as det W(w, z) = conj det W(z, w).
+    the plain gradient is k' c^T J / h for the features' Jacobian J. Each
+    feature, a minor or a Pfaffian, is affine in each cell, so one call of
+    the compiled features on z's cells (column 0) and on them with cell k
+    set to 1 and to 0 (columns 2k + 1, 2k + 2) gives J[:, k] as the
+    difference. cbar is conj(c), as det W(w, z) = conj det W(z, w).
     On III the direction matrix differentiates only along the antisymmetric
     slice, where det W = h^2. Reads no inverse, W or determinant, so it
     shares nothing with the closed route; TypeIV raises ValueError.
@@ -446,10 +439,14 @@ def log_gradients_generic(spec, z, w):
     cells, _, signs, power = _generic_norm_table(spec)
     features, _ = _expansion(spec)
     coefficients = signs * np.conj(features(w.ravel()[cells].tolist()))
-    h = 1.0 + coefficients @ features(z.ravel()[cells].tolist())
-    J = np.array([wirtinger_gradient(f, z) for f in _feature_fields(spec)])
-    g = power * (coefficients @ J) / h
-    c = direction_matrix(spec) @ g
+    k = np.arange(len(cells))
+    block = np.repeat(z.ravel()[cells, None], 2 * len(k) + 1, axis=1)
+    block[k, 2 * k + 1], block[k, 2 * k + 2] = 1.0, 0.0
+    f = np.array(features(block))
+    h = 1.0 + coefficients @ f[:, 0]
+    # the plain gradient on the cells, the only entries the features read
+    g = power * (coefficients @ (f[:, 1::2] - f[:, 2::2])) / h
+    c = direction_matrix(spec)[:, cells] @ g
     return c, c.conj()
 
 

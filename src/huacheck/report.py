@@ -144,6 +144,8 @@ class VerificationReport:
         if d.get("schema") != SCHEMA_VERSION:
             raise ValueError("unsupported report schema")
         rep = cls(d["campaign"], environment=d.get("environment", {}))
+        if not d["records"]:
+            raise ValueError("a report must hold at least one record")
         rep.records.extend(map(CheckRecord.from_dict, d["records"]))
         _require_verdict(d, rep.passed, "the report")
         return rep

@@ -368,6 +368,9 @@ _BAD_RECORD = json.dumps(
 )
 
 
+_NO_RECORD = "ValueError: a report must hold at least one record"
+
+
 @pytest.mark.parametrize(
     "content, reason",
     [
@@ -377,8 +380,15 @@ _BAD_RECORD = json.dumps(
         ("[1]", "ValueError: a report must be a JSON object"),
         ('{"schema": 1, "campaign": "x", "records": 5}', "TypeError"),
         ('{"schema": 1, "campaign": "x", "records": [%s]}' % _BAD_RECORD, "ValueError"),
+        # a report with no record would merge to a pass
+        ('{"schema": 1, "campaign": "x", "records": {}}', _NO_RECORD),
+        ('{"schema": 1, "campaign": "x", "records": ""}', _NO_RECORD),
+        ('{"schema": 1, "campaign": "x", "records": []}', _NO_RECORD),
     ],
-    ids=["not-json", "no-campaign", "schema-2", "json-list", "records-int", "text-residual"],
+    ids=[
+        "not-json", "no-campaign", "schema-2", "json-list", "records-int", "text-residual",
+        "records-empty-object", "records-empty-string", "records-empty-list",
+    ],
 )
 def test_merge_of_a_non_report_exits_2_without_traceback(tmp_path, capsys, content, reason):
     path = tmp_path / "bad.json"

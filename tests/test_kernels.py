@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 
 from huacheck import campaigns, domains, kernels, operators
 from huacheck.domains import type_i, type_ii, type_iii, type_iv
-from huacheck.fields import FD_STEP, OpaqueField, wirtinger_hessian
+from huacheck.fields import FD_STEP, OpaqueField, PolyField, wirtinger_gradient, wirtinger_hessian
 
 
 def pair(spec, seed=0):
@@ -550,6 +550,48 @@ def test_log_gradients_generic_equal_the_closed_route_to_rounding(domain):
     assert max(campaigns.log_gradient_residuals(spec, pairs)) < 1e-14
 
 
+def _polyfield_log_gradient(spec, z, w):
+    """Reference c of log_gradients_generic by PolyField calculus: the
+    compiled features run on PolyField.coordinates of the table's cells,
+    each differentiated exactly by wirtinger_gradient at z."""
+    cells, _, signs, power = kernels._generic_norm_table(spec)
+    features, _ = kernels._expansion(spec)
+    fields = features([PolyField.coordinate(spec.shape, c) for c in cells])
+    coefficients = signs * np.conj(features(w.ravel()[cells].tolist()))
+    h = 1.0 + coefficients @ features(z.ravel()[cells].tolist())
+    J = np.array([wirtinger_gradient(f, z) for f in fields])
+    return operators.direction_matrix(spec) @ (power * (coefficients @ J) / h)
+
+
+@pytest.mark.parametrize("domain", GENERIC_NORM_DOMAINS + ["I:3,4", "III:8"])
+def test_log_gradients_generic_equal_the_polyfield_calculus(domain):
+    # the Jacobian read from feature values at x_k = 1 and x_k = 0 is the
+    # exact one to rounding
+    spec = domains.parse_spec(domain)
+    for z, w in campaigns.interior_boundary_pairs(spec, seed=42, count=3):
+        c, cbar = kernels.log_gradients_generic(spec, z, w)
+        reference = _polyfield_log_gradient(spec, z, w)
+        assert np.max(np.abs(c - reference)) < 4e-15 * max(1.0, np.max(np.abs(reference)))
+        assert np.array_equal(cbar, c.conj())
+
+
+@pytest.mark.parametrize("domain", GENERIC_NORM_DOMAINS + ["I:3,4", "III:8"])
+def test_generic_norm_features_are_affine_in_each_cell(domain):
+    # log_gradients_generic reads J[:, k] as f(x_k = 1) - f(x_k = 0), which
+    # holds while every feature is affine in each cell, as a minor or a
+    # Pfaffian is; a feature quadratic in a cell, as IV's z.z, fails here
+    spec = domains.parse_spec(domain)
+    cells = kernels._generic_norm_table(spec)[0]
+    features, _ = kernels._expansion(spec)
+    x = domains.sample_interior(spec, seed=43, count=1)[0].ravel()[cells]
+    t, k = 0.37, np.arange(len(cells))
+    # column 3k + j sets cell k to t, 0 and 1 for j = 0, 1, 2
+    block = np.repeat(x[:, None, None], 3, axis=2).repeat(len(cells), axis=1)
+    block[k, k] = t, 0.0, 1.0
+    f = np.array(features(block.reshape(len(cells), -1))).reshape(-1, len(cells), 3)
+    assert_allclose(f[..., 0], (1 - t) * f[..., 1] + t * f[..., 2], rtol=0, atol=1e-14)
+
+
 def _log_gradient_record(spec, monkeypatch):
     """The log-gradient-dual-route record of verify kernel on spec at two
     points, with the FD and closed boundary-identity routes stubbed out."""
@@ -591,6 +633,53 @@ def test_log_gradient_record_catches_a_sign_flipped_in_the_generic_norm(monkeypa
 
     monkeypatch.setattr(kernels, "_generic_norm_table", flipped)
     assert _log_gradient_record(spec, monkeypatch).passed is False
+
+
+def _huacheck_calls(route, spec, z, w):
+    """The (module, name) of every huacheck function that route(spec, z, w)
+    runs, as sys.setprofile sees them; a cached call that hits runs none."""
+    calls = set()
+
+    def profile(frame, event, arg):
+        module = frame.f_globals.get("__name__", "")
+        if event == "call" and module.split(".")[0] == "huacheck":
+            calls.add((module, frame.f_code.co_name))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        route(spec, z, w)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def _audit_log_gradient_routes():
+    """Assert, on one pair per default domain, that the generic route runs
+    no huacheck.fields function and no huacheck function of the closed
+    route."""
+    for spec in DEFAULT_KERNEL_SPECS:
+        ((z, w),) = campaigns.interior_boundary_pairs(spec, seed=0, count=1)
+        closed = _huacheck_calls(kernels.log_gradients_closed, spec, z, w)
+        generic = _huacheck_calls(kernels.log_gradients_generic, spec, z, w)
+        assert not [call for call in generic if call[0] == "huacheck.fields"], generic
+        assert not closed & generic, closed & generic
+
+
+def test_log_gradient_routes_share_no_function():
+    _audit_log_gradient_routes()
+
+
+def test_route_audit_catches_a_generic_route_that_calls_the_closed_one(monkeypatch):
+    generic = kernels.log_gradients_generic
+
+    def mutant(spec, z, w):
+        kernels.log_gradients_closed(spec, z, w)
+        return generic(spec, z, w)
+
+    monkeypatch.setattr(kernels, "log_gradients_generic", mutant)
+    with pytest.raises(AssertionError, match="log_gradients_closed"):
+        _audit_log_gradient_routes()
 
 
 @pytest.mark.parametrize(
