@@ -151,7 +151,10 @@ def main(argv=None):
                 parser.error(f"cannot read {path}: {exc.strerror}")
             except (KeyError, TypeError, ValueError) as exc:
                 parser.error(f"{path} is not a report: {type(exc).__name__}: {exc}")
-        report = merge_reports(reports)
+        try:
+            report = merge_reports(reports)
+        except ValueError as exc:
+            parser.error(str(exc))
     else:
         # records are named by domain, so a repeated one would write its
         # records twice under the same names

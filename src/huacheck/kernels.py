@@ -20,9 +20,10 @@ evaluator stores its values, one per upper triangle of z (the only cells
 its Pfaffians read), for as long as it lives. The boundary identity is
 checked along two routes: direct numerical differentiation of P, and closed
 forms built from the log-gradient formulas (the boundary tensors for II/III,
-the exact component assembly for TypeI). The closed log-gradients are
-checked against the generic norm's features and their Jacobian, both from
-one call of its compiled expansion (log_gradients_generic).
+the exact component assembly for TypeI). Both log-gradient routes return
+c = d log det W(z, w) alone, as W(w, z) = W(z, w)* makes its partner
+conj(c); the closed c is checked against the generic norm's features and
+Jacobian from one call of its compiled expansion (log_gradients_generic).
 Every matrix inverse goes through ``inverse``, which raises SingularMatrixError
 near singularity instead of returning an inaccurate result.
 """
@@ -395,43 +396,32 @@ def kernel_field(spec, w):
 
 
 def log_gradients_closed(spec, z, w):
-    """Closed forms of c = d log det W(z,w) / dz and its conjugate partner.
+    """Closed form of c = d log det W(z,w) / dz, flattened row-major over
+    the constrained-coordinate index.
 
-    Returned flattened row-major over the constrained-coordinate index.
     For the symmetric family c_ja = -(2 - delta_ja) [w* W^-1(z,w)]_ja and
     for the antisymmetric family c_ja = 2 [w* W^-1(z,w)]_ja; TypeI uses the
-    plain entrywise derivative. cbar is the matching z-bar gradient of
-    log det W(w, z).
+    plain entrywise derivative. As W(w, z) = W(z, w)*, the z-bar gradient
+    of log det W(w, z) is conj(c).
     """
-    Wi_zw = inverse(w_matrix(z, w))
-    Wi_wz = inverse(w_matrix(w, z))
-    G = w.conj().T @ Wi_zw  # n x m
-    Gbar = Wi_wz @ w  # m x n
-    n = spec.n
+    G = w.conj().T @ inverse(w_matrix(z, w))  # n x m
     if spec.family == "II":
-        two = 2.0 - np.eye(n)
-        c = -two * G
-        cbar = -two * Gbar
-    elif spec.family == "III":
-        c = 2.0 * G
-        cbar = -2.0 * Gbar
-    elif spec.family == "I":
-        c = -G.T
-        cbar = -Gbar
-    else:
-        raise ValueError("no kernel log-gradients for TypeIV")
-    return c.reshape(-1), cbar.reshape(-1)
+        return (-(2.0 - np.eye(spec.n)) * G).reshape(-1)
+    if spec.family == "III":
+        return (2.0 * G).reshape(-1)
+    if spec.family == "I":
+        return -G.T.reshape(-1)
+    raise ValueError("no kernel log-gradients for TypeIV")
 
 
 def log_gradients_generic(spec, z, w):
-    """c and cbar of log_gradients_closed by the exact calculus of the
-    generic norm: det W(z, w) = h^k' (k', the table's power) with h = 1 +
-    sum_F c_F f_F(z) and c_F = sign_F conj(f_F(w)) (_generic_norm_dets), so
-    the plain gradient is k' c^T J / h for the features' Jacobian J. Each
-    feature, a minor or a Pfaffian, is affine in each cell, so one call of
-    the compiled features on z's cells (column 0) and on them with cell k
-    set to 1 and to 0 (columns 2k + 1, 2k + 2) gives J[:, k] as the
-    difference. cbar is conj(c), as det W(w, z) = conj det W(z, w).
+    """c of log_gradients_closed by the exact calculus of the generic norm:
+    det W(z, w) = h^k' (k', the table's power) with h = 1 + sum_F c_F f_F(z)
+    and c_F = sign_F conj(f_F(w)) (_generic_norm_dets), so the plain
+    gradient is k' c^T J / h for the features' Jacobian J. Each feature, a
+    minor or a Pfaffian, is affine in each cell, so one call of the
+    compiled features on z's cells (column 0) and on them with cell k set
+    to 1 and to 0 (columns 2k + 1, 2k + 2) gives J[:, k] as the difference.
     On III the direction matrix differentiates only along the antisymmetric
     slice, where det W = h^2. Reads no inverse, W or determinant, so it
     shares nothing with the closed route; TypeIV raises ValueError.
@@ -446,8 +436,7 @@ def log_gradients_generic(spec, z, w):
     h = 1.0 + coefficients @ f[:, 0]
     # the plain gradient on the cells, the only entries the features read
     g = power * (coefficients @ (f[:, 1::2] - f[:, 2::2])) / h
-    c = direction_matrix(spec)[:, cells] @ g
-    return c, c.conj()
+    return direction_matrix(spec)[:, cells] @ g
 
 
 def d2_logdetv(spec, z):
@@ -465,9 +454,10 @@ def identity_tensors(spec, z, w):
     """Closed-form boundary tensors (A, B, C, D, E, F) for II/III, at any
     interior z and any w.
 
-    A to E are the component-weight contractions of (1/kappa) d^2 log det V,
-    b bbar, c cbar, b cbar and c bbar; A = -4 V(z)^-t takes kappa = (n + 1)/2
-    on II and (n - 1)/2 on III with even n (odd III reads only F). So
+    A to E are the component-weight contractions of (1/kappa) d^2 log det V
+    and of b conj(b), c conj(c), b conj(c) and c conj(b), the log-gradients
+    of component_kernel_exact; A = -4 V(z)^-t takes kappa = (n + 1)/2 on II
+    and (n - 1)/2 on III with even n (odd III reads only F). So
     A + B + C - D - E = -4F entrywise, where F is the I - w*w correction
     tensor, zero on the distinguished boundary.
     """
@@ -478,7 +468,8 @@ def identity_tensors(spec, z, w):
     Vi = inverse(v_matrix(z))
     Vsi = inverse(v_matrix(zs))
     Wi_zs_ws = inverse(w_matrix(zs, ws))
-    Wi_ws_zs = inverse(w_matrix(ws, zs))
+    # W(w*, z*) = W(z*, w*)*, so its inverse is the conjugate transpose
+    Wi_ws_zs = Wi_zs_ws.conj().T
     A = -4.0 * Vi.T
     F = Wi_ws_zs @ v_matrix(ws) @ Wi_zs_ws
     C = 4.0 * (Wi_zs_ws + Wi_ws_zs - eye - F)
@@ -491,17 +482,16 @@ def identity_tensors(spec, z, w):
 def component_kernel_exact(spec, z, w):
     """Exact values of the component operators applied to P(., w) at z.
 
-    Assembles (1/(kappa^2 P)) d^2 P = (1/kappa) d^2 log det V +
-    (b - c)(bbar - cbar) in constrained coordinates and contracts with the
-    component weights; returns the (j,k) matrix of operator values.
+    Assembles (1/(kappa^2 P)) d^2 P = (1/kappa) d^2 log det V + d conj(d)^T,
+    d = b - c, in constrained coordinates and contracts with the component
+    weights; returns the (j,k) matrix of operator values.
     """
     k = float(kappa(spec))
     P = poisson_szego(spec, z, w)
     H = d2_logdetv(spec, z)
     # b = d log det V / dz is c at w = z
-    b, bbar = log_gradients_closed(spec, z, z)
-    c, cbar = log_gradients_closed(spec, z, w)
-    T = H / k + np.outer(b - c, bbar - cbar)
+    d = log_gradients_closed(spec, z, z) - log_gradients_closed(spec, z, w)
+    T = H / k + np.outer(d, d.conj())
     return component_values(spec, z, (k * k * P) * T)
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,5 +153,10 @@ class VerificationReport:
 
 
 def merge_reports(reports):
-    """One report, campaign "merged", holding the records of reports in order."""
-    return VerificationReport("merged", [r for rep in reports for r in rep.records])
+    """One report, campaign "merged", holding the records of reports in order;
+    records are told apart by name, so a name met twice raises ValueError."""
+    records = [r for rep in reports for r in rep.records]
+    for name, count in Counter(r.name for r in records).items():
+        if count > 1:
+            raise ValueError(f"{count} records are named {name!r}")
+    return VerificationReport("merged", records)

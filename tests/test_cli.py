@@ -97,27 +97,16 @@ def test_counterexample_demo(tmp_path):
 
 
 def test_report_merge_round_trip(tmp_path):
-    _, _ = run_to_file(
-        tmp_path, "one.json", ["verify", "embeddings", "--points", "1"]
-    )
-    code = main(
-        [
-            "report",
-            "merge",
-            str(tmp_path / "one.json"),
-            str(tmp_path / "one.json"),
-            "--out",
-            str(tmp_path / "merged.json"),
-        ]
-    )
+    run_to_file(tmp_path, "one.json", ["verify", "embeddings", "--points", "1"])
+    run_to_file(tmp_path, "two.json", ["verify", "kernel", "--domain", "II:2", "--points", "1"])
+    paths = [tmp_path / "one.json", tmp_path / "two.json"]
+    code = main(["report", "merge", *map(str, paths), "--out", str(tmp_path / "merged.json")])
     assert code == 0
-    merged = VerificationReport.from_dict(
-        json.loads((tmp_path / "merged.json").read_text())
+    merged, *singles = (
+        VerificationReport.from_dict(json.loads(path.read_text()))
+        for path in [tmp_path / "merged.json", *paths]
     )
-    single = VerificationReport.from_dict(
-        json.loads((tmp_path / "one.json").read_text())
-    )
-    assert len(merged.records) == 2 * len(single.records)
+    assert merged.records == [r for single in singles for r in single.records]
 
 
 def test_dirichlet_campaign_with_reduced_sampling():
@@ -410,6 +399,16 @@ def test_merge_of_a_misspelled_direction_exits_2_without_traceback(tmp_path, cap
         f"{bad} is not a report: ValueError: unknown direction 'min_abov'",
         capsys,
     )
+
+
+def test_merge_of_a_repeated_record_name_exits_2_without_traceback(tmp_path, capsys):
+    # records are told apart by name, so a report merged with itself would
+    # hold each record twice under one name
+    one = tmp_path / "one.json"
+    run_to_file(tmp_path, one.name, ["verify", "embeddings", "--points", "1"])
+    capsys.readouterr()
+    message = "2 records are named 'rank-one-gram-identity'"
+    _assert_exits_2(["report", "merge", str(one), str(one)], message, capsys)
 
 
 @pytest.mark.parametrize("suite", ["kernel", "dirichlet"])

@@ -526,8 +526,8 @@ def _fd_log_gradient(spec, z, logdet, sign):
 
 @pytest.mark.parametrize("spec", [type_i(2, 3), type_ii(2), type_ii(3), type_iii(4)])
 def test_log_gradients_closed_match_finite_differences(spec):
-    # both routes against differences of LAPACK's log det W(z, w) and
-    # log det W(w, z)
+    # both routes against differences of LAPACK's log det W(z, w), and
+    # their conjugates against those of log det W(w, z)
     z, w = pair(spec, seed=2)
 
     def logdet(W):
@@ -536,9 +536,9 @@ def test_log_gradients_closed_match_finite_differences(spec):
     cf = _fd_log_gradient(spec, z, lambda x: logdet(domains.w_matrix(x, w)), -1.0)
     cbf = _fd_log_gradient(spec, z, lambda x: logdet(domains.w_matrix(w, x)), 1.0)
     for route in (kernels.log_gradients_closed, kernels.log_gradients_generic):
-        c, cb = route(spec, z, w)
+        c = route(spec, z, w)
         assert_allclose(c, cf, atol=1e-7)
-        assert_allclose(cb, cbf, atol=1e-7)
+        assert_allclose(c.conj(), cbf, atol=1e-7)
 
 
 @pytest.mark.parametrize("domain", GENERIC_NORM_DOMAINS + ["I:3,4", "III:8"])
@@ -569,10 +569,9 @@ def test_log_gradients_generic_equal_the_polyfield_calculus(domain):
     # exact one to rounding
     spec = domains.parse_spec(domain)
     for z, w in campaigns.interior_boundary_pairs(spec, seed=42, count=3):
-        c, cbar = kernels.log_gradients_generic(spec, z, w)
+        c = kernels.log_gradients_generic(spec, z, w)
         reference = _polyfield_log_gradient(spec, z, w)
         assert np.max(np.abs(c - reference)) < 4e-15 * max(1.0, np.max(np.abs(reference)))
-        assert np.array_equal(cbar, c.conj())
 
 
 @pytest.mark.parametrize("domain", GENERIC_NORM_DOMAINS + ["I:3,4", "III:8"])
@@ -609,8 +608,7 @@ def test_log_gradient_record_catches_a_closed_route_off_by_1e_9(monkeypatch, spe
     closed = kernels.log_gradients_closed
 
     def scaled(spec, z, w):
-        c, cb = closed(spec, z, w)
-        return c * (1.0 + 1e-9), cb * (1.0 + 1e-9)
+        return closed(spec, z, w) * (1.0 + 1e-9)
 
     monkeypatch.setattr(kernels, "log_gradients_closed", scaled)
     record = _log_gradient_record(spec, monkeypatch)
@@ -704,6 +702,25 @@ def test_log_gradients_reject_type_iv():
             route(type_iv(6), z, z)
 
 
+@pytest.mark.parametrize("spec", DEFAULT_KERNEL_SPECS, ids=lambda spec: spec.label())
+def test_closed_routes_invert_no_conjugate_transpose(monkeypatch, spec):
+    # W(w, z) = W(z, w)* and W(w*, z*) = W(z*, w*)*, so neither is inverted
+    # again: one inverse per log-gradient, W(z*, w*) and the two V of
+    # identity_tensors, and those two V and two log-gradients of the assembly
+    inverse, calls = kernels.inverse, []
+    monkeypatch.setattr(kernels, "inverse", lambda M: calls.append(1) or inverse(M))
+    z, w = pair(spec, seed=3)
+    c = kernels.log_gradients_closed(spec, z, w)
+    assert len(calls) == 1
+    assert c.shape == (len(operators.direction_matrix(spec)),)
+    if spec.family != "I":
+        kernels.identity_tensors(spec, z, w)
+        assert len(calls) == 1 + 3
+    calls.clear()
+    kernels.component_kernel_exact(spec, z, w)
+    assert len(calls) == 4
+
+
 def test_d2_logdetv_against_numerical_hessian():
     spec = type_i(2, 2)
     z, _ = pair(spec, seed=4)
@@ -722,8 +739,9 @@ def _direct_tensors(spec, z, w):
     n = spec.n
     k = float(domains.kappa(spec))
     weights = operators.component_weights(spec, z)
-    b, bbar = (x.reshape(n, n) for x in kernels.log_gradients_closed(spec, z, z))
-    c, cbar = (x.reshape(n, n) for x in kernels.log_gradients_closed(spec, z, w))
+    b = kernels.log_gradients_closed(spec, z, z).reshape(n, n)
+    c = kernels.log_gradients_closed(spec, z, w).reshape(n, n)
+    bbar, cbar = b.conj(), c.conj()
     H = kernels.d2_logdetv(spec, z).reshape(n, n, n, n)
 
     def contract(x, y):

@@ -89,6 +89,13 @@ def test_merge_reports_concatenates_records():
     assert merged.passed
 
 
+def test_merge_reports_rejects_a_repeated_record_name():
+    r1 = VerificationReport("one", [make_record("a"), make_record("b")])
+    r2 = VerificationReport("two", [make_record("b")])
+    with pytest.raises(ValueError, match="2 records are named 'b'"):
+        merge_reports([r1, r2])
+
+
 @pytest.mark.parametrize("samples", [-1, 2.0, True, "3"])
 def test_record_rejects_samples_that_are_not_a_count(samples):
     with pytest.raises(ValueError, match="samples must be a non-negative integer"):
