@@ -253,13 +253,22 @@ def _gram_schmidt(a):
 def _require_orthonormal(q):
     """Raise ValueError unless every draw of the entry-major block q has
     orthonormal columns, Q*Q = I to SYMMETRY_TOL entrywise. For q = w^t, a
-    swapped-axes view, that is w w* = I: (Q*Q)_ij is the conjugate of (ww*)_ij."""
+    swapped-axes view, that is w w* = I: (Q*Q)_ij is the conjugate of (ww*)_ij.
+
+    Q*Q is Hermitian, so its upper triangle will do, formed one entry (a
+    vector over the block's draws) at a time and summed term by term: the
+    gate holds one conjugated column and two vectors, where a row of Gram
+    entries at once took a (n, n - i, k) product."""
     defects = []
-    # Q*Q is Hermitian, so its upper triangle (row i from column i on) will do
     for i in range(q.shape[1]):
-        gram = (q[:, i, None].conj() * q[:, i:]).sum(0)
-        gram[0] -= 1.0
-        defects.append(np.abs(gram).max(initial=0.0))
+        qi = q[:, i].conj()
+        for j in range(i, q.shape[1]):
+            gram = qi[0] * q[0, j]
+            for a in range(1, len(q)):
+                gram += qi[a] * q[a, j]
+            if i == j:
+                gram -= 1.0
+            defects.append(np.abs(gram).max(initial=0.0))
     worst = np.max(defects)
     # fail closed: nan <= tol is False, so a NaN entry raises too
     if not worst <= SYMMETRY_TOL:
@@ -381,11 +390,12 @@ def _fill_silov_block(spec, rng, rows, cols):
 
     The products are formed entry-major, one vector over the block's draws
     per matrix entry, and transposed into rows once at the end. III(4)
-    points are antisymmetric by construction (_iv6_to_iii4), so their
+    points are written into rows entry by entry (_iii4_silov_block), with
+    no entry-major copy, and are antisymmetric by construction, so their
     blocks skip the symmetry check, as TypeI blocks do.
     """
     if spec == type_iii(4):
-        rows[...] = _iii4_silov_stack(rng, len(rows)).transpose(2, 0, 1)
+        _iii4_silov_block(rng, rows)
         return
     u = _haar_stack(rng, len(rows), spec.n, cols)
     if spec.family == "I":
@@ -406,9 +416,10 @@ def _fill_silov_block(spec, rng, rows, cols):
     rows[...] = w.transpose(2, 0, 1)
 
 
-def _iv6_to_iii4(z):
+def _iv6_to_iii4(z, out=None):
     """The isometry L: IV(6) -> III(4), z -> sum_k z_k E_k, of an axis-first
-    stack: z has shape (6, k) and L(z) shape (4, 4, k).
+    stack: z has shape (6, k) and L(z) shape (4, 4, k), written into out
+    (which may be a strided view) when it is given, and returned.
 
     With A_ab = e_ab - e_ba (0-based), E_1 = A_01 + A_23, E_2 = i(A_01 - A_23),
     E_3 = A_02 - A_13, E_4 = i(A_02 + A_13), E_5 = A_03 + A_12 and
@@ -418,7 +429,9 @@ def _iv6_to_iii4(z):
     with no BLAS call, so the bits do not depend on the BLAS build.
     """
     z1, z2, z3, z4, z5, z6 = z
-    w = np.zeros((4, 4) + z.shape[1:], dtype=complex)
+    w = np.empty((4, 4) + z.shape[1:], dtype=complex) if out is None else out
+    for a in range(4):
+        w[a, a] = 0.0
     w[0, 1] = z1 + 1j * z2
     w[2, 3] = z1 - 1j * z2
     w[0, 2] = z3 + 1j * z4
@@ -430,21 +443,25 @@ def _iv6_to_iii4(z):
     return w
 
 
-def _iii4_silov_stack(rng, k):
-    """k Silov points L(e^{i theta} x) of III(4), entry-major: shape (4, 4, k).
+def _iii4_silov_block(rng, rows):
+    """Draw len(rows) Silov points L(e^{i theta} x) of III(4) into rows, a
+    (k, 4, 4) block.
 
     Draws a (k, 8) Gaussian block, so draw i takes the stream's next eight
     normals: x is the first six over their length, uniform on S^5, and
-    e^{i theta} = (g_6 + i g_7)/|g_6 + i g_7| is uniform on S^1. Every block
-    is checked for w w* = I before it is returned.
+    e^{i theta} = (g_6 + i g_7)/|g_6 + i g_7| is uniform on S^1. L writes
+    into rows through an entry-major view, and each temporary is dropped
+    as soon as it is used, before rows is checked for w w* = I, so the
+    temporaries stay under the size of rows.
     """
-    g = rng.standard_normal((k, 8)).T
-    x = g[:6] / np.sqrt((g[:6] ** 2).sum(0))
+    g = rng.standard_normal((len(rows), 8)).T
     phase = g[6] + 1j * g[7]
     phase /= np.abs(phase)
-    w = _iv6_to_iii4(phase * x)
+    x = g[:6] / np.sqrt((g[:6] ** 2).sum(0))
+    del g
+    w = _iv6_to_iii4(phase * x, rows.transpose(1, 2, 0))
+    del phase, x
     _require_orthonormal(w.swapaxes(0, 1))
-    return w
 
 
 def odd_iii_silov_points(n, seed, count):

@@ -205,8 +205,9 @@ def _workspace(spec, points):
     entry-major copy of the block's cells and the (points, block) products.
     Cached for the last (spec, points), so a Poisson solve that calls
     poisson_block once per block allocates them once; two threads must not
-    evaluate the same (spec, points) at a time. Allocating them in each
-    call instead made a dirichlet-mc benchmark pass about 25% slower
+    evaluate the same (spec, points) at a time, and the solve's worker
+    thread, which only draws Silov blocks, never calls it. Allocating them
+    in each call instead made a dirichlet-mc benchmark pass about 25% slower
     (0.417-0.427 s against 0.321-0.350 s in 3 of 3 alternating pairs, one
     BLAS thread, x86-64) for 1.6 MB less peak memory."""
     cells = _generic_norm_table(spec)[0]
@@ -466,7 +467,8 @@ def identity_tensors(spec, z, w):
     eye = np.eye(spec.n)
     zs, ws = z.conj().T, w.conj().T
     Vi = inverse(v_matrix(z))
-    Vsi = inverse(v_matrix(zs))
+    # z* = +-conj z on II/III, so V(z*) = conj V(z) and its inverse conj Vi
+    Vsi = Vi.conj()
     Wi_zs_ws = inverse(w_matrix(zs, ws))
     # W(w*, z*) = W(z*, w*)*, so its inverse is the conjugate transpose
     Wi_ws_zs = Wi_zs_ws.conj().T

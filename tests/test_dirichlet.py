@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -281,11 +284,14 @@ def test_poisson_solve_of_one_at_the_origin_has_zero_stderr():
 
 
 def test_poisson_solve_streams_the_sample():
-    # the 100,000 draws of III(4) alone take 25.6 MB; the solve peaks at
-    # 5.7 MB while it draws a block of 4096 (the sampler's working set, 3.9 MB
-    # with the new block), holding the kernel's generic-norm buffers for the
-    # 10 points and the (point, field, draw) products (1.7 MB together) but
-    # not the last block, which it drops first (bytes / 1e6, tracemalloc)
+    # the 100,000 draws of III(4) alone take 25.6 MB; the solve holds at
+    # most two blocks of 4096 (1 MB each: the one summed and the one the
+    # worker draws, whose temporaries stay under 1 MB more) beside the
+    # kernel's generic-norm buffers for the 10 points and the (point, field,
+    # draw) products (1.7 MB together). It peaks at 6.3 MB when those
+    # buffers are first made and at 5.1 MB on a later call, against 5.7 and
+    # 4.6 MB when each block was dropped before the next was drawn (bytes /
+    # 1e6, tracemalloc)
     spec = type_iii(4)
     zs = domains.sample_interior(spec, seed=23, count=10)
     one = PolyField.constant(spec.shape, 1.0)
@@ -472,3 +478,93 @@ def test_poisson_solve_rejects_batch_of_wrong_shape():
     one = PolyField.constant(spec.shape, 1.0)
     with pytest.raises(ValueError, match="boundary batch rows"):
         dirichlet.poisson_solve(spec, [one], [np.zeros(spec.shape)], batch=batch)
+
+
+def test_poisson_solve_raises_a_sampler_error_from_the_worker(monkeypatch):
+    # a NaN in the second block of II(3) breaks the sampler's symmetry gate,
+    # which runs on the worker thread; its ValueError reaches the caller
+    spec = type_ii(3)
+    haar_stack, threads = domains._haar_stack, []
+
+    def nan_in_partial_block(rng, k, n, cols):
+        threads.append(threading.current_thread())
+        u = haar_stack(rng, k, n, cols)
+        if k < domains.SILOV_CHUNK:
+            u[-1, 0, 0] = np.nan
+        return u
+
+    monkeypatch.setattr(domains, "_haar_stack", nan_in_partial_block)
+    batch = domains.SilovSample(spec, seed=6, count=domains.SILOV_CHUNK + 37)
+    one = PolyField.constant(spec.shape, 1.0)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="breaks the family symmetry"):
+        dirichlet.poisson_solve(spec, [one], [np.zeros(spec.shape)], batch)
+    assert threading.active_count() == before
+    assert len(threads) == 2 and threading.main_thread() not in threads
+
+
+def test_poisson_solve_stops_drawing_at_a_block_of_the_wrong_shape():
+    spec = type_ii(2)
+    ws = domains.sample_silov(spec, seed=0, count=30)
+    drawn = []
+
+    def batch():
+        # the second block has rows of I(2,3); the third is never drawn
+        for block in (ws[:10], np.zeros((10, 2, 3), dtype=complex), ws[20:]):
+            drawn.append(len(block))
+            yield block
+
+    one = PolyField.constant(spec.shape, 1.0)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="boundary batch rows"):
+        dirichlet.poisson_solve(spec, [one], [np.zeros(spec.shape)], batch())
+    assert threading.active_count() == before
+    assert drawn == [10, 10]
+
+
+def test_poisson_solve_waits_for_the_draw_in_flight_when_a_block_fails():
+    spec = type_ii(2)
+    ws = domains.sample_silov(spec, seed=0, count=20)
+    drawing, finished = threading.Event(), []
+
+    def batch():
+        yield ws[:10]
+        # the worker is still drawing this block when the first one fails
+        drawing.set()
+        time.sleep(0.2)
+        finished.append(True)
+        yield ws[10:]
+
+    class FailingField:
+        def evaluate_many(self, block):
+            assert drawing.wait(timeout=10)
+            raise ValueError("the field cannot be evaluated")
+
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="cannot be evaluated"):
+        dirichlet.poisson_solve(spec, [FailingField()], [np.zeros(spec.shape)], batch())
+    assert finished == [True]
+    assert threading.active_count() == before
+
+
+def test_poisson_solve_merges_drawn_blocks_in_order_under_fast_switching():
+    # 200 blocks drawn on the worker from one Generator, with the interpreter
+    # switching threads every microsecond, give the bits of the same rows
+    # drawn at once and handed over as a list of blocks
+    spec = type_iii(4)
+    zs = domains.sample_interior(spec, seed=8, count=3)
+    one = PolyField.constant(spec.shape, 1.0)
+
+    def batch():
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            yield domains.sample_silov(spec, rng, 5)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        streamed = dirichlet.poisson_solve(spec, [one], zs, batch())
+    finally:
+        sys.setswitchinterval(interval)
+    blocks = np.split(domains.sample_silov(spec, seed=9, count=1000), 200)
+    assert streamed == dirichlet.poisson_solve(spec, [one], zs, blocks)

@@ -407,6 +407,18 @@ def test_silov_working_set_is_one_block():
         assert peak - out.nbytes < out.nbytes / 2
 
 
+def test_iii4_silov_block_needs_one_block_of_temporaries():
+    # L(e^{i theta} x) is written into the output block and checked there,
+    # so one block of 4096 III(4) draws (1 MB) holds less than 1 MB more
+    tracemalloc.start()
+    try:
+        out = domains.sample_silov(type_iii(4), seed=7, count=domains.SILOV_CHUNK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < out.nbytes
+
+
 def test_iii4_frames_intertwine_u4():
     # the frames E_l = L(e_l) of IV(6) -> III(4), exactly: antisymmetric,
     # Frobenius-orthogonal, each of norm^2 4

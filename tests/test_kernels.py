@@ -705,8 +705,9 @@ def test_log_gradients_reject_type_iv():
 @pytest.mark.parametrize("spec", DEFAULT_KERNEL_SPECS, ids=lambda spec: spec.label())
 def test_closed_routes_invert_no_conjugate_transpose(monkeypatch, spec):
     # W(w, z) = W(z, w)* and W(w*, z*) = W(z*, w*)*, so neither is inverted
-    # again: one inverse per log-gradient, W(z*, w*) and the two V of
-    # identity_tensors, and those two V and two log-gradients of the assembly
+    # again, nor is V(z*) = conj V(z) on II/III: one inverse per
+    # log-gradient, W(z*, w*) and V(z) of identity_tensors, and the two V
+    # and two log-gradients of the assembly
     inverse, calls = kernels.inverse, []
     monkeypatch.setattr(kernels, "inverse", lambda M: calls.append(1) or inverse(M))
     z, w = pair(spec, seed=3)
@@ -715,7 +716,7 @@ def test_closed_routes_invert_no_conjugate_transpose(monkeypatch, spec):
     assert c.shape == (len(operators.direction_matrix(spec)),)
     if spec.family != "I":
         kernels.identity_tensors(spec, z, w)
-        assert len(calls) == 1 + 3
+        assert len(calls) == 1 + 2
     calls.clear()
     kernels.component_kernel_exact(spec, z, w)
     assert len(calls) == 4
