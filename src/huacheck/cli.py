@@ -64,7 +64,22 @@ def _checked(convert, valid, rule):
     return parse
 
 
-_POINTS = _checked(int, lambda v: v >= 1, "at least 1")
+# A campaign's arrays grow by at most 3.5 KB per point: the slope of each
+# campaign's peak (tracemalloc) from --points 2,000 to 8,000 at its default
+# domains is 3.4 KB on verify dirichlet (its radial extension), 2.7 KB on
+# verify hypergeom, 0.7 KB on verify embeddings and 0.5 KB on demo
+# counterexample, and verify kernel's interior and Silov stacks take 1.5 KB
+# per point on I(5,7), its largest domain under MAX_WORK. So MAX_POINTS
+# points hold at most 350 MB, while 10^20 made numpy refuse the first array
+# (a traceback, exit 1). The largest value README, CI and the benchmark use
+# is 2,000.
+MAX_POINTS = 10**5
+
+_POINTS = _checked(
+    _checked(int, lambda v: v >= 1, "at least 1"),
+    lambda v: v <= MAX_POINTS,
+    f"at most {MAX_POINTS:,}",
+)
 _SEED = _checked(int, lambda v: v >= 0, "at least 0")
 
 

@@ -247,12 +247,15 @@ def _block_moments(points, boundary_fields, block, v):
     """Mean and sum of |v - mean|^2 of v = P(z, w) phi(w) over the draws w
     of one boundary block, per (point, field), in two passes. points are
     the prepared points (kernels.poisson_points), and v is a (points,
-    fields, k) buffer for the products, reused across blocks."""
+    fields, k) buffer for the products, reused across blocks. The sum of
+    squares is one contraction of v's float view (re, im interleaved) with
+    itself, so no (points, fields, k) temporary is made."""
     phis = np.array([field.evaluate_many(block) for field in boundary_fields])
     np.multiply(poisson_block(points, block)[:, None], phis, out=v)
     mean = v.mean(axis=-1)
     v -= mean[..., None]
-    return mean, (v.real**2 + v.imag**2).sum(axis=-1)
+    parts = v.view(float)
+    return mean, np.einsum("...i,...i->...", parts, parts)
 
 
 def poisson_solve(spec, boundary_fields, zs, batch):

@@ -4,7 +4,8 @@ distinguished-boundary points, and the inverse bidisc map of IV(2) used by
 the counterexample demo.
 
 A point is an (m, n) complex array of spec.shape (1 x n for TypeIV), and a
-set of points is an (N, m, n) stack; both samplers return stacks. Where a
+set of points is an (N, m, n) stack; both samplers return stacks, the
+Silov sampler as the view of entry-major (m, n, N) memory. Where a
 TypeII or TypeIII point is made from a product that is (anti)symmetric only
 up to rounding, require_family_symmetry checks it, failing closed on NaN.
 III(4) is the image of IV(6) under a complex-linear isometry (so(6,2) =
@@ -318,7 +319,10 @@ def silov_columns(spec):
 def sample_silov(spec, seed, count):
     """Points of the distinguished (minimal) boundary: w with ww* = I_m.
 
-    Returns a (count, m, n) complex array. TypeI uses Haar-orthonormal rows,
+    Returns a (count, m, n) complex array, the view of entry-major memory
+    (m, n, count): each entry w[:, i, j] over the draws is one contiguous
+    vector (see _draw_silov); np.ascontiguousarray gives the point-major
+    copy, with the same values. TypeI uses Haar-orthonormal rows,
     TypeII symmetric unitaries U U^t, and TypeIII with even n antisymmetric
     unitaries U J U^t. TypeIII with odd n and TypeIV have no such
     parametrization here. Draws are made in blocks of SILOV_CHUNK rows; U is
@@ -347,12 +351,19 @@ def sample_silov(spec, seed, count):
 
 def _draw_silov(spec, seed, count, cols):
     """count boundary points from n x cols Haar isometries, in blocks of
-    SILOV_CHUNK rows drawn from one Generator."""
+    SILOV_CHUNK draws from one Generator.
+
+    The points are stored entry-major, in one (m, n, count) array, and
+    returned as its (count, m, n) view: entry (i, j) of every draw is one
+    contiguous vector, which is how the samplers build a block, how the
+    gates check it, and how the generic-norm sums and PolyField.evaluate_many
+    read it, so no stage transposes the block or reads it with a stride.
+    """
     rng = np.random.default_rng(seed)
-    out = np.empty((count,) + spec.shape, dtype=complex)
+    out = np.empty(spec.shape + (count,), dtype=complex)
     for start in range(0, count, SILOV_CHUNK):
-        _fill_silov_block(spec, rng, out[start : start + SILOV_CHUNK], cols)
-    return out
+        _fill_silov_block(spec, rng, out[..., start : start + SILOV_CHUNK], cols)
+    return out.transpose(2, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -362,7 +373,9 @@ class SilovSample:
     len() is count. Each iteration starts the stream again from seed and
     yields sample_silov blocks of at most SILOV_CHUNK rows from one
     Generator, so the concatenated blocks equal sample_silov(spec, seed,
-    count) bit for bit while only one block is held at a time. A family
+    count) bit for bit while only one block is held at a time. Each block
+    is a sample_silov output, so entry-major like it: the Poisson solve's
+    kernel and field sums read one contiguous vector per entry. A family
     without a sampler raises UnsupportedDomainError here, before any draw,
     and a negative count raises ValueError.
     """
@@ -385,41 +398,41 @@ class SilovSample:
             yield sample_silov(self.spec, rng, min(SILOV_CHUNK, self.count - start))
 
 
-def _fill_silov_block(spec, rng, rows, cols):
-    """Draw len(rows) boundary points into rows and check the family symmetry.
+def _fill_silov_block(spec, rng, block, cols):
+    """Draw block.shape[-1] boundary points into the entry-major (m, n, k)
+    block and check the family symmetry.
 
-    The products are formed entry-major, one vector over the block's draws
-    per matrix entry, and transposed into rows once at the end. III(4)
-    points are written into rows entry by entry (_iii4_silov_block), with
-    no entry-major copy, and are antisymmetric by construction, so their
+    Every point is formed in place, one vector over the block's draws per
+    matrix entry: U^t on I, and on II and III the products summed into the
+    block, with no (k, m, n) copy. III(4) points are written entry by entry
+    (_iii4_silov_block) and are antisymmetric by construction, so their
     blocks skip the symmetry check, as TypeI blocks do.
     """
     if spec == type_iii(4):
-        _iii4_silov_block(rng, rows)
+        _iii4_silov_block(rng, block)
         return
-    u = _haar_stack(rng, len(rows), spec.n, cols)
+    u = _haar_stack(rng, block.shape[-1], spec.n, cols)
     if spec.family == "I":
-        rows[...] = u.transpose(2, 1, 0)
+        block[...] = u.swapaxes(0, 1)
         return
-    w = np.zeros((spec.n, spec.n, len(rows)), dtype=complex)
+    block[...] = 0.0
     if spec.family == "II":
         # (U U^t)_ab = sum_c U_ac U_bc
         for c in range(cols):
-            w += u[:, None, c] * u[None, :, c]
+            block += u[:, None, c] * u[None, :, c]
     else:
         # (U J U^t)_ab = sum_i U_a,2i U_b,2i+1 - U_a,2i+1 U_b,2i
         for c in range(0, cols, 2):
-            w += u[:, None, c] * u[None, :, c + 1]
-            w -= u[:, None, c + 1] * u[None, :, c]
+            block += u[:, None, c] * u[None, :, c + 1]
+            block -= u[:, None, c + 1] * u[None, :, c]
     del u
-    require_family_symmetry(spec, w)
-    rows[...] = w.transpose(2, 0, 1)
+    require_family_symmetry(spec, block)
 
 
 def _iv6_to_iii4(z, out=None):
     """The isometry L: IV(6) -> III(4), z -> sum_k z_k E_k, of an axis-first
     stack: z has shape (6, k) and L(z) shape (4, 4, k), written into out
-    (which may be a strided view) when it is given, and returned.
+    when it is given, and returned.
 
     With A_ab = e_ab - e_ba (0-based), E_1 = A_01 + A_23, E_2 = i(A_01 - A_23),
     E_3 = A_02 - A_13, E_4 = i(A_02 + A_13), E_5 = A_03 + A_12 and
@@ -443,25 +456,25 @@ def _iv6_to_iii4(z, out=None):
     return w
 
 
-def _iii4_silov_block(rng, rows):
-    """Draw len(rows) Silov points L(e^{i theta} x) of III(4) into rows, a
-    (k, 4, 4) block.
+def _iii4_silov_block(rng, block):
+    """Draw block.shape[-1] Silov points L(e^{i theta} x) of III(4) into
+    block, an entry-major (4, 4, k) array.
 
     Draws a (k, 8) Gaussian block, so draw i takes the stream's next eight
     normals: x is the first six over their length, uniform on S^5, and
     e^{i theta} = (g_6 + i g_7)/|g_6 + i g_7| is uniform on S^1. L writes
-    into rows through an entry-major view, and each temporary is dropped
-    as soon as it is used, before rows is checked for w w* = I, so the
-    temporaries stay under the size of rows.
+    each entry of block as one contiguous vector, and each temporary is
+    dropped as soon as it is used, before block is checked for w w* = I,
+    so the temporaries stay under the size of block.
     """
-    g = rng.standard_normal((len(rows), 8)).T
+    g = rng.standard_normal((block.shape[-1], 8)).T
     phase = g[6] + 1j * g[7]
     phase /= np.abs(phase)
     x = g[:6] / np.sqrt((g[:6] ** 2).sum(0))
     del g
-    w = _iv6_to_iii4(phase * x, rows.transpose(1, 2, 0))
+    _iv6_to_iii4(phase * x, block)
     del phase, x
-    _require_orthonormal(w.swapaxes(0, 1))
+    _require_orthonormal(block.swapaxes(0, 1))
 
 
 def odd_iii_silov_points(n, seed, count):

@@ -189,7 +189,11 @@ class PolyField:
 
     def evaluate_many(self, pts):
         """Evaluate at an array of points with shape (npts,) + self.shape:
-        the value plan on the stack's columns."""
+        the value plan on the stack's columns, one view per entry with no
+        copy of a point-major stack or of an entry-major one (a Silov
+        block of domains.sample_silov), whose columns are contiguous
+        vectors; the plan's elementwise products give the same bits on
+        either layout."""
         zf = np.asarray(pts, dtype=complex)
         if zf.size != len(zf) * self.size:
             raise ValueError("point size does not match field shape")

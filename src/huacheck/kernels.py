@@ -200,21 +200,14 @@ def _point_kernel(spec, w):
 
 
 @functools.lru_cache(maxsize=1)
-def _workspace(spec, points):
-    """The buffers of _generic_norm_dets for one SILOV_CHUNK block: the
-    entry-major copy of the block's cells and the (points, block) products.
-    Cached for the last (spec, points), so a Poisson solve that calls
-    poisson_block once per block allocates them once; two threads must not
-    evaluate the same (spec, points) at a time, and the solve's worker
-    thread, which only draws Silov blocks, never calls it. Allocating them
-    in each call instead made a dirichlet-mc benchmark pass about 25% slower
-    (0.417-0.427 s against 0.321-0.350 s in 3 of 3 alternating pairs, one
-    BLAS thread, x86-64) for 1.6 MB less peak memory."""
-    cells = _generic_norm_table(spec)[0]
-    return (
-        np.empty((len(cells), SILOV_CHUNK), dtype=complex),
-        np.empty((points, SILOV_CHUNK), dtype=complex),
-    )
+def _workspace(spec):
+    """The buffer of _generic_norm_dets: the features of one SILOV_CHUNK
+    block, feature-major, so that the first F k entries are the (F, k)
+    matrix of a block of k draws. Cached for the last spec, so a Poisson
+    solve that calls poisson_block once per block allocates it once; two
+    threads must not evaluate the same spec at a time, and the solve's
+    worker thread, which only draws Silov blocks, never calls it."""
+    return np.empty(len(_generic_norm_table(spec)[2]) * SILOV_CHUNK, dtype=complex)
 
 
 def _generic_norm_dets(spec, ws, coefficients):
@@ -235,34 +228,43 @@ def _generic_norm_dets(spec, ws, coefficients):
     sum of (draw feature) x (point coefficient) products: the features of
     _generic_norm_table, 6 for I(2,2) and II(2), 8 for III(4), 20 for
     I(3,3) and 32 for III(6), counting the constant 1. The points'
-    coefficients sign_F conj(f_F(z)) come from poisson_points; the draws'
-    features once per SILOV_CHUNK block, on an entry-major copy of the
-    block. The sum runs feature by feature in elementwise multiply-adds,
-    not one matrix product, so a point's values do not depend on the other
-    points of the stack.
+    coefficients sign_F conj(f_F(z)) come from poisson_points. The draws'
+    features come once per SILOV_CHUNK block, from one view per entry of
+    ws (a contiguous vector over the block's draws on an entry-major block,
+    as domains.sample_silov stores it, and a strided one on a point-major
+    stack; neither layout is copied first), into the (F, k) matrix of
+    _workspace, one row per feature but the constant. Each point's row of
+    h is then one vector-matrix product of
+    its F coefficients with that matrix, plus 1: one product per point, not
+    one matrix product for the stack, so a point's values do not depend on
+    the other points. The coefficients are made contiguous first, one row
+    per point: a strided column would send a stack of points down another
+    numpy/BLAS path than one point, and round differently.
 
     The rounding error of the sum is a small multiple of eps sum_F
-    |f_F(z)| |f_F(w)|. By Cauchy-Schwarz that is at most eps times
-    sqrt(h(z, -z) h(w, -w)) = prod_j sqrt((1 + s_j(z)^2)(1 + s_j(w)^2)),
-    over the r = rank singular values s_j (one per pair on III), so at
-    most 2^r eps on the distinguished boundary, where every s_j(w) = 1.
-    Against it, |h(z, w)| >= prod_j (1 - s_j(z)) for ||w|| <= 1.
+    |f_F(z)| |f_F(w)|, whatever the order of its terms. By Cauchy-Schwarz
+    that is at most eps times sqrt(h(z, -z) h(w, -w)) = prod_j
+    sqrt((1 + s_j(z)^2)(1 + s_j(w)^2)), over the r = rank singular values
+    s_j (one per pair on III), so at most 2^r eps on the distinguished
+    boundary, where every s_j(w) = 1. Against it, |h(z, w)| >= prod_j
+    (1 - s_j(z)) for ||w|| <= 1.
     """
-    cells, _, _, power = _generic_norm_table(spec)
+    cells, _, signs, power = _generic_norm_table(spec)
     features, _ = _expansion(spec)
-    points = coefficients.shape[1]
-    flat, product = _workspace(spec, points)
+    rows = np.ascontiguousarray(coefficients.T)
+    buffer = _workspace(spec)
     samples = len(ws)
-    dets = np.empty((points, samples), dtype=complex)
+    dets = np.empty((len(rows), samples), dtype=complex)
     for start in range(0, samples, SILOV_CHUNK):
         block = ws[start : start + SILOV_CHUNK]
         k = len(block)
-        # mode="clip" lets take write into the strided view without a copy
-        np.take(block.reshape(k, -1).T, cells, axis=0, out=flat[:, :k], mode="clip")
+        entries = block.reshape(k, -1).T
+        matrix = buffer[: len(signs) * k].reshape(-1, k)
+        np.stack(features([entries[c] for c in cells]), out=matrix)
         h = dets[:, start : start + k]
-        h[...] = 1.0
-        for c, f in zip(coefficients, features(flat[:, :k])):
-            h += np.multiply(c[:, None], f, out=product[:, :k])
+        for c, out in zip(rows, h):
+            np.matmul(c, matrix, out=out)
+        h += 1.0
         if power == 2:
             h *= h
     return dets
@@ -302,9 +304,13 @@ def poisson_points(spec, z):
 def poisson_block(points, ws):
     """P(z, w) for the prepared points (poisson_points) and every row w of a
     stack ws of boundary points: a (Z, N) array, summed by
-    _generic_norm_dets, whose buffers are reused from call to call."""
-    detw = np.abs(_generic_norm_dets(points.spec, ws, points.coefficients))
-    return points.numerators / detw ** (2.0 * points.kappa)
+    _generic_norm_dets, whose buffer is reused from call to call.
+    |det W|^(2 kappa) is one real power, of |det W|^2 = re^2 + im^2."""
+    dets = _generic_norm_dets(points.spec, ws, points.coefficients)
+    weights = np.square(dets.real)
+    weights += np.square(dets.imag)
+    np.power(weights, points.kappa, out=weights)
+    return np.divide(points.numerators, weights, out=weights)
 
 
 def poisson_szego(spec, z, w, *, _point=None):

@@ -162,6 +162,23 @@ def test_points_below_one_exits_2_without_traceback(suite, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", list(CAMPAIGNS), ids=[suite for _, suite in CAMPAIGNS])
+def test_points_above_the_bound_exit_2_without_traceback(command, capsys):
+    # through the parser only: a campaign run at such a --points would
+    # allocate arrays of that length
+    parser = build_parser()
+    for points in (cli.MAX_POINTS + 1, 10**20):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([*command, "--points", str(points)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--points: must be at most {cli.MAX_POINTS:,}, got {points}" in err
+        assert "Traceback" not in err
+    # the largest value README, CI and the benchmark use, and the bound itself
+    for points in (2000, cli.MAX_POINTS):
+        assert parser.parse_args([*command, "--points", str(points)]).points == points
+
+
 @pytest.mark.parametrize(
     "suite, domain",
     [(suite, domain) for suite in ("kernel", "dirichlet") for domain in ("III:3", "IV:2")],

@@ -287,11 +287,10 @@ def test_poisson_solve_streams_the_sample():
     # the 100,000 draws of III(4) alone take 25.6 MB; the solve holds at
     # most two blocks of 4096 (1 MB each: the one summed and the one the
     # worker draws, whose temporaries stay under 1 MB more) beside the
-    # kernel's generic-norm buffers for the 10 points and the (point, field,
-    # draw) products (1.7 MB together). It peaks at 6.3 MB when those
-    # buffers are first made and at 5.1 MB on a later call, against 5.7 and
-    # 4.6 MB when each block was dropped before the next was drawn (bytes /
-    # 1e6, tracemalloc)
+    # kernel's generic-norm buffer and the (point, field, draw) products
+    # (1.1 MB together). It peaks at 4.6-5.0 MB when those buffers are
+    # first made and at 4.1-4.5 MB on a later call, as the two threads
+    # interleave (bytes / 1e6, tracemalloc)
     spec = type_iii(4)
     zs = domains.sample_interior(spec, seed=23, count=10)
     one = PolyField.constant(spec.shape, 1.0)

@@ -352,6 +352,20 @@ def test_silov_sample_blocks_equal_one_sample():
         assert np.array_equal(next(iter(sample)), blocks[0])
 
 
+def test_silov_entries_are_contiguous_vectors():
+    # sample_silov stores its draws entry-major, (m, n, count) memory seen as
+    # (count, m, n): entry (i, j) over the draws is one contiguous vector, in
+    # a sample, in each SilovSample block and in odd III's rank-deficient draws
+    count = domains.SILOV_CHUNK + 37
+    stacks = [domains.odd_iii_silov_points(3, seed=3, count=count)]
+    for spec in (type_i(2, 3), type_ii(3), type_iii(4), type_iii(6)):
+        stacks.append(domains.sample_silov(spec, seed=3, count=count))
+        stacks += list(domains.SilovSample(spec, seed=3, count=count))
+    for ws in stacks:
+        for i, j in np.ndindex(ws.shape[1:]):
+            assert ws[:, i, j].flags.c_contiguous
+
+
 def test_silov_sample_rejects_a_negative_count():
     with pytest.raises(ValueError, match="non-negative"):
         domains.SilovSample(type_ii(2), seed=0, count=-5)

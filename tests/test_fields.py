@@ -57,6 +57,20 @@ def test_evaluate_many_agrees_with_single_calls():
     assert_allclose(batch, singles, atol=1e-13)
 
 
+def test_evaluate_many_on_an_entry_major_silov_block_equals_a_contiguous_copy():
+    # a Silov block is the (k, m, n) view of entry-major memory; the field
+    # reads one contiguous vector per entry, with the bits of the
+    # point-major copy
+    rng = np.random.default_rng(5)
+    for spec in (type_i(2, 3), type_ii(2), type_iii(4)):
+        f = random_poly_field(spec.shape, rng)
+        sample = domains.SilovSample(spec, seed=6, count=domains.SILOV_CHUNK + 37)
+        for block in sample:
+            copy = np.ascontiguousarray(block)
+            assert not np.shares_memory(copy, block)
+            assert np.array_equal(f.evaluate_many(block), f.evaluate_many(copy))
+
+
 def test_evaluate_many_of_an_empty_stack_is_empty():
     f = random_poly_field(SHAPE, np.random.default_rng(2))
     values = f.evaluate_many(np.empty((0,) + SHAPE, dtype=complex))
