@@ -92,10 +92,11 @@ _SEED = _checked(int, lambda v: v >= 0, "at least 0")
 # CI runs, 1.4 s at --points 2 (best of 3 processes, one BLAS thread, a
 # shared 2-core x86-64 host; runs spread over 5.2-6.6 s and 1.4-2.0 s).
 # Since F >= s past III(6), it also bounds the stencil's 128 s^3 bytes by
-# 128 MB. verify dirichlet holds 64 KB per feature (its generic-norm
-# workspace) and 64 KB per entry for each of two Silov blocks (one summed
-# while the next is drawn): F + 2 s units, at most 791 + 2 * 35 on I(5,7),
-# so 54 MB.
+# 128 MB. verify dirichlet holds 128 KB per feature (a block's F feature
+# vectors and the matrix they are stacked into, both made per block:
+# tracemalloc reads 101.7e6 bytes for one 4,096-draw block on I(5,7)) and
+# 64 KB per entry for each of two Silov blocks (one summed while the next is
+# drawn): 2 F + 2 s units, at most 2 * 791 + 2 * 35 on I(5,7), so 103 MB.
 # I(6,6) (1.2e6), II(6) and III(10) (5.1e6) are refused.
 MAX_WORK = 10**6
 

@@ -12,8 +12,8 @@ approximated by Monte-Carlo averaging over the distinguished boundary.
 
 from __future__ import annotations
 
-import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,15 +243,15 @@ def solve_tilde(fs, n):
     return DirichletSolution(n, tuple(parts))
 
 
-def _block_moments(points, boundary_fields, block, v):
+def _block_moments(points, boundary_fields, block):
     """Mean and sum of |v - mean|^2 of v = P(z, w) phi(w) over the draws w
     of one boundary block, per (point, field), in two passes. points are
-    the prepared points (kernels.poisson_points), and v is a (points,
-    fields, k) buffer for the products, reused across blocks. The sum of
-    squares is one contraction of v's float view (re, im interleaved) with
-    itself, so no (points, fields, k) temporary is made."""
+    the prepared points (kernels.poisson_points), and v, a (points, fields,
+    k) array, is made for the block and freed with it. The sum of squares
+    is one contraction of v's float view (re, im interleaved) with itself,
+    so no (points, fields, k) temporary such as |v|^2 is made."""
     phis = np.array([field.evaluate_many(block) for field in boundary_fields])
-    np.multiply(poisson_block(points, block)[:, None], phis, out=v)
+    v = poisson_block(points, block)[:, None] * phis
     mean = v.mean(axis=-1)
     v -= mean[..., None]
     parts = v.view(float)
@@ -270,19 +270,20 @@ def poisson_solve(spec, boundary_fields, zs, batch):
     The points are checked and prepared once (kernels.poisson_points:
     membership, det V^kappa and the generic-norm coefficients), before the
     first block is drawn. The sample is streamed block by block, so no
-    array of its length is held: one worker thread draws block k + 1 (it
-    only calls next() on the batch's iterator) while this thread sums block
-    k, so at most two blocks are live. The batch's iterator, and with it a
-    SilovSample's Generator, is used by one thread at a time and in order,
-    so the result has the bits of a solve that draws each block when it
-    needs it. Whatever the draw raises is raised here, and an early exit
-    waits for the draw in flight, so no thread outlives the call. All
-    kernel and field work stays on this thread. On each block every phi is
-    evaluated once (a PolyField over the block), the kernel weights of all
-    points come from one kernels.poisson_block call, their products with
-    the phis go to one (point, field, draw) buffer that the blocks share,
-    and the block's mean and sum of |v - mean|^2 per (point, field) are
-    taken in two passes.
+    array of its length is held: a one-worker ThreadPoolExecutor draws
+    block k + 1 (it only calls next() on the batch's iterator) while this
+    thread sums block k, and the next draw is submitted only once block k
+    has passed its checks, so at most two blocks are live. The batch's
+    iterator, and with it a SilovSample's Generator, is used by one thread
+    at a time and in order, so the result has the bits of a solve that
+    draws each block when it needs it. Whatever the draw raises is raised
+    here by the future's result(), and an early exit leaves the executor's
+    with statement, which waits for the draw in flight, so no thread
+    outlives the call. All kernel and field work stays on this thread. On
+    each block every phi is evaluated once (a PolyField over the block),
+    the kernel weights of all points come from one kernels.poisson_block
+    call, and the block's mean and sum of |v - mean|^2 per (point, field)
+    are taken in two passes; nothing made for a block outlives it.
     Blocks are merged by the pairwise update of Chan, Golub & LeVeque
     ("Algorithms for computing the sample variance", Am. Stat. 37, 1983),
     which, unlike sum |v|^2 - k |mean|^2, cannot cancel to a negative
@@ -298,40 +299,10 @@ def poisson_solve(spec, boundary_fields, zs, batch):
     count = 0
     mean = np.zeros((len(zs), len(boundary_fields)), dtype=complex)
     m2 = np.zeros(mean.shape)
-    products = np.empty(mean.shape + (0,), dtype=complex)
     blocks = iter(batch)
-    drawn = []
-    wanted = threading.Semaphore(0)
-    ready = threading.Semaphore(0)
-    done = False
-
-    def draw():
-        # the worker: one next() per release of wanted, until done is set or
-        # next() raises (StopIteration at the end); what it raises is handed
-        # to this thread in the block's place
-        while True:
-            wanted.acquire()
-            if done:
-                return
-            try:
-                drawn.append(next(blocks))
-            except BaseException as exc:
-                drawn.append(exc)
-                return
-            finally:
-                ready.release()
-
-    worker = threading.Thread(target=draw)
-    worker.start()
-    wanted.release()
-    try:
-        while True:
-            ready.acquire()
-            block = drawn.pop()
-            if isinstance(block, StopIteration):
-                break
-            if isinstance(block, BaseException):
-                raise block
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        pending = worker.submit(next, blocks, None)
+        while (block := pending.result()) is not None:
             if block.shape[1:] != spec.shape:
                 raise ValueError(
                     f"boundary batch rows have shape {block.shape[1:]}, expected {spec.shape}"
@@ -339,24 +310,14 @@ def poisson_solve(spec, boundary_fields, zs, batch):
             k = len(block)
             if not k:
                 raise ValueError("boundary batch holds an empty block")
-            wanted.release()
-            if products.shape[-1] < k:
-                products = np.empty(mean.shape + (k,), dtype=complex)
-            block_mean, block_m2 = _block_moments(
-                points, boundary_fields, block, products[..., :k]
-            )
+            pending = worker.submit(next, blocks, None)
+            block_mean, block_m2 = _block_moments(points, boundary_fields, block)
             del block  # before the wait for the next one
             delta = block_mean - mean
             total = count + k
             mean += delta * (k / total)
             m2 += block_m2 + (delta.real**2 + delta.imag**2) * (count * k / total)
             count = total
-    finally:
-        # an early exit waits for the draw in flight, so no worker outlives
-        # the call and the sample's Generator is left to one thread
-        done = True
-        wanted.release()
-        worker.join()
     if not count:
         raise ValueError("boundary batch has no draws to average")
     stderr = np.sqrt(m2 / count / count)

@@ -10,7 +10,8 @@ The central object is the determinant-power kernel
 boundary point for the FD stencil, or over a stacked boundary sample as
 poisson_points, made once per stack of interior points, and poisson_block;
 the Monte-Carlo Poisson solve of huacheck.dirichlet calls those two itself,
-poisson_block once per block of its sample. Both routes sum det W from
+poisson_block once per block of its sample, which makes its feature matrix
+for the block and keeps no buffer between calls. Both routes sum det W from
 the generic norm of the Jordan triple, whose table is their one family
 switch, compiled once into straight-line Python: on arrays for a stack, on
 Python scalars in the one evaluator of z per boundary point w.
@@ -199,17 +200,6 @@ def _point_kernel(spec, w):
     return lambda z: stored(z.ravel()[read].astype(complex, copy=False).tobytes())
 
 
-@functools.lru_cache(maxsize=1)
-def _workspace(spec):
-    """The buffer of _generic_norm_dets: the features of one SILOV_CHUNK
-    block, feature-major, so that the first F k entries are the (F, k)
-    matrix of a block of k draws. Cached for the last spec, so a Poisson
-    solve that calls poisson_block once per block allocates it once; two
-    threads must not evaluate the same spec at a time, and the solve's
-    worker thread, which only draws Silov blocks, never calls it."""
-    return np.empty(len(_generic_norm_table(spec)[2]) * SILOV_CHUNK, dtype=complex)
-
-
 def _generic_norm_dets(spec, ws, coefficients):
     """det(I - w z*) for every row w of the boundary batch ws.
 
@@ -232,9 +222,9 @@ def _generic_norm_dets(spec, ws, coefficients):
     features come once per SILOV_CHUNK block, from one view per entry of
     ws (a contiguous vector over the block's draws on an entry-major block,
     as domains.sample_silov stores it, and a strided one on a point-major
-    stack; neither layout is copied first), into the (F, k) matrix of
-    _workspace, one row per feature but the constant. Each point's row of
-    h is then one vector-matrix product of
+    stack; neither layout is copied first), stacked into an (F, k) matrix
+    made for the block and freed with it, one row per feature but the
+    constant. Each point's row of h is then one vector-matrix product of
     its F coefficients with that matrix, plus 1: one product per point, not
     one matrix product for the stack, so a point's values do not depend on
     the other points. The coefficients are made contiguous first, one row
@@ -249,18 +239,16 @@ def _generic_norm_dets(spec, ws, coefficients):
     boundary, where every s_j(w) = 1. Against it, |h(z, w)| >= prod_j
     (1 - s_j(z)) for ||w|| <= 1.
     """
-    cells, _, signs, power = _generic_norm_table(spec)
+    cells, _, _, power = _generic_norm_table(spec)
     features, _ = _expansion(spec)
     rows = np.ascontiguousarray(coefficients.T)
-    buffer = _workspace(spec)
     samples = len(ws)
     dets = np.empty((len(rows), samples), dtype=complex)
     for start in range(0, samples, SILOV_CHUNK):
         block = ws[start : start + SILOV_CHUNK]
         k = len(block)
         entries = block.reshape(k, -1).T
-        matrix = buffer[: len(signs) * k].reshape(-1, k)
-        np.stack(features([entries[c] for c in cells]), out=matrix)
+        matrix = np.stack(features([entries[c] for c in cells]))
         h = dets[:, start : start + k]
         for c, out in zip(rows, h):
             np.matmul(c, matrix, out=out)
@@ -304,7 +292,7 @@ def poisson_points(spec, z):
 def poisson_block(points, ws):
     """P(z, w) for the prepared points (poisson_points) and every row w of a
     stack ws of boundary points: a (Z, N) array, summed by
-    _generic_norm_dets, whose buffer is reused from call to call.
+    _generic_norm_dets, which keeps nothing from call to call.
     |det W|^(2 kappa) is one real power, of |det W|^2 = re^2 + im^2."""
     dets = _generic_norm_dets(points.spec, ws, points.coefficients)
     weights = np.square(dets.real)

@@ -259,8 +259,7 @@ def test_poisson_solve_is_mean_and_stderr_of_the_stacked_kernel():
 
 
 def test_poisson_solve_over_blocks_of_growing_size():
-    # the products buffer grows for the 40-draw block and is reused for the
-    # 20-draw one
+    # blocks of 5, 40 and 20 draws, each with products of its own size
     spec = type_ii(2)
     ws = domains.sample_silov(spec, seed=30, count=65)
     z = domains.sample_interior(spec, seed=31, count=1)[0]
@@ -287,10 +286,10 @@ def test_poisson_solve_streams_the_sample():
     # the 100,000 draws of III(4) alone take 25.6 MB; the solve holds at
     # most two blocks of 4096 (1 MB each: the one summed and the one the
     # worker draws, whose temporaries stay under 1 MB more) beside the
-    # kernel's generic-norm buffer and the (point, field, draw) products
-    # (1.1 MB together). It peaks at 4.6-5.0 MB when those buffers are
-    # first made and at 4.1-4.5 MB on a later call, as the two threads
-    # interleave (bytes / 1e6, tracemalloc)
+    # block's generic-norm features and (point, field, draw) products
+    # (1.4 MB at most, made per block). It peaks at 3.5-4.4 MB, on
+    # a first call and on a later one alike, as the two threads interleave
+    # (bytes / 1e6, tracemalloc)
     spec = type_iii(4)
     zs = domains.sample_interior(spec, seed=23, count=10)
     one = PolyField.constant(spec.shape, 1.0)
@@ -544,6 +543,31 @@ def test_poisson_solve_waits_for_the_draw_in_flight_when_a_block_fails():
         dirichlet.poisson_solve(spec, [FailingField()], [np.zeros(spec.shape)], batch())
     assert finished == [True]
     assert threading.active_count() == before
+
+
+def test_poisson_solve_draws_at_most_one_block_ahead():
+    # when block i is summed the generator has yielded at most i + 2 blocks:
+    # one draw in flight, so at most two blocks live; and a solve that
+    # succeeds leaves no thread behind
+    spec = type_ii(2)
+    ws = domains.sample_silov(spec, seed=0, count=50)
+    yielded, seen = [], []
+
+    def batch():
+        for block in np.split(ws, 5):
+            yielded.append(len(block))
+            yield block
+
+    class CountingField:
+        def evaluate_many(self, block):
+            seen.append(len(yielded))
+            return np.ones(len(block), dtype=complex)
+
+    before = threading.active_count()
+    dirichlet.poisson_solve(spec, [CountingField()], [np.zeros(spec.shape)], batch())
+    assert threading.active_count() == before
+    assert len(seen) == 5
+    assert all(count <= i + 2 for i, count in enumerate(seen))
 
 
 def test_poisson_solve_merges_drawn_blocks_in_order_under_fast_switching():
